@@ -9,7 +9,7 @@ from .convexity import (CERTIFIED, VIOLATED, ConvexityCertificate,
                         MonotonicityReport, certify_corollary1,
                         certify_theorem_a, scan_theorem2, verify_definition)
 from .determinants import PointTuple, SignedValue, d_det, v_det
-from .divdiff import (DividedDifference, classical_dd, gdd, gdd_fast,
+from .divdiff import (DividedDifference, classical_dd, gdd,
                       recurrence_identity_residual)
 from .errors import (ArgumentError, ChebConvexError, DegenerateInputError,
                      DomainError, GeometryError, LimitDivergedError,
@@ -41,7 +41,7 @@ __all__ = [
     "TableFormatError", "TableSource", "VIOLATED", "build_support",
     "certify_corollary1", "certify_theorem_a", "classical_dd",
     "classify_on_grid", "constrained_interpolate", "cosine_sine_system",
-    "d_det", "estimate_cn", "exponential_system", "gdd", "gdd_fast",
+    "d_det", "estimate_cn", "exponential_system", "gdd",
     "interpolate", "lemma1_residual", "load_table", "named_system",
     "negated_polynomial_system", "parse_function", "parse_system",
     "polynomial_system", "recurrence_identity_residual", "scan_theorem2",

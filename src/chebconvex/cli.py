@@ -26,7 +26,7 @@ from .convexity import (CERTIFIED, DEFAULT_ATOL, DEFAULT_RTOL,
                         ConvexityCertificate, MonotonicityReport,
                         certify_corollary1, certify_theorem_a, scan_theorem2,
                         verify_definition)
-from .divdiff import DividedDifference, classical_dd, gdd, gdd_fast
+from .divdiff import DividedDifference, classical_dd, gdd
 from .errors import ArgumentError, ChebConvexError
 from .functions import (ExpressionSource, FunctionSource, load_table,
                         parse_function)
@@ -34,8 +34,8 @@ from .interpolation import OmegaCombination
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED
 from .support import SupportResult, build_support
 from .systems import (ChebyshevSystem, Interval, SystemClassification,
-                      classify_on_grid, named_system, parse_system,
-                      polynomial_system, uniform_grid)
+                      classify_on_grid, named_system, parse_interval,
+                      parse_system, polynomial_system, uniform_grid)
 
 SCHEMA = "chebconvex.report/1"
 SEED_ENV_VAR = "CHEBCONVEX_SEED"
@@ -68,7 +68,6 @@ class RunConfig:
     fmt: str = "human"
     out: Optional[str] = None
     classical: bool = False
-    fast: bool = False
 
 
 def _default_seed() -> int:
@@ -104,34 +103,6 @@ def _parse_grid(text: str):
     if os.path.isfile(text):
         return text
     raise ArgumentError(f"grid spec must be lo:hi:count or a table file, got {text!r}")
-
-
-def _parse_interval(text: str) -> Interval:
-    parts = text.split(":")
-    if len(parts) < 2 or len(parts) > 4:
-        raise ArgumentError(f"interval spec must be lo:hi[:open|closed[:open|closed]], got {text!r}")
-
-    def bound(tok: str) -> float:
-        t = tok.strip().lower()
-        if t in ("inf", "+inf"):
-            return math.inf
-        if t == "-inf":
-            return -math.inf
-        return float(tok)
-
-    def flag(tok: str) -> bool:
-        t = tok.strip().lower()
-        if t not in ("open", "closed"):
-            raise ArgumentError(f"interval flag must be open|closed, got {tok!r}")
-        return t == "open"
-
-    try:
-        lo, hi = bound(parts[0]), bound(parts[1])
-    except ValueError:
-        raise ArgumentError(f"bad interval bounds in {text!r}")
-    lo_open = flag(parts[2]) if len(parts) > 2 else False
-    hi_open = flag(parts[3]) if len(parts) > 3 else False
-    return Interval(lo, hi, lo_open, hi_open)
 
 
 def build_parser() -> _Parser:
@@ -174,8 +145,6 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True, help="comma-separated points")
     p.add_argument("--classical", action="store_true",
                    help="also compute the classical recurrence value")
-    p.add_argument("--fast", action="store_true",
-                   help="use the window-update evaluation path")
 
     p = sub.add_parser("certify", help="certify convexity w.r.t. a system")
     common(p, grid=True, function=True)
@@ -230,7 +199,7 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     if config.budget < 1:
         raise ArgumentError("budget must be >= 1")
     if getattr(ns, "interval", None):
-        config.interval = _parse_interval(ns.interval)
+        config.interval = parse_interval(ns.interval.split(":"))
     if getattr(ns, "system", None):
         config.system = ns.system
     if getattr(ns, "function", None):
@@ -245,7 +214,6 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         config.nodes = _parse_floats(ns.nodes, "nodes")
     config.method = getattr(ns, "method", None)
     config.classical = bool(getattr(ns, "classical", False))
-    config.fast = bool(getattr(ns, "fast", False))
     return config
 
 
@@ -353,10 +321,9 @@ def _run_classify(config: RunConfig) -> tuple[dict, int]:
 def _run_dd(config: RunConfig) -> tuple[dict, int]:
     system = _resolve_system(config)
     f = parse_function(config.function)
-    compute = gdd_fast if config.fast else gdd
-    dd = compute(system, config.points, f)
+    dd = gdd(system, config.points, f)
     doc = {"system": _system_dict(system), "function": f.describe(),
-           "dd": _dd_dict(dd), "path": "identity-update" if config.fast else "ratio"}
+           "dd": _dd_dict(dd)}
     if config.classical:
         doc["classical"] = classical_dd(config.points, f)
     return doc, EXIT_OK
@@ -399,7 +366,8 @@ def _run_support(config: RunConfig) -> tuple[dict, int]:
                            atol=config.atol, rtol=config.rtol)
     doc = {"system": _system_dict(system), "function": f.describe(),
            "support": _support_dict(result, f)}
-    doc["_columns"] = _column_rows(system, f, result.omega, result.knots.points, grid)
+    if config.fmt == "columns":
+        doc["_columns"] = _column_rows(f, result.omega, result.knots.points, grid)
     return doc, EXIT_OK if result.pattern.overall else EXIT_VIOLATED
 
 
@@ -437,13 +405,14 @@ def _run_paper_example(config: RunConfig) -> tuple[dict, int]:
            "grid": {"lo": -2.0, "hi": 3.0, "count": 100},
            "support": _support_dict(result, f),
            "checks": checks}
-    doc["_columns"] = _column_rows(system, f, result.omega, knots, grid)
+    if config.fmt == "columns":
+        doc["_columns"] = _column_rows(f, result.omega, knots, grid)
     code = EXIT_OK if all(c["pass"] for c in checks) else EXIT_VIOLATED
     return doc, code
 
 
-def _column_rows(system: ChebyshevSystem, f, omega: OmegaCombination,
-                 knots: Sequence[float], grid: Sequence[float]) -> list[list]:
+def _column_rows(f, omega: OmegaCombination, knots: Sequence[float],
+                 grid: Sequence[float]) -> list[list]:
     rows = []
     for x in grid:
         fx = f(x)

@@ -1,7 +1,8 @@
 """Grid-sampled certification of higher-order convexity with respect to a
 positive Chebyshev system.
 
-Four routes, deliberately independent so they can cross-check each other:
+Four routes, each computing its own quantity so they can cross-check each
+other:
 
 * ``theoremA``   - nonnegativity of the bordered determinant over ordered
   (n+1)-tuples drawn from the grid;
@@ -13,6 +14,11 @@ Four routes, deliberately independent so they can cross-check each other:
 * ``definition`` - the alternating sign pattern of the difference between
   the target and its n-point interpolant.
 
+The routes share bookkeeping, not quantities: theorem A, corollary 1 and
+the definition route feed one certificate builder, which never certifies
+when nothing was checked, and the definition route shares its sign-pattern
+walker with :mod:`.support`.
+
 Every verdict is certified-on-sample only: a grid check is necessary
 evidence, never a proof on the continuum.
 """
@@ -21,9 +27,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .determinants import PointTuple, check_points, classify_value, det_and_scale
+from .determinants import (PointTuple, basis_minor, check_points,
+                           classify_value, det_and_scale)
 from .divdiff import gdd
 from .errors import NearSingularError, PreconditionError
 from .interpolation import interpolate
@@ -84,6 +91,81 @@ def knot_exclusion(system: ChebyshevSystem) -> float:
     return KNOT_EXCLUSION_FACTOR * system.interval.tolerance_span
 
 
+def interior_knots(system: ChebyshevSystem, knots) -> PointTuple:
+    """Validate n-1 strictly increasing knots interior to the interval."""
+    if system.n < 2:
+        raise PreconditionError("knot-based constructions need a system of order >= 2")
+    knots = check_points(system, knots, system.n - 1)
+    if not knots.ordered:
+        raise PreconditionError("knots must be strictly increasing")
+    for k in knots:
+        if not system.interval.interior_contains(k):
+            raise PreconditionError(f"knot {k!r} is not interior to "
+                                    f"{system.interval.describe()}")
+    return knots
+
+
+def pattern_sign(count: int, region: int) -> int:
+    """Required sign of f - g in ``region`` (the number of nodes to its left)
+    of the alternating pattern around ``count`` nodes: (-1)^(count + region),
+    so the region right of the last node is nonnegative."""
+    return -1 if (count + region) % 2 else 1
+
+
+def sign_walk(f, g, nodes: Sequence[float], grid: Sequence[float],
+              delta: float) -> Iterator[tuple[int, int, float, float]]:
+    """Walk f - g over the grid for an alternating sign-pattern check.
+
+    Yields ``(j, region, f(x), f(x) - g(x))`` for each grid point x =
+    grid[j] farther than ``delta`` from every node, in grid order; region is
+    the number of nodes left of x. The difference vanishes at the nodes,
+    where its sign is noise. f is evaluated once per point.
+    """
+    for j, x in enumerate(grid):
+        if min(abs(x - k) for k in nodes) <= delta:
+            continue
+        fx = f(x)
+        yield j, bisect.bisect_left(nodes, x), fx, fx - g(x)
+
+
+def _certificate(method: str, scored: Iterable[Optional[tuple]],
+                 grid: Sequence[float], f, atol: float, rtol: float,
+                 seed: Optional[int]) -> ConvexityCertificate:
+    """Minimum, witness and verdict from ``(value, t, tol)`` items, where
+    ``t`` holds grid indices and the item violates when value < -tol; None
+    marks an item skipped as degenerate. Ties go to the lexicographically
+    smallest ``t``, so the outcome does not depend on enumeration order.
+    A scan that checked nothing raises instead of certifying.
+    """
+    best: Optional[tuple[float, tuple[int, ...]]] = None
+    violated: Optional[tuple[float, tuple[int, ...]]] = None
+    checked = skipped = 0
+    for item in scored:
+        if item is None:
+            skipped += 1
+            continue
+        value, t, tol = item
+        checked += 1
+        key = (value, t)
+        if best is None or key < best:
+            best = key
+        if value < -tol and (violated is None or key < violated):
+            violated = key
+    if best is None:
+        if skipped:
+            raise NearSingularError(f"{method}: every one of {skipped} windows "
+                                    "degenerated; nothing was checked")
+        raise PreconditionError(f"{method}: nothing was checked on this grid")
+    witness = witness_value = None
+    if violated is not None:
+        witness_value, t = violated
+        witness = PointTuple.of([grid[j] for j in t])
+    return ConvexityCertificate(method, CERTIFIED if witness is None else VIOLATED,
+                                checked, best[0], witness, witness_value,
+                                atol, rtol, seed, skipped,
+                                bool(getattr(f, "uses_linear_interpolation", False)))
+
+
 def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
                       budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
                       atol: float = DEFAULT_ATOL,
@@ -91,37 +173,20 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     """Certify via signs of the bordered determinant over ordered (n+1)-tuples.
 
     A tuple violates when its determinant falls below ``-(atol + rtol *
-    scale)`` at that tuple's own scale. The reported minimum and witness are
-    selected by value with lexicographic tie-breaking, so the outcome does
-    not depend on enumeration order.
+    scale)`` at that tuple's own scale.
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     require_positive(system, grid)
     cols = [system.evaluate_basis(x) for x in grid]
     fvals = [f(x) for x in grid]
-    best: Optional[tuple[float, tuple[int, ...]]] = None
-    violated: Optional[tuple[float, tuple[int, ...]]] = None
-    tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
-    for t in tuples:
-        rows = [[cols[j][i] for j in t] for i in range(n)]
-        rows.append([fvals[j] for j in t])
-        value, scale = det_and_scale(rows)
-        key = (value, t)
-        if best is None or key < best:
-            best = key
-        if value < -(atol + rtol * scale) and (violated is None or key < violated):
-            violated = key
-    min_value, _ = best
-    if violated is not None:
-        value, t = violated
-        witness = PointTuple.of([grid[j] for j in t])
-        return ConvexityCertificate("theoremA", VIOLATED, len(tuples), min_value,
-                                    witness, value, atol, rtol, seed,
-                                    linear_table=_used_linear(f))
-    return ConvexityCertificate("theoremA", CERTIFIED, len(tuples), min_value,
-                                None, None, atol, rtol, seed,
-                                linear_table=_used_linear(f))
+
+    def scored():
+        for t in ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed):
+            value, scale = det_and_scale(basis_minor(cols, t, n, fvals))
+            yield value, t, atol + rtol * scale
+
+    return _certificate("theoremA", scored(), grid, f, atol, rtol, seed)
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
@@ -147,47 +212,24 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     def window_value(ix: tuple[int, ...]) -> Optional[float]:
         if ix in memo:
             return memo[ix]
-        den_rows = [[cols[j][i] for j in ix] for i in range(n)]
-        den, den_scale = det_and_scale(den_rows)
+        den, den_scale = det_and_scale(basis_minor(cols, ix, n))
         if classify_value(den, den_scale).sign == "0":
             memo[ix] = None
             return None
-        num_rows = [[cols[j][i] for j in ix] for i in range(n - 1)]
-        num_rows.append([fvals[j] for j in ix])
-        num, _ = det_and_scale(num_rows)
+        num, _ = det_and_scale(basis_minor(cols, ix, n - 1, fvals))
         memo[ix] = num / den
         return memo[ix]
 
-    best: Optional[tuple[float, tuple[int, ...]]] = None
-    violated: Optional[tuple[float, tuple[int, ...]]] = None
-    skipped = 0
-    tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
-    for t in tuples:
-        lo = window_value(t[:n])
-        hi = window_value(t[1:])
-        if lo is None or hi is None:
-            skipped += 1
-            continue
-        diff = hi - lo
-        key = (diff, t)
-        if best is None or key < best:
-            best = key
-        if diff < -(atol + rtol * max(abs(hi), abs(lo))) and \
-                (violated is None or key < violated):
-            violated = key
-    checked = len(tuples) - skipped
-    if best is None:
-        raise NearSingularError("every window degenerated; nothing was certified")
-    min_value, _ = best
-    if violated is not None:
-        diff, t = violated
-        witness = PointTuple.of([grid[j] for j in t])
-        return ConvexityCertificate("corollary1", VIOLATED, checked, min_value,
-                                    witness, diff, atol, rtol, seed, skipped,
-                                    linear_table=_used_linear(f))
-    return ConvexityCertificate("corollary1", CERTIFIED, checked, min_value,
-                                None, None, atol, rtol, seed, skipped,
-                                linear_table=_used_linear(f))
+    def scored():
+        for t in ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed):
+            lo = window_value(t[:n])
+            hi = window_value(t[1:])
+            if lo is None or hi is None:
+                yield None
+            else:
+                yield hi - lo, t, atol + rtol * max(abs(hi), abs(lo))
+
+    return _certificate("corollary1", scored(), grid, f, atol, rtol, seed)
 
 
 def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
@@ -196,20 +238,12 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     """Scan x -> divided difference at (knots, x) and report monotonicity breaks.
 
     Knots must be strictly increasing interior points; grid points within
-    the knot-exclusion distance are dropped from the scan. The points of
-    each evaluation tuple are assembled in sorted order, which leaves the
-    value unchanged by symmetry.
+    the knot-exclusion distance are dropped from the scan, and a scan left
+    without an adjacent pair raises. The points of each evaluation tuple
+    are assembled in sorted order, which leaves the value unchanged by
+    symmetry.
     """
-    n = system.n
-    if n < 2:
-        raise PreconditionError("the scan needs a system of order >= 2")
-    knots = check_points(system, knots, n - 1)
-    if not knots.ordered:
-        raise PreconditionError("knots must be strictly increasing")
-    for k in knots:
-        if not system.interval.interior_contains(k):
-            raise PreconditionError(f"knot {k!r} is not interior to "
-                                    f"{system.interval.describe()}")
+    knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 1)
     delta = knot_exclusion(system)
     scan: list[tuple[float, float]] = []
@@ -218,6 +252,9 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
             continue
         pts = tuple(sorted(knots.points + (x,)))
         scan.append((x, gdd(system, pts, f).value))
+    if len(scan) < 2:
+        raise PreconditionError(f"theorem2: nothing was checked; {len(scan)} grid "
+                                "point(s) clear the knot exclusion, a pair is needed")
     violations = []
     for (x0, v0), (x1, v1) in zip(scan, scan[1:]):
         if v1 - v0 < -(atol + rtol * max(abs(v0), abs(v1))):
@@ -242,32 +279,7 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
         raise PreconditionError("nodes must be strictly increasing")
     grid = validate_grid(system, grid, 1)
     omega = interpolate(system, nodes, [f(x) for x in nodes])
-    delta = knot_exclusion(system)
-    best: Optional[tuple[float, float]] = None  # (slack, x)
-    violated: Optional[tuple[float, float]] = None
-    checked = 0
-    for x in grid:
-        if min(abs(x - k) for k in nodes) <= delta:
-            continue
-        region = bisect.bisect_left(nodes.points, x)
-        sign = -1.0 if (n + region) % 2 else 1.0
-        slack = sign * (f(x) - omega(x))
-        checked += 1
-        key = (slack, x)
-        if best is None or key < best:
-            best = key
-        if slack < -(atol + rtol * abs(f(x))) and (violated is None or key < violated):
-            violated = key
-    min_value = best[0] if best is not None else 0.0
-    if violated is not None:
-        slack, x = violated
-        return ConvexityCertificate("definition", VIOLATED, checked, min_value,
-                                    PointTuple.of([x]), slack, atol, rtol, None,
-                                    linear_table=_used_linear(f))
-    return ConvexityCertificate("definition", CERTIFIED, checked, min_value,
-                                None, None, atol, rtol, None,
-                                linear_table=_used_linear(f))
-
-
-def _used_linear(f) -> bool:
-    return bool(getattr(f, "uses_linear_interpolation", False))
+    walk = sign_walk(f, omega, nodes.points, grid, knot_exclusion(system))
+    scored = ((pattern_sign(n, region) * diff, (j,), atol + rtol * abs(fx))
+              for j, region, fx, diff in walk)
+    return _certificate("definition", scored, grid, f, atol, rtol, None)

@@ -93,22 +93,19 @@ def classify_value(value: float, scale: float) -> SignedValue:
     return SignedValue(value, sign_of(value, scale), scale)
 
 
-def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
-    """Determinant by row-pivoted Gaussian elimination, plus the scale proxy.
+def _eliminate(a: list[list[float]], n: int, width: int) -> tuple[float, float]:
+    """Row-pivoted forward elimination, in place, of the first ``n`` columns
+    of the n x ``width`` matrix ``a``; further columns are carried along.
 
-    ``scale`` is the product of the row max-norms taken before elimination;
-    it is the conditioning proxy behind every zero test in the library. The
-    empty matrix has determinant 1 by convention.
+    Returns the determinant of the leading n x n block (0.0 at the first
+    zero pivot) and its scale proxy: the product of the block's row
+    max-norms taken before elimination.
     """
-    n = len(rows)
-    if n == 0:
-        return 1.0, 1.0
-    a = [list(r) for r in rows]
     scale = 1.0
     for r in a:
-        if len(r) != n:
-            raise ArgumentError("matrix must be square")
-        scale *= max(abs(e) for e in r)
+        if len(r) != width:
+            raise ArgumentError(f"matrix rows must have {width} entries")
+        scale *= max(map(abs, r if width == n else r[:n]))
     det = 1.0
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
@@ -123,9 +120,20 @@ def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
             factor = a[r][col] / pivot
             if factor != 0.0:
                 lower, upper = a[r], a[col]
-                for c in range(col + 1, n):
+                for c in range(col + 1, width):
                     lower[c] -= factor * upper[c]
     return det, scale
+
+
+def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
+    """Determinant by row-pivoted Gaussian elimination, plus the scale proxy.
+
+    ``scale`` is the product of the row max-norms taken before elimination;
+    it is the conditioning proxy behind every zero test in the library. The
+    empty matrix has determinant 1 by convention.
+    """
+    n = len(rows)
+    return _eliminate([list(r) for r in rows], n, n)
 
 
 def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
@@ -138,32 +146,12 @@ def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
     """
     n = len(rows)
     a = [list(r) + [float(b)] for r, b in zip(rows, rhs)]
-    if len(a) != n or any(len(r) != n + 1 for r in a):
+    if len(a) != n:
         raise ArgumentError("system dimensions do not match")
-    scale = 1.0
-    for r in a:
-        scale *= max(abs(e) for e in r[:n])
-    det = 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        pivot = a[col][col]
-        if pivot == 0.0:
-            det = 0.0
-            break
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = a[r][col] / pivot
-            if factor != 0.0:
-                lower, upper = a[r], a[col]
-                for c in range(col + 1, n + 1):
-                    lower[c] -= factor * upper[c]
-    sv = classify_value(det, scale)
+    sv = classify_value(*_eliminate(a, n, n + 1))
     if sv.sign == "0":
         raise NearSingularError(
-            f"collocation matrix is numerically singular (|det|={abs(det):.3e} "
+            f"collocation matrix is numerically singular (|det|={abs(sv.value):.3e} "
             f"<= tau={sv.tau:.3e})")
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
@@ -194,9 +182,15 @@ def check_points(system: ChebyshevSystem, pts: PointsLike, expected: int,
     return pts
 
 
-def collocation_rows(system: ChebyshevSystem, pts: PointTuple) -> list[list[float]]:
-    cols = [system.evaluate_basis(x) for x in pts]
-    return [[cols[j][i] for j in range(len(pts))] for i in range(system.n)]
+def basis_minor(cols: Sequence[Sequence[float]], t: Sequence[int], k: int,
+                fvals: Optional[Sequence[float]] = None) -> list[list[float]]:
+    """Collocation rows of the first ``k`` basis functions at the columns
+    ``t`` of precomputed basis values (``cols[j]`` holds every basis value
+    at point j), with the row of ``fvals`` at ``t`` appended when given."""
+    rows = [[cols[j][i] for j in t] for i in range(k)]
+    if fvals is not None:
+        rows.append([fvals[j] for j in t])
+    return rows
 
 
 def function_row(f, pts: PointTuple) -> list[float]:
@@ -212,8 +206,9 @@ def v_det(system: ChebyshevSystem, pts: PointsLike,
           min_separation: Optional[float] = None) -> SignedValue:
     """Collocation determinant of ``system`` at ``pts`` (one point per column)."""
     pts = check_points(system, pts, system.n, min_separation)
-    value, scale = det_and_scale(collocation_rows(system, pts))
-    return classify_value(value, scale)
+    cols = [system.evaluate_basis(x) for x in pts]
+    rows = basis_minor(cols, range(len(pts)), system.n)
+    return classify_value(*det_and_scale(rows))
 
 
 def d_det(system: ChebyshevSystem, pts: PointsLike, f,
@@ -221,7 +216,6 @@ def d_det(system: ChebyshevSystem, pts: PointsLike, f,
     """Bordered determinant: collocation rows of ``system`` plus the row of
     ``f`` values, at ``system.n + 1`` points."""
     pts = check_points(system, pts, system.n + 1, min_separation)
-    rows = collocation_rows(system, pts)
-    rows.append(function_row(f, pts))
-    value, scale = det_and_scale(rows)
-    return classify_value(value, scale)
+    cols = [system.evaluate_basis(x) for x in pts]
+    rows = basis_minor(cols, range(len(pts)), system.n, function_row(f, pts))
+    return classify_value(*det_and_scale(rows))

@@ -7,11 +7,9 @@ For the monomial system it reduces to the classical recurrence, and it is
 symmetric under any permutation of the points: numerator and denominator
 pick up the same column inversions.
 
-A separate evaluation path (:func:`gdd_fast`) reaches the same value
-through the one-step update identity that links the divided differences of
-two windows sharing n-1 points. The ratio is the definition and stays the
-default; the identity path exists for cross-checking, and the residual of
-the identity itself is exposed by :func:`recurrence_identity_residual`.
+Two divided differences of windows sharing n-1 points are linked by a
+one-step update identity; :func:`recurrence_identity_residual` measures
+how well the ratio satisfies it.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .determinants import (PointsLike, PointTuple, check_points, classify_value,
-                           collocation_rows, d_det, det_and_scale, function_row,
+from .determinants import (PointsLike, PointTuple, basis_minor, check_points,
+                           classify_value, d_det, det_and_scale, function_row,
                            v_det)
 from .errors import ArgumentError, NearSingularError
 from .systems import ChebyshevSystem
@@ -60,98 +58,36 @@ def classical_dd(pts: PointsLike, f) -> float:
     return table[0]
 
 
-def _numerator(system: ChebyshevSystem, pts: PointTuple, f) -> tuple[float, float]:
-    """Bordered determinant of the first n-1 basis rows plus the f row."""
-    n = system.n
-    rows = collocation_rows(system.truncate(n - 1), pts) if n > 1 else []
-    rows.append(function_row(f, pts))
-    return det_and_scale(rows)
-
-
 def gdd(system: ChebyshevSystem, pts: PointsLike, f,
         min_separation: Optional[float] = None) -> DividedDifference:
     """Generalized divided difference of ``f`` at ``system.n`` points.
 
     Both the full collocation determinant and the one of the truncated
-    (n-1)-system must clear their zero tolerances; the error message names
-    the determinant that degenerated.
+    (n-1)-system at the n-1 smallest points must clear their zero
+    tolerances; the error message names the determinant that degenerated.
+    All three determinants are minors of one evaluation of the basis.
     """
     n = system.n
     pts = check_points(system, pts, n, min_separation)
-    denom = v_det(system, pts, min_separation)
+    cols = [system.evaluate_basis(x) for x in pts]
+    every = range(n)
+    denom = classify_value(*det_and_scale(basis_minor(cols, every, n)))
     if denom.sign == "0":
         raise NearSingularError(
             f"full-system collocation determinant degenerated at {pts.points}")
     if n >= 2:
-        head = pts.sorted().points[: n - 1]
-        trunc = v_det(system.truncate(n - 1), head, min_separation)
+        head = sorted(every, key=pts.points.__getitem__)[: n - 1]
+        trunc = classify_value(*det_and_scale(basis_minor(cols, head, n - 1)))
         if trunc.sign == "0":
-            raise NearSingularError(
-                f"truncated-system collocation determinant degenerated at {head}")
-    num, _ = _numerator(system, pts, f)
+            raise NearSingularError("truncated-system collocation determinant "
+                                    f"degenerated at {tuple(pts[j] for j in head)}")
+    num, _ = det_and_scale(basis_minor(cols, every, n - 1, function_row(f, pts)))
     return DividedDifference(
         value=num / denom.value,
         points=pts,
         system=system,
         conditioning=abs(denom.value) / denom.scale if denom.scale > 0.0 else 1.0,
     )
-
-
-def gdd_fast(system: ChebyshevSystem, pts: PointsLike, f,
-             min_separation: Optional[float] = None) -> DividedDifference:
-    """Generalized divided difference via the one-step update identity.
-
-    An auxiliary point is dropped into the widest gap of the (ordered)
-    input tuple; the divided difference of the auxiliary window that shares
-    the first n-1 points is computed by the determinant ratio, and the
-    update identity bridges from it to the requested window. Must agree
-    with :func:`gdd`; the agreement is a live check of the identity.
-    """
-    n = system.n
-    pts = check_points(system, pts, n, min_separation)
-    if not pts.ordered:
-        raise ArgumentError("gdd_fast requires strictly increasing points")
-    aux = _auxiliary_point(system, pts)
-    anchor = PointTuple.of((aux,) + pts.points[: n - 1])
-    base = gdd(system, anchor, f, min_separation)
-    extended = PointTuple.of((aux,) + pts.points)
-    bordered = d_det(system, extended, f, min_separation)
-    if n >= 2:
-        mid, mid_scale = det_and_scale(
-            collocation_rows(system.truncate(n - 1),
-                             PointTuple.of(pts.points[: n - 1])))
-        mid_sv = classify_value(mid, mid_scale)
-    else:
-        mid_sv = classify_value(1.0, 1.0)
-    new = v_det(system, pts, min_separation)
-    old = v_det(system, anchor, min_separation)
-    for label, sv in (("new window", new), ("auxiliary window", old),
-                      ("shared-point", mid_sv)):
-        if sv.sign == "0":
-            raise NearSingularError(f"{label} determinant degenerated in gdd_fast")
-    step = bordered.value * mid_sv.value / (new.value * old.value)
-    return DividedDifference(
-        value=base.value + step,
-        points=pts,
-        system=system,
-        conditioning=abs(new.value) / new.scale if new.scale > 0.0 else 1.0,
-    )
-
-
-def _auxiliary_point(system: ChebyshevSystem, pts: PointTuple) -> float:
-    if len(pts) >= 2:
-        gaps = [(b - a, a, b) for a, b in zip(pts.points, pts.points[1:])]
-        _, a, b = max(gaps)
-        return 0.5 * (a + b)
-    # Single point: step sideways, shrinking until inside the interval.
-    x = pts[0]
-    offset = 0.25 * system.interval.tolerance_span
-    while offset > 0.0:
-        for candidate in (x + offset, x - offset):
-            if system.interval.contains(candidate) and candidate != x:
-                return candidate
-        offset *= 0.5
-    raise ArgumentError("no room for an auxiliary point in the interval")
 
 
 def recurrence_identity_residual(system: ChebyshevSystem, pts: PointsLike, f,

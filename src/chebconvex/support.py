@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, knot_exclusion,
-                        require_positive)
-from .determinants import MIN_SEPARATION_FACTOR, PointTuple, check_points
+from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
+                        knot_exclusion, pattern_sign, require_positive,
+                        sign_walk)
+from .determinants import MIN_SEPARATION_FACTOR, PointTuple
 from .divdiff import gdd
 from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
 from .interpolation import OmegaCombination, constrained_interpolate
@@ -74,19 +75,6 @@ class SupportResult:
     pattern: SignPatternReport
 
 
-def _interior_knots(system: ChebyshevSystem, knots) -> PointTuple:
-    if system.n < 2:
-        raise PreconditionError("support construction needs a system of order >= 2")
-    knots = check_points(system, knots, system.n - 1)
-    if not knots.ordered:
-        raise PreconditionError("knots must be strictly increasing")
-    for k in knots:
-        if not system.interval.interior_contains(k):
-            raise PreconditionError(
-                f"knot {k!r} is not interior to {system.interval.describe()}")
-    return knots
-
-
 def estimate_cn(system: ChebyshevSystem, f, knots,
                 h0: Optional[float] = None, max_halvings: int = MAX_HALVINGS,
                 atol: float = DEFAULT_ATOL,
@@ -102,7 +90,7 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
     conditioning of each evaluation so that cancellation noise near tiny h
     does not read as a violation.
     """
-    knots = _interior_knots(system, knots)
+    knots = interior_knots(system, knots)
     span = system.interval.tolerance_span
     x_last = knots[-1]
     room = system.interval.hi - x_last
@@ -174,34 +162,25 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     knots, where signs are noise.
     """
     n = system.n
-    knots = _interior_knots(system, knots)
+    knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 1)
-    delta = knot_exclusion(system)
-    boundaries = knots.points
-    per_segment: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-    excluded = 0
-    for x in grid:
-        if min(abs(x - k) for k in boundaries) <= delta:
-            excluded += 1
-            continue
-        seg = sum(1 for k in boundaries if x > k)  # 0..n-1
-        per_segment[seg].append((x, f(x) - omega(x)))
+    # The support pattern is the definition's pattern with the last knot
+    # counted twice: regions 0..n-2, then region n beyond the last knot.
+    nodes = knots.points + knots.points[-1:]
+    per_segment: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
+    for j, region, fx, diff in sign_walk(f, omega, nodes, grid, knot_exclusion(system)):
+        per_segment[min(region, n - 1)].append((grid[j], fx, diff))
     segments = []
-    overall = True
-    lo_edge = system.interval.lo
-    for seg in range(n):
-        required = 1 if seg == n - 1 else (1 if (n - seg) % 2 == 0 else -1)
-        lo = lo_edge if seg == 0 else boundaries[seg - 1]
-        hi = system.interval.hi if seg == n - 1 else boundaries[seg]
-        violations = []
-        for x, diff in per_segment[seg]:
-            if required * diff < -(atol + rtol * abs(f(x))):
-                violations.append((x, diff))
-        if violations:
-            overall = False
-        segments.append(SegmentCheck(seg + 1, lo, hi, required,
-                                     len(per_segment[seg]), tuple(violations)))
-    return SignPatternReport(tuple(segments), overall, excluded)
+    for seg, points in enumerate(per_segment):
+        required = pattern_sign(n, seg if seg < n - 1 else n)
+        lo = system.interval.lo if seg == 0 else knots[seg - 1]
+        hi = system.interval.hi if seg == n - 1 else knots[seg]
+        violations = tuple((x, diff) for x, fx, diff in points
+                           if required * diff < -(atol + rtol * abs(fx)))
+        segments.append(SegmentCheck(seg + 1, lo, hi, required, len(points), violations))
+    checked = sum(len(points) for points in per_segment)
+    return SignPatternReport(tuple(segments), all(not s.violations for s in segments),
+                             len(grid) - checked)
 
 
 def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
@@ -212,15 +191,18 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     Requires (opportunistically) that the system and its truncation are
     positive on the grid. Pattern violations are reported, not raised: they
     are evidence that the target is not convex with respect to the system.
+    A grid with no point outside the knot exclusion raises instead.
     """
     n = system.n
-    knots = _interior_knots(system, knots)
+    knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 2)
     require_positive(system, grid)
-    if n >= 2:
-        require_positive(system.truncate(n - 1), grid, "truncated system")
+    require_positive(system.truncate(n - 1), grid, "truncated system")
     limit = estimate_cn(system, f, knots, atol=atol, rtol=rtol)
     omega = constrained_interpolate(system, knots, f, limit.estimate)
     pattern = verify_sign_pattern(system, f, omega, knots, grid,
                                   atol=atol, rtol=rtol)
+    if not any(s.points_checked for s in pattern.segments):
+        raise PreconditionError("support: nothing was checked; every grid point "
+                                "lies within the knot exclusion")
     return SupportResult(knots, omega, limit, pattern)

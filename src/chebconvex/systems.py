@@ -249,7 +249,7 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     the cheap necessary check used as an opportunistic precondition by the
     convexity certifiers.
     """
-    from .determinants import det_and_scale, sign_of
+    from .determinants import basis_minor, det_and_scale, sign_of
 
     grid = validate_grid(system, grid, system.n)
     n = system.n
@@ -259,9 +259,7 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     first_sign = None
     checked = 0
     for t in tuples:
-        rows = [[cols[j][i] for j in t] for i in range(n)]
-        value, scale = det_and_scale(rows)
-        sign = sign_of(value, scale)
+        sign = sign_of(*det_and_scale(basis_minor(cols, t, n)))
         checked += 1
         if sign == "0" or (first_sign is not None and sign != first_sign):
             witness = tuple(grid[j] for j in t)
@@ -320,15 +318,7 @@ def parse_system(text: str, name: str = "") -> ChebyshevSystem:
         head = parts[0].lower()
         try:
             if head == "interval":
-                if len(parts) < 3:
-                    raise ArgumentError("interval needs lo and hi")
-                lo, hi = _parse_bound(parts[1]), _parse_bound(parts[2])
-                flags = [p.lower() for p in parts[3:]]
-                if any(f not in ("open", "closed") for f in flags) or len(flags) > 2:
-                    raise ArgumentError("interval flags must be open|closed")
-                lo_open = bool(flags) and flags[0] == "open"
-                hi_open = len(flags) > 1 and flags[1] == "open"
-                interval = Interval(lo, hi, lo_open, hi_open)
+                interval = parse_interval(parts[1:])
             elif head in (MONOMIAL, NEGMONOMIAL, EXPONENTIAL, CONSTANT):
                 if len(parts) != 2:
                     raise ArgumentError(f"{head} takes exactly one parameter")
@@ -348,13 +338,19 @@ def parse_system(text: str, name: str = "") -> ChebyshevSystem:
     return ChebyshevSystem(tuple(basis), interval or REAL_LINE, name)
 
 
-def _parse_bound(token: str) -> float:
-    t = token.lower()
-    if t in ("inf", "+inf"):
-        return INF
-    if t == "-inf":
-        return -INF
-    return float(token)
+def parse_interval(tokens: Sequence[str]) -> Interval:
+    """An interval from the tokens ``lo hi [open|closed [open|closed]]``.
+    Bounds use float syntax, so ``inf`` and ``-inf`` give unbounded ends."""
+    if not 2 <= len(tokens) <= 4:
+        raise ArgumentError("interval needs lo, hi and at most two open|closed flags")
+    flags = [tok.strip().lower() for tok in tokens[2:]]
+    if any(flag not in ("open", "closed") for flag in flags):
+        raise ArgumentError(f"interval flags must be open|closed, got {tokens[2:]}")
+    try:
+        lo, hi = float(tokens[0]), float(tokens[1])
+    except ValueError:
+        raise ArgumentError(f"bad interval bounds {tokens[0]!r}, {tokens[1]!r}") from None
+    return Interval(lo, hi, *(flag == "open" for flag in flags))
 
 
 def named_system(spec: str, interval: Optional[Interval] = None) -> ChebyshevSystem:

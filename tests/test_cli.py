@@ -168,13 +168,33 @@ class TestDdCommand:
         assert code == 0
         assert doc["dd"]["value"] == pytest.approx(3.0)
         assert doc["classical"] == pytest.approx(3.0)
-        assert doc["path"] == "ratio"
+        assert "path" not in doc
 
-    def test_fast_path(self):
-        code, doc = run_json("dd", "--system", "exp:0,1", "--f", "monomial:2",
-                             "--points", "0.1,0.9", "--fast")
-        assert code == 0
-        assert doc["path"] == "identity-update"
+
+class TestZeroEvidence:
+    """A run that checked no point must fail, never certify."""
+
+    def assert_nothing_checked(self, capsys, *args):
+        code, out = run_cli(*args)
+        assert code == 1
+        assert out == ""
+        assert "nothing was checked" in capsys.readouterr().err
+
+    def test_definition_with_every_point_excluded(self, capsys):
+        self.assert_nothing_checked(
+            capsys, "certify", "--method", "definition", "--system", "poly:2",
+            "--f", "negmonomial:2", "--nodes", "0,1", "--grid", "0:1:2")
+
+    def test_support_with_every_point_excluded(self, capsys):
+        self.assert_nothing_checked(
+            capsys, "support", "--system", "poly:2", "--f", "negmonomial:2",
+            "--knots", "0.5", "--grid", "0.5:0.50001:2", "--interval", "0:1")
+
+    def test_theorem2_with_an_empty_scan(self, capsys):
+        self.assert_nothing_checked(
+            capsys, "certify", "--method", "theorem2", "--system", "poly:3",
+            "--f", "negmonomial:3", "--knots", "0,1", "--grid", "0:1:2",
+            "--interval", "-2:3")
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -183,6 +184,20 @@ class TestDefinition:
             region = sum(1 for k in nodes if x > k)
             expected = (-1.0) ** (3 + region)
             assert expected * diff >= -1e-9 * max(1.0, abs(F_CUBE(x)))
+
+    def test_target_evaluated_once_per_grid_point(self):
+        calls = Counter()
+
+        def square(x):
+            calls[x] += 1
+            return x * x
+
+        grid = grid_on(-1, 2, 61)
+        cert = verify_definition(polynomial_system(2), CallableSource(square),
+                                 (0.01, 1.01), grid)
+        assert cert.verdict == CERTIFIED
+        assert cert.tuples_checked == len(grid)
+        assert all(calls[x] == 1 for x in grid)
 
     def test_negated_cube_violates_definition(self):
         cert = verify_definition(polynomial_system(3), F_NEG_CUBE, (0.0, 1.0, 2.0),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, CallableSource, ExpressionSource,
                         Interval, NearSingularError, classical_dd,
-                        exponential_system, gdd, gdd_fast, polynomial_system,
+                        exponential_system, gdd, polynomial_system,
                         recurrence_identity_residual)
 
 from conftest import (F_CUBE, F_EXP, F_SQUARE, FIXTURE_FUNCTIONS, draw_separated,
@@ -49,6 +49,10 @@ class TestGdd:
                    F_SQUARE).value == pytest.approx(1.0)
         system = exponential_system((0.0, 1.0))
         assert gdd(system, (-0.3, 0.4), F_EXP).value == pytest.approx(1.0)
+
+    def test_order_one_system(self):
+        system = exponential_system((0.0,), Interval(-1.0, 1.0))
+        assert gdd(system, (0.25,), F_EXP).value == pytest.approx(math.exp(0.25))
 
     def test_earlier_basis_functions_give_zero(self):
         system = polynomial_system(4)
@@ -157,33 +161,3 @@ class TestRecurrenceIdentity:
         system = polynomial_system(1)
         with pytest.raises(ArgumentError):
             recurrence_identity_residual(system, (0.0, 1.0), F_CUBE)
-
-
-class TestGddFast:
-    def test_agrees_with_ratio_path(self):
-        rng = random.Random(2024)
-        for _ in range(100):
-            n = rng.choice((2, 3, 4, 5))
-            system = (polynomial_system(n) if rng.random() < 0.5
-                      else exponential_system(exp_rates(n)))
-            pts = draw_separated(rng, n)
-            f = rng.choice(FIXTURE_FUNCTIONS)
-            a = gdd(system, pts, f).value
-            b = gdd_fast(system, pts, f).value
-            assert relgap(a, b) <= 1e-8
-
-    def test_trivial_cases(self):
-        system = polynomial_system(3)
-        assert gdd_fast(system, (0.0, 1.0, 2.0), F_SQUARE).value == pytest.approx(1.0)
-        assert gdd_fast(system, (0.0, 1.0, 2.0), F_CUBE).value == pytest.approx(3.0, rel=1e-10)
-
-    def test_requires_ordered_points(self):
-        with pytest.raises(ArgumentError):
-            gdd_fast(polynomial_system(2), (1.0, 0.0), F_CUBE)
-
-    def test_order_one_system(self):
-        system = exponential_system((0.0,), Interval(-1.0, 1.0))
-        a = gdd(system, (0.25,), F_EXP).value
-        b = gdd_fast(system, (0.25,), F_EXP).value
-        assert a == pytest.approx(math.exp(0.25))
-        assert relgap(a, b) <= 1e-10

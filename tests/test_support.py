@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -178,6 +179,23 @@ class TestSignPattern:
         report = verify_sign_pattern(system, F_EXP, omega, (0.0,), grid_on(-1, 1, 60))
         assert report.overall
         assert [s.required_sign for s in report.segments] == [1, 1]
+
+    def test_target_evaluated_once_per_checked_point(self):
+        calls = Counter()
+
+        def cube(x):
+            calls[x] += 1
+            return x ** 3
+
+        system = cube_system()
+        omega = constrained_interpolate(system, (0.0, 1.0), F_CUBE, 2.0)
+        grid = grid_on(-2, 3, 101)
+        report = verify_sign_pattern(system, CallableSource(cube), omega,
+                                     (0.0, 1.0), grid)
+        assert report.overall
+        assert report.excluded == 2
+        assert sum(calls[x] for x in grid) == len(grid) - report.excluded
+        assert set(calls.values()) == {1}
 
 
 class TestBuildSupport:
