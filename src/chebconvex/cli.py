@@ -14,6 +14,7 @@ and reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -105,7 +106,9 @@ def _parse_grid(text: str):
     raise ArgumentError(f"grid spec must be lo:hi:count or a table file, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one argument parser: it is static, the default seed is read later."""
     parser = _Parser(prog="chebconvex",
                      description="Chebyshev-system collocation determinants, "
                                  "generalized divided differences, convexity "

@@ -29,9 +29,9 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .determinants import (PointTuple, basis_minor, check_points,
-                           classify_value, det_and_scale)
-from .divdiff import gdd
+from .determinants import (MIN_SEPARATION_FACTOR, PointTuple, check_points,
+                           function_row, minor_scan, sign_of)
+from .divdiff import _gdd
 from .errors import NearSingularError, PreconditionError
 from .interpolation import interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
@@ -180,13 +180,11 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     require_positive(system, grid)
     cols = [system.evaluate_basis(x) for x in grid]
     fvals = [f(x) for x in grid]
-
-    def scored():
-        for t in ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed):
-            value, scale = det_and_scale(basis_minor(cols, t, n, fvals))
-            yield value, t, atol + rtol * scale
-
-    return _certificate("theoremA", scored(), grid, f, atol, rtol, seed)
+    tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
+    bordered = minor_scan([c + (v,) for c, v in zip(cols, fvals)], tuples)
+    scored = ((value, t, atol + rtol * scale)
+              for t, (value, scale) in zip(tuples, bordered))
+    return _certificate("theoremA", scored, grid, f, atol, rtol, seed)
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
@@ -207,23 +205,19 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     cols = [system.evaluate_basis(x) for x in grid]
     fvals = [f(x) for x in grid]
 
-    memo: dict[tuple[int, ...], Optional[float]] = {}
-
-    def window_value(ix: tuple[int, ...]) -> Optional[float]:
-        if ix in memo:
-            return memo[ix]
-        den, den_scale = det_and_scale(basis_minor(cols, ix, n))
-        if classify_value(den, den_scale).sign == "0":
-            memo[ix] = None
-            return None
-        num, _ = det_and_scale(basis_minor(cols, ix, n - 1, fvals))
-        memo[ix] = num / den
-        return memo[ix]
+    # Each distinct window is scanned once, in lexicographic order, so that
+    # neighbouring windows share their elimination prefixes.
+    tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
+    windows = sorted({w for t in tuples for w in (t[:n], t[1:])})
+    numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
+    dd: dict[tuple[int, ...], Optional[float]] = {}
+    for w, den, (num, _) in zip(windows, minor_scan(cols, windows),
+                                minor_scan(numerators, windows)):
+        dd[w] = None if sign_of(*den) == "0" else num / den[0]
 
     def scored():
-        for t in ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed):
-            lo = window_value(t[:n])
-            hi = window_value(t[1:])
+        for t in tuples:
+            lo, hi = dd[t[:n]], dd[t[1:]]
             if lo is None or hi is None:
                 yield None
             else:
@@ -241,20 +235,29 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     the knot-exclusion distance are dropped from the scan, and a scan left
     without an adjacent pair raises. The points of each evaluation tuple
     are assembled in sorted order, which leaves the value unchanged by
-    symmetry.
+    symmetry. The basis and f are evaluated once at each knot and once at
+    each scanned point.
     """
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 1)
     delta = knot_exclusion(system)
-    scan: list[tuple[float, float]] = []
-    for x in grid:
-        if min(abs(x - k) for k in knots) <= delta:
-            continue
-        pts = tuple(sorted(knots.points + (x,)))
-        scan.append((x, gdd(system, pts, f).value))
-    if len(scan) < 2:
-        raise PreconditionError(f"theorem2: nothing was checked; {len(scan)} grid "
+    xs = [x for x in grid if min(abs(x - k) for k in knots) > delta]
+    if len(xs) < 2:
+        raise PreconditionError(f"theorem2: nothing was checked; {len(xs)} grid "
                                 "point(s) clear the knot exclusion, a pair is needed")
+    # The knots and the grid are validated once. A scanned point lies farther
+    # than delta from every knot, and delta exceeds the minimum separation,
+    # so every tuple passes the point checks of gdd.
+    assert KNOT_EXCLUSION_FACTOR > MIN_SEPARATION_FACTOR
+    kcols = [system.evaluate_basis(k) for k in knots]
+    kvals = function_row(f, knots)
+    scan: list[tuple[float, float]] = []
+    for x in xs:
+        i = bisect.bisect(knots.points, x)
+        pts = PointTuple(knots.points[:i] + (x,) + knots.points[i:], True)
+        cols = kcols[:i] + [system.evaluate_basis(x)] + kcols[i:]
+        fvals = kvals[:i] + function_row(f, (x,)) + kvals[i:]
+        scan.append((x, _gdd(system, pts, cols, fvals).value))
     violations = []
     for (x0, v0), (x1, v1) in zip(scan, scan[1:]):
         if v1 - v0 < -(atol + rtol * max(abs(v0), abs(v1))):

@@ -8,6 +8,17 @@ magnitude falls below ``64 * eps * scale`` where ``scale`` is the product
 of the pre-elimination row max-norms. Row scales of Vandermonde-type
 matrices vary over many orders of magnitude, which makes absolute
 tolerances meaningless here.
+
+One kernel computes every determinant: row-pivoted elimination, column by
+column. The pivot of step d is the first entry of largest magnitude from
+row d down in column d (``_pivot_step``); carrying a later column through
+the step swaps two of its rows and subtracts multiples of row d
+(``_reduce``). A column's entries after d steps thus depend only on the
+first d columns and on itself, so :func:`minor_scan` can reuse the steps
+and reduced columns of the prefix a tuple shares with the previous one
+and still match :func:`det_and_scale` bit for bit. In a lexicographic scan
+a tuple then costs one pivot step and an O(k) scale product instead of a
+k x k elimination.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (ArgumentError, DegenerateInputError, DomainError,
                      NearSingularError, SourceEvalError)
@@ -93,36 +104,115 @@ def classify_value(value: float, scale: float) -> SignedValue:
     return SignedValue(value, sign_of(value, scale), scale)
 
 
-def _eliminate(a: list[list[float]], n: int, width: int) -> tuple[float, float]:
-    """Row-pivoted forward elimination, in place, of the first ``n`` columns
-    of the n x ``width`` matrix ``a``; further columns are carried along.
+def _pivot_step(col: Sequence[float], d: int, det: float):
+    """The pivot search of step ``d`` on ``col``, a column reduced to depth
+    d: the step ``(d, pivot row, pivot, nonzero row factors)`` and ``det``
+    carried through it, or ``(None, None)`` when the pivot is zero."""
+    k = len(col)
+    if d + 1 == k:
+        return (None, None) if col[d] == 0.0 else ((d, d, col[d], ()), det * col[d])
+    piv, best = d, abs(col[d])
+    for r in range(d + 1, k):
+        if abs(col[r]) > best:
+            piv, best = r, abs(col[r])
+    if best == 0.0:
+        return None, None
+    if piv != d:
+        col = list(col)
+        col[d], col[piv], det = col[piv], col[d], -det
+    factors = [(r, f) for r in range(d + 1, k) if (f := col[r] / col[d]) != 0.0]
+    return (d, piv, col[d], factors), det * col[d]
 
-    Returns the determinant of the leading n x n block (0.0 at the first
-    zero pivot) and its scale proxy: the product of the block's row
-    max-norms taken before elimination.
-    """
-    scale = 1.0
-    for r in a:
-        if len(r) != width:
-            raise ArgumentError(f"matrix rows must have {width} entries")
-        scale *= max(map(abs, r if width == n else r[:n]))
-    det = 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0.0:
-            return 0.0, scale
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        pivot = a[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = a[r][col] / pivot
-            if factor != 0.0:
-                lower, upper = a[r], a[col]
-                for c in range(col + 1, width):
-                    lower[c] -= factor * upper[c]
-    return det, scale
+
+def _reduce(step, cols: Iterable[Sequence[float]]) -> list[list[float]]:
+    """Copies of ``cols`` carried through ``step``: the row update."""
+    d, piv, _, factors = step
+    out = []
+    for col in cols:
+        col = list(col)
+        col[d], col[piv] = col[piv], col[d]
+        for r, factor in factors:
+            col[r] -= factor * col[d]
+        out.append(col)
+    return out
+
+
+def _eliminate(cols: list, d: int, det: float) -> tuple:
+    """Steps d, d+1, ... on the leading columns of ``cols`` (reduced to depth d)
+    while rows remain: the determinant (None at a zero pivot, where they stop),
+    each step with its determinant and pivot column, and the columns left."""
+    trace, k = [], len(cols[0])
+    for d in range(d, k):
+        step, det = _pivot_step(cols[0], d, det)
+        trace.append((step, det, cols[0]))
+        if step is None:
+            break
+        cols = _reduce(step, cols[1:]) if d + 1 < k else cols[1:]
+    return det, trace, cols
+
+
+def _fold(maxes: Optional[list[float]], col: Sequence[float]) -> list[float]:
+    """Row max-norms ``maxes`` (None before any column) carried over ``col``."""
+    if maxes is None:
+        return list(map(abs, col))
+    out = []
+    for m, x in zip(maxes, map(abs, col)):
+        out.append(x if x > m else m)
+    return out
+
+
+def minor_scan(vecs: Sequence[Sequence[float]],
+               tuples: Iterable[Sequence[int]]) -> Iterator[tuple[float, float]]:
+    """``(det, scale)`` of the square minor with columns ``vecs[t[0]], ...,
+    vecs[t[k-1]]`` for each index tuple ``t`` (k >= 1 entries per vector),
+    lazily and in order. A tuple that shares its first c indices with the
+    previous one reuses levels 0..c; see the module docstring."""
+    # levels[d], for the prefix t[:d]: its last step, its determinant (None
+    # from a zero pivot on), its row max-norms, its columns reduced to depth d.
+    levels: list = [(None, 1.0, None, None)]
+    prefix: tuple = ()
+
+    def reduced(d: int, j: int) -> Sequence[float]:
+        if d == 0:
+            return vecs[j]
+        cache = levels[d][3]
+        if j not in cache:
+            cache[j] = _reduce(levels[d][0], [reduced(d - 1, j)])[0]
+        return cache[j]
+
+    for t in tuples:
+        c, last = 0, len(t) - 1
+        if t[:last] == prefix:
+            c = last
+        else:
+            while c < len(prefix) and prefix[c] == t[c]:
+                c += 1
+            del levels[c + 1:]
+            prefix = tuple(t[:last])
+        _, det, maxes, _ = levels[c]
+        if c < last:
+            trace = []
+            if det is not None:
+                cols = [reduced(c, j) for j in t[c:]] if c else [vecs[j] for j in t]
+                det, trace, _ = _eliminate(cols, c, det)
+            for d in range(c, last):
+                step, step_det, _ = trace[d - c] if d - c < len(trace) else (None,) * 3
+                maxes = _fold(maxes, vecs[t[d]])
+                levels.append((step, step_det, maxes, {}))
+        elif det is not None:
+            det = _pivot_step(reduced(c, t[c]), c, det)[1]
+        yield (0.0 if det is None else det,
+               math.prod(_fold(maxes, vecs[t[last]]), start=1.0))
+
+
+def _square_scale(rows: Sequence[Sequence[float]]) -> float:
+    """The scale proxy of a square matrix, given by rows, which it checks."""
+    n, scale = len(rows), 1.0
+    for r in rows:
+        if len(r) != n:
+            raise ArgumentError(f"matrix rows must have {n} entries")
+        scale *= max(map(abs, r))
+    return scale
 
 
 def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
@@ -132,33 +222,36 @@ def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
     it is the conditioning proxy behind every zero test in the library. The
     empty matrix has determinant 1 by convention.
     """
-    n = len(rows)
-    return _eliminate([list(r) for r in rows], n, n)
+    scale = _square_scale(rows)
+    det = _eliminate(list(zip(*rows)), 0, 1.0)[0] if rows else 1.0
+    return 0.0 if det is None else det, scale
 
 
 def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
                    ) -> tuple[list[float], SignedValue]:
     """Solve a square system and report the determinant from one elimination.
 
-    Shares the elimination (and therefore the zero tolerance) with
+    The right-hand side is one more column carried through the steps of
     :func:`det_and_scale`. Raises :class:`NearSingularError` when the
     determinant does not clear its scale-relative tolerance.
     """
     n = len(rows)
-    a = [list(r) + [float(b)] for r, b in zip(rows, rhs)]
-    if len(a) != n:
+    b = [float(v) for _, v in zip(rows, rhs)]
+    if len(b) != n:
         raise ArgumentError("system dimensions do not match")
-    sv = classify_value(*_eliminate(a, n, n + 1))
+    scale = _square_scale(rows)
+    det, trace, rest = _eliminate([*zip(*rows), b], 0, 1.0)
+    sv = classify_value(0.0 if det is None else det, scale)
     if sv.sign == "0":
         raise NearSingularError(
             f"collocation matrix is numerically singular (|det|={abs(sv.value):.3e} "
             f"<= tau={sv.tau:.3e})")
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        acc = a[i][n]
+        acc = rest[-1][i]
         for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
+            acc -= trace[j][2][i] * x[j]
+        x[i] = acc / trace[i][0][2]
     return x, sv
 
 
@@ -193,13 +286,13 @@ def basis_minor(cols: Sequence[Sequence[float]], t: Sequence[int], k: int,
     return rows
 
 
-def function_row(f, pts: PointTuple) -> list[float]:
+def function_row(f, pts: Sequence[float]) -> list[float]:
     try:
         return [float(f(x)) for x in pts]
     except SourceEvalError:
         raise
     except Exception as exc:
-        raise SourceEvalError(f"target function failed at one of {pts.points}") from exc
+        raise SourceEvalError(f"target function failed at one of {tuple(pts)}") from exc
 
 
 def v_det(system: ChebyshevSystem, pts: PointsLike,

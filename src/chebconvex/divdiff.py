@@ -15,7 +15,7 @@ how well the ratio satisfies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .determinants import (PointsLike, PointTuple, basis_minor, check_points,
                            classify_value, d_det, det_and_scale, function_row,
@@ -67,9 +67,15 @@ def gdd(system: ChebyshevSystem, pts: PointsLike, f,
     tolerances; the error message names the determinant that degenerated.
     All three determinants are minors of one evaluation of the basis.
     """
+    pts = check_points(system, pts, system.n, min_separation)
+    return _gdd(system, pts, [system.evaluate_basis(x) for x in pts],
+                function_row(f, pts))
+
+
+def _gdd(system: ChebyshevSystem, pts: PointTuple,
+         cols: Sequence[Sequence[float]], fvals: Sequence[float]) -> DividedDifference:
+    """:func:`gdd` at checked ``pts`` from their basis columns and f values."""
     n = system.n
-    pts = check_points(system, pts, n, min_separation)
-    cols = [system.evaluate_basis(x) for x in pts]
     every = range(n)
     denom = classify_value(*det_and_scale(basis_minor(cols, every, n)))
     if denom.sign == "0":
@@ -81,7 +87,7 @@ def gdd(system: ChebyshevSystem, pts: PointsLike, f,
         if trunc.sign == "0":
             raise NearSingularError("truncated-system collocation determinant "
                                     f"degenerated at {tuple(pts[j] for j in head)}")
-    num, _ = det_and_scale(basis_minor(cols, every, n - 1, function_row(f, pts)))
+    num, _ = det_and_scale(basis_minor(cols, every, n - 1, fvals))
     return DividedDifference(
         value=num / denom.value,
         points=pts,

@@ -159,7 +159,8 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     +1 for the last (rightmost) segment; for n = 2 that means f - omega >= 0
     on both sides, the classical support inequality. Grid points within the
     knot-adjacent exclusion are skipped: the difference vanishes at the
-    knots, where signs are noise.
+    knots, where signs are noise. A grid with no point outside the
+    exclusion raises :class:`PreconditionError`.
     """
     n = system.n
     knots = interior_knots(system, knots)
@@ -179,6 +180,9 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
                            if required * diff < -(atol + rtol * abs(fx)))
         segments.append(SegmentCheck(seg + 1, lo, hi, required, len(points), violations))
     checked = sum(len(points) for points in per_segment)
+    if not checked:
+        raise PreconditionError("support: nothing was checked; every grid point "
+                                "lies within the knot exclusion")
     return SignPatternReport(tuple(segments), all(not s.violations for s in segments),
                              len(grid) - checked)
 
@@ -191,7 +195,8 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     Requires (opportunistically) that the system and its truncation are
     positive on the grid. Pattern violations are reported, not raised: they
     are evidence that the target is not convex with respect to the system.
-    A grid with no point outside the knot exclusion raises instead.
+    A grid with no point outside the knot exclusion raises instead (from
+    :func:`verify_sign_pattern`).
     """
     n = system.n
     knots = interior_knots(system, knots)
@@ -202,7 +207,4 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     omega = constrained_interpolate(system, knots, f, limit.estimate)
     pattern = verify_sign_pattern(system, f, omega, knots, grid,
                                   atol=atol, rtol=rtol)
-    if not any(s.points_checked for s in pattern.segments):
-        raise PreconditionError("support: nothing was checked; every grid point "
-                                "lies within the knot exclusion")
     return SupportResult(knots, omega, limit, pattern)

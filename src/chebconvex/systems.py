@@ -249,17 +249,16 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     the cheap necessary check used as an opportunistic precondition by the
     convexity certifiers.
     """
-    from .determinants import basis_minor, det_and_scale, sign_of
+    from .determinants import minor_scan, sign_of
 
     grid = validate_grid(system, grid, system.n)
-    n = system.n
     cols = [system.evaluate_basis(x) for x in grid]
-    tuples = ordered_index_tuples(len(grid), n, budget=budget, seed=seed,
+    tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed,
                                   windows_only=windows_only)
     first_sign = None
     checked = 0
-    for t in tuples:
-        sign = sign_of(*det_and_scale(basis_minor(cols, t, n)))
+    for t, minor in zip(tuples, minor_scan(cols, tuples)):
+        sign = sign_of(*minor)
         checked += 1
         if sign == "0" or (first_sign is not None and sign != first_sign):
             witness = tuple(grid[j] for j in t)

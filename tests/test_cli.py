@@ -247,6 +247,18 @@ class TestDeterminism:
         code, _ = run_cli("classify", "--system", "poly:2", "--grid", "-1:1:10")
         assert code == 1
 
+    def test_parse_config_calls_are_independent(self, monkeypatch):
+        from chebconvex.cli import parse_config
+        seeded = parse_config(["classify", "--system", "poly:2", "--grid", "0:1:5",
+                               "--seed", "11", "--budget", "7"])
+        monkeypatch.setenv("CHEBCONVEX_SEED", "23")
+        plain = parse_config(["dd", "--system", "poly:3", "--f", "monomial:3",
+                              "--points", "0,1,2"])
+        assert (seeded.command, seeded.seed, seeded.budget) == ("classify", 11, 7)
+        assert (plain.command, plain.seed, plain.budget) == ("dd", 23, 50_000)
+        assert plain.grid is None and plain.points == (0.0, 1.0, 2.0)
+        assert seeded.points is None and seeded.grid == (0.0, 1.0, 5)
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"
         code, text = run_cli("classify", "--system", "poly:2", "--grid", "-1:1:10",

@@ -143,6 +143,23 @@ class TestTheorem2Scan:
         with pytest.raises(PreconditionError):
             scan_theorem2(system, F_CUBE, (1.0, 0.0), grid_on(-2, 3, 30))
 
+    def test_basis_evaluated_once_per_knot_and_scanned_point(self, monkeypatch):
+        from chebconvex import ChebyshevSystem
+        calls = Counter()
+        evaluate = ChebyshevSystem.evaluate_basis
+
+        def counting(self, x):
+            calls[x] += 1
+            return evaluate(self, x)
+
+        monkeypatch.setattr(ChebyshevSystem, "evaluate_basis", counting)
+        system = polynomial_system(3, Interval(-2.0, 3.0))
+        grid = sorted(set(grid_on(-2, 3, 41)) | {0.0, 1.0})
+        report = scan_theorem2(system, F_CUBE, (0.0, 1.0), grid)
+        scanned = [x for x, _ in report.scan]
+        assert len(scanned) == len(grid) - 2
+        assert calls == Counter(scanned + [0.0, 1.0])
+
     def test_scan_on_certified_and_violated_fixtures(self):
         system = polynomial_system(3)
         grid = grid_on(-1, 1, 25)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,8 +11,10 @@ from chebconvex import (ArgumentError, DegenerateInputError, DomainError,
                         ExpressionSource, Interval, PointTuple, SourceEvalError,
                         d_det, negated_polynomial_system, polynomial_system,
                         v_det)
-from chebconvex.determinants import det_and_scale, solve_with_det
+from chebconvex.determinants import (basis_minor, det_and_scale, minor_scan,
+                                     solve_with_det)
 from chebconvex.errors import NearSingularError
+from chebconvex.sampling import ordered_index_tuples
 
 from conftest import (F_CUBE, F_SQUARE, det_bruteforce, draw_separated,
                       separated_points_strategy)
@@ -65,6 +68,130 @@ class TestKernel:
     def test_solve_rejects_singular(self):
         with pytest.raises(NearSingularError):
             solve_with_det([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
+
+
+def eliminate_oracle(a, n, width):
+    """The in-place, row-major elimination that minor_scan replaced: the
+    first n columns of the n x width matrix a are eliminated, the rest
+    carried along; returns (det, scale)."""
+    scale = 1.0
+    for r in a:
+        scale *= max(map(abs, r[:n]))
+    det = 1.0
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0.0:
+            return 0.0, scale
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        pivot = a[col][col]
+        det *= pivot
+        for r in range(col + 1, n):
+            factor = a[r][col] / pivot
+            if factor != 0.0:
+                for c in range(col + 1, width):
+                    a[r][c] -= factor * a[col][c]
+    return det, scale
+
+
+def solve_oracle(rows, rhs):
+    n = len(rows)
+    a = [list(r) + [float(b)] for r, b in zip(rows, rhs)]
+    det, scale = eliminate_oracle(a, n, n + 1)
+    if abs(det) <= 64 * 2.0 ** -52 * scale:
+        return None, det, scale
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        acc = a[i][n]
+        for j in range(i + 1, n):
+            acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return x, det, scale
+
+
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
+                    st.builds(lambda m, e: m * 10.0 ** e,
+                              st.floats(-1, 1, allow_nan=False), st.integers(-8, 8)))
+
+
+@st.composite
+def columns_and_tuples(draw):
+    """Columns with exact zeros, duplicates and mixed scales, and their
+    k-tuples in lexicographic, window, sampler or shuffled order."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(k, k + 5))
+    vecs = [tuple(draw(st.lists(ENTRIES, min_size=k, max_size=k))) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        vecs[draw(st.integers(0, m - 1))] = vecs[draw(st.integers(0, m - 1))]
+    order = draw(st.sampled_from(["lex", "windows", "sampled", "shuffled"]))
+    if order == "lex":
+        tuples = list(itertools.combinations(range(m), k))
+    elif order == "windows":
+        tuples = ordered_index_tuples(m, k, windows_only=True)
+    elif order == "sampled":
+        budget = max(1, math.comb(m, k) // 2)
+        tuples = ordered_index_tuples(m, k, budget=budget, seed=draw(st.integers(0, 99)))
+    else:
+        tuples = draw(st.permutations(list(itertools.combinations(range(m), k))))
+    return vecs, k, tuples
+
+
+class TestMinorScan:
+    @settings(max_examples=300, deadline=None)
+    @given(columns_and_tuples())
+    def test_bit_identical_to_one_minor_at_a_time(self, case):
+        vecs, k, tuples = case
+        got = list(minor_scan(vecs, tuples))
+        assert len(got) == len(tuples)
+        for t, pair in zip(tuples, got):
+            rows = basis_minor(vecs, t, k)
+            assert repr(pair) == repr(det_and_scale(rows))
+            assert repr(pair) == repr(eliminate_oracle([list(r) for r in rows], k, k))
+
+    def test_vandermonde_scan_with_repeated_tuples(self):
+        vecs = [tuple(x ** i for i in range(4)) for x in (-1.0, -0.3, 0.0, 0.2, 0.9, 1.5)]
+        tuples = list(itertools.combinations(range(6), 4))
+        tuples = tuples + tuples[::-1] + [tuples[3]] * 3
+        for t, pair in zip(tuples, minor_scan(vecs, tuples)):
+            rows = basis_minor(vecs, t, 4)
+            assert repr(pair) == repr(eliminate_oracle([list(r) for r in rows], 4, 4))
+
+    def test_exact_zero_pivot_keeps_the_scale(self):
+        vecs = [(1.0, 2.0), (2.0, 4.0), (0.0, 3.0)]
+        assert list(minor_scan(vecs, [(0, 1), (0, 2), (1, 2)])) == [
+            (0.0, 2.0 * 4.0), (3.0, 1.0 * 3.0), (6.0, 2.0 * 4.0)]
+
+    def test_lazy(self):
+        drawn = []
+
+        def tuples():
+            for t in itertools.combinations(range(8), 3):
+                drawn.append(t)
+                yield t
+
+        vecs = [(1.0, x, x * x) for x in range(8)]
+        scan = minor_scan(vecs, tuples())
+        for r in range(1, 6):
+            next(scan)
+            assert len(drawn) == r
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 10_000), st.booleans())
+    def test_solve_bit_identical_to_oracle(self, n, seed, repeat_row):
+        rng = random.Random(seed)
+        rows = [[rng.choice([0.0, rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)])
+                 for _ in range(n)] for _ in range(n)]
+        if repeat_row and n > 1:
+            rows[-1] = list(rows[0])
+        rhs = [rng.uniform(-1, 1) for _ in range(n)]
+        x_want, det, scale = solve_oracle(rows, rhs)
+        if x_want is None:
+            with pytest.raises(NearSingularError):
+                solve_with_det(rows, rhs)
+        else:
+            x, sv = solve_with_det(rows, rhs)
+            assert repr((x, sv.value, sv.scale)) == repr((x_want, det, scale))
 
 
 class TestVDet:

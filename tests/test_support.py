@@ -197,6 +197,12 @@ class TestSignPattern:
         assert sum(calls[x] for x in grid) == len(grid) - report.excluded
         assert set(calls.values()) == {1}
 
+    def test_refuses_a_grid_with_every_point_excluded(self):
+        system = polynomial_system(2, Interval(0.0, 1.0))
+        omega = OmegaCombination(system, (0.0, 1.0))
+        with pytest.raises(PreconditionError, match="nothing was checked"):
+            verify_sign_pattern(system, F_SQUARE, omega, (0.5,), [0.5, 0.50001])
+
 
 class TestBuildSupport:
     def test_cube_fixture_end_to_end(self):
