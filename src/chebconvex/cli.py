@@ -31,7 +31,6 @@ from .divdiff import DividedDifference, classical_dd, gdd
 from .errors import ArgumentError, ChebConvexError
 from .functions import (ExpressionSource, FunctionSource, load_table,
                         parse_function)
-from .interpolation import OmegaCombination
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED
 from .support import SupportResult, build_support
 from .systems import (ChebyshevSystem, Interval, SystemClassification,
@@ -370,7 +369,7 @@ def _run_support(config: RunConfig) -> tuple[dict, int]:
     doc = {"system": _system_dict(system), "function": f.describe(),
            "support": _support_dict(result, f)}
     if config.fmt == "columns":
-        doc["_columns"] = _column_rows(f, result.omega, result.knots.points, grid)
+        doc["_columns"] = _column_rows(f, result, grid)
     return doc, EXIT_OK if result.pattern.overall else EXIT_VIOLATED
 
 
@@ -409,18 +408,19 @@ def _run_paper_example(config: RunConfig) -> tuple[dict, int]:
            "support": _support_dict(result, f),
            "checks": checks}
     if config.fmt == "columns":
-        doc["_columns"] = _column_rows(f, result.omega, knots, grid)
+        doc["_columns"] = _column_rows(f, result, grid)
     code = EXIT_OK if all(c["pass"] for c in checks) else EXIT_VIOLATED
     return doc, code
 
 
-def _column_rows(f, omega: OmegaCombination, knots: Sequence[float],
-                 grid: Sequence[float]) -> list[list]:
+def _column_rows(f, result: SupportResult, grid: Sequence[float]) -> list[list]:
+    """Plot rows for every grid point; f and omega are evaluated only at the
+    points that the sign-pattern check skipped."""
+    checked = {x: (fx, ox) for x, fx, ox in result.pattern.values}
     rows = []
     for x in grid:
-        fx = f(x)
-        ox = omega(x)
-        segment = 1 + sum(1 for k in knots if x > k)
+        fx, ox = checked[x] if x in checked else (f(x), result.omega(x))
+        segment = 1 + sum(1 for k in result.knots if x > k)
         rows.append([x, fx, ox, fx - ox, segment])
     return rows
 

@@ -116,16 +116,15 @@ def sign_walk(f, g, nodes: Sequence[float], grid: Sequence[float],
               delta: float) -> Iterator[tuple[int, int, float, float]]:
     """Walk f - g over the grid for an alternating sign-pattern check.
 
-    Yields ``(j, region, f(x), f(x) - g(x))`` for each grid point x =
-    grid[j] farther than ``delta`` from every node, in grid order; region is
-    the number of nodes left of x. The difference vanishes at the nodes,
-    where its sign is noise. f is evaluated once per point.
+    Yields ``(j, region, f(x), g(x))`` for each grid point x = grid[j]
+    farther than ``delta`` from every node, in grid order; region is the
+    number of nodes left of x. The difference f - g vanishes at the nodes,
+    where its sign is noise. f and g are evaluated once per point.
     """
     for j, x in enumerate(grid):
         if min(abs(x - k) for k in nodes) <= delta:
             continue
-        fx = f(x)
-        yield j, bisect.bisect_left(nodes, x), fx, fx - g(x)
+        yield j, bisect.bisect_left(nodes, x), f(x), g(x)
 
 
 def _certificate(method: str, scored: Iterable[Optional[tuple]],
@@ -180,7 +179,10 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     require_positive(system, grid)
     cols = [system.evaluate_basis(x) for x in grid]
     fvals = [f(x) for x in grid]
-    tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
+    # The certificate does not depend on the order of the tuples, so they are
+    # scanned sorted, where neighbours share their elimination prefixes. The
+    # first tuple is the first window in either order.
+    tuples = sorted(ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed))
     bordered = minor_scan([c + (v,) for c, v in zip(cols, fvals)], tuples)
     scored = ((value, t, atol + rtol * scale)
               for t, (value, scale) in zip(tuples, bordered))
@@ -283,6 +285,6 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
     grid = validate_grid(system, grid, 1)
     omega = interpolate(system, nodes, [f(x) for x in nodes])
     walk = sign_walk(f, omega, nodes.points, grid, knot_exclusion(system))
-    scored = ((pattern_sign(n, region) * diff, (j,), atol + rtol * abs(fx))
-              for j, region, fx, diff in walk)
+    scored = ((pattern_sign(n, region) * (fx - gx), (j,), atol + rtol * abs(fx))
+              for j, region, fx, gx in walk)
     return _certificate("definition", scored, grid, f, atol, rtol, None)

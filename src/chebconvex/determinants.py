@@ -11,14 +11,18 @@ tolerances meaningless here.
 
 One kernel computes every determinant: row-pivoted elimination, column by
 column. The pivot of step d is the first entry of largest magnitude from
-row d down in column d (``_pivot_step``); carrying a later column through
-the step swaps two of its rows and subtracts multiples of row d
-(``_reduce``). A column's entries after d steps thus depend only on the
-first d columns and on itself, so :func:`minor_scan` can reuse the steps
-and reduced columns of the prefix a tuple shares with the previous one
-and still match :func:`det_and_scale` bit for bit. In a lexicographic scan
-a tuple then costs one pivot step and an O(k) scale product instead of a
-k x k elimination.
+row d down in column d (``_pivot_step``, the one pivot search); carrying a
+later column through the step swaps two of its rows and subtracts
+multiples of row d (``_column``, the one row update). A column's entries
+after d steps thus depend only on the first d columns and on itself, so
+:func:`minor_scan` can reuse the steps and reduced columns of the prefix a
+tuple shares with the previous one and still match :func:`det_and_scale`
+bit for bit. In a lexicographic scan a tuple then costs one pivot step
+and an O(k) scale product instead of a k x k elimination, so sampled scans
+walk their tuples in sorted (trie) order and report what a scan in
+sampler order would. Row max-norms are folded with C-level ``max`` over
+absolute-value vectors computed once per scan; ``max`` keeps the first of
+equal items, so ties and NaNs fold as in :func:`det_and_scale`'s row scan.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (ArgumentError, DegenerateInputError, DomainError,
@@ -120,89 +125,80 @@ def _pivot_step(col: Sequence[float], d: int, det: float):
     if piv != d:
         col = list(col)
         col[d], col[piv], det = col[piv], col[d], -det
-    factors = [(r, f) for r in range(d + 1, k) if (f := col[r] / col[d]) != 0.0]
-    return (d, piv, col[d], factors), det * col[d]
+    p, factors = col[d], []
+    for r in range(d + 1, k):
+        f = col[r] / p
+        if f != 0.0:
+            factors.append((r, f))
+    return (d, piv, p, factors), det * p
 
 
-def _reduce(step, cols: Iterable[Sequence[float]]) -> list[list[float]]:
-    """Copies of ``cols`` carried through ``step``: the row update."""
-    d, piv, _, factors = step
-    out = []
-    for col in cols:
+def _column(levels: list, e: int, d: int, j: int) -> Sequence[float]:
+    """Column ``j`` reduced to depth ``d`` by the steps of ``levels`` (see
+    :func:`minor_scan`), starting from the deepest of levels 0..e that
+    caches it and caching it at every level it passes: the row update."""
+    while e and j not in levels[e][3]:
+        e -= 1
+    col = levels[e][3][j]
+    for (s, piv, _, factors), _, _, cache in levels[e + 1:d + 1]:
         col = list(col)
-        col[d], col[piv] = col[piv], col[d]
-        for r, factor in factors:
-            col[r] -= factor * col[d]
-        out.append(col)
-    return out
+        x = col[piv]
+        if piv != s:
+            col[piv] = col[s]
+            col[s] = x
+        for r, f in factors:
+            col[r] -= f * x
+        cache[j] = col
+    return col
 
 
-def _eliminate(cols: list, d: int, det: float) -> tuple:
-    """Steps d, d+1, ... on the leading columns of ``cols`` (reduced to depth d)
-    while rows remain: the determinant (None at a zero pivot, where they stop),
-    each step with its determinant and pivot column, and the columns left."""
-    trace, k = [], len(cols[0])
-    for d in range(d, k):
-        step, det = _pivot_step(cols[0], d, det)
-        trace.append((step, det, cols[0]))
+def _eliminate(cols: Sequence[Sequence[float]]) -> tuple:
+    """Steps 0, 1, ... on ``cols`` in order while rows remain: the
+    determinant (None at a zero pivot, where they stop), the levels, and
+    their one shared cache, which ends up holding each column reduced to
+    the depth of its own step."""
+    det, reduced = 1.0, {}
+    levels = [(None, 1.0, None, cols)]
+    for d in range(len(cols[0])):
+        step, det = _pivot_step(_column(levels, 0, d, d), d, det)
         if step is None:
             break
-        cols = _reduce(step, cols[1:]) if d + 1 < k else cols[1:]
-    return det, trace, cols
-
-
-def _fold(maxes: Optional[list[float]], col: Sequence[float]) -> list[float]:
-    """Row max-norms ``maxes`` (None before any column) carried over ``col``."""
-    if maxes is None:
-        return list(map(abs, col))
-    out = []
-    for m, x in zip(maxes, map(abs, col)):
-        out.append(x if x > m else m)
-    return out
+        levels.append((step, det, None, reduced))
+    return det, levels, reduced
 
 
 def minor_scan(vecs: Sequence[Sequence[float]],
                tuples: Iterable[Sequence[int]]) -> Iterator[tuple[float, float]]:
     """``(det, scale)`` of the square minor with columns ``vecs[t[0]], ...,
-    vecs[t[k-1]]`` for each index tuple ``t`` (k >= 1 entries per vector),
+    vecs[t[k-1]]`` for each index tuple ``t`` (k entries per vector),
     lazily and in order. A tuple that shares its first c indices with the
     previous one reuses levels 0..c; see the module docstring."""
-    # levels[d], for the prefix t[:d]: its last step, its determinant (None
-    # from a zero pivot on), its row max-norms, its columns reduced to depth d.
-    levels: list = [(None, 1.0, None, None)]
-    prefix: tuple = ()
-
-    def reduced(d: int, j: int) -> Sequence[float]:
-        if d == 0:
-            return vecs[j]
-        cache = levels[d][3]
-        if j not in cache:
-            cache[j] = _reduce(levels[d][0], [reduced(d - 1, j)])[0]
-        return cache[j]
-
+    absvecs = [[*map(abs, v)] for v in vecs]
+    # levels[d], for the prefix t[:d]: the step taken on column t[d-1], the
+    # determinant (None from a zero pivot on), the row max-norms, and the
+    # columns reduced to depth d under the prefix, by index.
+    levels: list = [(None, 1.0, None, vecs)]
+    prefix: Sequence[int] = ()
     for t in tuples:
-        c, last = 0, len(t) - 1
+        last = len(t) - 1
         if t[:last] == prefix:
             c = last
         else:
-            while c < len(prefix) and prefix[c] == t[c]:
-                c += 1
+            c = [*map(ne, prefix, t), True].index(True)
             del levels[c + 1:]
-            prefix = tuple(t[:last])
+            prefix = t[:last]
         _, det, maxes, _ = levels[c]
-        if c < last:
-            trace = []
+        for d in range(c, last):
+            j, step = t[d], None
             if det is not None:
-                cols = [reduced(c, j) for j in t[c:]] if c else [vecs[j] for j in t]
-                det, trace, _ = _eliminate(cols, c, det)
-            for d in range(c, last):
-                step, step_det, _ = trace[d - c] if d - c < len(trace) else (None,) * 3
-                maxes = _fold(maxes, vecs[t[d]])
-                levels.append((step, step_det, maxes, {}))
-        elif det is not None:
-            det = _pivot_step(reduced(c, t[c]), c, det)[1]
+                step, det = _pivot_step(_column(levels, c, d, j), d, det)
+            maxes = absvecs[j] if maxes is None else [*map(max, maxes, absvecs[j])]
+            levels.append((step, det, maxes, {}))
+        j = t[last]
+        if det is not None:
+            det = _pivot_step(_column(levels, c, last, j), last, det)[1]
         yield (0.0 if det is None else det,
-               math.prod(_fold(maxes, vecs[t[last]]), start=1.0))
+               math.prod(absvecs[j] if maxes is None else map(max, maxes, absvecs[j])))
 
 
 def _square_scale(rows: Sequence[Sequence[float]]) -> float:
@@ -223,7 +219,7 @@ def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
     empty matrix has determinant 1 by convention.
     """
     scale = _square_scale(rows)
-    det = _eliminate(list(zip(*rows)), 0, 1.0)[0] if rows else 1.0
+    det = _eliminate(list(zip(*rows)))[0] if rows else 1.0
     return 0.0 if det is None else det, scale
 
 
@@ -240,18 +236,22 @@ def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
     if len(b) != n:
         raise ArgumentError("system dimensions do not match")
     scale = _square_scale(rows)
-    det, trace, rest = _eliminate([*zip(*rows), b], 0, 1.0)
+    det, levels, reduced = _eliminate([*zip(*rows), b])
     sv = classify_value(0.0 if det is None else det, scale)
     if sv.sign == "0":
         raise NearSingularError(
             f"collocation matrix is numerically singular (|det|={abs(sv.value):.3e} "
             f"<= tau={sv.tau:.3e})")
+    # Entry i of a column is final after step i: column j at depth j holds
+    # column j of the triangular factor, the right-hand side at depth n the
+    # reduced right-hand side.
+    y = _column(levels, 0, n, n)
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        acc = rest[-1][i]
+        acc = y[i]
         for j in range(i + 1, n):
-            acc -= trace[j][2][i] * x[j]
-        x[i] = acc / trace[i][0][2]
+            acc -= reduced[j][i] * x[j]
+        x[i] = acc / levels[i + 1][0][2]
     return x, sv
 
 

@@ -65,6 +65,7 @@ class SignPatternReport:
     segments: tuple[SegmentCheck, ...]
     overall: bool
     excluded: int  # grid points dropped by the knot-adjacent exclusion
+    values: tuple[tuple[float, float, float], ...]  # (x, f(x), omega(x)) checked
 
 
 @dataclass(frozen=True)
@@ -169,22 +170,23 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     # counted twice: regions 0..n-2, then region n beyond the last knot.
     nodes = knots.points + knots.points[-1:]
     per_segment: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
-    for j, region, fx, diff in sign_walk(f, omega, nodes, grid, knot_exclusion(system)):
-        per_segment[min(region, n - 1)].append((grid[j], fx, diff))
+    for j, region, fx, ox in sign_walk(f, omega, nodes, grid, knot_exclusion(system)):
+        per_segment[min(region, n - 1)].append((grid[j], fx, ox))
     segments = []
     for seg, points in enumerate(per_segment):
         required = pattern_sign(n, seg if seg < n - 1 else n)
         lo = system.interval.lo if seg == 0 else knots[seg - 1]
         hi = system.interval.hi if seg == n - 1 else knots[seg]
-        violations = tuple((x, diff) for x, fx, diff in points
-                           if required * diff < -(atol + rtol * abs(fx)))
+        violations = tuple((x, fx - ox) for x, fx, ox in points
+                           if required * (fx - ox) < -(atol + rtol * abs(fx)))
         segments.append(SegmentCheck(seg + 1, lo, hi, required, len(points), violations))
     checked = sum(len(points) for points in per_segment)
     if not checked:
         raise PreconditionError("support: nothing was checked; every grid point "
                                 "lies within the knot exclusion")
     return SignPatternReport(tuple(segments), all(not s.violations for s in segments),
-                             len(grid) - checked)
+                             len(grid) - checked,
+                             tuple(p for points in per_segment for p in points))
 
 
 def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],

@@ -12,6 +12,7 @@ data is taken on faith.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -243,7 +244,13 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     all contiguous windows plus a seeded random subsample. The verdict is
     ``positive`` (``negative``) when every checked determinant clears the
     scale-relative zero tolerance with constant sign, and ``non-chebyshev``
-    with a witness tuple as soon as a determinant vanishes or flips sign.
+    with the first tuple, in sampler order, whose determinant vanishes or
+    differs in sign from the first one; ``tuples_checked`` is then that
+    tuple's position + 1. The windows that lead a sample are scanned in
+    order, and the scan stops at a failing one. The rest is scanned sorted,
+    where neighbours share elimination prefixes, and skips the tuples past
+    the lowest failing position found so far: a failure past the windows
+    may cost more determinants than its position.
 
     ``windows_only=True`` restricts the scan to contiguous windows; this is
     the cheap necessary check used as an opportunistic precondition by the
@@ -255,17 +262,32 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     cols = [system.evaluate_basis(x) for x in grid]
     tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed,
                                   windows_only=windows_only)
+    # An exhaustive or window list is already sorted: all of it is the head.
+    head = len(tuples)
+    if head < math.comb(len(grid), system.n):
+        head = len(grid) - system.n + 1
+    fail = len(tuples)
+
+    def positions():  # drawn one at a time, so the filter sees the latest fail
+        yield from range(head)
+        yield from (p for p in sorted(range(head, len(tuples)), key=tuples.__getitem__)
+                    if p < fail)
+
+    order, fed = itertools.tee(positions())
     first_sign = None
-    checked = 0
-    for t, minor in zip(tuples, minor_scan(cols, tuples)):
+    for p, minor in zip(order, minor_scan(cols, map(tuples.__getitem__, fed))):
         sign = sign_of(*minor)
-        checked += 1
-        if sign == "0" or (first_sign is not None and sign != first_sign):
-            witness = tuple(grid[j] for j in t)
-            return SystemClassification("non-chebyshev", witness, checked)
-        first_sign = sign
+        if first_sign is None:
+            first_sign = sign
+        if sign == "0" or sign != first_sign:
+            fail = p
+            if p < head:
+                break
+    if fail < len(tuples):
+        witness = tuple(grid[j] for j in tuples[fail])
+        return SystemClassification("non-chebyshev", witness, fail + 1)
     verdict = "positive" if first_sign == "+" else "negative"
-    return SystemClassification(verdict, None, checked)
+    return SystemClassification(verdict, None, len(tuples))
 
 
 # ---------------------------------------------------------------------------

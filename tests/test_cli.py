@@ -56,6 +56,25 @@ class TestSupportCommand:
             elif 0 < x < 1:
                 assert seg == "2" and diff >= -1e-9
 
+    def test_columns_evaluate_target_once_per_grid_point(self, monkeypatch):
+        from collections import Counter
+
+        from chebconvex import CallableSource, cli
+        calls = Counter()
+
+        def cube(x):
+            calls[x] += 1
+            return x ** 3
+
+        monkeypatch.setattr(cli, "parse_function", lambda spec: CallableSource(cube))
+        code, text = run_cli("support", "--system", "poly:3", "--f", "monomial:3",
+                             "--knots", "0.05,1.05", "--grid", "-2:3:100",
+                             "--format", "columns")
+        assert code == 0
+        grid = [float(line.split()[0]) for line in text.strip().splitlines()[1:]]
+        assert len(grid) == 100
+        assert max(calls[x] for x in grid) == 1
+
     def test_tangent_fixture_columns_diff_nonnegative(self):
         code, text = run_cli("support", "--system", "poly:2", "--f", "exp:1",
                              "--knots", "0", "--grid", "-1:1:60",

@@ -9,6 +9,8 @@ from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource,
                         certify_theorem_a, cosine_sine_system, d_det,
                         exponential_system, gdd, negated_polynomial_system,
                         polynomial_system, scan_theorem2, verify_definition)
+from chebconvex.determinants import basis_minor, det_and_scale
+from chebconvex.sampling import ordered_index_tuples
 
 from conftest import F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, grid_on
 
@@ -58,6 +60,45 @@ class TestTheoremA:
         assert a == b
         assert a.verdict == CERTIFIED
         assert a.tuples_checked == 3000
+
+    def test_sampled_scan_matches_sampler_order_reference(self):
+        """The sampled tuples are scanned sorted; minimum, witness and counts
+        equal those of a scan in sampler order with the same tie-break."""
+
+        def reference(system, f, grid, budget, seed, atol=1e-10, rtol=1e-8):
+            n = system.n
+            cols = [system.evaluate_basis(x) for x in grid]
+            fvals = [f(x) for x in grid]
+            tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
+            best = violated = None
+            for t in tuples:
+                value, scale = det_and_scale(basis_minor(cols, t, n, fvals))
+                key = (value, t)
+                if best is None or key < best:
+                    best = key
+                if value < -(atol + rtol * scale) and (violated is None or key < violated):
+                    violated = key
+            witness = None if violated is None else tuple(grid[j] for j in violated[1])
+            return (best[0], witness, None if violated is None else violated[0],
+                    len(tuples), 0)
+
+        rng = random.Random(7)
+        cases = [(polynomial_system(n), ExpressionSource(kind, (n,)))
+                 for n in (2, 3, 4) for kind in ("monomial", "negmonomial")]
+        cases.append((exponential_system([0.0, 1.0]), ExpressionSource("exp", (-1.0,))))
+        verdicts = set()
+        for system, f in cases:
+            for _ in range(3):
+                m = rng.randint(system.n + 6, 24)
+                grid = [float(x) for x in grid_on(-1, 1, m)]
+                budget = rng.randint(m, math.comb(m, system.n + 1) - 1)
+                seed = rng.randrange(1000)
+                cert = certify_theorem_a(system, f, grid, budget=budget, seed=seed)
+                got = (cert.min_value, None if cert.witness is None else cert.witness.points,
+                       cert.witness_value, cert.tuples_checked, cert.skipped)
+                assert repr(got) == repr(reference(system, f, grid, budget, seed))
+                verdicts.add(cert.verdict)
+        assert verdicts == {CERTIFIED, VIOLATED}
 
 
 class TestCorollary1:

@@ -118,20 +118,24 @@ ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
 @st.composite
 def columns_and_tuples(draw):
     """Columns with exact zeros, duplicates and mixed scales, and their
-    k-tuples in lexicographic, window, sampler or shuffled order."""
+    k-tuples in lexicographic, window, sampler, sorted sampler (the order of
+    sampled scans) or shuffled order."""
     k = draw(st.integers(1, 6))
     m = draw(st.integers(k, k + 5))
     vecs = [tuple(draw(st.lists(ENTRIES, min_size=k, max_size=k))) for _ in range(m)]
     for _ in range(draw(st.integers(0, 2))):
         vecs[draw(st.integers(0, m - 1))] = vecs[draw(st.integers(0, m - 1))]
-    order = draw(st.sampled_from(["lex", "windows", "sampled", "shuffled"]))
+    order = draw(st.sampled_from(["lex", "windows", "sampled", "sorted-sampled",
+                                  "shuffled"]))
     if order == "lex":
         tuples = list(itertools.combinations(range(m), k))
     elif order == "windows":
         tuples = ordered_index_tuples(m, k, windows_only=True)
-    elif order == "sampled":
+    elif order in ("sampled", "sorted-sampled"):
         budget = max(1, math.comb(m, k) // 2)
         tuples = ordered_index_tuples(m, k, budget=budget, seed=draw(st.integers(0, 99)))
+        if order == "sorted-sampled":
+            tuples = sorted(tuples)
     else:
         tuples = draw(st.permutations(list(itertools.combinations(range(m), k))))
     return vecs, k, tuples

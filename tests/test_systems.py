@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from chebconvex import (ArgumentError, BasisFunction, DomainError,
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
                         polynomial_system, uniform_grid)
+from chebconvex.determinants import basis_minor, det_and_scale, sign_of
+from chebconvex.sampling import ordered_index_tuples
 
 from conftest import grid_on
 
@@ -194,6 +197,47 @@ class TestClassify:
         result = classify_on_grid(system, grid, windows_only=True)
         assert result.verdict == "positive"
         assert result.tuples_checked == 25 - 3 + 1
+
+    def test_sampled_scan_matches_sampler_order_reference(self):
+        """Sampled classifications scan the sorted sample, but report the first
+        failing tuple in sampler order, with its position as the count."""
+
+        def reference(system, grid, budget, seed):
+            cols = [system.evaluate_basis(x) for x in grid]
+            tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed)
+            first = None
+            for checked, t in enumerate(tuples, 1):
+                sign = sign_of(*det_and_scale(basis_minor(cols, t, system.n)))
+                if sign == "0" or (first is not None and sign != first):
+                    return "non-chebyshev", tuple(grid[j] for j in t), checked
+                first = sign
+            return ("positive" if first == "+" else "negative"), None, len(tuples)
+
+        rng = random.Random(2024)
+        wide = Interval(0.0, 2 * math.pi, lo_open=False, hi_open=True)
+        verdicts, past_windows = set(), 0
+        for case in range(60):
+            kind = case % 4
+            if kind == 0:
+                system, m = cosine_sine_system(wide), rng.randint(8, 40)
+                grid = uniform_grid(wide, m, 0.0, rng.uniform(math.pi + 0.3, 6.2))
+            elif kind == 1:
+                system, m = cosine_sine_system(wide).truncate(1), rng.randint(4, 30)
+                grid = uniform_grid(wide, m, rng.uniform(0.0, 1.0), rng.uniform(2.0, 6.0))
+            else:
+                n = rng.randint(2, 4)
+                maker = polynomial_system if kind == 2 else negated_polynomial_system
+                system, m = maker(n), rng.randint(n + 3, 16)
+                grid = grid_on(-1, 1, m)
+            budget = rng.randint(1, math.comb(m, system.n) - 1)
+            seed = rng.randrange(1000)
+            want = reference(system, grid, budget, seed)
+            got = classify_on_grid(system, grid, budget=budget, seed=seed)
+            assert repr((got.verdict, got.witness, got.tuples_checked)) == repr(want)
+            verdicts.add(want[0])
+            past_windows += want[0] == "non-chebyshev" and want[2] > m - system.n + 1
+        assert verdicts == {"positive", "negative", "non-chebyshev"}
+        assert past_windows >= 5
 
     def test_grid_on_open_endpoint_rejected(self):
         system = cosine_sine_system()  # (0, pi) open
