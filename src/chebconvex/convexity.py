@@ -31,17 +31,19 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .determinants import (MIN_SEPARATION_FACTOR, PointTuple, check_points,
                            function_row, minor_scan, sign_of)
-from .divdiff import _gdd
-from .errors import NearSingularError, PreconditionError
+from .errors import ChebConvexError, NearSingularError, PreconditionError
 from .interpolation import interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
-from .systems import ChebyshevSystem, classify_on_grid, validate_grid
+from .systems import ChebyshevSystem, classify_columns, validate_grid
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 
 #: Fraction of the span excluded around knots in sign-pattern checks.
 KNOT_EXCLUSION_FACTOR = 1e-4
+
+#: Points per theorem-2 scan batch; bounds the columns minor_scan caches.
+THEOREM2_BATCH = 256
 
 CERTIFIED = "certified-on-sample"
 VIOLATED = "violated"
@@ -78,9 +80,10 @@ class MonotonicityReport:
 
 
 def require_positive(system: ChebyshevSystem, grid: Sequence[float],
-                     label: str = "system") -> None:
-    """Opportunistic positivity check over contiguous grid windows only."""
-    result = classify_on_grid(system, grid, windows_only=True)
+                     cols: Sequence[Sequence[float]], label: str = "system") -> None:
+    """Opportunistic positivity check over contiguous grid windows only, from
+    the basis columns at a validated grid (a truncation reads their head)."""
+    result = classify_columns(grid, cols, system.n, windows_only=True)
     if result.verdict != "positive":
         raise PreconditionError(
             f"{label} {system.describe()} is not positive on the grid: "
@@ -176,8 +179,8 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
-    require_positive(system, grid)
     cols = [system.evaluate_basis(x) for x in grid]
+    require_positive(system, grid, cols)
     fvals = [f(x) for x in grid]
     # The certificate does not depend on the order of the tuples, so they are
     # scanned sorted, where neighbours share their elimination prefixes. The
@@ -201,10 +204,10 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
-    require_positive(system, grid)
-    if n >= 2:
-        require_positive(system.truncate(n - 1), grid, "truncated system")
     cols = [system.evaluate_basis(x) for x in grid]
+    require_positive(system, grid, cols)
+    if n >= 2:
+        require_positive(system.truncate(n - 1), grid, cols, "truncated system")
     fvals = [f(x) for x in grid]
 
     # Each distinct window is scanned once, in lexicographic order, so that
@@ -235,11 +238,15 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
 
     Knots must be strictly increasing interior points; grid points within
     the knot-exclusion distance are dropped from the scan, and a scan left
-    without an adjacent pair raises. The points of each evaluation tuple
-    are assembled in sorted order, which leaves the value unchanged by
-    symmetry. The basis and f are evaluated once at each knot and once at
-    each scanned point.
+    without an adjacent pair raises. Each value, check and error is that of
+    :func:`gdd` at the sorted points, point by point in grid order; the
+    basis and f are evaluated once at each knot and each scanned point.
+    :func:`minor_scan` runs over the points between two neighbouring knots
+    (a segment) in batches: their sorted tuples share the knots left of x
+    as a prefix, so right of the last knot a determinant costs one pivot
+    step.
     """
+    n = system.n
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 1)
     delta = knot_exclusion(system)
@@ -254,12 +261,34 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     kcols = [system.evaluate_basis(k) for k in knots]
     kvals = function_row(f, knots)
     scan: list[tuple[float, float]] = []
-    for x in xs:
-        i = bisect.bisect(knots.points, x)
-        pts = PointTuple(knots.points[:i] + (x,) + knots.points[i:], True)
-        cols = kcols[:i] + [system.evaluate_basis(x)] + kcols[i:]
-        fvals = kvals[:i] + function_row(f, (x,)) + kvals[i:]
-        scan.append((x, _gdd(system, pts, cols, fvals).value))
+    for i in range(n):  # segment i: the points with i knots to their left
+        end = bisect.bisect(xs, knots[i]) if i < n - 1 else len(xs)
+        while len(scan) < end:
+            batch = xs[len(scan):min(end, len(scan) + THEOREM2_BATCH)]
+            # Vectors 0..n-2 are the knots', then the batch's points. An
+            # evaluation error is raised after the points before it are scanned.
+            cols, fvals, failed = list(kcols), list(kvals), None
+            try:
+                for x in batch:
+                    cols.append(system.evaluate_basis(x))
+                    fvals.append(function_row(f, (x,))[0])
+            except ChebConvexError as exc:
+                failed, cols = exc, cols[:len(fvals)]
+            tuples = [(*range(i), j, *range(i, n - 1)) for j in range(n - 1, len(cols))]
+            minors = zip(minor_scan(cols, tuples),
+                         minor_scan([c[:n - 1] for c in cols], (t[:n - 1] for t in tuples)),
+                         minor_scan([c[:n - 1] + (v,) for c, v in zip(cols, fvals)], tuples))
+            for x, (den, trunc, (num, _)) in zip(batch, minors):
+                pts = knots.points[:i] + (x,) + knots.points[i:]
+                if sign_of(*den) == "0":
+                    raise NearSingularError(
+                        f"full-system collocation determinant degenerated at {pts}")
+                if sign_of(*trunc) == "0":
+                    raise NearSingularError("truncated-system collocation determinant "
+                                            f"degenerated at {pts[:n - 1]}")
+                scan.append((x, num / den[0]))
+            if failed is not None:
+                raise failed
     violations = []
     for (x0, v0), (x1, v1) in zip(scan, scan[1:]):
         if v1 - v0 < -(atol + rtol * max(abs(v0), abs(v1))):

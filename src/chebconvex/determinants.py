@@ -100,7 +100,8 @@ class SignedValue:
 
 
 def sign_of(value: float, scale: float) -> str:
-    if abs(value) <= TAU_FACTOR * scale:
+    # An exact zero is zero at any scale, a NaN one included.
+    if value == 0.0 or abs(value) <= TAU_FACTOR * scale:
         return "0"
     return "+" if value > 0.0 else "-"
 

@@ -15,7 +15,7 @@ how well the ratio satisfies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .determinants import (PointsLike, PointTuple, basis_minor, check_points,
                            classify_value, d_det, det_and_scale, function_row,
@@ -68,13 +68,8 @@ def gdd(system: ChebyshevSystem, pts: PointsLike, f,
     All three determinants are minors of one evaluation of the basis.
     """
     pts = check_points(system, pts, system.n, min_separation)
-    return _gdd(system, pts, [system.evaluate_basis(x) for x in pts],
-                function_row(f, pts))
-
-
-def _gdd(system: ChebyshevSystem, pts: PointTuple,
-         cols: Sequence[Sequence[float]], fvals: Sequence[float]) -> DividedDifference:
-    """:func:`gdd` at checked ``pts`` from their basis columns and f values."""
+    cols = [system.evaluate_basis(x) for x in pts]
+    fvals = function_row(f, pts)
     n = system.n
     every = range(n)
     denom = classify_value(*det_and_scale(basis_minor(cols, every, n)))

@@ -28,7 +28,7 @@ from .determinants import MIN_SEPARATION_FACTOR, PointTuple
 from .divdiff import gdd
 from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
 from .interpolation import OmegaCombination, constrained_interpolate
-from .systems import ChebyshevSystem, validate_grid
+from .systems import ChebyshevSystem, check_grid_size, validate_grid
 
 #: h0 defaults to this fraction of the span (capped by room to the right end).
 H0_FACTOR = 1e-2
@@ -203,8 +203,10 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     n = system.n
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 2)
-    require_positive(system, grid)
-    require_positive(system.truncate(n - 1), grid, "truncated system")
+    check_grid_size(grid, n)
+    cols = [system.evaluate_basis(x) for x in grid]
+    require_positive(system, grid, cols)
+    require_positive(system.truncate(n - 1), grid, cols, "truncated system")
     limit = estimate_cn(system, f, knots, atol=atol, rtol=rtol)
     omega = constrained_interpolate(system, knots, f, limit.estimate)
     pattern = verify_sign_pattern(system, f, omega, knots, grid,

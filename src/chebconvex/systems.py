@@ -222,8 +222,7 @@ class SystemClassification:
 def validate_grid(system: ChebyshevSystem, grid: Sequence[float], minimum: int) -> list[float]:
     """Shared grid checks: enough points, strictly increasing, inside the interval."""
     pts = [float(x) for x in grid]
-    if len(pts) < minimum:
-        raise ArgumentError(f"grid has {len(pts)} points, need at least {minimum}")
+    check_grid_size(pts, minimum)
     for a, b in zip(pts, pts[1:]):
         if not a < b:
             raise ArgumentError("grid must be strictly increasing")
@@ -232,6 +231,11 @@ def validate_grid(system: ChebyshevSystem, grid: Sequence[float], minimum: int) 
             raise DomainError(f"grid point {x!r} outside {system.interval.describe()} "
                               "(open endpoints excluded)")
     return pts
+
+
+def check_grid_size(grid: Sequence[float], minimum: int) -> None:
+    if len(grid) < minimum:
+        raise ArgumentError(f"grid has {len(grid)} points, need at least {minimum}")
 
 
 def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
@@ -256,16 +260,25 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     the cheap necessary check used as an opportunistic precondition by the
     convexity certifiers.
     """
+    grid = validate_grid(system, grid, system.n)
+    return classify_columns(grid, [system.evaluate_basis(x) for x in grid],
+                            system.n, budget, seed, windows_only)
+
+
+def classify_columns(grid: Sequence[float], cols: Sequence[Sequence[float]],
+                     k: int, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
+                     windows_only: bool = False) -> SystemClassification:
+    """:func:`classify_on_grid` of the first ``k`` basis functions over a
+    validated grid, from the basis columns ``cols`` at its points."""
     from .determinants import minor_scan, sign_of
 
-    grid = validate_grid(system, grid, system.n)
-    cols = [system.evaluate_basis(x) for x in grid]
-    tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed,
+    cols = [c[:k] for c in cols]  # a tuple's full slice is the tuple itself
+    tuples = ordered_index_tuples(len(grid), k, budget=budget, seed=seed,
                                   windows_only=windows_only)
     # An exhaustive or window list is already sorted: all of it is the head.
     head = len(tuples)
-    if head < math.comb(len(grid), system.n):
-        head = len(grid) - system.n + 1
+    if head < math.comb(len(grid), k):
+        head = len(grid) - k + 1
     fail = len(tuples)
 
     def positions():  # drawn one at a time, so the filter sees the latest fail

@@ -8,12 +8,13 @@ sample until the minimum separation holds.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
 
-from chebconvex import (ExpressionSource, Interval, exponential_system,
-                        polynomial_system)
+from chebconvex import (ChebyshevSystem, ExpressionSource, Interval,
+                        exponential_system, polynomial_system)
 
 
 def det_bruteforce(rows):
@@ -87,6 +88,20 @@ def poly3_box():
 @pytest.fixture
 def exp01():
     return exponential_system((0.0, 1.0), Interval(-1.0, 1.0))
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """Counter of ``ChebyshevSystem.evaluate_basis`` calls, by point."""
+    calls = Counter()
+    evaluate = ChebyshevSystem.evaluate_basis
+
+    def counting(self, x):
+        calls[x] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ChebyshevSystem, "evaluate_basis", counting)
+    return calls
 
 
 def grid_on(lo: float, hi: float, count: int) -> list[float]:

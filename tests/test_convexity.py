@@ -1,18 +1,23 @@
+import bisect
 import math
 import random
 from collections import Counter
 
 import pytest
 
-from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource,
-                        Interval, PreconditionError, certify_corollary1,
-                        certify_theorem_a, cosine_sine_system, d_det,
-                        exponential_system, gdd, negated_polynomial_system,
-                        polynomial_system, scan_theorem2, verify_definition)
+from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource, Interval, NearSingularError,
+                        PreconditionError, SourceEvalError, TableSource,
+                        certify_corollary1, certify_theorem_a,
+                        cosine_sine_system, d_det, exponential_system, gdd,
+                        negated_polynomial_system, parse_function,
+                        parse_system, polynomial_system, scan_theorem2,
+                        verify_definition)
+from chebconvex.convexity import THEOREM2_BATCH
 from chebconvex.determinants import basis_minor, det_and_scale
 from chebconvex.sampling import ordered_index_tuples
 
-from conftest import F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, grid_on
+from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, draw_separated,
+                      grid_on)
 
 
 class TestTheoremA:
@@ -60,6 +65,11 @@ class TestTheoremA:
         assert a == b
         assert a.verdict == CERTIFIED
         assert a.tuples_checked == 3000
+
+    def test_basis_evaluated_once_per_grid_point(self, basis_calls):
+        grid = grid_on(-1, 1, 30)
+        certify_theorem_a(polynomial_system(3), F_CUBE, grid)
+        assert basis_calls == Counter(grid)
 
     def test_sampled_scan_matches_sampler_order_reference(self):
         """The sampled tuples are scanned sorted; minimum, witness and counts
@@ -132,6 +142,11 @@ class TestCorollary1:
         assert hi - lo == pytest.approx(cert.witness_value, rel=1e-10)
         assert hi - lo < -(cert.atol + cert.rtol * max(abs(hi), abs(lo)))
 
+    def test_basis_evaluated_once_per_grid_point(self, basis_calls):
+        grid = grid_on(-1, 1, 30)
+        certify_corollary1(polynomial_system(3), F_CUBE, grid)
+        assert basis_calls == Counter(grid)
+
     def test_truncation_must_be_positive_too(self):
         # (x, x^3) has positive windows for the full pair on (0.1, 2) grids,
         # but its truncation (x) is fine there as well; use a grid touching
@@ -184,22 +199,66 @@ class TestTheorem2Scan:
         with pytest.raises(PreconditionError):
             scan_theorem2(system, F_CUBE, (1.0, 0.0), grid_on(-2, 3, 30))
 
-    def test_basis_evaluated_once_per_knot_and_scanned_point(self, monkeypatch):
-        from chebconvex import ChebyshevSystem
-        calls = Counter()
-        evaluate = ChebyshevSystem.evaluate_basis
-
-        def counting(self, x):
-            calls[x] += 1
-            return evaluate(self, x)
-
-        monkeypatch.setattr(ChebyshevSystem, "evaluate_basis", counting)
+    def test_basis_evaluated_once_per_knot_and_scanned_point(self, basis_calls):
         system = polynomial_system(3, Interval(-2.0, 3.0))
         grid = sorted(set(grid_on(-2, 3, 41)) | {0.0, 1.0})
         report = scan_theorem2(system, F_CUBE, (0.0, 1.0), grid)
         scanned = [x for x, _ in report.scan]
         assert len(scanned) == len(grid) - 2
-        assert calls == Counter(scanned + [0.0, 1.0])
+        assert basis_calls == Counter(scanned + [0.0, 1.0])
+
+    @pytest.mark.parametrize("system, f", [
+        (polynomial_system(2, Interval(-1.0, 2.0)), F_EXP),
+        (polynomial_system(3, Interval(-1.0, 2.0)), F_EXP),
+        (polynomial_system(4, Interval(-1.0, 2.0)), ExpressionSource("exp", (-1.5,))),
+        (polynomial_system(5, Interval(-1.0, 2.0)), F_EXP),
+        (exponential_system((0.0, 1.0, 2.0), Interval(-1.0, 2.0)), F_CUBE),
+        (polynomial_system(3, Interval(-1.0, 2.0)), "table"),
+    ])
+    def test_scan_matches_gdd_at_every_point(self, system, f):
+        n = system.n
+        # With one knot, one of the two segments spans more than one batch.
+        grid = grid_on(-1.0, 2.0, 2 * THEOREM2_BATCH + 151)
+        rng = random.Random(7 * n)
+        if f == "table":
+            # A table knows f at its abscissae only, so the knots are grid points.
+            f = TableSource(grid, [math.sin(3.0 * x) for x in grid])
+            knots = sorted(rng.sample(grid[30:-30:40], n - 1))
+        else:
+            knots = draw_separated(rng, n - 1, -0.8, 1.8, sep=0.2)
+        report = scan_theorem2(system, f, knots, grid)
+        xs = [x for x, _ in report.scan]
+        assert len(set(bisect.bisect(knots, x) for x in xs)) == n  # every segment
+        reference = [(x, gdd(system, sorted((*knots, x)), f).value) for x in xs]
+        assert repr(report.scan) == repr(tuple(reference))
+
+    @pytest.mark.parametrize("basis, knots, message", [
+        ("monomial 1\nmonomial 0", (0.0,),
+         "truncated-system collocation determinant degenerated at (0.0,)"),
+        ("monomial 1\nmonomial 1\nmonomial 0", (-0.5, 0.5),
+         "full-system collocation determinant degenerated at (-0.9, -0.5, 0.5)"),
+    ])
+    def test_degenerate_determinants_named_as_gdd_names_them(self, basis, knots,
+                                                             message):
+        system = parse_system("interval -1 1\n" + basis)
+        grid = [j / 10 for j in range(-9, 10)]
+        with pytest.raises(NearSingularError) as err:
+            scan_theorem2(system, parse_function("monomial:3"), knots, grid)
+        assert str(err.value) == message
+
+    def test_first_failing_point_decides_the_error(self):
+        # Right of the knot 0 the truncated determinant x vanishes at once;
+        # an evaluation error counts only at a point before that one.
+        system = parse_system("interval -1 1\nmonomial 1\nmonomial 0")
+        grid = [j / 10 for j in range(-9, 10)]
+        for bad, error in ((0.5, NearSingularError), (-0.5, SourceEvalError),
+                           (0.1, SourceEvalError)):
+            def f(x, bad=bad):
+                if x == bad:
+                    raise ValueError("no value here")
+                return x ** 3
+            with pytest.raises(error):
+                scan_theorem2(system, CallableSource(f), (0.0,), grid)
 
     def test_scan_on_certified_and_violated_fixtures(self):
         system = polynomial_system(3)

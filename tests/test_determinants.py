@@ -12,7 +12,7 @@ from chebconvex import (ArgumentError, DegenerateInputError, DomainError,
                         d_det, negated_polynomial_system, polynomial_system,
                         v_det)
 from chebconvex.determinants import (basis_minor, det_and_scale, minor_scan,
-                                     solve_with_det)
+                                     sign_of, solve_with_det)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
 
@@ -68,6 +68,18 @@ class TestKernel:
     def test_solve_rejects_singular(self):
         with pytest.raises(NearSingularError):
             solve_with_det([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
+
+    def test_exact_zero_is_zero_at_nan_scale(self):
+        assert sign_of(0.0, math.nan) == "0"
+        assert sign_of(-0.0, math.nan) == "0"
+        assert sign_of(-1.0, math.nan) == "-"  # nonzero values keep their sign
+        assert sign_of(0.0, math.inf) == sign_of(0.0, 0.0) == "0"
+
+    def test_solve_rejects_zero_pivot_at_nan_scale(self):
+        # The first column's pivot is an exact zero; the NaN entry makes the
+        # scale NaN, which must not hide the singularity.
+        with pytest.raises(NearSingularError):
+            solve_with_det([[0.0, 1.0], [math.nan, 2.0]], [1.0, 1.0])
 
 
 def eliminate_oracle(a, n, width):

@@ -230,6 +230,27 @@ class TestBuildSupport:
         for seg in result.pattern.segments:
             assert not seg.violations
 
+    def test_prechecks_evaluate_the_basis_once_per_grid_point(self, basis_calls,
+                                                               monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        # Both prechecks run before the limit estimate, which stops the run.
+        monkeypatch.setattr("chebconvex.support.estimate_cn", stop)
+        grid = grid_on(-2, 3, 50)
+        with pytest.raises(Stop):
+            build_support(cube_system(), F_CUBE, (0.0, 1.0), grid)
+        assert basis_calls == Counter(grid)
+
+    def test_short_grid_rejected_before_basis_evaluation(self, basis_calls):
+        from chebconvex import ArgumentError
+        with pytest.raises(ArgumentError, match="grid has 2 points, need at least 3"):
+            build_support(cube_system(), F_CUBE, (0.0, 1.0), [-1.0, 2.0])
+        assert not basis_calls
+
     def test_nonpositive_system_precondition(self):
         from chebconvex import exponential_system
         # descending rates make the pair determinant negative on ordered tuples
