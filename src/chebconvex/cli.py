@@ -495,7 +495,8 @@ def main(argv: Optional[Sequence[str]] = None, stream: Optional[TextIO] = None) 
         else:
             stream.write(text)
         return code
-    except ChebConvexError as exc:
+    except (ChebConvexError, OSError, UnicodeError) as exc:
+        # A file that cannot be opened, read as UTF-8 or written is a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,6 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .determinants import (MIN_SEPARATION_FACTOR, PointTuple, check_points,
                            function_row, minor_scan, sign_of)
+from .divdiff import gdd_scan
 from .errors import ChebConvexError, NearSingularError, PreconditionError
 from .interpolation import interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
@@ -238,13 +239,13 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
 
     Knots must be strictly increasing interior points; grid points within
     the knot-exclusion distance are dropped from the scan, and a scan left
-    without an adjacent pair raises. Each value, check and error is that of
-    :func:`gdd` at the sorted points, point by point in grid order; the
-    basis and f are evaluated once at each knot and each scanned point.
-    :func:`minor_scan` runs over the points between two neighbouring knots
-    (a segment) in batches: their sorted tuples share the knots left of x
-    as a prefix, so right of the last knot a determinant costs one pivot
-    step.
+    without an adjacent pair raises. Each point's value, checks and errors
+    are those of :func:`gdd` at the sorted points, from the same
+    :func:`gdd_scan`, point by point in grid order; the basis and f are
+    evaluated once at each knot and each scanned point. The points between
+    two neighbouring knots (a segment) go through it in batches: their
+    sorted tuples share the knots left of x as a prefix, so right of the
+    last knot a determinant costs one pivot step.
     """
     n = system.n
     knots = interior_knots(system, knots)
@@ -275,18 +276,9 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
             except ChebConvexError as exc:
                 failed, cols = exc, cols[:len(fvals)]
             tuples = [(*range(i), j, *range(i, n - 1)) for j in range(n - 1, len(cols))]
-            minors = zip(minor_scan(cols, tuples),
-                         minor_scan([c[:n - 1] for c in cols], (t[:n - 1] for t in tuples)),
-                         minor_scan([c[:n - 1] + (v,) for c, v in zip(cols, fvals)], tuples))
-            for x, (den, trunc, (num, _)) in zip(batch, minors):
-                pts = knots.points[:i] + (x,) + knots.points[i:]
-                if sign_of(*den) == "0":
-                    raise NearSingularError(
-                        f"full-system collocation determinant degenerated at {pts}")
-                if sign_of(*trunc) == "0":
-                    raise NearSingularError("truncated-system collocation determinant "
-                                            f"degenerated at {pts[:n - 1]}")
-                scan.append((x, num / den[0]))
+            values = gdd_scan(knots.points + tuple(batch), cols, fvals, tuples,
+                              [t[:n - 1] for t in tuples])
+            scan.extend((x, value) for x, (value, _) in zip(batch, values))
             if failed is not None:
                 raise failed
     violations = []

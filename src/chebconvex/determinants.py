@@ -23,6 +23,9 @@ walk their tuples in sorted (trie) order and report what a scan in
 sampler order would. Row max-norms are folded with C-level ``max`` over
 absolute-value vectors computed once per scan; ``max`` keeps the first of
 equal items, so ties and NaNs fold as in :func:`det_and_scale`'s row scan.
+Callers pass basis columns, one per point, to :func:`minor_scan` as they
+are, :func:`v_det` and :func:`d_det` as one tuple. The minimum point
+separation of :func:`check_points` is fixed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import ne
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (ArgumentError, DegenerateInputError, DomainError,
                      NearSingularError, SourceEvalError)
@@ -42,7 +45,7 @@ EPS = sys.float_info.epsilon
 #: Multiplier on eps * scale used by every determinant zero test.
 TAU_FACTOR = 64.0 * EPS
 
-#: Default minimum point separation, as a fraction of the interval span.
+#: Minimum point separation, as a fraction of the interval span.
 MIN_SEPARATION_FACTOR = 1e-9
 
 
@@ -256,35 +259,22 @@ def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
     return x, sv
 
 
-def check_points(system: ChebyshevSystem, pts: PointsLike, expected: int,
-                 min_separation: Optional[float] = None) -> PointTuple:
-    """Validate a point tuple against a system: size, containment, separation."""
+def check_points(system: ChebyshevSystem, pts: PointsLike, expected: int) -> PointTuple:
+    """Validate a point tuple against a system: size, containment, and the
+    minimum separation ``MIN_SEPARATION_FACTOR`` times the span."""
     pts = PointTuple.of(pts)
     if len(pts) != expected:
         raise ArgumentError(f"expected {expected} points, got {len(pts)}")
     for x in pts:
         if not system.interval.contains(x):
             raise DomainError(f"point {x!r} outside {system.interval.describe()}")
-    if min_separation is None:
-        min_separation = MIN_SEPARATION_FACTOR * system.interval.tolerance_span
-    if min_separation > 0.0:
-        ordered = sorted(pts.points)
-        gap = min(b - a for a, b in zip(ordered, ordered[1:])) if len(pts) > 1 else math.inf
-        if gap < min_separation:
-            raise DegenerateInputError(
-                f"points closer than the minimum separation {min_separation:.3e}")
+    min_separation = MIN_SEPARATION_FACTOR * system.interval.tolerance_span
+    ordered = sorted(pts.points)
+    gap = min(b - a for a, b in zip(ordered, ordered[1:])) if len(pts) > 1 else math.inf
+    if gap < min_separation:
+        raise DegenerateInputError(
+            f"points closer than the minimum separation {min_separation:.3e}")
     return pts
-
-
-def basis_minor(cols: Sequence[Sequence[float]], t: Sequence[int], k: int,
-                fvals: Optional[Sequence[float]] = None) -> list[list[float]]:
-    """Collocation rows of the first ``k`` basis functions at the columns
-    ``t`` of precomputed basis values (``cols[j]`` holds every basis value
-    at point j), with the row of ``fvals`` at ``t`` appended when given."""
-    rows = [[cols[j][i] for j in t] for i in range(k)]
-    if fvals is not None:
-        rows.append([fvals[j] for j in t])
-    return rows
 
 
 def function_row(f, pts: Sequence[float]) -> list[float]:
@@ -296,20 +286,17 @@ def function_row(f, pts: Sequence[float]) -> list[float]:
         raise SourceEvalError(f"target function failed at one of {tuple(pts)}") from exc
 
 
-def v_det(system: ChebyshevSystem, pts: PointsLike,
-          min_separation: Optional[float] = None) -> SignedValue:
+def v_det(system: ChebyshevSystem, pts: PointsLike) -> SignedValue:
     """Collocation determinant of ``system`` at ``pts`` (one point per column)."""
-    pts = check_points(system, pts, system.n, min_separation)
+    pts = check_points(system, pts, system.n)
     cols = [system.evaluate_basis(x) for x in pts]
-    rows = basis_minor(cols, range(len(pts)), system.n)
-    return classify_value(*det_and_scale(rows))
+    return classify_value(*next(minor_scan(cols, [tuple(range(len(cols)))])))
 
 
-def d_det(system: ChebyshevSystem, pts: PointsLike, f,
-          min_separation: Optional[float] = None) -> SignedValue:
+def d_det(system: ChebyshevSystem, pts: PointsLike, f) -> SignedValue:
     """Bordered determinant: collocation rows of ``system`` plus the row of
     ``f`` values, at ``system.n + 1`` points."""
-    pts = check_points(system, pts, system.n + 1, min_separation)
+    pts = check_points(system, pts, system.n + 1)
     cols = [system.evaluate_basis(x) for x in pts]
-    rows = basis_minor(cols, range(len(pts)), system.n, function_row(f, pts))
-    return classify_value(*det_and_scale(rows))
+    cols = [c + (v,) for c, v in zip(cols, function_row(f, pts))]
+    return classify_value(*next(minor_scan(cols, [tuple(range(len(cols)))])))

@@ -7,6 +7,9 @@ For the monomial system it reduces to the classical recurrence, and it is
 symmetric under any permutation of the points: numerator and denominator
 pick up the same column inversions.
 
+Every generalized divided difference comes from :func:`gdd_scan`: that
+of :func:`gdd`, of theorem 2's scan and of the support limit.
+
 Two divided differences of windows sharing n-1 points are linked by a
 one-step update identity; :func:`recurrence_identity_residual` measures
 how well the ratio satisfies it.
@@ -15,11 +18,11 @@ how well the ratio satisfies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import Iterator, Optional, Sequence
 
-from .determinants import (PointsLike, PointTuple, basis_minor, check_points,
-                           classify_value, d_det, det_and_scale, function_row,
-                           v_det)
+from .determinants import (PointsLike, PointTuple, check_points, d_det,
+                           function_row, minor_scan, sign_of, v_det)
 from .errors import ArgumentError, NearSingularError
 from .systems import ChebyshevSystem
 
@@ -58,41 +61,48 @@ def classical_dd(pts: PointsLike, f) -> float:
     return table[0]
 
 
-def gdd(system: ChebyshevSystem, pts: PointsLike, f,
-        min_separation: Optional[float] = None) -> DividedDifference:
-    """Generalized divided difference of ``f`` at ``system.n`` points.
+def conditioning(det: float, scale: float) -> float:
+    """|V_n| / scale of a collocation determinant, 1 at a zero scale."""
+    return abs(det) / scale if scale > 0.0 else 1.0
 
-    Both the full collocation determinant and the one of the truncated
-    (n-1)-system at the n-1 smallest points must clear their zero
-    tolerances; the error message names the determinant that degenerated.
-    All three determinants are minors of one evaluation of the basis.
-    """
-    pts = check_points(system, pts, system.n, min_separation)
-    cols = [system.evaluate_basis(x) for x in pts]
-    fvals = function_row(f, pts)
-    n = system.n
-    every = range(n)
-    denom = classify_value(*det_and_scale(basis_minor(cols, every, n)))
-    if denom.sign == "0":
-        raise NearSingularError(
-            f"full-system collocation determinant degenerated at {pts.points}")
-    if n >= 2:
-        head = sorted(every, key=pts.points.__getitem__)[: n - 1]
-        trunc = classify_value(*det_and_scale(basis_minor(cols, head, n - 1)))
-        if trunc.sign == "0":
+
+def gdd_scan(points: Sequence[float], cols: Sequence[tuple[float, ...]],
+             fvals: Sequence[float], tuples: Sequence[Sequence[int]],
+             heads: Sequence[Sequence[int]]) -> Iterator[tuple[float, tuple[float, float]]]:
+    """``(value, (det, scale))`` of the divided difference, and of its full
+    collocation determinant, at each index tuple into the basis columns
+    ``cols`` and f values ``fvals`` at ``points``, lazily. The determinant
+    and the truncated one at the tuple's head (its n-1 smallest points)
+    must clear their zero tests; the error names the one that degenerated.
+    Its three minors run through :func:`minor_scan`."""
+    n = len(cols[0])
+    dens = minor_scan(cols, tuples)
+    # An order-1 system has the empty truncation, whose determinant is 1.
+    truncs = minor_scan([c[:n - 1] for c in cols], heads) if n > 1 else repeat((1.0, 1.0))
+    nums = minor_scan([c[:n - 1] + (v,) for c, v in zip(cols, fvals)], tuples)
+    for t, head, den, trunc, (num, _) in zip(tuples, heads, dens, truncs, nums):
+        if sign_of(*den) == "0":
+            raise NearSingularError("full-system collocation determinant "
+                                    f"degenerated at {tuple(points[j] for j in t)}")
+        if sign_of(*trunc) == "0":
             raise NearSingularError("truncated-system collocation determinant "
-                                    f"degenerated at {tuple(pts[j] for j in head)}")
-    num, _ = det_and_scale(basis_minor(cols, every, n - 1, fvals))
-    return DividedDifference(
-        value=num / denom.value,
-        points=pts,
-        system=system,
-        conditioning=abs(denom.value) / denom.scale if denom.scale > 0.0 else 1.0,
-    )
+                                    f"degenerated at {tuple(points[j] for j in head)}")
+        yield num / den[0], den
 
 
-def recurrence_identity_residual(system: ChebyshevSystem, pts: PointsLike, f,
-                                 min_separation: Optional[float] = None) -> float:
+def gdd(system: ChebyshevSystem, pts: PointsLike, f) -> DividedDifference:
+    """Generalized divided difference of ``f`` at ``system.n`` points: one
+    tuple through :func:`gdd_scan`, over one evaluation of the basis."""
+    pts = check_points(system, pts, system.n)
+    n = system.n
+    cols = [system.evaluate_basis(x) for x in pts]
+    head = tuple(sorted(range(n), key=pts.points.__getitem__)[:n - 1])
+    value, den = next(gdd_scan(pts.points, cols, function_row(f, pts),
+                               [tuple(range(n))], [head]))
+    return DividedDifference(value, pts, system, conditioning(*den))
+
+
+def recurrence_identity_residual(system: ChebyshevSystem, pts: PointsLike, f) -> float:
     """Relative residual of the window-update identity at n+1 distinct points.
 
     Left side: difference of the divided differences of the two length-n
@@ -103,14 +113,14 @@ def recurrence_identity_residual(system: ChebyshevSystem, pts: PointsLike, f,
     n = system.n
     if n < 2:
         raise ArgumentError("the update identity needs a system of order >= 2")
-    pts = check_points(system, pts, n + 1, min_separation)
-    hi = gdd(system, pts.points[1:], f, min_separation).value
-    lo = gdd(system, pts.points[:n], f, min_separation).value
+    pts = check_points(system, pts, n + 1)
+    hi = gdd(system, pts.points[1:], f).value
+    lo = gdd(system, pts.points[:n], f).value
     lhs = hi - lo
-    bordered = d_det(system, pts, f, min_separation)
-    mid = v_det(system.truncate(n - 1), pts.points[1:n], min_separation)
-    v_hi = v_det(system, pts.points[1:], min_separation)
-    v_lo = v_det(system, pts.points[:n], min_separation)
+    bordered = d_det(system, pts, f)
+    mid = v_det(system.truncate(n - 1), pts.points[1:n])
+    v_hi = v_det(system, pts.points[1:])
+    v_lo = v_det(system, pts.points[:n])
     if mid.sign == "0":
         raise NearSingularError("shared-point determinant degenerated in the identity")
     rhs = bordered.value * mid.value / (v_hi.value * v_lo.value)

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_sign, require_positive,
                         sign_walk)
-from .determinants import MIN_SEPARATION_FACTOR, PointTuple
-from .divdiff import gdd
+from .determinants import MIN_SEPARATION_FACTOR, PointTuple, function_row
+from .divdiff import conditioning, gdd_scan
 from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
 from .interpolation import OmegaCombination, constrained_interpolate
 from .systems import ChebyshevSystem, check_grid_size, validate_grid
@@ -77,20 +77,22 @@ class SupportResult:
 
 
 def estimate_cn(system: ChebyshevSystem, f, knots,
-                h0: Optional[float] = None, max_halvings: int = MAX_HALVINGS,
+                h0: Optional[float] = None,
                 atol: float = DEFAULT_ATOL,
                 rtol: float = DEFAULT_RTOL) -> LimitDiagnostics:
     """Estimate the right-hand limit of the divided-difference map at the
     last knot by geometric halving.
 
-    Evaluates the divided difference at (knots, last knot + h) for
-    h = h0 / 2^k and stops once consecutive values agree within
-    ``atol + rtol * |value|``. The h trace is kept for auditability;
-    ``monotone_ok`` records whether the values were nonincreasing as h
-    shrank (expected for a convex target), with slack widened by the
-    conditioning of each evaluation so that cancellation noise near tiny h
-    does not read as a violation.
+    Sends (knots, last knot + h) through :func:`gdd_scan`, the basis at
+    the knots evaluated once, for h = h0 / 2^k, k <= ``MAX_HALVINGS``, with
+    the first point in the interval and no minimum separation, and stops
+    once consecutive values agree within ``atol + rtol * |value|``. The h
+    trace is kept for auditability; ``monotone_ok`` records whether the
+    values were nonincreasing as h shrank (expected for a convex target),
+    with slack widened by the conditioning of each evaluation so that
+    cancellation noise near tiny h does not read as a violation.
     """
+    n = system.n
     knots = interior_knots(system, knots)
     span = system.interval.tolerance_span
     x_last = knots[-1]
@@ -100,38 +102,44 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
     else:
         default_h0 = H0_FACTOR * span
     h0 = default_h0 if h0 is None else float(h0)
-    if h0 <= MIN_SEPARATION_FACTOR * span:
+    first = x_last + h0
+    if h0 <= MIN_SEPARATION_FACTOR * span or first == x_last:
         raise GeometryError(f"h0={h0:.3e} leaves no room above the last knot")
+    if not (math.isfinite(first) and system.interval.contains(first)):
+        raise GeometryError(f"h0={h0:.3e} puts the first point {first!r} "
+                            f"outside {system.interval.describe()}")
     if getattr(f, "is_table", False):
-        spacing = f.max_spacing_within(x_last, x_last + h0)
+        spacing = f.max_spacing_within(x_last, first)
         if spacing > TABLE_SPACING_FACTOR * h0:
             raise ResolutionError(
                 f"table spacing {spacing:.3e} in the limit window exceeds "
                 f"{TABLE_SPACING_FACTOR * h0:.3e}")
 
+    kcols = [system.evaluate_basis(k) for k in knots]
+    every, head = [tuple(range(n))], [tuple(range(n - 1))]
     trace: list[tuple[float, float]] = []
     conditionings: list[float] = []
     estimate = None
-    for k in range(max_halvings + 1):
+    for k in range(MAX_HALVINGS + 1):
         h = h0 * 2.0 ** -k
         x = x_last + h
-        if x == x_last or not system.interval.contains(x):
+        if x == x_last:
             break
-        dd = gdd(system, knots.points + (x,), f, min_separation=0.0)
-        trace.append((h, dd.value))
-        conditionings.append(dd.conditioning)
+        pts = knots.points + (x,)
+        cols = kcols + [system.evaluate_basis(x)]
+        value, den = next(gdd_scan(pts, cols, function_row(f, pts), every, head))
+        trace.append((h, value))
+        conditionings.append(conditioning(*den))
         if len(trace) >= 2:
             prev = trace[-2][1]
-            if abs(dd.value - prev) <= atol + rtol * abs(dd.value):
-                estimate = dd.value
+            if abs(value - prev) <= atol + rtol * abs(value):
+                estimate = value
                 break
     monotone = _nonincreasing(trace, conditionings, atol, rtol)
     if estimate is None:
-        diagnostics = LimitDiagnostics(tuple(trace), False,
-                                       trace[-1][1] if trace else math.nan,
-                                       monotone)
+        diagnostics = LimitDiagnostics(tuple(trace), False, trace[-1][1], monotone)
         raise LimitDivergedError(
-            f"no convergence after {max_halvings} halvings from h0={h0:.3e}",
+            f"no convergence after {len(trace) - 1} halvings from h0={h0:.3e}",
             diagnostics)
     return LimitDiagnostics(tuple(trace), True, estimate, monotone)
 

@@ -118,7 +118,6 @@ CONSTANT = "const"
 NEGMONOMIAL = "negmonomial"
 
 _KINDS = (MONOMIAL, EXPONENTIAL, COSINE, SINE, CONSTANT, NEGMONOMIAL)
-_PARAMETRIC = (MONOMIAL, EXPONENTIAL, CONSTANT, NEGMONOMIAL)
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,8 @@ def check_grid_size(grid: Sequence[float], minimum: int) -> None:
 
 
 def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
-                     budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
-                     windows_only: bool = False) -> SystemClassification:
+                     budget: int = DEFAULT_BUDGET,
+                     seed: int = DEFAULT_SEED) -> SystemClassification:
     """Classify a system as positive / negative / non-chebyshev by sampling.
 
     Evaluates the collocation determinant over ordered n-tuples drawn from
@@ -255,21 +254,18 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     where neighbours share elimination prefixes, and skips the tuples past
     the lowest failing position found so far: a failure past the windows
     may cost more determinants than its position.
-
-    ``windows_only=True`` restricts the scan to contiguous windows; this is
-    the cheap necessary check used as an opportunistic precondition by the
-    convexity certifiers.
     """
     grid = validate_grid(system, grid, system.n)
     return classify_columns(grid, [system.evaluate_basis(x) for x in grid],
-                            system.n, budget, seed, windows_only)
+                            system.n, budget, seed)
 
 
 def classify_columns(grid: Sequence[float], cols: Sequence[Sequence[float]],
                      k: int, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
                      windows_only: bool = False) -> SystemClassification:
     """:func:`classify_on_grid` of the first ``k`` basis functions over a
-    validated grid, from the basis columns ``cols`` at its points."""
+    validated grid, from the basis columns ``cols`` at its points;
+    ``windows_only`` scans the contiguous windows only (the prechecks)."""
     from .determinants import minor_scan, sign_of
 
     cols = [c[:k] for c in cols]  # a tuple's full slice is the tuple itself

@@ -32,6 +32,16 @@ def det_bruteforce(rows):
     return total
 
 
+def minor_rows(cols, t, k, fvals=None):
+    """Rows of the first ``k`` basis values at the columns ``t`` of ``cols``
+    (``cols[j]`` holds every basis value at point j), plus the row of
+    ``fvals`` at ``t`` when given: the matrix form of a scanned minor."""
+    rows = [[cols[j][i] for j in t] for i in range(k)]
+    if fvals is not None:
+        rows.append([fvals[j] for j in t])
+    return rows
+
+
 def draw_separated(rng: random.Random, n: int, lo=-1.0, hi=1.0, sep=0.05):
     """Sorted n points in [lo, hi] with pairwise separation >= sep."""
     while True:

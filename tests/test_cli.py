@@ -240,6 +240,42 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestFileErrors:
+    """A file that cannot be opened, decoded or written exits 1 with an
+    ``error:`` line and no report."""
+
+    def assert_file_error(self, capsys, *args):
+        code, out = run_cli(*args)
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.fixture
+    def latin1(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("# d\xe9j\xe0 vu\n0 0\n1 1\n".encode("latin-1"))
+        return str(path)
+
+    def test_missing_table_file(self, capsys, tmp_path):
+        self.assert_file_error(capsys, "dd", "--system", "poly:2", "--points", "0,1",
+                               "--f", f"table:{tmp_path / 'missing.txt'}")
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        self.assert_file_error(capsys, "dd", "--system", "poly:2", "--points", "0,1",
+                               "--f", "monomial:2", "--out", str(tmp_path / "no" / "out"))
+
+    def test_non_utf8_table_file(self, capsys, latin1):
+        self.assert_file_error(capsys, "dd", "--system", "poly:2", "--points", "0,1",
+                               "--f", f"table:{latin1}")
+
+    def test_non_utf8_system_file(self, capsys, latin1):
+        self.assert_file_error(capsys, "dd", "--system", latin1, "--points", "0,1",
+                               "--f", "monomial:2")
+
+    def test_non_utf8_grid_file(self, capsys, latin1):
+        self.assert_file_error(capsys, "classify", "--system", "poly:2", "--grid", latin1)
+
+
 class TestDeterminism:
     CASES = [
         ("reproduce-paper-example",),

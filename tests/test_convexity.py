@@ -13,11 +13,11 @@ from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource, I
                         parse_system, polynomial_system, scan_theorem2,
                         verify_definition)
 from chebconvex.convexity import THEOREM2_BATCH
-from chebconvex.determinants import basis_minor, det_and_scale
+from chebconvex.determinants import det_and_scale
 from chebconvex.sampling import ordered_index_tuples
 
 from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, draw_separated,
-                      grid_on)
+                      grid_on, minor_rows)
 
 
 class TestTheoremA:
@@ -82,7 +82,7 @@ class TestTheoremA:
             tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
             best = violated = None
             for t in tuples:
-                value, scale = det_and_scale(basis_minor(cols, t, n, fvals))
+                value, scale = det_and_scale(minor_rows(cols, t, n, fvals))
                 key = (value, t)
                 if best is None or key < best:
                     best = key

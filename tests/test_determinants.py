@@ -11,13 +11,13 @@ from chebconvex import (ArgumentError, DegenerateInputError, DomainError,
                         ExpressionSource, Interval, PointTuple, SourceEvalError,
                         d_det, negated_polynomial_system, polynomial_system,
                         v_det)
-from chebconvex.determinants import (basis_minor, det_and_scale, minor_scan,
-                                     sign_of, solve_with_det)
+from chebconvex.determinants import (det_and_scale, minor_scan, sign_of,
+                                     solve_with_det)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
 
 from conftest import (F_CUBE, F_SQUARE, det_bruteforce, draw_separated,
-                      separated_points_strategy)
+                      minor_rows, separated_points_strategy)
 
 
 class TestPointTuple:
@@ -161,7 +161,7 @@ class TestMinorScan:
         got = list(minor_scan(vecs, tuples))
         assert len(got) == len(tuples)
         for t, pair in zip(tuples, got):
-            rows = basis_minor(vecs, t, k)
+            rows = minor_rows(vecs, t, k)
             assert repr(pair) == repr(det_and_scale(rows))
             assert repr(pair) == repr(eliminate_oracle([list(r) for r in rows], k, k))
 
@@ -170,7 +170,7 @@ class TestMinorScan:
         tuples = list(itertools.combinations(range(6), 4))
         tuples = tuples + tuples[::-1] + [tuples[3]] * 3
         for t, pair in zip(tuples, minor_scan(vecs, tuples)):
-            rows = basis_minor(vecs, t, 4)
+            rows = minor_rows(vecs, t, 4)
             assert repr(pair) == repr(eliminate_oracle([list(r) for r in rows], 4, 4))
 
     def test_exact_zero_pivot_keeps_the_scale(self):

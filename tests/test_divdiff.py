@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chebconvex import (ArgumentError, CallableSource, ExpressionSource,
                         Interval, NearSingularError, classical_dd,
                         exponential_system, gdd, polynomial_system,
-                        recurrence_identity_residual)
+                        recurrence_identity_residual, v_det)
 
 from conftest import (F_CUBE, F_EXP, F_SQUARE, FIXTURE_FUNCTIONS, draw_separated,
                       exp_rates, relgap, separated_points_strategy)
@@ -95,6 +95,9 @@ class TestGdd:
         assert not healthy.ill_conditioned
         tight = gdd(system, (0.0, 1.0, 1.0 + 2e-9), F_CUBE)
         assert tight.ill_conditioned
+        for pts in ((0.0, 1.0, 2.0), (2.0, -0.5, 1.0)):
+            v = v_det(system, pts)
+            assert gdd(system, pts, F_CUBE).conditioning == abs(v.value) / v.scale
 
     def test_near_singular_names_the_determinant(self):
         # (1, x^2) is singular at symmetric points: both columns match.
@@ -109,6 +112,9 @@ class TestGdd:
                                   BasisFunction("monomial", 0)))
         with pytest.raises(NearSingularError, match="truncated-system"):
             gdd(system, (0.0, 1.0), F_CUBE)
+        # Unsorted points: the truncation is checked at the smallest point.
+        with pytest.raises(NearSingularError, match=r"truncated-system .* at \(0\.0,\)"):
+            gdd(system, (1.0, 0.0), F_CUBE)
 
     def test_wrong_arity(self):
         with pytest.raises(ArgumentError):

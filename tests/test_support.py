@@ -8,7 +8,8 @@ from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource,
                         OmegaCombination, PreconditionError, ResolutionError,
                         TableSource, build_support, certify_theorem_a,
                         classical_dd, constrained_interpolate, estimate_cn,
-                        polynomial_system, verify_sign_pattern)
+                        exponential_system, polynomial_system,
+                        verify_sign_pattern)
 
 from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, assert_halving,
                       grid_on)
@@ -60,6 +61,36 @@ class TestEstimateCn:
         system = polynomial_system(3, Interval(0.0, 2.0))
         with pytest.raises(PreconditionError):
             estimate_cn(system, F_CUBE, (0.0, 1.0))
+
+    def test_h0_past_the_interval_rejected_before_any_evaluation(self, basis_calls):
+        calls = []
+        f = CallableSource(lambda x: calls.append(x) or x ** 3, "cube")
+        with pytest.raises(GeometryError, match="outside"):
+            estimate_cn(cube_system(), f, (0.0, 1.0), h0=5.0)
+        with pytest.raises(GeometryError, match="outside"):
+            estimate_cn(polynomial_system(2), f, (0.0,), h0=math.inf)
+        # 1e8 + 2e-9 rounds to 1e8: the first point would be the knot itself.
+        with pytest.raises(GeometryError, match="no room"):
+            estimate_cn(polynomial_system(2), f, (1e8,), h0=2e-9)
+        assert not calls and not basis_calls
+
+    def test_basis_evaluated_once_per_knot_and_halving_point(self, basis_calls):
+        limit = estimate_cn(cube_system(), F_CUBE, (0.0, 1.0))
+        points = [1.0 + h for h, _ in limit.h_sequence]
+        assert len(points) > 2
+        assert basis_calls == Counter([0.0, 1.0] + points)
+
+    def test_early_stop_states_the_halvings_made(self):
+        # 4096 + h rounds to the knot once h reaches 2^-41, half its ulp, so
+        # the halving stops unconverged after 30 of its 40 halvings.
+        a = 4096.0
+        system = exponential_system((0.0, 0.1))
+        wiggle = CallableSource(
+            lambda x: math.exp(0.1 * a) * (x - a) * math.sin(1.0 / (x - a)) if x != a
+            else 0.0, "wiggle")
+        with pytest.raises(LimitDivergedError, match="after 30 halvings") as info:
+            estimate_cn(system, wiggle, (a,), h0=2.0 ** -10)
+        assert len(info.value.diagnostics.h_sequence) == 31
 
     def test_oscillatory_target_diverges_with_trace(self):
         wild = CallableSource(

@@ -10,10 +10,11 @@ from chebconvex import (ArgumentError, BasisFunction, DomainError,
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
                         polynomial_system, uniform_grid)
-from chebconvex.determinants import basis_minor, det_and_scale, sign_of
+from chebconvex.determinants import det_and_scale, sign_of
 from chebconvex.sampling import ordered_index_tuples
+from chebconvex.systems import classify_columns
 
-from conftest import grid_on
+from conftest import grid_on, minor_rows
 
 
 class TestInterval:
@@ -194,7 +195,8 @@ class TestClassify:
     def test_windows_only_scan(self):
         system = polynomial_system(3)
         grid = grid_on(-1, 1, 25)
-        result = classify_on_grid(system, grid, windows_only=True)
+        cols = [system.evaluate_basis(x) for x in grid]
+        result = classify_columns(grid, cols, system.n, windows_only=True)
         assert result.verdict == "positive"
         assert result.tuples_checked == 25 - 3 + 1
 
@@ -207,7 +209,7 @@ class TestClassify:
             tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed)
             first = None
             for checked, t in enumerate(tuples, 1):
-                sign = sign_of(*det_and_scale(basis_minor(cols, t, system.n)))
+                sign = sign_of(*det_and_scale(minor_rows(cols, t, system.n)))
                 if sign == "0" or (first is not None and sign != first):
                     return "non-chebyshev", tuple(grid[j] for j in t), checked
                 first = sign
