@@ -30,7 +30,7 @@ from .convexity import (CERTIFIED, DEFAULT_ATOL, DEFAULT_RTOL,
 from .divdiff import DividedDifference, classical_dd, gdd
 from .errors import ArgumentError, ChebConvexError
 from .functions import (ExpressionSource, FunctionSource, load_table,
-                        parse_function)
+                        open_text, parse_function)
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED
 from .support import SupportResult, build_support
 from .systems import (ChebyshevSystem, Interval, SystemClassification,
@@ -222,14 +222,14 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
 def _resolve_system(config: RunConfig) -> ChebyshevSystem:
     spec = config.system
     if os.path.isfile(spec):
-        with open(spec, "r", encoding="utf-8") as handle:
+        with open_text(spec, "--system") as handle:
             return parse_system(handle.read(), name=os.path.basename(spec))
     return named_system(spec, config.interval)
 
 
 def _resolve_grid(config: RunConfig, system: ChebyshevSystem) -> list[float]:
     if isinstance(config.grid, str):
-        with open(config.grid, "r", encoding="utf-8") as handle:
+        with open_text(config.grid, "--grid") as handle:
             return list(load_table(handle).xs)
     lo, hi, count = config.grid
     return uniform_grid(system.interval, count, lo, hi)

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .determinants import (MIN_SEPARATION_FACTOR, PointTuple, check_points,
-                           function_row, minor_scan, sign_of)
+                           first_failing_window, function_row, minor_scan,
+                           sign_of, window_sweep)
 from .divdiff import gdd_scan
 from .errors import ChebConvexError, NearSingularError, PreconditionError
 from .interpolation import interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
-from .systems import ChebyshevSystem, classify_columns, validate_grid
+from .systems import ChebyshevSystem, validate_grid
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
@@ -81,14 +82,28 @@ class MonotonicityReport:
 
 
 def require_positive(system: ChebyshevSystem, grid: Sequence[float],
-                     cols: Sequence[Sequence[float]], label: str = "system") -> None:
-    """Opportunistic positivity check over contiguous grid windows only, from
-    the basis columns at a validated grid (a truncation reads their head)."""
-    result = classify_columns(grid, cols, system.n, windows_only=True)
-    if result.verdict != "positive":
-        raise PreconditionError(
-            f"{label} {system.describe()} is not positive on the grid: "
-            f"verdict {result.verdict}, witness {result.witness}")
+                     cols: Sequence[Sequence[float]], truncation: bool) -> None:
+    """Opportunistic positivity check over contiguous grid windows only, of
+    the system and, with ``truncation``, of its first n-1 functions, from
+    the basis columns at a validated grid and one :func:`window_sweep`. A
+    failure reports the verdict of a window-only classification and its
+    first failing window; the system's is raised first."""
+    n = system.n
+    checks = {n: ("system", system)}
+    if truncation:
+        checks[n - 1] = ("truncated system", system.truncate(n - 1))
+    failures = {}
+    for k, (dets, scales) in enumerate(window_sweep(cols, n), 1):
+        if k in checks:
+            first, fail = first_failing_window(cols, k, dets, scales)
+            if fail is not None:
+                failures[k] = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
+            elif first != "+":
+                failures[k] = "negative, witness None"
+    for k, (label, checked) in checks.items():
+        if k in failures:
+            raise PreconditionError(f"{label} {checked.describe()} is not positive "
+                                    f"on the grid: verdict {failures[k]}")
 
 
 def knot_exclusion(system: ChebyshevSystem) -> float:
@@ -116,19 +131,20 @@ def pattern_sign(count: int, region: int) -> int:
     return -1 if (count + region) % 2 else 1
 
 
-def sign_walk(f, g, nodes: Sequence[float], grid: Sequence[float],
-              delta: float) -> Iterator[tuple[int, int, float, float]]:
-    """Walk f - g over the grid for an alternating sign-pattern check.
+def sign_walk(f, nodes: Sequence[float], grid: Sequence[float],
+              delta: float) -> Iterator[tuple[int, int, float]]:
+    """Walk f over the grid for an alternating sign-pattern check of f
+    minus a combination that interpolates it at the nodes.
 
-    Yields ``(j, region, f(x), g(x))`` for each grid point x = grid[j]
-    farther than ``delta`` from every node, in grid order; region is the
-    number of nodes left of x. The difference f - g vanishes at the nodes,
-    where its sign is noise. f and g are evaluated once per point.
+    Yields ``(j, region, f(x))`` for each grid point x = grid[j] farther
+    than ``delta`` from every node, in grid order; region is the number of
+    nodes left of x. The difference vanishes at the nodes, where its sign
+    is noise. f is evaluated once per point, the combination by the caller.
     """
     for j, x in enumerate(grid):
         if min(abs(x - k) for k in nodes) <= delta:
             continue
-        yield j, bisect.bisect_left(nodes, x), f(x), g(x)
+        yield j, bisect.bisect_left(nodes, x), f(x)
 
 
 def _certificate(method: str, scored: Iterable[Optional[tuple]],
@@ -181,7 +197,7 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = [system.evaluate_basis(x) for x in grid]
-    require_positive(system, grid, cols)
+    require_positive(system, grid, cols, False)
     fvals = [f(x) for x in grid]
     # The certificate does not depend on the order of the tuples, so they are
     # scanned sorted, where neighbours share their elimination prefixes. The
@@ -206,9 +222,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = [system.evaluate_basis(x) for x in grid]
-    require_positive(system, grid, cols)
-    if n >= 2:
-        require_positive(system.truncate(n - 1), grid, cols, "truncated system")
+    require_positive(system, grid, cols, n >= 2)
     fvals = [f(x) for x in grid]
 
     # Each distinct window is scanned once, in lexicographic order, so that
@@ -305,7 +319,7 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
         raise PreconditionError("nodes must be strictly increasing")
     grid = validate_grid(system, grid, 1)
     omega = interpolate(system, nodes, [f(x) for x in nodes])
-    walk = sign_walk(f, omega, nodes.points, grid, knot_exclusion(system))
-    scored = ((pattern_sign(n, region) * (fx - gx), (j,), atol + rtol * abs(fx))
-              for j, region, fx, gx in walk)
+    walk = sign_walk(f, nodes.points, grid, knot_exclusion(system))
+    scored = ((pattern_sign(n, region) * (fx - omega(grid[j])), (j,),
+               atol + rtol * abs(fx)) for j, region, fx in walk)
     return _certificate("definition", scored, grid, f, atol, rtol, None)

@@ -26,6 +26,47 @@ equal items, so ties and NaNs fold as in :func:`det_and_scale`'s row scan.
 Callers pass basis columns, one per point, to :func:`minor_scan` as they
 are, :func:`v_det` and :func:`d_det` as one tuple. The minimum point
 separation of :func:`check_points` is fixed.
+
+Contiguous windows have a second route, :func:`window_sweep`. Let D(i, k)
+be the determinant of the window of k points ending at point i under the
+first k basis functions. Neville elimination of the matrix whose row i
+holds the basis values at point i subtracts from each row a multiple of
+the row just above it, so its pivot of row i at step s is the ratio
+D(i, s+1) / D(i-1, s) of two contiguous minors (Gasca and Pena, "Total
+positivity and Neville elimination", Linear Algebra Appl. 165, 1992):
+D(i, k) = pivot(i, k-1) * D(i-1, k-1), and one O(m n^2) pass gives the
+windows of every order k <= n. Their scales are folded as in
+:func:`minor_scan`, so they are its scales bit for bit.
+
+The signs come from :func:`sweep_signs`. The sweep decides a window of
+k <= ``SWEEP_MAX_ORDER`` points when every nonzero basis value on the grid
+lies within ``SWEEP_RANGE``, 2^-150 to 2^150 in magnitude; none of its
+pivots is zero; every entry its elimination forms is at most
+``SWEEP_GROWTH`` (G) times that column's max-norm c_j over the window; and
+|D| > ``SWEEP_MARGIN`` * tau, tau = 64 * eps * scale being the zero test.
+Every other window goes to :func:`minor_scan` alone.
+
+The error bound behind the margin, with u = eps / 2. A row update (a row
+minus a multiple of the row above) leaves the determinant unchanged but
+for its rounding error f, so the computed D minus the exact one is the
+sum, over the updates, of the determinant of the partly reduced window
+with the updated row replaced by f, plus the rounding of the pivot
+product, at most (k-1) u |product|. At step s the window is block
+triangular: s finished rows, whose pivots are at most c_0 and then G c_t,
+over a block of k-s rows. The block's rows other than the updated one
+have entries at most G c_j, at step 0 at least one of them at most c_j as
+it came, and |f_j| <= 3u G c_j. Hadamard's inequality on that block, its
+columns divided by c_j, bounds each of the k-1-s terms of step s by
+3u G^(k-1) (k-s)^((k-s)/2) scale.
+Within ``SWEEP_RANGE``, results below the normal range add less than
+2^-400 scale, and nothing that passes the growth test overflows. Summed,
+|D_sweep - D| <= beta_k * eps * scale, where beta_k = G^(k-1) (3 S_k + k - 1) / 2
+and S_k is the sum of (r-1) r^(r/2) over r = 2..k (:func:`_sweep_error`).
+The zero test presumes that the kernel's own error stays below tau. Then
+a window that clears the margin has a kernel determinant that clears the
+zero test with the sweep's sign whenever beta_k * eps <=
+(``SWEEP_MARGIN`` - 2) tau: for k <= 4 (beta_4 = 737 <= 896), not from
+k = 5 (beta_5 = 6848). Windows of more points always fall back.
 """
 
 from __future__ import annotations
@@ -33,8 +74,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from operator import ne
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain, compress, count, islice, repeat
+from operator import gt, le, lt, mul, ne, sub, truediv
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (ArgumentError, DegenerateInputError, DomainError,
                      NearSingularError, SourceEvalError)
@@ -47,6 +89,33 @@ TAU_FACTOR = 64.0 * EPS
 
 #: Minimum point separation, as a fraction of the interval span.
 MIN_SEPARATION_FACTOR = 1e-9
+
+#: A window decided by the Neville sweep must clear the zero test this many
+#: times over; see the module docstring for the bound behind it.
+SWEEP_MARGIN = 16.0
+
+
+#: Entries the sweep forms may grow to this multiple of their column's
+#: max-norm over the window; a window with larger ones falls back.
+SWEEP_GROWTH = 2.0
+
+
+def _sweep_error(k: int) -> float:
+    """beta_k: the sweep's error bound for a window of k points, in units
+    of eps * scale (module docstring)."""
+    terms = sum((r - 1) * r ** (r / 2) for r in range(2, k + 1))
+    return SWEEP_GROWTH ** (k - 1) * (3 * terms + k - 1) / 2
+
+
+#: The sweep decides no window unless every nonzero basis value on the grid
+#: lies within this range of magnitudes (module docstring).
+SWEEP_RANGE = (2.0 ** -150, 2.0 ** 150)
+
+
+#: The most points a window decided by the sweep may have: the largest k
+#: whose error bound fits inside the margin.
+SWEEP_MAX_ORDER = max(k for k in range(1, 10)
+                      if _sweep_error(k) * EPS <= (SWEEP_MARGIN - 2) * TAU_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -203,6 +272,93 @@ def minor_scan(vecs: Sequence[Sequence[float]],
             det = _pivot_step(_column(levels, c, last, j), last, det)[1]
         yield (0.0 if det is None else det,
                math.prod(absvecs[j] if maxes is None else map(max, maxes, absvecs[j])))
+
+
+def window_sweep(cols: Sequence[Sequence[float]],
+                 n: int) -> Iterator[tuple[list, list]]:
+    """For k = 1, ..., n in turn, the ``(dets, scales)`` of the windows of k
+    consecutive columns under their first k entries, by first column: one
+    Neville pass over ``cols``, which hold at least n entries each (see the
+    module docstring). ``dets[i]`` is zero or NaN once a zero pivot touched
+    window i, NaN once an entry beyond ``SWEEP_GROWTH`` times its column's
+    max-norm over the window did, and NaN everywhere when a nonzero entry
+    of ``cols`` lies outside ``SWEEP_RANGE``; each ``scales[i]`` is that of :func:`minor_scan`. The
+    pass works on the transposed matrix (row j: basis function j at every
+    point) and keeps only one step's reduced rows."""
+    base = list(islice(zip(*cols), n))
+    reduced: list = base  # the rows not yet finished, after the steps so far
+    maxes = [[*map(abs, b)] for b in base]  # per row, over each window
+    in_range = (max(chain.from_iterable(maxes), default=0.0) <= SWEEP_RANGE[1]
+                and min(filter(None, chain.from_iterable(maxes)),
+                        default=1.0) >= SWEEP_RANGE[0])
+    dets: Iterable[float] = repeat(1.0 if in_range else math.nan)
+    for k in range(1, n + 1):
+        pivots = reduced[0]
+        dets = [*map(mul, pivots, dets)]
+        scales = maxes[0]
+        for v in maxes[1:k]:
+            scales = [*map(mul, scales, v)]
+        yield dets, scales
+        if k == n:
+            return
+        try:
+            factors = [*map(truediv, pivots[1:], pivots)]
+        except ZeroDivisionError:
+            factors = [a / b if b else math.nan for a, b in zip(pivots[1:], pivots)]
+        for j, c in enumerate(base):  # one row at a time, to keep memory low
+            # max(a, b), which keeps a unless b is larger, as a comprehension
+            maxes[j] = [b if b > a else a
+                        for a, b in zip(maxes[j], map(abs, islice(c, k, None)))]
+        reduced = [[*map(sub, r[1:], map(mul, factors, r))] for r in reduced[1:]]
+
+        def within():
+            return (map(le, map(abs, r), map(SWEEP_GROWTH.__mul__, v))
+                    for r, v in zip(reduced, maxes[k:]))
+
+        if not all(map(all, within())):
+            # A point with an entry past its bound is NaN from here on, and
+            # so is every window that holds it.
+            keep = [*map((math.nan, 1.0).__getitem__, map(all, zip(*within())))]
+            reduced = [[*map(mul, r, keep)] for r in reduced]
+
+
+def sweep_signs(k: int, dets: Sequence[float], scales: Sequence[float]) -> list[str]:
+    """The decision rule (module docstring) for windows of k points, given
+    their :func:`window_sweep` determinants and scales: per window, "+" or
+    "-" where the sweep decides the sign, "" where :func:`minor_scan` must."""
+    if k > SWEEP_MAX_ORDER:
+        return [""] * len(scales)
+    bound = SWEEP_MARGIN * TAU_FACTOR
+    above = map(gt, dets, map(bound.__mul__, scales))
+    below = map(lt, dets, map((-bound).__mul__, scales))
+    return [*map(("", "+", "-").__getitem__, map(sub, above, below))]
+
+
+def first_failing_window(cols: Sequence[Sequence[float]], k: int,
+                         dets: Sequence[float], scales: Sequence[float]
+                         ) -> tuple[Optional[str], Optional[int]]:
+    """The :func:`sign_of` of the first window of k consecutive columns and
+    the index of the first window whose sign vanishes or differs from it
+    (None if none does), given the windows' :func:`window_sweep` levels.
+    The sweep's signs stand where :func:`sweep_signs` gives one; any other
+    window that the search reaches goes to :func:`minor_scan` alone."""
+    swept = sweep_signs(k, dets, scales)
+
+    def sign(i: int) -> str:
+        window = [c[:k] for c in cols[i:i + k]]
+        return swept[i] or sign_of(*next(minor_scan(window, [tuple(range(k))])))
+
+    if not swept:
+        return None, None
+    first, i = sign(0), 0
+    if first == "0":
+        return first, 0
+    while True:
+        # the next window whose sweep sign is not the first window's
+        i = next(compress(count(i + 1), map(ne, islice(swept, i + 1, None),
+                                            repeat(first))), None)
+        if i is None or sign(i) != first:
+            return first, i
 
 
 def _square_scale(rows: Sequence[Sequence[float]]) -> float:

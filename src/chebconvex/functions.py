@@ -10,8 +10,9 @@ convexity.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .errors import (ArgumentError, DomainError, ResolutionError,
                      SourceEvalError, TableFormatError)
@@ -225,6 +226,18 @@ def load_table(source: Union[str, Iterable[str]], interpolation: str = "none",
                        interpolation, domain)
 
 
+@contextlib.contextmanager
+def open_text(path: str, flag: str) -> Iterator[TextIO]:
+    """``path`` open for reading as UTF-8 text. Text that is not UTF-8
+    raises :class:`ArgumentError` naming ``flag``, the command-line flag
+    that gave the file, and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{flag} {path}: not UTF-8 text ({exc})") from None
+
+
 def parse_function(spec: str, domain: Optional[Interval] = None) -> FunctionSource:
     """Resolve a CLI-style function spec.
 
@@ -238,7 +251,7 @@ def parse_function(spec: str, domain: Optional[Interval] = None) -> FunctionSour
         if not path:
             raise ArgumentError("table spec needs a file path")
         mode = mode or "none"
-        with open(path, "r", encoding="utf-8") as handle:
+        with open_text(path, "--f") as handle:
             return load_table(handle, interpolation=mode, domain=domain)
     if head in ("cos", "sin"):
         if arg:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .determinants import (PointsLike, PointTuple, check_points, d_det,
@@ -35,8 +36,11 @@ class OmegaCombination:
             raise ArgumentError("coefficient count must match the system order")
 
     def __call__(self, x: float) -> float:
-        return math.fsum(c * func(x)
-                         for c, func in zip(self.coefficients, self.system.basis))
+        return self.at_column([func(x) for func in self.system.basis])
+
+    def at_column(self, col: Sequence[float]) -> float:
+        """The combination at a point, from the basis values ``col`` there."""
+        return math.fsum(map(mul, self.coefficients, col))
 
     def describe(self) -> str:
         terms = [f"{c:g}*{func.describe()}"

@@ -83,8 +83,8 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
     """Estimate the right-hand limit of the divided-difference map at the
     last knot by geometric halving.
 
-    Sends (knots, last knot + h) through :func:`gdd_scan`, the basis at
-    the knots evaluated once, for h = h0 / 2^k, k <= ``MAX_HALVINGS``, with
+    Sends (knots, last knot + h) through :func:`gdd_scan`, the basis and f
+    at the knots evaluated once, for h = h0 / 2^k, k <= ``MAX_HALVINGS``, with
     the first point in the interval and no minimum separation, and stops
     once consecutive values agree within ``atol + rtol * |value|``. The h
     trace is kept for auditability; ``monotone_ok`` records whether the
@@ -116,6 +116,7 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
                 f"{TABLE_SPACING_FACTOR * h0:.3e}")
 
     kcols = [system.evaluate_basis(k) for k in knots]
+    kvals = function_row(f, knots)
     every, head = [tuple(range(n))], [tuple(range(n - 1))]
     trace: list[tuple[float, float]] = []
     conditionings: list[float] = []
@@ -127,7 +128,8 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
             break
         pts = knots.points + (x,)
         cols = kcols + [system.evaluate_basis(x)]
-        value, den = next(gdd_scan(pts, cols, function_row(f, pts), every, head))
+        fvals = kvals + function_row(f, (x,))
+        value, den = next(gdd_scan(pts, cols, fvals, every, head))
         trace.append((h, value))
         conditionings.append(conditioning(*den))
         if len(trace) >= 2:
@@ -158,11 +160,12 @@ def _nonincreasing(trace: Sequence[tuple[float, float]],
 
 
 def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
-                        knots, grid: Sequence[float],
+                        knots, grid: Sequence[float], cols: Sequence[Sequence[float]],
                         atol: float = DEFAULT_ATOL,
                         rtol: float = DEFAULT_RTOL) -> SignPatternReport:
     """Check the alternating sign pattern of f - omega across the knot-induced
-    subintervals.
+    subintervals; omega is combined from ``cols``, the basis columns at the
+    grid points.
 
     Segment k of n carries the requirement sign (-1)^(n-k+1) for k < n and
     +1 for the last (rightmost) segment; for n = 2 that means f - omega >= 0
@@ -178,8 +181,8 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     # counted twice: regions 0..n-2, then region n beyond the last knot.
     nodes = knots.points + knots.points[-1:]
     per_segment: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
-    for j, region, fx, ox in sign_walk(f, omega, nodes, grid, knot_exclusion(system)):
-        per_segment[min(region, n - 1)].append((grid[j], fx, ox))
+    for j, region, fx in sign_walk(f, nodes, grid, knot_exclusion(system)):
+        per_segment[min(region, n - 1)].append((grid[j], fx, omega.at_column(cols[j])))
     segments = []
     for seg, points in enumerate(per_segment):
         required = pattern_sign(n, seg if seg < n - 1 else n)
@@ -213,10 +216,9 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     grid = validate_grid(system, grid, 2)
     check_grid_size(grid, n)
     cols = [system.evaluate_basis(x) for x in grid]
-    require_positive(system, grid, cols)
-    require_positive(system.truncate(n - 1), grid, cols, "truncated system")
+    require_positive(system, grid, cols, True)
     limit = estimate_cn(system, f, knots, atol=atol, rtol=rtol)
     omega = constrained_interpolate(system, knots, f, limit.estimate)
-    pattern = verify_sign_pattern(system, f, omega, knots, grid,
+    pattern = verify_sign_pattern(system, f, omega, knots, grid, cols,
                                   atol=atol, rtol=rtol)
     return SupportResult(knots, omega, limit, pattern)

@@ -255,26 +255,15 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     the lowest failing position found so far: a failure past the windows
     may cost more determinants than its position.
     """
-    grid = validate_grid(system, grid, system.n)
-    return classify_columns(grid, [system.evaluate_basis(x) for x in grid],
-                            system.n, budget, seed)
-
-
-def classify_columns(grid: Sequence[float], cols: Sequence[Sequence[float]],
-                     k: int, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
-                     windows_only: bool = False) -> SystemClassification:
-    """:func:`classify_on_grid` of the first ``k`` basis functions over a
-    validated grid, from the basis columns ``cols`` at its points;
-    ``windows_only`` scans the contiguous windows only (the prechecks)."""
     from .determinants import minor_scan, sign_of
 
-    cols = [c[:k] for c in cols]  # a tuple's full slice is the tuple itself
-    tuples = ordered_index_tuples(len(grid), k, budget=budget, seed=seed,
-                                  windows_only=windows_only)
-    # An exhaustive or window list is already sorted: all of it is the head.
+    grid = validate_grid(system, grid, system.n)
+    cols = [system.evaluate_basis(x) for x in grid]
+    tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed)
+    # An exhaustive list is already sorted: all of it is the head.
     head = len(tuples)
-    if head < math.comb(len(grid), k):
-        head = len(grid) - k + 1
+    if head < math.comb(len(grid), system.n):
+        head = len(grid) - system.n + 1
     fail = len(tuples)
 
     def positions():  # drawn one at a time, so the filter sees the latest fail

@@ -244,11 +244,11 @@ class TestFileErrors:
     """A file that cannot be opened, decoded or written exits 1 with an
     ``error:`` line and no report."""
 
-    def assert_file_error(self, capsys, *args):
+    def assert_file_error(self, capsys, *args, start="error: "):
         code, out = run_cli(*args)
         assert code == 1
         assert out == ""
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(start)
 
     @pytest.fixture
     def latin1(self, tmp_path):
@@ -266,14 +266,17 @@ class TestFileErrors:
 
     def test_non_utf8_table_file(self, capsys, latin1):
         self.assert_file_error(capsys, "dd", "--system", "poly:2", "--points", "0,1",
-                               "--f", f"table:{latin1}")
+                               "--f", f"table:{latin1}:linear",
+                               start=f"error: --f {latin1}: not UTF-8 text ('utf-8' codec ")
 
     def test_non_utf8_system_file(self, capsys, latin1):
         self.assert_file_error(capsys, "dd", "--system", latin1, "--points", "0,1",
-                               "--f", "monomial:2")
+                               "--f", "monomial:2",
+                               start=f"error: --system {latin1}: not UTF-8 text ('utf-8' codec ")
 
     def test_non_utf8_grid_file(self, capsys, latin1):
-        self.assert_file_error(capsys, "classify", "--system", "poly:2", "--grid", latin1)
+        self.assert_file_error(capsys, "classify", "--system", "poly:2", "--grid", latin1,
+                               start=f"error: --grid {latin1}: not UTF-8 text ('utf-8' codec ")
 
 
 class TestDeterminism:

@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
-from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource, Interval, NearSingularError,
-                        PreconditionError, SourceEvalError, TableSource,
-                        certify_corollary1, certify_theorem_a,
+from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
+                        ChebyshevSystem, ExpressionSource, Interval,
+                        NearSingularError, PreconditionError, SourceEvalError,
+                        TableSource, build_support, certify_corollary1,
+                        certify_theorem_a,
                         cosine_sine_system, d_det, exponential_system, gdd,
                         negated_polynomial_system, parse_function,
                         parse_system, polynomial_system, scan_theorem2,
@@ -347,3 +349,61 @@ class TestCrossMethod:
             a = certify_theorem_a(system, f, grid)
             b = certify_corollary1(system, f, grid)
             assert a.verdict == b.verdict
+
+
+class TestPositivityPrechecks:
+    """The window prechecks' verdict, witness and message, pinned for the
+    system and its truncation; the system's failure is raised first."""
+
+    IV = Interval(-2.0, 3.0)
+
+    def message(self, run):
+        with pytest.raises(PreconditionError) as info:
+            run()
+        return str(info.value)
+
+    def test_negative_system(self):
+        system = negated_polynomial_system(3, self.IV)
+        want = ("system (-1, -x, -x^2) on [-2, 3] is not positive on the grid: "
+                "verdict negative, witness None")
+        grid = grid_on(-2, 3, 40)
+        assert self.message(lambda: certify_theorem_a(system, F_CUBE, grid)) == want
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid)) == want
+        assert self.message(lambda: build_support(system, F_CUBE, (0.0, 1.0), grid)) == want
+
+    def test_negative_truncation_of_a_positive_system(self):
+        system = negated_polynomial_system(4, self.IV)
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 40))) == (
+            "truncated system (-1, -x, -x^2) on [-2, 3] is not positive on the grid: "
+            "verdict negative, witness None")
+
+    def test_system_failure_is_raised_before_the_truncation_failure(self):
+        # (x, 1, x^2) and its truncation (x, 1) are both negative
+        system = ChebyshevSystem((BasisFunction("monomial", 1), BasisFunction("monomial", 0),
+                                  BasisFunction("monomial", 2)), self.IV)
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 40))) == (
+            "system (x, 1, x^2) on [-2, 3] is not positive on the grid: "
+            "verdict negative, witness None")
+
+    def test_non_chebyshev_truncation(self):
+        # cos changes sign at pi/2, so its first window past it has a new sign
+        system, grid = cosine_sine_system(), grid_on(0.1, 3.0, 30)
+        want = ("truncated system (cos) on (0, 3.14159) is not positive on the grid: "
+                "verdict non-chebyshev, witness (1.5999999999999999,)")
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid)) == want
+        assert self.message(lambda: build_support(system, F_CUBE, (1.0,), grid)) == want
+
+    def test_windows_at_the_zero_test_fall_back_to_the_kernel(self):
+        # On this fine grid some windows of (1, x, x^2, x^3) come within the
+        # zero test; the first of them that the kernel calls zero fails.
+        system = polynomial_system(4, self.IV)
+        assert self.message(lambda: build_support(system, F_CUBE, (0.0, 1.0, 2.0),
+                                                  grid_on(-2, 3, 700))) == (
+            "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
+            "verdict non-chebyshev, witness (2.184549356223176, 2.19170243204578, "
+            "2.198855507868384, 2.206008583690987)")
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 1000),
+                                                       budget=10)) == (
+            "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
+            "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
+            "-1.98998998998999, -1.984984984984985)")

@@ -1,22 +1,29 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebconvex import (ArgumentError, DegenerateInputError, DomainError,
-                        ExpressionSource, Interval, PointTuple, SourceEvalError,
-                        d_det, negated_polynomial_system, polynomial_system,
-                        v_det)
-from chebconvex.determinants import (det_and_scale, minor_scan, sign_of,
-                                     solve_with_det)
+from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem,
+                        DegenerateInputError, DomainError, ExpressionSource,
+                        Interval, PointTuple, SourceEvalError,
+                        cosine_sine_system, d_det, named_system,
+                        negated_polynomial_system, polynomial_system,
+                        uniform_grid, v_det)
+from chebconvex import determinants
+from chebconvex.convexity import require_positive
+from chebconvex.determinants import (EPS, SWEEP_MARGIN, SWEEP_MAX_ORDER,
+                                     TAU_FACTOR, _sweep_error, det_and_scale,
+                                     first_failing_window, minor_scan, sign_of,
+                                     solve_with_det, sweep_signs, window_sweep)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
 
-from conftest import (F_CUBE, F_SQUARE, det_bruteforce, draw_separated,
+from conftest import (F_CUBE, F_SQUARE, det_bruteforce, draw_separated, grid_on,
                       minor_rows, separated_points_strategy)
 
 
@@ -208,6 +215,140 @@ class TestMinorScan:
         else:
             x, sv = solve_with_det(rows, rhs)
             assert repr((x, sv.value, sv.scale)) == repr((x_want, det, scale))
+
+
+SWEEP_SYSTEMS = ("poly:2", "poly:3", "poly:4", "poly:5", "poly:6", "negpoly:3",
+                 "exp:0,1,2.5", "exp:-1,0,1,2", "cossin")
+
+
+def window_minors(cols, k):
+    """(det, scale) of each window of k columns, one minor_scan per window."""
+    return [next(minor_scan([c[:k] for c in cols[i:i + k]], [tuple(range(k))]))
+            for i in range(len(cols) - k + 1)]
+
+
+def reference_failure(signs):
+    """The first window's sign and the first window that vanishes or differs."""
+    first = signs[0] if signs else None
+    for i, sign in enumerate(signs):
+        if sign == "0" or sign != first:
+            return first, i
+    return first, None
+
+
+def exact_det(cols):
+    """The determinant of square columns in exact rational arithmetic."""
+    a = [[Fraction(x) for x in c] for c in cols]
+    det = Fraction(1)
+    for i in range(len(a)):
+        p = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if p is None:
+            return Fraction(0)
+        if p != i:
+            a[i], a[p], det = a[p], a[i], -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+@st.composite
+def swept_columns(draw):
+    """Basis columns of a system, its basis maybe shuffled, on a uniform,
+    random or fine grid. A fine grid holds its centre (x = 0 for the
+    polynomials, pi/2 where cos vanishes, pi past which (cos, sin) turns)
+    and reaches spacings whose windows come within the zero test."""
+    spec = draw(st.sampled_from(SWEEP_SYSTEMS))
+    hi = 2 * math.pi if spec == "cossin" else 3.0
+    interval = Interval(0.0 if spec == "cossin" else -2.0, hi, hi_open=spec == "cossin")
+    system = named_system(spec, interval)
+    if draw(st.booleans()):
+        system = ChebyshevSystem(tuple(draw(st.permutations(system.basis))), interval)
+    m = draw(st.integers(max(system.n, 2), 150))
+    kind = draw(st.sampled_from(["uniform", "random", "fine"]))
+    if kind == "uniform":
+        grid = uniform_grid(interval, m)
+    elif kind == "random":
+        grid = sorted(set(draw(st.lists(st.floats(interval.lo, min(hi, 6.28)),
+                                        min_size=m, max_size=m))))
+    else:
+        centre = draw(st.sampled_from([0.0, math.pi / 2, math.pi])
+                      | st.floats(interval.lo, min(hi, 6.28)))
+        h = 10.0 ** draw(st.floats(-4, -1))
+        grid = sorted({centre + (i - m // 2) * h for i in range(m)} | {centre})
+        grid = [x for x in grid if interval.lo <= x < hi]
+    assume(len(grid) >= system.n)
+    return [system.evaluate_basis(x) for x in grid], system.n
+
+
+class TestWindowSweep:
+    def check(self, cols, n):
+        for k, (dets, scales) in enumerate(window_sweep(cols, n), 1):
+            minors = window_minors(cols, k)
+            assert [repr(s) for s in scales] == [repr(s) for _, s in minors]
+            signs = [sign_of(*minor) for minor in minors]
+            for swept, sign in zip(sweep_signs(k, dets, scales), signs):
+                assert swept in ("", sign)
+            assert first_failing_window(cols, k, dets, scales) == reference_failure(signs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(swept_columns())
+    def test_decisions_match_the_kernel_on_basis_columns(self, case):
+        self.check(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns_and_tuples())
+    def test_decisions_match_the_kernel_on_mixed_scale_columns(self, case):
+        vecs, k, _ = case
+        self.check(vecs, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(columns_and_tuples())
+    def test_error_within_the_bound(self, case):
+        """Every window the sweep vouches for (values in range, no zero
+        pivot, no growth past the bound) is within beta_k * eps * scale of
+        its exact determinant."""
+        vecs, n, _ = case
+        for k, (dets, scales) in enumerate(window_sweep(vecs, n), 1):
+            for i, (det, scale) in enumerate(zip(dets, scales)):
+                if not math.isnan(det):
+                    exact = exact_det([v[:k] for v in vecs[i:i + k]])
+                    assert abs(Fraction(det) - exact) <= Fraction(_sweep_error(k) * EPS * scale)
+
+    def test_margin_fits_the_bound_up_to_four_points(self):
+        room = (SWEEP_MARGIN - 2) * TAU_FACTOR
+        assert SWEEP_MAX_ORDER == 4
+        assert _sweep_error(4) * EPS <= room < _sweep_error(5) * EPS
+
+    def test_undecided_windows_go_to_the_kernel(self):
+        cases = [
+            # windows within the zero test's margin
+            (polynomial_system(4), grid_on(-2, 3, 700)),
+            # cos(1.6) = -0.03: a large multiplier, then growth past the bound
+            (cosine_sine_system(), grid_on(0.1, 3.0, 30)),
+            # exact zero pivots: x = 0 under the basis (x, 1)
+            (ChebyshevSystem((BasisFunction("monomial", 1), BasisFunction("monomial", 0))),
+             grid_on(-1, 1, 21)),
+            # more than SWEEP_MAX_ORDER points
+            (polynomial_system(5), grid_on(-1, 1, 12)),
+        ]
+        for system, grid in cases:
+            cols = [system.evaluate_basis(x) for x in grid]
+            dets, scales = list(window_sweep(cols, system.n))[-1]
+            assert "" in sweep_signs(system.n, dets, scales)
+            self.check(cols, system.n)
+
+    def test_clearly_positive_grid_needs_no_kernel(self, monkeypatch):
+        system = polynomial_system(3, Interval(-2.0, 3.0))
+        grid = grid_on(-2, 3, 2000)
+        cols = [system.evaluate_basis(x) for x in grid]
+
+        def kernel(*args):
+            raise AssertionError("minor_scan ran")
+
+        monkeypatch.setattr(determinants, "minor_scan", kernel)
+        require_positive(system, grid, cols, True)
 
 
 class TestVDet:

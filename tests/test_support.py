@@ -6,13 +6,20 @@ import pytest
 from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource,
                         GeometryError, Interval, LimitDivergedError,
                         OmegaCombination, PreconditionError, ResolutionError,
-                        TableSource, build_support, certify_theorem_a,
-                        classical_dd, constrained_interpolate, estimate_cn,
+                        SourceEvalError, TableSource, build_support,
+                        certify_theorem_a, classical_dd,
+                        constrained_interpolate, estimate_cn,
                         exponential_system, polynomial_system,
                         verify_sign_pattern)
+from chebconvex.support import H0_FACTOR
 
 from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, assert_halving,
                       grid_on)
+
+
+def columns(system, grid):
+    """The basis columns at the grid points, as build_support passes them."""
+    return [system.evaluate_basis(x) for x in grid]
 
 
 def cube_system():
@@ -20,6 +27,28 @@ def cube_system():
 
 
 class TestEstimateCn:
+    def test_target_evaluated_once_at_each_knot_and_point(self):
+        calls = Counter()
+
+        def cube(x):
+            calls[x] += 1
+            return x ** 3
+
+        limit = estimate_cn(cube_system(), CallableSource(cube), (0.0, 1.0))
+        assert calls[0.0] == calls[1.0] == 1
+        assert sum(calls.values()) == len(limit.h_sequence) + 2 == 25
+
+    def test_raising_target_names_only_the_failing_point(self):
+        def cube(x):
+            if x > 1.0:
+                raise ValueError("no value right of the last knot")
+            return x ** 3
+
+        with pytest.raises(SourceEvalError) as info:
+            estimate_cn(cube_system(), cube, (0.0, 1.0))
+        first = 1.0 + H0_FACTOR * 5.0
+        assert str(info.value) == f"target function failed at one of ({first!r},)"
+
     def test_cube_fixture_converges_to_two(self):
         limit = estimate_cn(cube_system(), F_CUBE, (0.0, 1.0))
         assert limit.converged
@@ -175,8 +204,9 @@ class TestSignPattern:
     def test_cube_fixture_pattern(self):
         system = cube_system()
         omega = constrained_interpolate(system, (0.0, 1.0), F_CUBE, 2.0)
-        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0),
-                                     grid_on(-2, 3, 100))
+        grid = grid_on(-2, 3, 100)
+        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0), grid,
+                                     columns(system, grid))
         assert report.overall
         assert [s.required_sign for s in report.segments] == [-1, 1, 1]
         assert all(not s.violations for s in report.segments)
@@ -186,7 +216,9 @@ class TestSignPattern:
         system = cube_system()
         omega = OmegaCombination(system, (0.5, -1.0, 0.25))
         f = ExpressionSource("poly", (0.5, -1.0, 0.25))
-        report = verify_sign_pattern(system, f, omega, (0.0, 1.0), grid_on(-2, 3, 50))
+        grid = grid_on(-2, 3, 50)
+        report = verify_sign_pattern(system, f, omega, (0.0, 1.0), grid,
+                                     columns(system, grid))
         assert report.overall
 
     def test_overshot_pin_violates_past_the_last_knot(self):
@@ -194,8 +226,9 @@ class TestSignPattern:
         # difference x(x-1)(x-1.5), negative just right of the last knot
         system = cube_system()
         omega = constrained_interpolate(system, (0.0, 1.0), F_CUBE, 2.5)
-        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0),
-                                     grid_on(-2, 3, 200))
+        grid = grid_on(-2, 3, 200)
+        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0), grid,
+                                     columns(system, grid))
         assert not report.overall
         assert not report.segments[0].violations
         assert not report.segments[1].violations
@@ -207,7 +240,9 @@ class TestSignPattern:
     def test_two_function_system_requires_support_below(self):
         system = polynomial_system(2, Interval(-1.0, 1.0))
         omega = OmegaCombination(system, (1.0, 1.0))  # tangent at 0
-        report = verify_sign_pattern(system, F_EXP, omega, (0.0,), grid_on(-1, 1, 60))
+        grid = grid_on(-1, 1, 60)
+        report = verify_sign_pattern(system, F_EXP, omega, (0.0,), grid,
+                                     columns(system, grid))
         assert report.overall
         assert [s.required_sign for s in report.segments] == [1, 1]
 
@@ -222,7 +257,7 @@ class TestSignPattern:
         omega = constrained_interpolate(system, (0.0, 1.0), F_CUBE, 2.0)
         grid = grid_on(-2, 3, 101)
         report = verify_sign_pattern(system, CallableSource(cube), omega,
-                                     (0.0, 1.0), grid)
+                                     (0.0, 1.0), grid, columns(system, grid))
         assert report.overall
         assert report.excluded == 2
         assert sum(calls[x] for x in grid) == len(grid) - report.excluded
@@ -232,7 +267,9 @@ class TestSignPattern:
         system = polynomial_system(2, Interval(0.0, 1.0))
         omega = OmegaCombination(system, (0.0, 1.0))
         with pytest.raises(PreconditionError, match="nothing was checked"):
-            verify_sign_pattern(system, F_SQUARE, omega, (0.5,), [0.5, 0.50001])
+            grid = [0.5, 0.50001]
+            verify_sign_pattern(system, F_SQUARE, omega, (0.5,), grid,
+                                columns(system, grid))
 
 
 class TestBuildSupport:

@@ -10,9 +10,9 @@ from chebconvex import (ArgumentError, BasisFunction, DomainError,
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
                         polynomial_system, uniform_grid)
-from chebconvex.determinants import det_and_scale, sign_of
+from chebconvex.determinants import (det_and_scale, first_failing_window, sign_of,
+                                     window_sweep)
 from chebconvex.sampling import ordered_index_tuples
-from chebconvex.systems import classify_columns
 
 from conftest import grid_on, minor_rows
 
@@ -196,9 +196,10 @@ class TestClassify:
         system = polynomial_system(3)
         grid = grid_on(-1, 1, 25)
         cols = [system.evaluate_basis(x) for x in grid]
-        result = classify_columns(grid, cols, system.n, windows_only=True)
-        assert result.verdict == "positive"
-        assert result.tuples_checked == 25 - 3 + 1
+        levels = list(window_sweep(cols, system.n))
+        assert [len(dets) for dets, _ in levels] == [25, 24, 25 - 3 + 1]
+        for k, (dets, scales) in enumerate(levels, 1):
+            assert first_failing_window(cols, k, dets, scales) == ("+", None)
 
     def test_sampled_scan_matches_sampler_order_reference(self):
         """Sampled classifications scan the sorted sample, but report the first
