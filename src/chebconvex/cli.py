@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from . import support as support_mod
@@ -48,26 +47,6 @@ EXIT_VIOLATED = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors must exit 1, not argparse's 2
         raise ArgumentError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    system: Optional[str] = None
-    function: Optional[str] = None
-    grid: object = None  # (lo, hi, count) or a table file path
-    interval: Optional[Interval] = None
-    points: Optional[tuple[float, ...]] = None
-    knots: Optional[tuple[float, ...]] = None
-    nodes: Optional[tuple[float, ...]] = None
-    method: Optional[str] = None
-    budget: int = DEFAULT_BUDGET
-    seed: int = DEFAULT_SEED
-    atol: float = DEFAULT_ATOL
-    rtol: float = DEFAULT_RTOL
-    fmt: str = "human"
-    out: Optional[str] = None
-    classical: bool = False
 
 
 def _default_seed() -> int:
@@ -107,11 +86,16 @@ def _parse_grid(text: str):
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The one argument parser: it is static, the default seed is read later."""
+    """The one argument parser: it is static, the default seed is read later.
+    Options that only some commands take default to None (``--classical`` to
+    False) at the top level, so every namespace has every attribute."""
     parser = _Parser(prog="chebconvex",
                      description="Chebyshev-system collocation determinants, "
                                  "generalized divided differences, convexity "
                                  "certificates, and support construction.")
+    parser.set_defaults(system=None, interval=None, function=None, grid=None,
+                        points=None, knots=None, nodes=None, method=None,
+                        classical=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, grid=False, function=False, system=True):
@@ -119,7 +103,7 @@ def build_parser() -> _Parser:
             p.add_argument("--system", required=True,
                            help="inline system name (poly:N, exp:a1,a2,..., "
                                 "negpoly:N, cossin, cos) or a definition file path")
-            p.add_argument("--interval", default=None,
+            p.add_argument("--interval",
                            help="override interval: lo:hi[:open|closed[:open|closed]]")
         if function:
             p.add_argument("--f", required=True, dest="function",
@@ -152,8 +136,8 @@ def build_parser() -> _Parser:
     common(p, grid=True, function=True)
     p.add_argument("--method", required=True,
                    choices=("theoremA", "corollary1", "theorem2", "definition"))
-    p.add_argument("--knots", default=None, help="knots for --method theorem2")
-    p.add_argument("--nodes", default=None, help="nodes for --method definition")
+    p.add_argument("--knots", help="knots for --method theorem2")
+    p.add_argument("--nodes", help="nodes for --method definition")
 
     p = sub.add_parser("support", help="build the support-type combination")
     common(p, grid=True, function=True)
@@ -185,41 +169,31 @@ def _merge_dash_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
+def parse_config(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The parsed namespace, with every given option checked and converted:
+    ``interval`` to an Interval, ``grid`` to (lo, hi, count) or a table
+    file path, and ``points``, ``knots`` and ``nodes`` to float tuples."""
     if argv is None:
         argv = sys.argv[1:]
-    ns = build_parser().parse_args(_merge_dash_values(argv))
-    config = RunConfig(command=ns.command)
-    config.budget = ns.budget
-    config.seed = ns.seed if ns.seed is not None else _default_seed()
-    config.atol = ns.atol
-    config.rtol = ns.rtol
-    config.fmt = ns.fmt
-    config.out = ns.out
-    if config.atol <= 0 or config.rtol <= 0:
-        raise ArgumentError("tolerances must be positive")
+    config = build_parser().parse_args(_merge_dash_values(argv))
+    if config.seed is None:
+        config.seed = _default_seed()
+    if not (0 < config.atol < math.inf and 0 < config.rtol < math.inf):
+        raise ArgumentError("tolerances must be positive and finite")
     if config.budget < 1:
         raise ArgumentError("budget must be >= 1")
-    if getattr(ns, "interval", None):
-        config.interval = parse_interval(ns.interval.split(":"))
-    if getattr(ns, "system", None):
-        config.system = ns.system
-    if getattr(ns, "function", None):
-        config.function = ns.function
-    if getattr(ns, "grid", None):
-        config.grid = _parse_grid(ns.grid)
-    if getattr(ns, "points", None):
-        config.points = _parse_floats(ns.points, "points")
-    if getattr(ns, "knots", None):
-        config.knots = _parse_floats(ns.knots, "knots")
-    if getattr(ns, "nodes", None):
-        config.nodes = _parse_floats(ns.nodes, "nodes")
-    config.method = getattr(ns, "method", None)
-    config.classical = bool(getattr(ns, "classical", False))
+    if config.interval is not None:
+        config.interval = parse_interval(config.interval.split(":"))
+    if config.grid is not None:
+        config.grid = _parse_grid(config.grid)
+    for name in ("points", "knots", "nodes"):
+        text = getattr(config, name)
+        if text is not None:
+            setattr(config, name, _parse_floats(text, name))
     return config
 
 
-def _resolve_system(config: RunConfig) -> ChebyshevSystem:
+def _resolve_system(config: argparse.Namespace) -> ChebyshevSystem:
     spec = config.system
     if os.path.isfile(spec):
         with open_text(spec, "--system") as handle:
@@ -227,7 +201,7 @@ def _resolve_system(config: RunConfig) -> ChebyshevSystem:
     return named_system(spec, config.interval)
 
 
-def _resolve_grid(config: RunConfig, system: ChebyshevSystem) -> list[float]:
+def _resolve_grid(config: argparse.Namespace, system: ChebyshevSystem) -> list[float]:
     if isinstance(config.grid, str):
         with open_text(config.grid, "--grid") as handle:
             return list(load_table(handle).xs)
@@ -311,7 +285,7 @@ def _support_dict(result: SupportResult, f: FunctionSource) -> dict:
 # ---------------------------------------------------------------------------
 # Command execution
 
-def _run_classify(config: RunConfig) -> tuple[dict, int]:
+def _run_classify(config: argparse.Namespace) -> tuple[dict, int]:
     system = _resolve_system(config)
     grid = _resolve_grid(config, system)
     result = classify_on_grid(system, grid, budget=config.budget, seed=config.seed)
@@ -320,7 +294,7 @@ def _run_classify(config: RunConfig) -> tuple[dict, int]:
             "classification": _classification_dict(result)}, code
 
 
-def _run_dd(config: RunConfig) -> tuple[dict, int]:
+def _run_dd(config: argparse.Namespace) -> tuple[dict, int]:
     system = _resolve_system(config)
     f = parse_function(config.function)
     dd = gdd(system, config.points, f)
@@ -331,7 +305,7 @@ def _run_dd(config: RunConfig) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def _run_certify(config: RunConfig) -> tuple[dict, int]:
+def _run_certify(config: argparse.Namespace) -> tuple[dict, int]:
     system = _resolve_system(config)
     f = parse_function(config.function)
     grid = _resolve_grid(config, system)
@@ -360,7 +334,7 @@ def _run_certify(config: RunConfig) -> tuple[dict, int]:
     return doc, EXIT_OK if cert.verdict == CERTIFIED else EXIT_VIOLATED
 
 
-def _run_support(config: RunConfig) -> tuple[dict, int]:
+def _run_support(config: argparse.Namespace) -> tuple[dict, int]:
     system = _resolve_system(config)
     f = parse_function(config.function)
     grid = _resolve_grid(config, system)
@@ -373,7 +347,7 @@ def _run_support(config: RunConfig) -> tuple[dict, int]:
     return doc, EXIT_OK if result.pattern.overall else EXIT_VIOLATED
 
 
-def _run_paper_example(config: RunConfig) -> tuple[dict, int]:
+def _run_paper_example(config: argparse.Namespace) -> tuple[dict, int]:
     interval = Interval(-2.0, 3.0)
     system = polynomial_system(3, interval)
     f = ExpressionSource("monomial", (3,))
@@ -472,7 +446,7 @@ def _render_human(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(doc: dict, config: RunConfig) -> str:
+def render(doc: dict, config: argparse.Namespace) -> str:
     if config.fmt == "structured":
         return render_structured(doc)
     if config.fmt == "columns":

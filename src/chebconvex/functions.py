@@ -12,11 +12,10 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 from .errors import (ArgumentError, DomainError, ResolutionError,
                      SourceEvalError, TableFormatError)
-from .systems import Interval
 
 #: Relative snapping window for exact-abscissa queries against tables.
 TABLE_SNAP_FACTOR = 1e-12
@@ -28,15 +27,10 @@ class FunctionSource:
     is_table = False
     uses_linear_interpolation = False
 
-    def __init__(self, domain: Optional[Interval] = None):
-        self.domain = domain
-
     def _eval(self, x: float) -> float:
         raise NotImplementedError
 
     def __call__(self, x: float) -> float:
-        if self.domain is not None and not self.domain.contains(x):
-            raise DomainError(f"x={x!r} outside domain {self.domain.describe()}")
         try:
             value = self._eval(x)
         except (DomainError, ResolutionError, SourceEvalError):
@@ -75,9 +69,7 @@ def _horner(x: float, coeffs: tuple[float, ...]) -> float:
 class ExpressionSource(FunctionSource):
     """One of the built-in closed forms, e.g. x^3 or e^(a x)."""
 
-    def __init__(self, form: str, params: Sequence[float] = (),
-                 domain: Optional[Interval] = None):
-        super().__init__(domain)
+    def __init__(self, form: str, params: Sequence[float] = ()):
         if form not in _FORMS:
             raise ArgumentError(f"unknown expression form {form!r}")
         params = tuple(float(p) for p in params)
@@ -107,9 +99,7 @@ class ExpressionSource(FunctionSource):
 class CallableSource(FunctionSource):
     """Adapter for an arbitrary Python callable (library use only)."""
 
-    def __init__(self, fn: Callable[[float], float], label: str = "callable",
-                 domain: Optional[Interval] = None):
-        super().__init__(domain)
+    def __init__(self, fn: Callable[[float], float], label: str = "callable"):
         self.fn = fn
         self.label = label
 
@@ -126,8 +116,7 @@ class TableSource(FunctionSource):
     is_table = True
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float],
-                 interpolation: str = "none", domain: Optional[Interval] = None):
-        super().__init__(domain)
+                 interpolation: str = "none"):
         if interpolation not in ("none", "linear"):
             raise ArgumentError(f"interpolation must be none|linear, got {interpolation!r}")
         xs = tuple(float(x) for x in xs)
@@ -182,8 +171,8 @@ class TableSource(FunctionSource):
         return f"table[{len(self.xs)}{tag}]"
 
 
-def load_table(source: Union[str, Iterable[str]], interpolation: str = "none",
-               domain: Optional[Interval] = None) -> TableSource:
+def load_table(source: Union[str, Iterable[str]],
+               interpolation: str = "none") -> TableSource:
     """Parse delimited text into a :class:`TableSource`.
 
     Accepts a string or an iterable of lines. Comma or whitespace separated,
@@ -222,8 +211,7 @@ def load_table(source: Union[str, Iterable[str]], interpolation: str = "none",
         if x0 == x1:
             raise TableFormatError(
                 f"duplicate abscissa {x0!r} on lines {l0} and {l1}", (l0, l1))
-    return TableSource([r[0] for r in rows], [r[1] for r in rows],
-                       interpolation, domain)
+    return TableSource([r[0] for r in rows], [r[1] for r in rows], interpolation)
 
 
 @contextlib.contextmanager
@@ -238,7 +226,7 @@ def open_text(path: str, flag: str) -> Iterator[TextIO]:
         raise ArgumentError(f"{flag} {path}: not UTF-8 text ({exc})") from None
 
 
-def parse_function(spec: str, domain: Optional[Interval] = None) -> FunctionSource:
+def parse_function(spec: str) -> FunctionSource:
     """Resolve a CLI-style function spec.
 
     ``monomial:3``, ``negmonomial:3``, ``exp:1.5``, ``cos``, ``sin``,
@@ -252,15 +240,15 @@ def parse_function(spec: str, domain: Optional[Interval] = None) -> FunctionSour
             raise ArgumentError("table spec needs a file path")
         mode = mode or "none"
         with open_text(path, "--f") as handle:
-            return load_table(handle, interpolation=mode, domain=domain)
+            return load_table(handle, interpolation=mode)
     if head in ("cos", "sin"):
         if arg:
             raise ArgumentError(f"{head} takes no parameter")
-        return ExpressionSource(head, (), domain)
+        return ExpressionSource(head)
     if head in ("monomial", "negmonomial", "exp", "const", "poly"):
         try:
             params = [float(tok) for tok in arg.split(",") if tok.strip()]
         except ValueError as exc:
             raise ArgumentError(f"bad parameters in function spec {spec!r}") from exc
-        return ExpressionSource(head, params, domain)
+        return ExpressionSource(head, params)
     raise ArgumentError(f"unknown function spec {spec!r}")

@@ -230,9 +230,28 @@ class TestUsageErrors:
         assert code == 1
 
     def test_nonpositive_tolerance(self):
-        code, _ = run_cli("classify", "--system", "poly:2", "--grid", "-1:1:10",
-                          "--atol", "-1")
+        # NaN or inf would let this violated target pass as certified.
+        for flag, value in [("--atol", "-1"), ("--atol", "nan"), ("--rtol", "nan"),
+                            ("--atol", "inf")]:
+            code, _ = run_cli("certify", "--method", "theoremA", "--system", "poly:4",
+                              "--f", "negmonomial:4", "--grid", "-2:3:13", flag, value)
+            assert code == 1, (flag, value)
+
+    @pytest.mark.parametrize("args", [
+        ("dd", "--system", "poly:2", "--f", "monomial:2", "--points", ""),
+        ("support", "--system", "poly:3", "--f", "monomial:3", "--grid", "-2:3:50",
+         "--knots", ""),
+        ("classify", "--system", "", "--grid", "-1:1:10"),
+        ("dd", "--system", "poly:2", "--f", "", "--points", "0,1,2"),
+        ("classify", "--system", "poly:2", "--grid", ""),
+        ("classify", "--system", "poly:2", "--grid", "-1:1:10", "--interval", ""),
+    ], ids=["points", "knots", "system", "f", "grid", "interval"])
+    def test_empty_option_value(self, capsys, args):
+        code, out = run_cli(*args)
         assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_columns_for_classify_is_usage_error(self):
         code, _ = run_cli("classify", "--system", "poly:2", "--grid", "-1:1:10",

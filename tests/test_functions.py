@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, CallableSource, DomainError,
-                        ExpressionSource, Interval, ResolutionError,
-                        SourceEvalError, TableFormatError, load_table,
-                        parse_function)
+                        ExpressionSource, ResolutionError, SourceEvalError,
+                        TableFormatError, load_table, parse_function)
 
 
 class TestExpressionSource:
@@ -36,12 +35,6 @@ class TestExpressionSource:
             ExpressionSource("poly", ())
         with pytest.raises(ArgumentError):
             ExpressionSource("cos", (1.0,))
-
-    def test_domain_hint(self):
-        f = ExpressionSource("monomial", (2,), domain=Interval(0.0, 1.0))
-        assert f(0.5) == 0.25
-        with pytest.raises(DomainError):
-            f(2.0)
 
     def test_nonfinite_is_source_error(self):
         f = CallableSource(lambda x: math.nan)
