@@ -8,7 +8,7 @@ records the seed and tolerances it was produced with.
 from .convexity import (CERTIFIED, VIOLATED, ConvexityCertificate,
                         MonotonicityReport, certify_corollary1,
                         certify_theorem_a, scan_theorem2, verify_definition)
-from .determinants import PointTuple, SignedValue, d_det, v_det
+from .determinants import SignedValue, d_det, v_det
 from .divdiff import (DividedDifference, classical_dd, gdd,
                       recurrence_identity_residual)
 from .errors import (ArgumentError, ChebConvexError, DegenerateInputError,
@@ -35,9 +35,9 @@ __all__ = [
     "DegenerateInputError", "DividedDifference", "DomainError",
     "ExpressionSource", "FunctionSource", "GeometryError", "Interval",
     "LimitDiagnostics", "LimitDivergedError", "MonotonicityReport",
-    "NearSingularError", "OmegaCombination", "PointTuple",
-    "PreconditionError", "ResolutionError", "SignPatternReport",
-    "SignedValue", "SourceEvalError", "SupportResult", "SystemClassification",
+    "NearSingularError", "OmegaCombination", "PreconditionError",
+    "ResolutionError", "SignPatternReport", "SignedValue",
+    "SourceEvalError", "SupportResult", "SystemClassification",
     "TableFormatError", "TableSource", "VIOLATED", "build_support",
     "certify_corollary1", "certify_theorem_a", "classical_dd",
     "classify_on_grid", "constrained_interpolate", "cosine_sine_system",

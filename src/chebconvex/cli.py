@@ -239,7 +239,7 @@ def _certificate_dict(cert: ConvexityCertificate) -> dict:
     return {"method": cert.method, "verdict": cert.verdict,
             "tuples_checked": cert.tuples_checked,
             "min_value": cert.min_value,
-            "witness": list(cert.witness.points) if cert.witness else None,
+            "witness": list(cert.witness) if cert.witness else None,
             "witness_value": cert.witness_value,
             "atol": cert.atol, "rtol": cert.rtol, "seed": cert.seed,
             "skipped": cert.skipped,
@@ -247,7 +247,7 @@ def _certificate_dict(cert: ConvexityCertificate) -> dict:
 
 
 def _monotonicity_dict(report: MonotonicityReport) -> dict:
-    return {"knots": list(report.knots.points),
+    return {"knots": list(report.knots),
             "scan": [[x, v] for x, v in report.scan],
             "violations": [[[x0, v0], [x1, v1]]
                            for (x0, v0), (x1, v1) in report.violations],
@@ -255,7 +255,7 @@ def _monotonicity_dict(report: MonotonicityReport) -> dict:
 
 
 def _dd_dict(dd: DividedDifference) -> dict:
-    return {"value": dd.value, "points": list(dd.points.points),
+    return {"value": dd.value, "points": list(dd.points),
             "conditioning": dd.conditioning,
             "ill_conditioned": dd.ill_conditioned}
 
@@ -270,7 +270,7 @@ def _pattern_dict(pattern: support_mod.SignPatternReport) -> dict:
 
 
 def _support_dict(result: SupportResult, f: FunctionSource) -> dict:
-    return {"knots": list(result.knots.points),
+    return {"knots": list(result.knots),
             "coefficients": list(result.omega.coefficients),
             "omega": result.omega.describe(),
             "c_n": {"estimate": result.c_n.estimate,

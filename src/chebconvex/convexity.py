@@ -29,7 +29,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .determinants import (MIN_SEPARATION_FACTOR, PointTuple, check_points,
+from .determinants import (MIN_SEPARATION_FACTOR, check_points,
                            first_failing_window, function_row, minor_scan,
                            sign_of, window_sweep)
 from .divdiff import gdd_scan
@@ -59,7 +59,7 @@ class ConvexityCertificate:
     verdict: str
     tuples_checked: int
     min_value: float
-    witness: Optional[PointTuple]
+    witness: Optional[tuple[float, ...]]
     witness_value: Optional[float]
     atol: float
     rtol: float
@@ -72,7 +72,7 @@ class ConvexityCertificate:
 class MonotonicityReport:
     """Scan of the last-argument divided-difference map over a grid."""
 
-    knots: PointTuple
+    knots: tuple[float, ...]
     scan: tuple[tuple[float, float], ...]
     violations: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
 
@@ -110,12 +110,12 @@ def knot_exclusion(system: ChebyshevSystem) -> float:
     return KNOT_EXCLUSION_FACTOR * system.interval.tolerance_span
 
 
-def interior_knots(system: ChebyshevSystem, knots) -> PointTuple:
+def interior_knots(system: ChebyshevSystem, knots) -> tuple[float, ...]:
     """Validate n-1 strictly increasing knots interior to the interval."""
     if system.n < 2:
         raise PreconditionError("knot-based constructions need a system of order >= 2")
     knots = check_points(system, knots, system.n - 1)
-    if not knots.ordered:
+    if not all(a < b for a, b in zip(knots, knots[1:])):
         raise PreconditionError("knots must be strictly increasing")
     for k in knots:
         if not system.interval.interior_contains(k):
@@ -178,7 +178,7 @@ def _certificate(method: str, scored: Iterable[Optional[tuple]],
     witness = witness_value = None
     if violated is not None:
         witness_value, t = violated
-        witness = PointTuple.of([grid[j] for j in t])
+        witness = tuple(grid[j] for j in t)
     return ConvexityCertificate(method, CERTIFIED if witness is None else VIOLATED,
                                 checked, best[0], witness, witness_value,
                                 atol, rtol, seed, skipped,
@@ -290,7 +290,7 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
             except ChebConvexError as exc:
                 failed, cols = exc, cols[:len(fvals)]
             tuples = [(*range(i), j, *range(i, n - 1)) for j in range(n - 1, len(cols))]
-            values = gdd_scan(knots.points + tuple(batch), cols, fvals, tuples,
+            values = gdd_scan(knots + tuple(batch), cols, fvals, tuples,
                               [t[:n - 1] for t in tuples])
             scan.extend((x, value) for x, (value, _) in zip(batch, values))
             if failed is not None:
@@ -315,11 +315,11 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
     """
     n = system.n
     nodes = check_points(system, nodes, n)
-    if not nodes.ordered:
+    if not all(a < b for a, b in zip(nodes, nodes[1:])):
         raise PreconditionError("nodes must be strictly increasing")
     grid = validate_grid(system, grid, 1)
     omega = interpolate(system, nodes, [f(x) for x in nodes])
-    walk = sign_walk(f, nodes.points, grid, knot_exclusion(system))
+    walk = sign_walk(f, nodes, grid, knot_exclusion(system))
     scored = ((pattern_sign(n, region) * (fx - omega(grid[j])), (j,),
                atol + rtol * abs(fx)) for j, region, fx in walk)
     return _certificate("definition", scored, grid, f, atol, rtol, None)

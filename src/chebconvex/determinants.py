@@ -16,16 +16,19 @@ later column through the step swaps two of its rows and subtracts
 multiples of row d (``_column``, the one row update). A column's entries
 after d steps thus depend only on the first d columns and on itself, so
 :func:`minor_scan` can reuse the steps and reduced columns of the prefix a
-tuple shares with the previous one and still match :func:`det_and_scale`
-bit for bit. In a lexicographic scan a tuple then costs one pivot step
+tuple shares with the previous one and still compute each minor as it
+would alone. In a lexicographic scan a tuple then costs one pivot step
 and an O(k) scale product instead of a k x k elimination, so sampled scans
 walk their tuples in sorted (trie) order and report what a scan in
 sampler order would. Row max-norms are folded with C-level ``max`` over
 absolute-value vectors computed once per scan; ``max`` keeps the first of
-equal items, so ties and NaNs fold as in :func:`det_and_scale`'s row scan.
+equal items, so ties and NaNs fold as in a scan of each row in turn.
 Callers pass basis columns, one per point, to :func:`minor_scan` as they
-are, :func:`v_det` and :func:`d_det` as one tuple. The minimum point
-separation of :func:`check_points` is fixed.
+are; :func:`v_det`, :func:`d_det` and :func:`det_and_scale` pass theirs
+as one tuple. :func:`solve_with_det` carries the right-hand side through
+the same steps as one more column. Point tuples are plain float tuples,
+checked by :func:`distinct_points` and, against a system, by
+:func:`check_points`, whose minimum point separation is fixed.
 
 Contiguous windows have a second route, :func:`window_sweep`. Let D(i, k)
 be the determinant of the window of k points ending at point i under the
@@ -76,11 +79,13 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import gt, le, lt, mul, ne, sub, truediv
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import (ArgumentError, DegenerateInputError, DomainError,
                      NearSingularError, SourceEvalError)
-from .systems import ChebyshevSystem
+
+# For annotations only: systems imports this module at run time.
+if TYPE_CHECKING: from .systems import ChebyshevSystem  # noqa: E701
 
 EPS = sys.float_info.epsilon
 
@@ -116,46 +121,6 @@ SWEEP_RANGE = (2.0 ** -150, 2.0 ** 150)
 #: whose error bound fits inside the margin.
 SWEEP_MAX_ORDER = max(k for k in range(1, 10)
                       if _sweep_error(k) * EPS <= (SWEEP_MARGIN - 2) * TAU_FACTOR)
-
-
-@dataclass(frozen=True)
-class PointTuple:
-    """Distinct evaluation points; ``ordered`` means strictly increasing."""
-
-    points: tuple[float, ...]
-    ordered: bool
-
-    @classmethod
-    def of(cls, pts: Union["PointTuple", Sequence[float]]) -> "PointTuple":
-        if isinstance(pts, PointTuple):
-            return pts
-        values = tuple(float(x) for x in pts)
-        if not values:
-            raise ArgumentError("point tuple must not be empty")
-        for x in values:
-            if not math.isfinite(x):
-                raise ArgumentError(f"non-finite point {x!r}")
-        if len(set(values)) != len(values):
-            raise DegenerateInputError(f"coincident points in {values}")
-        ordered = all(a < b for a, b in zip(values, values[1:]))
-        return cls(values, ordered)
-
-    def sorted(self) -> "PointTuple":
-        if self.ordered:
-            return self
-        return PointTuple(tuple(sorted(self.points)), True)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-
-PointsLike = Union[PointTuple, Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -223,21 +188,6 @@ def _column(levels: list, e: int, d: int, j: int) -> Sequence[float]:
             col[r] -= f * x
         cache[j] = col
     return col
-
-
-def _eliminate(cols: Sequence[Sequence[float]]) -> tuple:
-    """Steps 0, 1, ... on ``cols`` in order while rows remain: the
-    determinant (None at a zero pivot, where they stop), the levels, and
-    their one shared cache, which ends up holding each column reduced to
-    the depth of its own step."""
-    det, reduced = 1.0, {}
-    levels = [(None, 1.0, None, cols)]
-    for d in range(len(cols[0])):
-        step, det = _pivot_step(_column(levels, 0, d, d), d, det)
-        if step is None:
-            break
-        levels.append((step, det, None, reduced))
-    return det, levels, reduced
 
 
 def minor_scan(vecs: Sequence[Sequence[float]],
@@ -372,15 +322,17 @@ def _square_scale(rows: Sequence[Sequence[float]]) -> float:
 
 
 def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
-    """Determinant by row-pivoted Gaussian elimination, plus the scale proxy.
+    """Determinant and scale proxy of a square matrix, given by rows: one
+    tuple through :func:`minor_scan`.
 
     ``scale`` is the product of the row max-norms taken before elimination;
     it is the conditioning proxy behind every zero test in the library. The
     empty matrix has determinant 1 by convention.
     """
-    scale = _square_scale(rows)
-    det = _eliminate(list(zip(*rows)))[0] if rows else 1.0
-    return 0.0 if det is None else det, scale
+    _square_scale(rows)  # for its check of the row lengths
+    if not rows:
+        return 1.0, 1.0
+    return next(minor_scan([*zip(*rows)], [tuple(range(len(rows)))]))
 
 
 def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
@@ -388,7 +340,7 @@ def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
     """Solve a square system and report the determinant from one elimination.
 
     The right-hand side is one more column carried through the steps of
-    :func:`det_and_scale`. Raises :class:`NearSingularError` when the
+    :func:`minor_scan`. Raises :class:`NearSingularError` when the
     determinant does not clear its scale-relative tolerance.
     """
     n = len(rows)
@@ -396,7 +348,16 @@ def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
     if len(b) != n:
         raise ArgumentError("system dimensions do not match")
     scale = _square_scale(rows)
-    det, levels, reduced = _eliminate([*zip(*rows), b])
+    # Steps 0..n-1 in order, stopping at a zero pivot. All levels share one
+    # cache, which ends up holding each column reduced to the depth of its
+    # own step.
+    det, reduced = 1.0, {}
+    levels = [(None, 1.0, None, [*zip(*rows), b])]
+    for d in range(n):
+        step, det = _pivot_step(_column(levels, 0, d, d), d, det)
+        if step is None:
+            break
+        levels.append((step, det, None, reduced))
     sv = classify_value(0.0 if det is None else det, scale)
     if sv.sign == "0":
         raise NearSingularError(
@@ -415,17 +376,33 @@ def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
     return x, sv
 
 
-def check_points(system: ChebyshevSystem, pts: PointsLike, expected: int) -> PointTuple:
-    """Validate a point tuple against a system: size, containment, and the
-    minimum separation ``MIN_SEPARATION_FACTOR`` times the span."""
-    pts = PointTuple.of(pts)
+def distinct_points(pts: Sequence[float]) -> tuple[float, ...]:
+    """``pts`` as floats, in order, once they are checked to be a non-empty
+    tuple of finite, distinct points."""
+    values = tuple(float(x) for x in pts)
+    if not values:
+        raise ArgumentError("point tuple must not be empty")
+    for x in values:
+        if not math.isfinite(x):
+            raise ArgumentError(f"non-finite point {x!r}")
+    if len(set(values)) != len(values):
+        raise DegenerateInputError(f"coincident points in {values}")
+    return values
+
+
+def check_points(system: ChebyshevSystem, pts: Sequence[float],
+                 expected: int) -> tuple[float, ...]:
+    """The points of :func:`distinct_points`, in the caller's order, checked
+    against a system: size, containment, and the minimum separation
+    ``MIN_SEPARATION_FACTOR`` times the span."""
+    pts = distinct_points(pts)
     if len(pts) != expected:
         raise ArgumentError(f"expected {expected} points, got {len(pts)}")
     for x in pts:
         if not system.interval.contains(x):
             raise DomainError(f"point {x!r} outside {system.interval.describe()}")
     min_separation = MIN_SEPARATION_FACTOR * system.interval.tolerance_span
-    ordered = sorted(pts.points)
+    ordered = sorted(pts)
     gap = min(b - a for a, b in zip(ordered, ordered[1:])) if len(pts) > 1 else math.inf
     if gap < min_separation:
         raise DegenerateInputError(
@@ -442,14 +419,14 @@ def function_row(f, pts: Sequence[float]) -> list[float]:
         raise SourceEvalError(f"target function failed at one of {tuple(pts)}") from exc
 
 
-def v_det(system: ChebyshevSystem, pts: PointsLike) -> SignedValue:
+def v_det(system: ChebyshevSystem, pts: Sequence[float]) -> SignedValue:
     """Collocation determinant of ``system`` at ``pts`` (one point per column)."""
     pts = check_points(system, pts, system.n)
     cols = [system.evaluate_basis(x) for x in pts]
     return classify_value(*next(minor_scan(cols, [tuple(range(len(cols)))])))
 
 
-def d_det(system: ChebyshevSystem, pts: PointsLike, f) -> SignedValue:
+def d_det(system: ChebyshevSystem, pts: Sequence[float], f) -> SignedValue:
     """Bordered determinant: collocation rows of ``system`` plus the row of
     ``f`` values, at ``system.n + 1`` points."""
     pts = check_points(system, pts, system.n + 1)

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from .determinants import (PointsLike, PointTuple, check_points, d_det,
-                           function_row, minor_scan, sign_of, v_det)
+from .determinants import (check_points, d_det, distinct_points, function_row,
+                           minor_scan, sign_of, v_det)
 from .errors import ArgumentError, NearSingularError
 from .systems import ChebyshevSystem
 
@@ -35,8 +35,7 @@ class DividedDifference:
     """A generalized divided difference value with its conditioning ratio."""
 
     value: float
-    points: PointTuple
-    system: Optional[ChebyshevSystem]
+    points: tuple[float, ...]
     conditioning: float
 
     @property
@@ -44,14 +43,14 @@ class DividedDifference:
         return self.conditioning < ILL_CONDITIONING_THRESHOLD
 
 
-def classical_dd(pts: PointsLike, f) -> float:
+def classical_dd(pts: Sequence[float], f) -> float:
     """Classical divided difference over distinct points via the recurrence.
 
     Single point: f(x1). Longer tuples: the usual quotient of the two
     length-(k-1) differences, evaluated bottom-up so every contiguous
     subrange is computed once.
     """
-    pts = PointTuple.of(pts)
+    pts = distinct_points(pts)
     k = len(pts)
     table = function_row(f, pts)
     for level in range(1, k):
@@ -90,19 +89,19 @@ def gdd_scan(points: Sequence[float], cols: Sequence[tuple[float, ...]],
         yield num / den[0], den
 
 
-def gdd(system: ChebyshevSystem, pts: PointsLike, f) -> DividedDifference:
+def gdd(system: ChebyshevSystem, pts: Sequence[float], f) -> DividedDifference:
     """Generalized divided difference of ``f`` at ``system.n`` points: one
     tuple through :func:`gdd_scan`, over one evaluation of the basis."""
     pts = check_points(system, pts, system.n)
     n = system.n
     cols = [system.evaluate_basis(x) for x in pts]
-    head = tuple(sorted(range(n), key=pts.points.__getitem__)[:n - 1])
-    value, den = next(gdd_scan(pts.points, cols, function_row(f, pts),
+    head = tuple(sorted(range(n), key=pts.__getitem__)[:n - 1])
+    value, den = next(gdd_scan(pts, cols, function_row(f, pts),
                                [tuple(range(n))], [head]))
-    return DividedDifference(value, pts, system, conditioning(*den))
+    return DividedDifference(value, pts, conditioning(*den))
 
 
-def recurrence_identity_residual(system: ChebyshevSystem, pts: PointsLike, f) -> float:
+def recurrence_identity_residual(system: ChebyshevSystem, pts: Sequence[float], f) -> float:
     """Relative residual of the window-update identity at n+1 distinct points.
 
     Left side: difference of the divided differences of the two length-n
@@ -114,13 +113,13 @@ def recurrence_identity_residual(system: ChebyshevSystem, pts: PointsLike, f) ->
     if n < 2:
         raise ArgumentError("the update identity needs a system of order >= 2")
     pts = check_points(system, pts, n + 1)
-    hi = gdd(system, pts.points[1:], f).value
-    lo = gdd(system, pts.points[:n], f).value
+    hi = gdd(system, pts[1:], f).value
+    lo = gdd(system, pts[:n], f).value
     lhs = hi - lo
     bordered = d_det(system, pts, f)
-    mid = v_det(system.truncate(n - 1), pts.points[1:n])
-    v_hi = v_det(system, pts.points[1:])
-    v_lo = v_det(system, pts.points[:n])
+    mid = v_det(system.truncate(n - 1), pts[1:n])
+    v_hi = v_det(system, pts[1:])
+    v_lo = v_det(system, pts[:n])
     if mid.sign == "0":
         raise NearSingularError("shared-point determinant degenerated in the identity")
     rhs = bordered.value * mid.value / (v_hi.value * v_lo.value)

@@ -123,6 +123,9 @@ class TableSource(FunctionSource):
         ys = tuple(float(y) for y in ys)
         if len(xs) != len(ys) or not xs:
             raise ArgumentError("table needs equal-length, nonempty columns")
+        for x in xs:
+            if not math.isfinite(x):
+                raise ArgumentError(f"non-finite table abscissa {x!r}")
         for a, b in zip(xs, xs[1:]):
             if not a < b:
                 raise ArgumentError("table abscissae must be strictly increasing")
@@ -177,8 +180,8 @@ def load_table(source: Union[str, Iterable[str]],
 
     Accepts a string or an iterable of lines. Comma or whitespace separated,
     exactly two numeric columns, ``#`` comments, optional single header row.
-    Rows are sorted by abscissa on load; duplicate abscissae are rejected
-    with their line numbers.
+    Rows are sorted by abscissa on load; non-finite and duplicate abscissae
+    are rejected with their line numbers.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -203,6 +206,9 @@ def load_table(source: Union[str, Iterable[str]],
             raise TableFormatError(f"line {lineno}: non-numeric cell in {line!r}",
                                    (lineno,)) from None
         header_allowed = False
+        if not math.isfinite(x):
+            raise TableFormatError(f"line {lineno}: non-finite abscissa {x!r}",
+                                   (lineno,))
         rows.append((x, y, lineno))
     if not rows:
         raise TableFormatError("table contains no data rows")

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .determinants import (PointsLike, PointTuple, check_points, d_det,
-                           solve_with_det, v_det)
+from .determinants import check_points, d_det, solve_with_det, v_det
 from .errors import ArgumentError, DegenerateInputError, NearSingularError
 from .systems import ChebyshevSystem
 
@@ -50,18 +49,19 @@ class OmegaCombination:
 
 def _check_node_residuals(omega: OmegaCombination, nodes: Sequence[float],
                           targets: Sequence[float]) -> None:
-    # Tolerance is relative to the cancellation scale of each node equation.
+    # Tolerance is relative to the cancellation scale of each node equation;
+    # a NaN residual fails it too.
     for x, want in zip(nodes, targets):
         terms = [c * func(x)
                  for c, func in zip(omega.coefficients, omega.system.basis)]
         scale = max(1.0, abs(want), sum(abs(t) for t in terms))
-        if abs(math.fsum(terms) - want) > NODE_RESIDUAL_RTOL * scale:
+        if not abs(math.fsum(terms) - want) <= NODE_RESIDUAL_RTOL * scale:
             raise NearSingularError(
                 f"interpolation residual at node {x!r} exceeds "
                 f"{NODE_RESIDUAL_RTOL:g} of scale {scale:g}")
 
 
-def interpolate(system: ChebyshevSystem, pts: PointsLike,
+def interpolate(system: ChebyshevSystem, pts: Sequence[float],
                 values: Sequence[float]) -> OmegaCombination:
     """The unique combination matching ``values`` at the given points.
 
@@ -72,7 +72,10 @@ def interpolate(system: ChebyshevSystem, pts: PointsLike,
     values = [float(v) for v in values]
     if len(values) != system.n:
         raise ArgumentError(f"expected {system.n} values, got {len(values)}")
-    paired = sorted(zip(pts.points, values))
+    for v in values:
+        if not math.isfinite(v):
+            raise ArgumentError(f"non-finite interpolation value {v!r}")
+    paired = sorted(zip(pts, values))
     nodes = [x for x, _ in paired]
     targets = [v for _, v in paired]
     matrix = [list(system.evaluate_basis(x)) for x in nodes]
@@ -82,7 +85,7 @@ def interpolate(system: ChebyshevSystem, pts: PointsLike,
     return omega
 
 
-def constrained_interpolate(system: ChebyshevSystem, knots: PointsLike, f,
+def constrained_interpolate(system: ChebyshevSystem, knots: Sequence[float], f,
                             c_n: float) -> OmegaCombination:
     """Interpolate ``f`` at n-1 knots with the last coefficient pinned.
 
@@ -93,18 +96,20 @@ def constrained_interpolate(system: ChebyshevSystem, knots: PointsLike, f,
     n = system.n
     if n < 2:
         raise ArgumentError("constrained interpolation needs a system of order >= 2")
-    knots = check_points(system, knots, n - 1).sorted()
+    if not math.isfinite(c_n):
+        raise ArgumentError(f"non-finite pinned coefficient c_n={c_n!r}")
+    knots = tuple(sorted(check_points(system, knots, n - 1)))
     last = system.basis[n - 1]
     truncated = system.truncate(n - 1)
     matrix = [list(truncated.evaluate_basis(x)) for x in knots]
     targets = [f(x) - c_n * last(x) for x in knots]
     coeffs, _ = solve_with_det(matrix, targets)
     omega = OmegaCombination(system, tuple(coeffs) + (float(c_n),))
-    _check_node_residuals(omega, knots.points, [f(x) for x in knots])
+    _check_node_residuals(omega, knots, [f(x) for x in knots])
     return omega
 
 
-def lemma1_residual(system: ChebyshevSystem, knots: PointsLike, f, c_n: float,
+def lemma1_residual(system: ChebyshevSystem, knots: Sequence[float], f, c_n: float,
                     x: float) -> float:
     """Absolute residual of the constrained-interpolation difference identity.
 
@@ -115,12 +120,12 @@ def lemma1_residual(system: ChebyshevSystem, knots: PointsLike, f, c_n: float,
     n = system.n
     if n < 2:
         raise ArgumentError("the difference identity needs a system of order >= 2")
-    knots = check_points(system, knots, n - 1).sorted()
+    knots = tuple(sorted(check_points(system, knots, n - 1)))
     if any(k == x for k in knots):
         raise DegenerateInputError(f"evaluation point x={x!r} coincides with a knot")
     omega = constrained_interpolate(system, knots, f, c_n)
     lhs = f(x) - omega(x)
-    extended = PointTuple.of(knots.points + (float(x),))
+    extended = knots + (float(x),)
     bordered = d_det(system.truncate(n - 1), extended, f)
     full = v_det(system, extended)
     base = v_det(system.truncate(n - 1), knots)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_sign, require_positive,
                         sign_walk)
-from .determinants import MIN_SEPARATION_FACTOR, PointTuple, function_row
+from .determinants import MIN_SEPARATION_FACTOR, function_row
 from .divdiff import conditioning, gdd_scan
 from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
 from .interpolation import OmegaCombination, constrained_interpolate
@@ -70,7 +70,7 @@ class SignPatternReport:
 
 @dataclass(frozen=True)
 class SupportResult:
-    knots: PointTuple
+    knots: tuple[float, ...]
     omega: OmegaCombination
     c_n: LimitDiagnostics
     pattern: SignPatternReport
@@ -126,7 +126,7 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
         x = x_last + h
         if x == x_last:
             break
-        pts = knots.points + (x,)
+        pts = knots + (x,)
         cols = kcols + [system.evaluate_basis(x)]
         fvals = kvals + function_row(f, (x,))
         value, den = next(gdd_scan(pts, cols, fvals, every, head))
@@ -179,7 +179,7 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     grid = validate_grid(system, grid, 1)
     # The support pattern is the definition's pattern with the last knot
     # counted twice: regions 0..n-2, then region n beyond the last knot.
-    nodes = knots.points + knots.points[-1:]
+    nodes = knots + knots[-1:]
     per_segment: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
     for j, region, fx in sign_walk(f, nodes, grid, knot_exclusion(system)):
         per_segment[min(region, n - 1)].append((grid[j], fx, omega.at_column(cols[j])))

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .determinants import minor_scan, sign_of
 from .errors import ArgumentError, DomainError, GeometryError
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
 
@@ -255,8 +256,6 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     the lowest failing position found so far: a failure past the windows
     may cost more determinants than its position.
     """
-    from .determinants import minor_scan, sign_of
-
     grid = validate_grid(system, grid, system.n)
     cols = [system.evaluate_basis(x) for x in grid]
     tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed)

@@ -106,7 +106,7 @@ class TestTheoremA:
                 budget = rng.randint(m, math.comb(m, system.n + 1) - 1)
                 seed = rng.randrange(1000)
                 cert = certify_theorem_a(system, f, grid, budget=budget, seed=seed)
-                got = (cert.min_value, None if cert.witness is None else cert.witness.points,
+                got = (cert.min_value, cert.witness,
                        cert.witness_value, cert.tuples_checked, cert.skipped)
                 assert repr(got) == repr(reference(system, f, grid, budget, seed))
                 verdicts.add(cert.verdict)
@@ -138,7 +138,7 @@ class TestCorollary1:
         system = polynomial_system(3)
         cert = certify_corollary1(system, F_NEG_CUBE, grid_on(-1, 1, 15))
         assert cert.verdict == VIOLATED
-        t = cert.witness.points
+        t = cert.witness
         hi = gdd(system, t[1:], F_NEG_CUBE).value
         lo = gdd(system, t[:3], F_NEG_CUBE).value
         assert hi - lo == pytest.approx(cert.witness_value, rel=1e-10)
@@ -198,8 +198,10 @@ class TestTheorem2Scan:
 
     def test_unsorted_knots_rejected(self):
         system = polynomial_system(3, Interval(-2.0, 3.0))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="knots must be strictly increasing"):
             scan_theorem2(system, F_CUBE, (1.0, 0.0), grid_on(-2, 3, 30))
+        with pytest.raises(PreconditionError, match="knots must be strictly increasing"):
+            build_support(system, F_CUBE, (1.0, 0.0), grid_on(-2, 3, 30))
 
     def test_basis_evaluated_once_per_knot_and_scanned_point(self, basis_calls):
         system = polynomial_system(3, Interval(-2.0, 3.0))
@@ -270,7 +272,7 @@ class TestTheorem2Scan:
         report = scan_theorem2(system, F_CUBE, (-0.5, 0.3), grid)
         assert not report.violations
         bad = certify_theorem_a(system, F_NEG_CUBE, grid)
-        knots = bad.witness.points[:2]
+        knots = bad.witness[:2]
         report = scan_theorem2(system, F_NEG_CUBE, knots, grid)
         assert report.violations
 
@@ -287,6 +289,11 @@ class TestDefinition:
                                  grid_on(-1, 2, 40))
         assert cert.verdict == CERTIFIED
         assert abs(cert.min_value) <= 1e-9
+
+    def test_unsorted_nodes_rejected(self):
+        with pytest.raises(PreconditionError, match="nodes must be strictly increasing"):
+            verify_definition(polynomial_system(3), F_CUBE, (1.0, 0.0, 2.0),
+                              grid_on(-1, 3, 30))
 
     def test_cube_alternates_around_three_nodes(self):
         nodes = (0.0, 1.0, 2.0)

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem,
                         DegenerateInputError, DomainError, ExpressionSource,
-                        Interval, PointTuple, SourceEvalError,
+                        Interval, SourceEvalError,
                         cosine_sine_system, d_det, named_system,
                         negated_polynomial_system, polynomial_system,
                         uniform_grid, v_det)
 from chebconvex import determinants
 from chebconvex.convexity import require_positive
 from chebconvex.determinants import (EPS, SWEEP_MARGIN, SWEEP_MAX_ORDER,
-                                     TAU_FACTOR, _sweep_error, det_and_scale,
-                                     first_failing_window, minor_scan, sign_of,
-                                     solve_with_det, sweep_signs, window_sweep)
+                                     TAU_FACTOR, _sweep_error, check_points,
+                                     det_and_scale, first_failing_window,
+                                     minor_scan, sign_of, solve_with_det,
+                                     sweep_signs, window_sweep)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
 
@@ -27,22 +28,25 @@ from conftest import (F_CUBE, F_SQUARE, det_bruteforce, draw_separated, grid_on,
                       minor_rows, separated_points_strategy)
 
 
-class TestPointTuple:
-    def test_ordered_flag(self):
-        assert PointTuple.of((0.0, 1.0, 2.0)).ordered
-        assert not PointTuple.of((1.0, 0.0, 2.0)).ordered
+class TestCheckPoints:
+    def test_keeps_callers_order(self):
+        system = polynomial_system(3)
+        for pts in ((0.0, 1.0, 2.0), [1, 0.0, 2.0], iter((2.0, 0.0, 1.0))):
+            got = check_points(system, pts, 3)
+            assert type(got) is tuple and all(type(x) is float for x in got)
+        assert check_points(system, [1, 0.0, 2.0], 3) == (1.0, 0.0, 2.0)
 
     def test_rejects_duplicates_and_nonfinite(self):
-        with pytest.raises(DegenerateInputError):
-            PointTuple.of((0.0, 1.0, 1.0))
-        with pytest.raises(ArgumentError):
-            PointTuple.of(())
-        with pytest.raises(ArgumentError):
-            PointTuple.of((0.0, math.inf))
-
-    def test_sorted(self):
-        pts = PointTuple.of((2.0, 0.0, 1.0)).sorted()
-        assert pts.points == (0.0, 1.0, 2.0) and pts.ordered
+        # The tuples also have the wrong size and lie outside the interval:
+        # the tuple checks come first.
+        system = polynomial_system(2, Interval(0.0, 1.0))
+        with pytest.raises(DegenerateInputError, match="coincident points"):
+            check_points(system, (5.0, 6.0, 6.0), 2)
+        with pytest.raises(ArgumentError, match="must not be empty"):
+            check_points(system, (), 2)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ArgumentError, match="non-finite point"):
+                check_points(system, (5.0, bad, 6.0), 2)
 
 
 class TestKernel:
@@ -406,9 +410,9 @@ class TestVDet:
         with pytest.raises(DomainError):
             v_det(polynomial_system(2, Interval(0.0, 1.0)), (0.0, 2.0))
 
-    def test_accepts_point_tuple_instances(self):
-        pts = PointTuple.of((0.0, 1.0, 2.0))
-        assert v_det(polynomial_system(3), pts).value == pytest.approx(2.0)
+    def test_accepts_any_point_sequence(self):
+        for pts in ((0.0, 1.0, 2.0), [0, 1, 2], iter([0.0, 1.0, 2.0])):
+            assert v_det(polynomial_system(3), pts).value == pytest.approx(2.0)
 
     def test_zero_scale_classifies_as_zero(self):
         from chebconvex import BasisFunction, ChebyshevSystem

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, CallableSource, DomainError,
                         ExpressionSource, ResolutionError, SourceEvalError,
-                        TableFormatError, load_table, parse_function)
+                        TableFormatError, TableSource, load_table,
+                        parse_function)
 
 
 class TestExpressionSource:
@@ -92,6 +93,17 @@ class TestTableSource:
     def test_empty_table(self):
         with pytest.raises(TableFormatError):
             load_table("# nothing\n")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_nonfinite_abscissa_names_its_line(self, cell):
+        with pytest.raises(TableFormatError, match="line 4: non-finite") as info:
+            load_table(f"0 0\n1 1\n2 4\n{cell} 9\n")
+        assert info.value.lines == (4,)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_source_rejects_nonfinite_abscissa(self, x):
+        with pytest.raises(ArgumentError, match="non-finite table abscissa"):
+            TableSource([0.0, 1.0, 2.0, x], [0.0, 1.0, 4.0, 9.0])
 
     def test_max_spacing_window(self):
         f = load_table("\n".join(f"{x/10},{x}" for x in range(11)))

@@ -56,6 +56,10 @@ class TestInterpolate:
         with pytest.raises(ArgumentError):
             interpolate(polynomial_system(2), (0.0, 1.0), (1.0,))
 
+    def test_rejects_nonfinite_values(self):
+        with pytest.raises(ArgumentError, match="non-finite interpolation value"):
+            interpolate(polynomial_system(2), (0.0, 1.0), [math.nan, 1.0])
+
 
 class TestConstrained:
     def test_cube_fixture(self):
@@ -92,6 +96,16 @@ class TestConstrained:
     def test_needs_order_two(self):
         with pytest.raises(ArgumentError):
             constrained_interpolate(polynomial_system(1), (0.0,), F_CUBE, 1.0)
+
+    @pytest.mark.parametrize("c_n", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_pin(self, c_n):
+        with pytest.raises(ArgumentError, match="non-finite pinned coefficient"):
+            constrained_interpolate(polynomial_system(2), (0.5,), lambda x: x * x, c_n)
+
+    def test_nan_node_residual_fails_the_check(self):
+        # A plain callable may return NaN; the residual at its knot is then NaN.
+        with pytest.raises(NearSingularError, match="interpolation residual"):
+            constrained_interpolate(polynomial_system(2), (0.5,), lambda x: math.nan, 1.0)
 
 
 class TestDifferenceIdentity:
