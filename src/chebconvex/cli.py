@@ -29,7 +29,7 @@ from .convexity import (CERTIFIED, DEFAULT_ATOL, DEFAULT_RTOL,
 from .divdiff import DividedDifference, classical_dd, gdd
 from .errors import ArgumentError, ChebConvexError
 from .functions import (ExpressionSource, FunctionSource, load_table,
-                        open_text, parse_function)
+                        open_text, parse_floats, parse_function)
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED
 from .support import SupportResult, build_support
 from .systems import (ChebyshevSystem, Interval, SystemClassification,
@@ -57,13 +57,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ArgumentError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ArgumentError(f"bad {what} list {text!r}")
 
 
 def _parse_grid(text: str):
@@ -189,7 +182,7 @@ def parse_config(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     for name in ("points", "knots", "nodes"):
         text = getattr(config, name)
         if text is not None:
-            setattr(config, name, _parse_floats(text, name))
+            setattr(config, name, parse_floats(text, name))
     return config
 
 

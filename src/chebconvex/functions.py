@@ -1,10 +1,11 @@
-"""Target-function sources: built-in expression forms and tabulated samples.
+"""Closed forms and target-function sources.
 
-Only the closed set of forms the library's fixtures need is supported;
-general expression parsing is out of scope. Tabulated sources optionally
-interpolate linearly between samples, and that choice is flagged in every
-report built from them because interpolation can manufacture or destroy
-convexity.
+:data:`FORMS` is the one table of closed forms, checked by
+:func:`check_form`, for basis functions (:class:`systems.BasisFunction`)
+and expression targets alike; general expression parsing is out of scope.
+Tabulated sources optionally interpolate linearly between samples, and
+that choice is flagged in every report built from them because
+interpolation can manufacture or destroy convexity.
 """
 
 from __future__ import annotations
@@ -45,18 +46,53 @@ class FunctionSource:
         raise NotImplementedError
 
 
-_FORMS: dict[str, Callable[[float, tuple[float, ...]], float]] = {
-    "monomial": lambda x, p: x ** int(p[0]),
-    "negmonomial": lambda x, p: -(x ** int(p[0])),
-    "exp": lambda x, p: math.exp(p[0] * x),
-    "cos": lambda x, p: math.cos(x),
-    "sin": lambda x, p: math.sin(x),
-    "const": lambda x, p: p[0],
-    "poly": lambda x, p: _horner(x, p),
+#: The closed forms: name -> (parameter count, or None for one or more;
+#: a factory that binds the validated parameters once and returns the
+#: function of x). ``poly`` is for targets only. The parameter of
+#: ``monomial`` and ``negmonomial`` is an integer power.
+FORMS = {
+    "monomial": (1, lambda p: lambda x, k=int(p[0]): x ** k),
+    "negmonomial": (1, lambda p: lambda x, k=int(p[0]): -(x ** k)),
+    "exp": (1, lambda p: lambda x, a=p[0]: math.exp(a * x)),
+    "cos": (0, lambda p: math.cos),
+    "sin": (0, lambda p: math.sin),
+    "const": (1, lambda p: lambda x, c=p[0]: c),
+    "poly": (None, lambda p: lambda x: _horner(x, p)),
 }
 
-_FORM_ARITY = {"monomial": 1, "negmonomial": 1, "exp": 1, "cos": 0, "sin": 0,
-               "const": 1}
+#: The forms a basis function may take.
+BASIS_FORMS = tuple(form for form in FORMS if form != "poly")
+
+_POWERS = ("monomial", "negmonomial")
+_COUNTS = {0: "no parameter", 1: "exactly one parameter",
+           None: "at least one coefficient"}
+
+
+def check_form(form: str, params: Iterable, known: Sequence[str],
+               what: str) -> tuple[float, ...]:
+    """``params`` as floats, checked against :data:`FORMS`: ``form`` is one
+    of ``known`` (else "unknown ``what``"), the count is right, every
+    parameter is finite, and a power is an integer >= 0."""
+    if form not in known:
+        raise ArgumentError(f"unknown {what} {form!r}")
+    params = tuple(float(p) for p in params)
+    count = FORMS[form][0]
+    if (not params) if count is None else (len(params) != count):
+        raise ArgumentError(f"{form} takes {_COUNTS[count]}")
+    for p in params:
+        if not math.isfinite(p):
+            raise ArgumentError(f"{form} parameter {p!r} is not finite")
+    if form in _POWERS and not (params[0] >= 0 and params[0].is_integer()):
+        raise ArgumentError(f"{form} power must be an integer >= 0")
+    return params
+
+
+def parse_floats(text: str, what: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated list; empty items are skipped."""
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ArgumentError(f"bad {what} list {text!r}") from None
 
 
 def _horner(x: float, coeffs: tuple[float, ...]) -> float:
@@ -67,33 +103,17 @@ def _horner(x: float, coeffs: tuple[float, ...]) -> float:
 
 
 class ExpressionSource(FunctionSource):
-    """One of the built-in closed forms, e.g. x^3 or e^(a x)."""
+    """One of the closed forms of :data:`FORMS`, e.g. x^3 or e^(a x)."""
 
     def __init__(self, form: str, params: Sequence[float] = ()):
-        if form not in _FORMS:
-            raise ArgumentError(f"unknown expression form {form!r}")
-        params = tuple(float(p) for p in params)
-        want = _FORM_ARITY.get(form)
-        if want is not None and len(params) != want:
-            raise ArgumentError(f"form {form!r} takes {want} parameter(s)")
-        if form == "poly" and not params:
-            raise ArgumentError("poly needs at least one coefficient")
-        if form in ("monomial", "negmonomial"):
-            k = params[0]
-            if k < 0 or k != int(k):
-                raise ArgumentError("monomial power must be an integer >= 0")
+        self.params = check_form(form, params, FORMS, "expression form")
         self.form = form
-        self.params = params
-
-    def _eval(self, x: float) -> float:
-        return _FORMS[self.form](x, self.params)
+        # The bound evaluator takes the place of the ``_eval`` method.
+        self._eval = FORMS[form][1](self.params)
 
     def describe(self) -> str:
-        if self.form in ("cos", "sin"):
-            return self.form
-        if self.form == "poly":
-            return "poly:" + ",".join(f"{c:g}" for c in self.params)
-        return f"{self.form}:{self.params[0]:g}"
+        args = ",".join(f"{p:g}" for p in self.params)
+        return f"{self.form}:{args}" if args else self.form
 
 
 class CallableSource(FunctionSource):
@@ -247,14 +267,6 @@ def parse_function(spec: str) -> FunctionSource:
         mode = mode or "none"
         with open_text(path, "--f") as handle:
             return load_table(handle, interpolation=mode)
-    if head in ("cos", "sin"):
-        if arg:
-            raise ArgumentError(f"{head} takes no parameter")
-        return ExpressionSource(head)
-    if head in ("monomial", "negmonomial", "exp", "const", "poly"):
-        try:
-            params = [float(tok) for tok in arg.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ArgumentError(f"bad parameters in function spec {spec!r}") from exc
-        return ExpressionSource(head, params)
+    if head in FORMS:
+        return ExpressionSource(head, parse_floats(arg, "function parameter"))
     raise ArgumentError(f"unknown function spec {spec!r}")

@@ -5,8 +5,10 @@ actually is a Chebyshev system (collocation determinant never vanishing on
 ordered point tuples) is checked by sampling, never assumed: see
 :func:`classify_on_grid`.
 
+A basis function is one of the closed forms of :data:`functions.FORMS`,
+the table that targets use too, validated by :func:`functions.check_form`.
 Continuity of the basis functions is an assumption of the whole theory and
-is not verified here; the built-in kinds are all continuous, and tabulated
+is not verified here; the closed forms are all continuous, and tabulated
 data is taken on faith.
 """
 
@@ -15,10 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .determinants import minor_scan, sign_of
 from .errors import ArgumentError, DomainError, GeometryError
+from .functions import BASIS_FORMS, FORMS, check_form, parse_floats
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
 
 INF = math.inf
@@ -97,6 +100,8 @@ def uniform_grid(interval: Interval, count: int,
         raise GeometryError("auto-sampling an unbounded interval requires finite bounds")
     if not (interval.contains(a) and interval.contains(b)):
         raise ArgumentError(f"grid bounds [{a}, {b}] leave interval {interval.describe()}")
+    if not a < b:
+        raise ArgumentError(f"grid bounds need lo < hi, got lo={a!r}, hi={b!r}")
     inset = GRID_INSET_FACTOR * interval.tolerance_span
     if a == interval.lo and interval.lo_open:
         a += inset
@@ -110,59 +115,37 @@ def uniform_grid(interval: Interval, count: int,
     return pts
 
 
-# Basis function kinds.
-MONOMIAL = "monomial"
-EXPONENTIAL = "exp"
-COSINE = "cos"
-SINE = "sin"
-CONSTANT = "const"
-NEGMONOMIAL = "negmonomial"
-
-_KINDS = (MONOMIAL, EXPONENTIAL, COSINE, SINE, CONSTANT, NEGMONOMIAL)
-
-
 @dataclass(frozen=True)
 class BasisFunction:
-    """One evaluable basis function: x^k, e^(a x), cos, sin, c, or -x^k."""
+    """One evaluable basis function: x^k, e^(a x), cos, sin, c, or -x^k,
+    named by its form in :data:`functions.FORMS` (any but ``poly``)."""
 
     kind: str
     param: float = 0.0
+    _fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ArgumentError(f"unknown basis kind {self.kind!r}")
-        if self.kind in (MONOMIAL, NEGMONOMIAL):
-            if self.param < 0 or self.param != int(self.param):
-                raise ArgumentError(f"{self.kind} power must be an integer >= 0")
-        if not math.isfinite(self.param):
-            raise ArgumentError("basis parameter must be finite")
+        count, bind = FORMS.get(self.kind, (1, None))
+        # A form without a parameter takes ``param`` only at its default.
+        params = () if count == 0 and self.param == 0.0 else (self.param,)
+        check_form(self.kind, params, BASIS_FORMS, "basis kind")
+        # Bound as given, so ``const`` returns ``param`` itself.
+        object.__setattr__(self, "_fn", bind(params))
 
     def __call__(self, x: float) -> float:
         try:
-            if self.kind == MONOMIAL:
-                return x ** int(self.param)
-            if self.kind == EXPONENTIAL:
-                return math.exp(self.param * x)
-            if self.kind == COSINE:
-                return math.cos(x)
-            if self.kind == SINE:
-                return math.sin(x)
-            if self.kind == CONSTANT:
-                return self.param
-            return -(x ** int(self.param))
+            return self._fn(x)
         except OverflowError as exc:
             raise DomainError(f"basis {self.describe()} overflowed at x={x!r}") from exc
 
     def describe(self) -> str:
-        if self.kind == MONOMIAL:
+        if self.kind in ("monomial", "negmonomial"):
             k = int(self.param)
-            return "1" if k == 0 else ("x" if k == 1 else f"x^{k}")
-        if self.kind == NEGMONOMIAL:
-            k = int(self.param)
-            return "-1" if k == 0 else ("-x" if k == 1 else f"-x^{k}")
-        if self.kind == EXPONENTIAL:
+            sign = "-" if self.kind == "negmonomial" else ""
+            return sign + ("1" if k == 0 else ("x" if k == 1 else f"x^{k}"))
+        if self.kind == "exp":
             return f"exp({self.param:g}x)"
-        if self.kind == CONSTANT:
+        if self.kind == "const":
             return f"{self.param:g}"
         return self.kind
 
@@ -190,7 +173,10 @@ class ChebyshevSystem:
         """All basis values at ``x`` (which must lie in the interval closure)."""
         if not self.interval.contains(x):
             raise DomainError(f"x={x!r} outside interval {self.interval.describe()}")
-        return tuple(func(x) for func in self.basis)
+        try:
+            return tuple(func._fn(x) for func in self.basis)
+        except OverflowError:  # again through __call__, which names the function
+            return tuple(func(x) for func in self.basis)
 
     def truncate(self, m: int) -> "ChebyshevSystem":
         """Restriction to the first ``m`` basis functions, same interval."""
@@ -292,7 +278,7 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
 
 def polynomial_system(n: int, interval: Interval = REAL_LINE) -> ChebyshevSystem:
     """(1, x, ..., x^(n-1))."""
-    return ChebyshevSystem(tuple(BasisFunction(MONOMIAL, k) for k in range(n)),
+    return ChebyshevSystem(tuple(BasisFunction("monomial", k) for k in range(n)),
                            interval, f"poly:{n}")
 
 
@@ -301,13 +287,13 @@ def exponential_system(rates: Sequence[float], interval: Interval = REAL_LINE) -
     rates = tuple(float(a) for a in rates)
     if len(set(rates)) != len(rates):
         raise ArgumentError("exponential rates must be distinct")
-    return ChebyshevSystem(tuple(BasisFunction(EXPONENTIAL, a) for a in rates),
+    return ChebyshevSystem(tuple(BasisFunction("exp", a) for a in rates),
                            interval, "exp:" + ",".join(f"{a:g}" for a in rates))
 
 
 def negated_polynomial_system(n: int, interval: Interval = REAL_LINE) -> ChebyshevSystem:
     """(-1, -x, ..., -x^(n-1))."""
-    return ChebyshevSystem(tuple(BasisFunction(NEGMONOMIAL, k) for k in range(n)),
+    return ChebyshevSystem(tuple(BasisFunction("negmonomial", k) for k in range(n)),
                            interval, f"negpoly:{n}")
 
 
@@ -315,18 +301,18 @@ def cosine_sine_system(interval: Optional[Interval] = None) -> ChebyshevSystem:
     """(cos, sin); defaults to the open interval (0, pi)."""
     if interval is None:
         interval = Interval(0.0, math.pi, lo_open=True, hi_open=True)
-    return ChebyshevSystem((BasisFunction(COSINE), BasisFunction(SINE)), interval, "cossin")
+    return ChebyshevSystem((BasisFunction("cos"), BasisFunction("sin")), interval, "cossin")
 
 
 def parse_system(text: str, name: str = "") -> ChebyshevSystem:
     """Parse the system definition text format.
 
     One basis function per line (``monomial k`` | ``exp alpha`` | ``cos`` |
-    ``sin`` | ``const c`` | ``negmonomial k``) plus an
+    ``sin`` | ``const c`` | ``negmonomial k``) plus at most one
     ``interval lo hi [open|closed] [open|closed]`` header line. ``#`` starts
     a comment; blank lines are ignored.
     """
-    interval = None
+    interval, interval_line = None, 0
     basis: list[BasisFunction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -336,20 +322,16 @@ def parse_system(text: str, name: str = "") -> ChebyshevSystem:
         head = parts[0].lower()
         try:
             if head == "interval":
-                interval = parse_interval(parts[1:])
-            elif head in (MONOMIAL, NEGMONOMIAL, EXPONENTIAL, CONSTANT):
-                if len(parts) != 2:
-                    raise ArgumentError(f"{head} takes exactly one parameter")
-                basis.append(BasisFunction(head, float(parts[1])))
-            elif head in (COSINE, SINE):
-                if len(parts) != 1:
-                    raise ArgumentError(f"{head} takes no parameter")
-                basis.append(BasisFunction(head))
+                if interval_line:
+                    raise ArgumentError(f"second interval line (the first is line "
+                                        f"{interval_line})")
+                interval, interval_line = parse_interval(parts[1:]), lineno
+            elif head in BASIS_FORMS:
+                basis.append(BasisFunction(
+                    head, *check_form(head, parts[1:], BASIS_FORMS, "basis kind")))
             else:
                 raise ArgumentError(f"unknown directive {parts[0]!r}")
-        except ValueError as exc:
-            raise ArgumentError(f"line {lineno}: {exc}") from exc
-        except ArgumentError as exc:
+        except (ValueError, ArgumentError) as exc:
             raise ArgumentError(f"line {lineno}: {exc}") from exc
     if not basis:
         raise ArgumentError("system definition contains no basis functions")
@@ -383,10 +365,7 @@ def named_system(spec: str, interval: Optional[Interval] = None) -> ChebyshevSys
     if head == "negpoly":
         return negated_polynomial_system(_positive_count(arg), interval or REAL_LINE)
     if head == "exp":
-        try:
-            rates = [float(tok) for tok in arg.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ArgumentError(f"bad exponential rates {arg!r}") from exc
+        rates = parse_floats(arg, "exponential rate")
         if not rates:
             raise ArgumentError("exp system needs at least one rate")
         return exponential_system(rates, interval or REAL_LINE)
@@ -394,7 +373,7 @@ def named_system(spec: str, interval: Optional[Interval] = None) -> ChebyshevSys
         return cosine_sine_system(interval)
     if head == "cos":
         iv = interval or Interval(0.0, math.pi, lo_open=True, hi_open=True)
-        return ChebyshevSystem((BasisFunction(COSINE),), iv, "cos")
+        return ChebyshevSystem((BasisFunction("cos"),), iv, "cos")
     raise ArgumentError(f"unknown system name {spec!r}")
 
 

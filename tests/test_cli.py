@@ -1,10 +1,11 @@
 import io
 import json
 import math
+import sys
 
 import pytest
 
-from chebconvex.cli import emit_columns, main
+from chebconvex.cli import console_main, emit_columns, main
 
 
 def run_cli(*args):
@@ -257,6 +258,49 @@ class TestUsageErrors:
         code, _ = run_cli("classify", "--system", "poly:2", "--grid", "-1:1:10",
                           "--format", "columns")
         assert code == 1
+
+    @pytest.mark.parametrize("target, message", [
+        ("monomial:inf", "monomial parameter inf is not finite"),
+        ("monomial:nan", "monomial parameter nan is not finite"),
+        ("const:nan", "const parameter nan is not finite"),
+        ("poly:1,inf", "poly parameter inf is not finite"),
+    ])
+    def test_nonfinite_target_parameter(self, capsys, target, message):
+        # int() of an infinite or NaN power used to escape cli.main as a traceback.
+        code, out = run_cli("dd", "--system", "poly:2", "--f", target, "--points", "0,1")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line", ["monomial inf", "monomial 1e400"])
+    def test_nonfinite_system_file_power(self, capsys, tmp_path, line):
+        path = tmp_path / "sys.txt"
+        path.write_text(f"interval 0 1\nmonomial 0\n{line}\n", encoding="utf-8")
+        code, out = run_cli("classify", "--system", str(path), "--grid", "0:1:5")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: line 3: monomial parameter inf is not finite\n"
+
+    @pytest.mark.parametrize("grid", ["1:0:5", "0:0:5"])
+    def test_grid_bounds_out_of_order(self, capsys, grid):
+        code, _ = run_cli("classify", "--system", "poly:2", "--grid", grid)
+        assert code == 1
+        lo, hi = (float(v) for v in grid.split(":")[:2])
+        assert capsys.readouterr().err == (
+            f"error: grid bounds need lo < hi, got lo={lo!r}, hi={hi!r}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["reproduce-paper-example"], 0),
+    (["classify", "--system", "cos", "--grid", "0:3.141592653589793:41"], 2),
+    (["dd", "--system", "poly:2", "--f", "monomial:inf", "--points", "0,1"], 1),
+])
+def test_console_script_exit_codes(monkeypatch, capsys, argv, code):
+    """``console_main``, the installed ``chebconvex`` script, reads sys.argv
+    and exits with main's code."""
+    monkeypatch.setattr(sys, "argv", ["chebconvex", *argv])
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestFileErrors:

@@ -1,11 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebconvex import (ArgumentError, CallableSource, DomainError,
-                        ExpressionSource, ResolutionError, SourceEvalError,
+from chebconvex import (ArgumentError, BasisFunction, CallableSource,
+                        ChebConvexError, DomainError, ExpressionSource, ResolutionError, SourceEvalError,
                         TableFormatError, TableSource, load_table,
                         parse_function)
 
@@ -36,6 +37,29 @@ class TestExpressionSource:
             ExpressionSource("poly", ())
         with pytest.raises(ArgumentError):
             ExpressionSource("cos", (1.0,))
+        # Non-finite parameters are rejected when the form is built, before
+        # int() of a power could raise OverflowError or ValueError.
+        for form, params in [("monomial", (math.inf,)), ("negmonomial", (math.nan,)),
+                             ("const", (math.nan,)), ("exp", (-math.inf,)),
+                             ("poly", (1.0, math.inf))]:
+            with pytest.raises(ArgumentError, match="is not finite"):
+                ExpressionSource(form, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(form=st.sampled_from(["monomial", "negmonomial", "exp", "cos", "sin", "const"]),
+           power=st.integers(0, 8), real=st.floats(-750.0, 750.0),
+           x=st.floats(-50.0, 50.0))
+    def test_agrees_with_basis_function(self, form, power, real, x):
+        """A basis function and a target of the same closed form take the
+        same value, wherever both give one."""
+        params = {"monomial": (power,), "negmonomial": (power,), "cos": (),
+                  "sin": ()}.get(form, (float(real),))
+        try:
+            basis_value = BasisFunction(form, *params)(x)
+            target_value = ExpressionSource(form, params)(x)
+        except ChebConvexError:  # an overflow, which each reports its own way
+            return
+        assert repr(basis_value) == repr(target_value)
 
     def test_nonfinite_is_source_error(self):
         f = CallableSource(lambda x: math.nan)
@@ -145,3 +169,11 @@ class TestParseFunction:
             parse_function("monomial:x")
         with pytest.raises(ArgumentError):
             parse_function("table:")
+        for spec, message in [("monomial:inf", "monomial parameter inf is not finite"),
+                              ("const:nan", "const parameter nan is not finite"),
+                              ("poly:1,inf", "poly parameter inf is not finite"),
+                              ("monomial:", "monomial takes exactly one parameter"),
+                              ("cos:1", "cos takes no parameter"),
+                              ("exp:1,x", "bad function parameter list '1,x'")]:
+            with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+                parse_function(spec)

@@ -62,6 +62,17 @@ class TestUniformGrid:
         with pytest.raises(ArgumentError):
             uniform_grid(Interval(0.0, 1.0), 10, lo=-0.5, hi=1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, 0.0)])
+    def test_bounds_out_of_order_named_before_any_inset(self, lo, hi):
+        # The real line insets nothing, so "collapsed" would mislead.
+        with pytest.raises(ArgumentError,
+                           match=rf"^grid bounds need lo < hi, got lo={lo!r}, hi={hi!r}$"):
+            uniform_grid(Interval(), 5, lo, hi)
+
+    def test_bounds_collapsed_by_inset(self):
+        with pytest.raises(GeometryError, match="collapsed after endpoint inset"):
+            uniform_grid(Interval(0.0, 1.0, True, True), 5, 0.0, 1e-6)
+
 
 class TestBasisEvaluation:
     def test_poly3_at_two(self):
@@ -91,6 +102,22 @@ class TestBasisEvaluation:
             BasisFunction("monomial", -1)
         with pytest.raises(ArgumentError):
             BasisFunction("monomial", 1.5)
+        with pytest.raises(ArgumentError, match="unknown basis kind 'poly'"):
+            BasisFunction("poly", 1.0)
+        with pytest.raises(ArgumentError, match="cos takes no parameter"):
+            BasisFunction("cos", 1.0)
+        # int() of an infinite or NaN power used to raise OverflowError or ValueError.
+        for kind, param in [("monomial", math.inf), ("negmonomial", math.nan),
+                            ("monomial", -math.inf), ("exp", math.nan),
+                            ("const", math.inf), ("sin", math.nan)]:
+            with pytest.raises(ArgumentError):
+                BasisFunction(kind, param)
+
+    def test_overflow_is_domain_error(self):
+        system = exponential_system((1000.0,), Interval(0.0, 1.0))
+        with pytest.raises(DomainError, match=r"^basis exp\(1000x\) overflowed at x=1\.0$"):
+            system.evaluate_basis(1.0)
+        assert system.evaluate_basis(0.0) == (1.0,)
 
 
 class TestTruncate:
@@ -277,6 +304,26 @@ class TestTextFormat:
             parse_system("interval 0 1\nfourier 3\n")
         with pytest.raises(ArgumentError):
             parse_system("interval 0 1\n")  # no basis functions
+
+    @pytest.mark.parametrize("line, message", [
+        ("monomial inf", "monomial parameter inf is not finite"),
+        ("monomial 1e400", "monomial parameter inf is not finite"),
+        ("negmonomial nan", "negmonomial parameter nan is not finite"),
+        ("monomial 2.5", "monomial power must be an integer >= 0"),
+        ("monomial", "monomial takes exactly one parameter"),
+        ("exp 1 2", "exp takes exactly one parameter"),
+        ("cos 1", "cos takes no parameter"),
+        ("poly 1", "unknown directive 'poly'"),
+    ])
+    def test_bad_basis_line(self, line, message):
+        with pytest.raises(ArgumentError, match=rf"^line 3: {message}$"):
+            parse_system(f"interval 0 1\nmonomial 0\n{line}\n")
+
+    def test_second_interval_line_rejected(self):
+        # The second line used to win silently: this file classified on [5, 6].
+        with pytest.raises(ArgumentError,
+                           match=r"^line 2: second interval line \(the first is line 1\)$"):
+            parse_system("interval 0 1\ninterval 5 6\nmonomial 0\nmonomial 1\n")
 
     def test_named_systems(self):
         assert named_system("poly:3").n == 3
