@@ -68,6 +68,13 @@ _COUNTS = {0: "no parameter", 1: "exactly one parameter",
            None: "at least one coefficient"}
 
 
+def check_count(form: str, params: Sequence) -> None:
+    """Raise unless ``params`` has as many items as ``form`` takes."""
+    count = FORMS[form][0]
+    if (not params) if count is None else (len(params) != count):
+        raise ArgumentError(f"{form} takes {_COUNTS[count]}")
+
+
 def check_form(form: str, params: Iterable, known: Sequence[str],
                what: str) -> tuple[float, ...]:
     """``params`` as floats, checked against :data:`FORMS`: ``form`` is one
@@ -75,10 +82,9 @@ def check_form(form: str, params: Iterable, known: Sequence[str],
     parameter is finite, and a power is an integer >= 0."""
     if form not in known:
         raise ArgumentError(f"unknown {what} {form!r}")
+    params = tuple(params)
+    check_count(form, params)
     params = tuple(float(p) for p in params)
-    count = FORMS[form][0]
-    if (not params) if count is None else (len(params) != count):
-        raise ArgumentError(f"{form} takes {_COUNTS[count]}")
     for p in params:
         if not math.isfinite(p):
             raise ArgumentError(f"{form} parameter {p!r} is not finite")

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .determinants import minor_scan, sign_of
 from .errors import ArgumentError, DomainError, GeometryError
-from .functions import BASIS_FORMS, FORMS, check_form, parse_floats
+from .functions import BASIS_FORMS, FORMS, check_count, check_form, parse_floats
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
 
 INF = math.inf
@@ -125,12 +125,12 @@ class BasisFunction:
     _fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        count, bind = FORMS.get(self.kind, (1, None))
-        # A form without a parameter takes ``param`` only at its default.
-        params = () if count == 0 and self.param == 0.0 else (self.param,)
+        # cos and sin take no parameter: ``param`` may only keep its default.
+        takes_none = self.kind in FORMS and FORMS[self.kind][0] == 0
+        params = () if takes_none and self.param == 0.0 else (self.param,)
         check_form(self.kind, params, BASIS_FORMS, "basis kind")
         # Bound as given, so ``const`` returns ``param`` itself.
-        object.__setattr__(self, "_fn", bind(params))
+        object.__setattr__(self, "_fn", FORMS[self.kind][1](params))
 
     def __call__(self, x: float) -> float:
         try:
@@ -173,10 +173,7 @@ class ChebyshevSystem:
         """All basis values at ``x`` (which must lie in the interval closure)."""
         if not self.interval.contains(x):
             raise DomainError(f"x={x!r} outside interval {self.interval.describe()}")
-        try:
-            return tuple(func._fn(x) for func in self.basis)
-        except OverflowError:  # again through __call__, which names the function
-            return tuple(func(x) for func in self.basis)
+        return tuple(func(x) for func in self.basis)
 
     def truncate(self, m: int) -> "ChebyshevSystem":
         """Restriction to the first ``m`` basis functions, same interval."""
@@ -327,8 +324,9 @@ def parse_system(text: str, name: str = "") -> ChebyshevSystem:
                                         f"{interval_line})")
                 interval, interval_line = parse_interval(parts[1:]), lineno
             elif head in BASIS_FORMS:
-                basis.append(BasisFunction(
-                    head, *check_form(head, parts[1:], BASIS_FORMS, "basis kind")))
+                # The constructor checks the value; only the line shows the count.
+                check_count(head, parts[1:])
+                basis.append(BasisFunction(head, *map(float, parts[1:])))
             else:
                 raise ArgumentError(f"unknown directive {parts[0]!r}")
         except (ValueError, ArgumentError) as exc:

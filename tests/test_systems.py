@@ -313,6 +313,11 @@ class TestTextFormat:
         ("monomial", "monomial takes exactly one parameter"),
         ("exp 1 2", "exp takes exactly one parameter"),
         ("cos 1", "cos takes no parameter"),
+        ("cos 0", "cos takes no parameter"),
+        # The count is checked before any token is read as a number.
+        ("monomial x y", "monomial takes exactly one parameter"),
+        ("sin x", "sin takes no parameter"),
+        ("monomial x", "could not convert string to float: 'x'"),
         ("poly 1", "unknown directive 'poly'"),
     ])
     def test_bad_basis_line(self, line, message):
