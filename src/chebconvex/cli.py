@@ -71,6 +71,8 @@ def _parse_grid(text: str):
         else:
             if count < 2:
                 raise ArgumentError("grid count must be >= 2")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ArgumentError(f"--grid bounds must be finite, got {text!r}")
             return lo, hi, count
     if os.path.isfile(text):
         return text

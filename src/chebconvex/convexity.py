@@ -10,14 +10,14 @@ other:
   differences of the two length-n windows of each (n+1)-tuple, each window
   evaluated by the determinant ratio;
 * ``theorem2``   - monotonicity of the last-argument divided-difference map
-  for a fixed knot tuple;
+  for a fixed knot tuple, in the interpolation form of Lemma 1;
 * ``definition`` - the alternating sign pattern of the difference between
   the target and its n-point interpolant.
 
 The routes share bookkeeping, not quantities: theorem A, corollary 1 and
 the definition route feed one certificate builder, which never certifies
-when nothing was checked, and the definition route shares its sign-pattern
-walker with :mod:`.support`.
+when nothing was checked, and theorem 2, the definition route and
+:mod:`.support` walk the grid with one sign-pattern walker.
 
 Every verdict is certified-on-sample only: a grid check is necessary
 evidence, never a proof on the continuum.
@@ -26,15 +26,15 @@ evidence, never a proof on the continuum.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .determinants import (MIN_SEPARATION_FACTOR, check_points,
-                           first_failing_window, function_row, minor_scan,
-                           sign_of, window_sweep)
-from .divdiff import gdd_scan
-from .errors import ChebConvexError, NearSingularError, PreconditionError
-from .interpolation import interpolate
+from .determinants import (check_points, first_failing_window, function_row,
+                           minor_scan, sign_of, solve_with_det, window_sweep)
+from .divdiff import degenerated
+from .errors import NearSingularError, PreconditionError
+from .interpolation import OmegaCombination, interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
 from .systems import ChebyshevSystem, validate_grid
 
@@ -43,9 +43,6 @@ DEFAULT_RTOL = 1e-8
 
 #: Fraction of the span excluded around knots in sign-pattern checks.
 KNOT_EXCLUSION_FACTOR = 1e-4
-
-#: Points per theorem-2 scan batch; bounds the columns minor_scan caches.
-THEOREM2_BATCH = 256
 
 CERTIFIED = "certified-on-sample"
 VIOLATED = "violated"
@@ -133,8 +130,8 @@ def pattern_sign(count: int, region: int) -> int:
 
 def sign_walk(f, nodes: Sequence[float], grid: Sequence[float],
               delta: float) -> Iterator[tuple[int, int, float]]:
-    """Walk f over the grid for an alternating sign-pattern check of f
-    minus a combination that interpolates it at the nodes.
+    """Walk f over the grid for a check of f minus a combination that
+    interpolates it at the nodes: its sign pattern, or a ratio of it.
 
     Yields ``(j, region, f(x))`` for each grid point x = grid[j] farther
     than ``delta`` from every node, in grid order; region is the number of
@@ -251,55 +248,56 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
                   rtol: float = DEFAULT_RTOL) -> MonotonicityReport:
     """Scan x -> divided difference at (knots, x) and report monotonicity breaks.
 
-    Knots must be strictly increasing interior points; grid points within
-    the knot-exclusion distance are dropped from the scan, and a scan left
-    without an adjacent pair raises. Each point's value, checks and errors
-    are those of :func:`gdd` at the sorted points, from the same
-    :func:`gdd_scan`, point by point in grid order; the basis and f are
-    evaluated once at each knot and each scanned point. The points between
-    two neighbouring knots (a segment) go through it in batches: their
-    sorted tuples share the knots left of x as a prefix, so right of the
-    last knot a determinant costs one pivot step.
+    Knots must be strictly increasing interior points; :func:`sign_walk`
+    walks the grid clear of them, and a scan without an adjacent pair
+    raises. By Lemma 1 the value at x is (f - p)(x) / (u_n - q)(x), where p
+    and q interpolate f and the last basis function u_n at the knots by the
+    first n-1 functions, solved for once. The zero tests of :func:`gdd`
+    stand, with its scale and messages: on the truncated determinant V at
+    the knots first, then point by point on the full one, V (u_n - q)(x),
+    and left of the last knot on the truncated one at the n-1 smallest
+    points, V l(x), for l = 1 at the last knot and 0 at the others.
     """
     n = system.n
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 1)
-    delta = knot_exclusion(system)
-    xs = [x for x in grid if min(abs(x - k) for k in knots) > delta]
-    if len(xs) < 2:
-        raise PreconditionError(f"theorem2: nothing was checked; {len(xs)} grid "
-                                "point(s) clear the knot exclusion, a pair is needed")
-    # The knots and the grid are validated once. A scanned point lies farther
-    # than delta from every knot, and delta exceeds the minimum separation,
-    # so every tuple passes the point checks of gdd.
-    assert KNOT_EXCLUSION_FACTOR > MIN_SEPARATION_FACTOR
     kcols = [system.evaluate_basis(k) for k in knots]
-    kvals = function_row(f, knots)
+    rows = [c[:n - 1] for c in kcols]
+    try:
+        p, det = solve_with_det(rows, function_row(f, knots))
+    except NearSingularError:
+        det = None
+    # minor_scan's row max-norms over the knots, and over the first n-1
+    # functions at all knots but the last: a point's head left of it.
+    kmax = [max(map(abs, v)) for v in zip(*kcols)]
+    hmax = [max((abs(c[i]) for c in kcols[:-1]), default=0.0) for i in range(n - 1)]
+    if det is None or sign_of(det.value, math.prod(kmax[:n - 1])) == "0":
+        raise degenerated("truncated", knots)
+    # The same matrix again, so these solves pass the same zero test.
+    q, _ = solve_with_det(rows, [c[n - 1] for c in kcols])
+    lagrange, _ = solve_with_det(rows, [0.0] * (n - 2) + [1.0])
+    truncated = system.truncate(n - 1)
+    p, q, lagrange = (OmegaCombination(truncated, tuple(c)).at_column
+                      for c in (p, q, lagrange))
     scan: list[tuple[float, float]] = []
-    for i in range(n):  # segment i: the points with i knots to their left
-        end = bisect.bisect(xs, knots[i]) if i < n - 1 else len(xs)
-        while len(scan) < end:
-            batch = xs[len(scan):min(end, len(scan) + THEOREM2_BATCH)]
-            # Vectors 0..n-2 are the knots', then the batch's points. An
-            # evaluation error is raised after the points before it are scanned.
-            cols, fvals, failed = list(kcols), list(kvals), None
-            try:
-                for x in batch:
-                    cols.append(system.evaluate_basis(x))
-                    fvals.append(function_row(f, (x,))[0])
-            except ChebConvexError as exc:
-                failed, cols = exc, cols[:len(fvals)]
-            tuples = [(*range(i), j, *range(i, n - 1)) for j in range(n - 1, len(cols))]
-            values = gdd_scan(knots + tuple(batch), cols, fvals, tuples,
-                              [t[:n - 1] for t in tuples])
-            scan.extend((x, value) for x, (value, _) in zip(batch, values))
-            if failed is not None:
-                raise failed
-    violations = []
-    for (x0, v0), (x1, v1) in zip(scan, scan[1:]):
-        if v1 - v0 < -(atol + rtol * max(abs(v0), abs(v1))):
-            violations.append(((x0, v0), (x1, v1)))
-    return MonotonicityReport(knots, tuple(scan), tuple(violations))
+    for j, region, fx in sign_walk(lambda x: function_row(f, (x,))[0], knots,
+                                   grid, knot_exclusion(system)):
+        x = grid[j]
+        col = system.evaluate_basis(x)
+        absc = [*map(abs, col)]
+        r = col[n - 1] - q(col)
+        if sign_of(det.value * r, math.prod(map(max, kmax, absc))) == "0":
+            raise degenerated("full", sorted(knots + (x,)))
+        if region < n - 1 and sign_of(det.value * lagrange(col),
+                                      math.prod(map(max, hmax, absc))) == "0":
+            raise degenerated("truncated", sorted(knots[:-1] + (x,)))
+        scan.append((x, (fx - p(col)) / r))
+    if len(scan) < 2:
+        raise PreconditionError(f"theorem2: nothing was checked; {len(scan)} grid "
+                                "point(s) clear the knot exclusion, a pair is needed")
+    violations = tuple(((x0, v0), (x1, v1)) for (x0, v0), (x1, v1) in zip(scan, scan[1:])
+                       if v1 - v0 < -(atol + rtol * max(abs(v0), abs(v1))))
+    return MonotonicityReport(knots, tuple(scan), violations)
 
 
 def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
@@ -319,7 +317,10 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
         raise PreconditionError("nodes must be strictly increasing")
     grid = validate_grid(system, grid, 1)
     omega = interpolate(system, nodes, [f(x) for x in nodes])
-    walk = sign_walk(f, nodes, grid, knot_exclusion(system))
-    scored = ((pattern_sign(n, region) * (fx - omega(grid[j])), (j,),
-               atol + rtol * abs(fx)) for j, region, fx in walk)
-    return _certificate("definition", scored, grid, f, atol, rtol, None)
+
+    def scored():
+        for j, region, fx in sign_walk(f, nodes, grid, knot_exclusion(system)):
+            ox = omega.at_column(system.evaluate_basis(grid[j]))
+            yield pattern_sign(n, region) * (fx - ox), (j,), atol + rtol * abs(fx)
+
+    return _certificate("definition", scored(), grid, f, atol, rtol, None)

@@ -7,8 +7,9 @@ For the monomial system it reduces to the classical recurrence, and it is
 symmetric under any permutation of the points: numerator and denominator
 pick up the same column inversions.
 
-Every generalized divided difference comes from :func:`gdd_scan`: that
-of :func:`gdd`, of theorem 2's scan and of the support limit.
+The ratio at one point tuple comes from :func:`gdd_scan`, for :func:`gdd`
+and the support limit; theorem 2's scan takes Lemma 1's form of it at
+fixed knots, with the errors of :func:`degenerated`.
 
 Two divided differences of windows sharing n-1 points are linked by a
 one-step update identity; :func:`recurrence_identity_residual` measures
@@ -18,8 +19,7 @@ how well the ratio satisfies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .determinants import (check_points, d_det, distinct_points, function_row,
                            minor_scan, sign_of, v_det)
@@ -65,39 +65,39 @@ def conditioning(det: float, scale: float) -> float:
     return abs(det) / scale if scale > 0.0 else 1.0
 
 
+def degenerated(which: str, pts: Sequence[float]) -> NearSingularError:
+    """The error of the "full" or "truncated" determinant's zero test at pts."""
+    return NearSingularError(f"{which}-system collocation determinant "
+                             f"degenerated at {tuple(pts)}")
+
+
 def gdd_scan(points: Sequence[float], cols: Sequence[tuple[float, ...]],
-             fvals: Sequence[float], tuples: Sequence[Sequence[int]],
-             heads: Sequence[Sequence[int]]) -> Iterator[tuple[float, tuple[float, float]]]:
-    """``(value, (det, scale))`` of the divided difference, and of its full
-    collocation determinant, at each index tuple into the basis columns
-    ``cols`` and f values ``fvals`` at ``points``, lazily. The determinant
-    and the truncated one at the tuple's head (its n-1 smallest points)
-    must clear their zero tests; the error names the one that degenerated.
-    Its three minors run through :func:`minor_scan`."""
-    n = len(cols[0])
-    dens = minor_scan(cols, tuples)
+             fvals: Sequence[float]) -> tuple[float, tuple[float, float]]:
+    """``(value, (det, scale))`` of the divided difference at ``points``, in
+    any order, and of its full collocation determinant, from the basis
+    columns ``cols`` and f values ``fvals`` there, each minor through
+    :func:`minor_scan`. The error of a failed zero test, of the determinant
+    or of the truncated one at the n-1 smallest points, names it."""
+    n = len(cols)
+    every = [tuple(range(n))]
+    head = sorted(range(n), key=points.__getitem__)[:n - 1]
+    det, scale = next(minor_scan(cols, every))
+    if sign_of(det, scale) == "0":
+        raise degenerated("full", points)
     # An order-1 system has the empty truncation, whose determinant is 1.
-    truncs = minor_scan([c[:n - 1] for c in cols], heads) if n > 1 else repeat((1.0, 1.0))
-    nums = minor_scan([c[:n - 1] + (v,) for c, v in zip(cols, fvals)], tuples)
-    for t, head, den, trunc, (num, _) in zip(tuples, heads, dens, truncs, nums):
-        if sign_of(*den) == "0":
-            raise NearSingularError("full-system collocation determinant "
-                                    f"degenerated at {tuple(points[j] for j in t)}")
-        if sign_of(*trunc) == "0":
-            raise NearSingularError("truncated-system collocation determinant "
-                                    f"degenerated at {tuple(points[j] for j in head)}")
-        yield num / den[0], den
+    truncs = minor_scan([c[:n - 1] for c in cols], [head])
+    if head and sign_of(*next(truncs)) == "0":
+        raise degenerated("truncated", [points[j] for j in head])
+    num, _ = next(minor_scan([c[:n - 1] + (v,) for c, v in zip(cols, fvals)], every))
+    return num / det, (det, scale)
 
 
 def gdd(system: ChebyshevSystem, pts: Sequence[float], f) -> DividedDifference:
-    """Generalized divided difference of ``f`` at ``system.n`` points: one
-    tuple through :func:`gdd_scan`, over one evaluation of the basis."""
+    """Generalized divided difference of ``f`` at ``system.n`` points:
+    :func:`gdd_scan` over one evaluation of the basis."""
     pts = check_points(system, pts, system.n)
-    n = system.n
     cols = [system.evaluate_basis(x) for x in pts]
-    head = tuple(sorted(range(n), key=pts.__getitem__)[:n - 1])
-    value, den = next(gdd_scan(pts, cols, function_row(f, pts),
-                               [tuple(range(n))], [head]))
+    value, den = gdd_scan(pts, cols, function_row(f, pts))
     return DividedDifference(value, pts, conditioning(*den))
 
 

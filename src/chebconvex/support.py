@@ -92,7 +92,6 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
     with slack widened by the conditioning of each evaluation so that
     cancellation noise near tiny h does not read as a violation.
     """
-    n = system.n
     knots = interior_knots(system, knots)
     span = system.interval.tolerance_span
     x_last = knots[-1]
@@ -117,7 +116,6 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
 
     kcols = [system.evaluate_basis(k) for k in knots]
     kvals = function_row(f, knots)
-    every, head = [tuple(range(n))], [tuple(range(n - 1))]
     trace: list[tuple[float, float]] = []
     conditionings: list[float] = []
     estimate = None
@@ -126,10 +124,8 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
         x = x_last + h
         if x == x_last:
             break
-        pts = knots + (x,)
-        cols = kcols + [system.evaluate_basis(x)]
-        fvals = kvals + function_row(f, (x,))
-        value, den = next(gdd_scan(pts, cols, fvals, every, head))
+        value, den = gdd_scan(knots + (x,), kcols + [system.evaluate_basis(x)],
+                              kvals + function_row(f, (x,)))
         trace.append((h, value))
         conditionings.append(conditioning(*den))
         if len(trace) >= 2:

@@ -1,14 +1,16 @@
 """Shared fixtures, generators, and independent oracles for the test suite.
 
 The determinant oracle expands by cofactors, so it shares no code with the
-elimination kernel under test. Point generators are seeded and rejection
-sample until the minimum separation holds.
+elimination kernel under test; the divided-difference oracle runs the
+classical recurrence in exact rational arithmetic. Point generators are
+seeded and rejection sample until the minimum separation holds.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -30,6 +32,17 @@ def det_bruteforce(rows):
         term = rows[0][j] * det_bruteforce(minor)
         total += -term if j % 2 else term
     return total
+
+
+def exact_classical_dd(pts, f) -> Fraction:
+    """Classical divided difference of the values of f at ``pts`` by the
+    recurrence, in exact ``Fraction`` arithmetic on the floats themselves."""
+    xs = [Fraction(x) for x in pts]
+    table = [Fraction(f(x)) for x in pts]
+    for level in range(1, len(xs)):
+        table = [(b - a) / (xs[i + level] - xs[i])
+                 for i, (a, b) in enumerate(zip(table, table[1:]))]
+    return table[0]
 
 
 def minor_rows(cols, t, k, fvals=None):

@@ -279,6 +279,16 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: line 3: monomial parameter inf is not finite\n"
 
+    @pytest.mark.parametrize("grid", ["nan:1:5", "0:inf:5", "1e400:1:5"])
+    def test_nonfinite_grid_bound(self, capsys, grid):
+        # float() reads these; they used to reach uniform_grid, whose error
+        # blamed an unbounded interval.
+        code, out = run_cli("classify", "--system", "poly:2", "--interval", "0:1",
+                            "--grid", grid)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: --grid bounds must be finite, got {grid!r}\n")
+
     @pytest.mark.parametrize("grid", ["1:0:5", "0:0:5"])
     def test_grid_bounds_out_of_order(self, capsys, grid):
         code, _ = run_cli("classify", "--system", "poly:2", "--grid", grid)

@@ -2,8 +2,11 @@ import bisect
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         ChebyshevSystem, ExpressionSource, Interval,
@@ -14,12 +17,12 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         negated_polynomial_system, parse_function,
                         parse_system, polynomial_system, scan_theorem2,
                         verify_definition)
-from chebconvex.convexity import THEOREM2_BATCH
 from chebconvex.determinants import det_and_scale
 from chebconvex.sampling import ordered_index_tuples
 
-from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, draw_separated,
-                      grid_on, minor_rows)
+from conftest import (F_CUBE, F_EXP, F_FIFTH, F_NEG_CUBE, F_SQUARE,
+                      draw_separated, exact_classical_dd, grid_on, minor_rows,
+                      separated_points_strategy)
 
 
 class TestTheoremA:
@@ -221,8 +224,7 @@ class TestTheorem2Scan:
     ])
     def test_scan_matches_gdd_at_every_point(self, system, f):
         n = system.n
-        # With one knot, one of the two segments spans more than one batch.
-        grid = grid_on(-1.0, 2.0, 2 * THEOREM2_BATCH + 151)
+        grid = grid_on(-1.0, 2.0, 663)
         rng = random.Random(7 * n)
         if f == "table":
             # A table knows f at its abscissae only, so the knots are grid points.
@@ -233,36 +235,117 @@ class TestTheorem2Scan:
         report = scan_theorem2(system, f, knots, grid)
         xs = [x for x, _ in report.scan]
         assert len(set(bisect.bisect(knots, x) for x in xs)) == n  # every segment
-        reference = [(x, gdd(system, sorted((*knots, x)), f).value) for x in xs]
-        assert repr(report.scan) == repr(tuple(reference))
+        for x, value in report.scan:
+            assert value == pytest.approx(gdd(system, sorted((*knots, x)), f).value,
+                                          rel=1e-9)
+
+    @pytest.mark.parametrize("n, f", [
+        (2, F_EXP), (3, F_CUBE), (3, F_EXP), (4, ExpressionSource("exp", (-1.5,))),
+        (5, F_EXP), (5, F_FIFTH),
+    ])
+    def test_scan_matches_exact_divided_differences(self, n, f):
+        """For (1, x, ..., x^(n-1)) the scan's values are the classical
+        divided differences of the sampled f values, computed exactly."""
+        system = polynomial_system(n, Interval(-1.0, 2.0))
+        grid = grid_on(-1.0, 2.0, 301)
+        knots = draw_separated(random.Random(n), n - 1, -0.8, 1.8, sep=0.2)
+        report = scan_theorem2(system, f, knots, grid)
+        xs = [x for x, _ in report.scan]
+        assert len(set(bisect.bisect(knots, x) for x in xs)) == n  # every segment
+        for x, value in report.scan:
+            exact = exact_classical_dd(sorted((*knots, x)), f)
+            assert abs(Fraction(value) - exact) <= 1e-9 * max(1, abs(exact)), x
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([polynomial_system(2, Interval(-1.0, 1.0)),
+                            polynomial_system(3, Interval(-1.0, 1.0)),
+                            polynomial_system(4, Interval(-1.0, 1.0)),
+                            exponential_system((0.0, 1.0), Interval(-1.0, 1.0)),
+                            exponential_system((0.0, 1.0, 2.0), Interval(-1.0, 1.0))]),
+           st.sampled_from([F_EXP, F_CUBE, F_NEG_CUBE]),
+           st.data())
+    def test_scan_agrees_with_gdd_on_separated_knots(self, system, f, data):
+        n = system.n
+        knots = data.draw(separated_points_strategy(n - 1, -0.9, 0.9, sep=0.1))
+        grid = grid_on(-1.0, 1.0, 41)
+        report = scan_theorem2(system, f, knots, grid)
+        for x, value in report.scan:
+            want = gdd(system, sorted((*knots, x)), f).value
+            assert abs(value - want) <= 1e-9 * max(abs(value), abs(want)), x
 
     @pytest.mark.parametrize("basis, knots, message", [
         ("monomial 1\nmonomial 0", (0.0,),
          "truncated-system collocation determinant degenerated at (0.0,)"),
         ("monomial 1\nmonomial 1\nmonomial 0", (-0.5, 0.5),
-         "full-system collocation determinant degenerated at (-0.9, -0.5, 0.5)"),
+         "truncated-system collocation determinant degenerated at (-0.5, 0.5)"),
+        ("monomial 0\nmonomial 2", (0.5,),
+         "full-system collocation determinant degenerated at (-0.5, 0.5)"),
+        ("monomial 0\nmonomial 2\nmonomial 3", (-0.3, 0.6),
+         "truncated-system collocation determinant degenerated at (-0.3, 0.3)"),
     ])
     def test_degenerate_determinants_named_as_gdd_names_them(self, basis, knots,
                                                              message):
+        # The first two truncations are singular at the knots, the last two
+        # determinants at a scanned point (-0.5 and 0.3).
         system = parse_system("interval -1 1\n" + basis)
         grid = [j / 10 for j in range(-9, 10)]
         with pytest.raises(NearSingularError) as err:
             scan_theorem2(system, parse_function("monomial:3"), knots, grid)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("gap, degenerate", [(1e-14, False), (1e-15, True)])
+    def test_zero_tests_use_the_scale_of_gdd(self, gap, degenerate):
+        # At x = 0.3 + gap the head (-0.3, x) of the truncation (1, x^2) is
+        # nearly singular: inside its zero test for the smaller gap only.
+        # The last function, e^(50x), enters the full determinant's scale
+        # and must stay out of the head's, as in gdd.
+        system = parse_system("interval -1 1\nmonomial 0\nmonomial 2\nexp 50")
+        knots, x = (-0.3, 0.6), 0.3 + gap
+        if degenerate:
+            with pytest.raises(NearSingularError) as want:
+                gdd(system, (-0.3, x, 0.6), F_CUBE)
+            with pytest.raises(NearSingularError) as got:
+                scan_theorem2(system, F_CUBE, knots, [0.0, x, 0.9])
+            assert str(got.value) == str(want.value)
+        else:
+            report = scan_theorem2(system, F_CUBE, knots, [0.0, x, 0.9])
+            assert report.scan[1][1] == pytest.approx(
+                gdd(system, (-0.3, x, 0.6), F_CUBE).value, rel=1e-9)
+
+    def test_heads_need_no_smaller_truncation(self):
+        # (x) is singular at the knot 0, but no head of (x, 1) left of the
+        # knot 0.5 is: gdd checks every point, and so does the scan.
+        system = parse_system("interval -1 1\nmonomial 1\nmonomial 0\nmonomial 2")
+        report = scan_theorem2(system, F_CUBE, (0.0, 0.5), [j / 10 for j in range(-9, 10)])
+        assert len(report.scan) == 17
+        for x, value in report.scan:
+            assert value == pytest.approx(gdd(system, sorted((0.0, 0.5, x)), F_CUBE).value,
+                                          rel=1e-9)
+
     def test_first_failing_point_decides_the_error(self):
-        # Right of the knot 0 the truncated determinant x vanishes at once;
-        # an evaluation error counts only at a point before that one.
-        system = parse_system("interval -1 1\nmonomial 1\nmonomial 0")
+        # (1, x^2) with the knot 0.5 degenerates at -0.5; an evaluation error
+        # counts only at a point up to that one, in grid order.
+        system = parse_system("interval -1 1\nmonomial 0\nmonomial 2")
         grid = [j / 10 for j in range(-9, 10)]
-        for bad, error in ((0.5, NearSingularError), (-0.5, SourceEvalError),
-                           (0.1, SourceEvalError)):
+        for bad, error in ((-0.7, SourceEvalError), (-0.5, SourceEvalError),
+                           (0.1, NearSingularError)):
             def f(x, bad=bad):
                 if x == bad:
                     raise ValueError("no value here")
                 return x ** 3
             with pytest.raises(error):
-                scan_theorem2(system, CallableSource(f), (0.0,), grid)
+                scan_theorem2(system, CallableSource(f), (0.5,), grid)
+
+    def test_truncation_singular_at_the_knots_raised_before_any_point(self):
+        # The truncation (x) vanishes at the knot 0; f has a value there only.
+        system = parse_system("interval -1 1\nmonomial 1\nmonomial 0")
+
+        def f(x):
+            if x != 0.0:
+                raise ValueError("no value here")
+            return 0.0
+        with pytest.raises(NearSingularError, match="truncated-system"):
+            scan_theorem2(system, CallableSource(f), (0.0,), [j / 10 for j in range(-9, 10)])
 
     def test_scan_on_certified_and_violated_fixtures(self):
         system = polynomial_system(3)
@@ -324,6 +407,14 @@ class TestDefinition:
         assert cert.verdict == CERTIFIED
         assert cert.tuples_checked == len(grid)
         assert all(calls[x] == 1 for x in grid)
+
+    def test_basis_evaluated_once_per_node_and_walked_point(self, basis_calls):
+        grid = grid_on(-1, 3, 41)
+        nodes = (grid[10], grid[20], grid[30])
+        cert = verify_definition(polynomial_system(3), F_CUBE, nodes, grid)
+        walked = [x for x in grid if x not in nodes]
+        assert cert.tuples_checked == len(walked)
+        assert basis_calls == Counter(walked + list(nodes))
 
     def test_negated_cube_violates_definition(self):
         cert = verify_definition(polynomial_system(3), F_NEG_CUBE, (0.0, 1.0, 2.0),
