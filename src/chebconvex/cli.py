@@ -227,12 +227,14 @@ def _system_dict(system: ChebyshevSystem) -> dict:
 def _classification_dict(result: SystemClassification) -> dict:
     return {"verdict": result.verdict,
             "witness": list(result.witness) if result.witness else None,
-            "tuples_checked": result.tuples_checked}
+            "tuples_checked": result.tuples_checked,
+            "coverage": result.coverage}
 
 
 def _certificate_dict(cert: ConvexityCertificate) -> dict:
     return {"method": cert.method, "verdict": cert.verdict,
             "tuples_checked": cert.tuples_checked,
+            "coverage": cert.coverage,
             "min_value": cert.min_value,
             "witness": list(cert.witness) if cert.witness else None,
             "witness_value": cert.witness_value,

@@ -17,7 +17,9 @@ other:
 The routes share bookkeeping, not quantities: theorem A, corollary 1 and
 the definition route feed one certificate builder, which never certifies
 when nothing was checked, and theorem 2, the definition route and
-:mod:`.support` walk the grid with one sign-pattern walker.
+:mod:`.support` walk the grid with one sign-pattern walker. Past the
+budget, theorem A and corollary 1 scan the contiguous windows alone when
+Fekete's criterion lets them decide every tuple (:mod:`.sampling`).
 
 Every verdict is certified-on-sample only: a grid check is necessary
 evidence, never a proof on the continuum.
@@ -31,11 +33,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .determinants import (check_points, first_failing_window, function_row,
-                           minor_scan, sign_of, solve_with_det, window_sweep)
+                           minor_scan, sign_of, solve_with_det, window_sweep,
+                           windows_keep_sign)
 from .divdiff import degenerated
 from .errors import NearSingularError, PreconditionError
 from .interpolation import OmegaCombination, interpolate
-from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
+from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples, scan_tuples
 from .systems import ChebyshevSystem, validate_grid
 
 DEFAULT_ATOL = 1e-10
@@ -63,6 +66,9 @@ class ConvexityCertificate:
     seed: Optional[int]
     skipped: int = 0
     linear_table: bool = False
+    #: 'exhaustive' | 'windows' | 'sampled' for tuple scans (see
+    #: :mod:`.sampling`), None for the definition route.
+    coverage: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -79,28 +85,42 @@ class MonotonicityReport:
 
 
 def require_positive(system: ChebyshevSystem, grid: Sequence[float],
-                     cols: Sequence[Sequence[float]], truncation: bool) -> None:
+                     cols: Sequence[Sequence[float]], truncation: bool) -> list:
     """Opportunistic positivity check over contiguous grid windows only, of
     the system and, with ``truncation``, of its first n-1 functions, from
-    the basis columns at a validated grid and one :func:`window_sweep`. A
-    failure reports the verdict of a window-only classification and its
-    first failing window; the system's is raised first."""
+    the basis columns at a validated grid and one :func:`window_sweep`,
+    whose levels of every order k <= n it returns. A failure reports the
+    verdict of a window-only classification and its first failing window;
+    the system's is raised first."""
     n = system.n
     checks = {n: ("system", system)}
     if truncation:
         checks[n - 1] = ("truncated system", system.truncate(n - 1))
+    levels = list(window_sweep(cols, n))
     failures = {}
-    for k, (dets, scales) in enumerate(window_sweep(cols, n), 1):
-        if k in checks:
-            first, fail = first_failing_window(cols, k, dets, scales)
-            if fail is not None:
-                failures[k] = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
-            elif first != "+":
-                failures[k] = "negative, witness None"
+    for k in checks:
+        first, fail = first_failing_window(cols, k, *levels[k - 1])
+        if fail is not None:
+            failures[k] = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
+        elif first != "+":
+            failures[k] = "negative, witness None"
     for k, (label, checked) in checks.items():
         if k in failures:
             raise PreconditionError(f"{label} {checked.describe()} is not positive "
                                     f"on the grid: verdict {failures[k]}")
+    return levels
+
+
+def bordered_windows_decide(bordered: Sequence[Sequence[float]],
+                            levels: Sequence) -> bool:
+    """Fekete's criterion for the (n+1)-tuples of a bordered scan: the basis
+    windows of every order k <= n keep one nonzero sign (``levels`` are the
+    sweep's over the basis columns, the first n entries of ``bordered``),
+    and every bordered window of n+1 points is positive, so that every
+    bordered (n+1)-tuple is positive too."""
+    windows = ordered_index_tuples(len(bordered), len(levels) + 1, windows_only=True)
+    return (windows_keep_sign(bordered, levels)
+            and all(sign_of(*d) == "+" for d in minor_scan(bordered, windows)))
 
 
 def knot_exclusion(system: ChebyshevSystem) -> float:
@@ -146,7 +166,8 @@ def sign_walk(f, nodes: Sequence[float], grid: Sequence[float],
 
 def _certificate(method: str, scored: Iterable[Optional[tuple]],
                  grid: Sequence[float], f, atol: float, rtol: float,
-                 seed: Optional[int]) -> ConvexityCertificate:
+                 seed: Optional[int],
+                 coverage: Optional[str] = None) -> ConvexityCertificate:
     """Minimum, witness and verdict from ``(value, t, tol)`` items, where
     ``t`` holds grid indices and the item violates when value < -tol; None
     marks an item skipped as degenerate. Ties go to the lexicographically
@@ -179,7 +200,8 @@ def _certificate(method: str, scored: Iterable[Optional[tuple]],
     return ConvexityCertificate(method, CERTIFIED if witness is None else VIOLATED,
                                 checked, best[0], witness, witness_value,
                                 atol, rtol, seed, skipped,
-                                bool(getattr(f, "uses_linear_interpolation", False)))
+                                bool(getattr(f, "uses_linear_interpolation", False)),
+                                coverage)
 
 
 def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
@@ -189,21 +211,24 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     """Certify via signs of the bordered determinant over ordered (n+1)-tuples.
 
     A tuple violates when its determinant falls below ``-(atol + rtol *
-    scale)`` at that tuple's own scale.
+    scale)`` at that tuple's own scale. Past the budget, the windows alone
+    are scanned when they decide every tuple (:func:`bordered_windows_decide`).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = [system.evaluate_basis(x) for x in grid]
-    require_positive(system, grid, cols, False)
+    levels = require_positive(system, grid, cols, False)
     fvals = [f(x) for x in grid]
+    bordered = [c + (v,) for c, v in zip(cols, fvals)]
+    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed,
+                                   lambda: bordered_windows_decide(bordered, levels))
     # The certificate does not depend on the order of the tuples, so they are
     # scanned sorted, where neighbours share their elimination prefixes. The
     # first tuple is the first window in either order.
-    tuples = sorted(ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed))
-    bordered = minor_scan([c + (v,) for c, v in zip(cols, fvals)], tuples)
+    tuples.sort()
     scored = ((value, t, atol + rtol * scale)
-              for t, (value, scale) in zip(tuples, bordered))
-    return _certificate("theoremA", scored, grid, f, atol, rtol, seed)
+              for t, (value, scale) in zip(tuples, minor_scan(bordered, tuples)))
+    return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
@@ -214,17 +239,20 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
 
     For each ordered (n+1)-tuple the divided difference of the upper window
     must not fall below the lower window's beyond tolerance. Windows whose
-    collocation determinant degenerates are skipped and counted.
+    collocation determinant degenerates are skipped and counted. Past the
+    budget, the (n+1)-point windows alone are scanned when they decide
+    every tuple (:func:`bordered_windows_decide`).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = [system.evaluate_basis(x) for x in grid]
-    require_positive(system, grid, cols, n >= 2)
+    levels = require_positive(system, grid, cols, n >= 2)
     fvals = [f(x) for x in grid]
 
+    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, lambda: (
+        bordered_windows_decide([c + (v,) for c, v in zip(cols, fvals)], levels)))
     # Each distinct window is scanned once, in lexicographic order, so that
     # neighbouring windows share their elimination prefixes.
-    tuples = ordered_index_tuples(len(grid), n + 1, budget=budget, seed=seed)
     windows = sorted({w for t in tuples for w in (t[:n], t[1:])})
     numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
     dd: dict[tuple[int, ...], Optional[float]] = {}
@@ -240,7 +268,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
             else:
                 yield hi - lo, t, atol + rtol * max(abs(hi), abs(lo))
 
-    return _certificate("corollary1", scored(), grid, f, atol, rtol, seed)
+    return _certificate("corollary1", scored(), grid, f, atol, rtol, seed, coverage)
 
 
 def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],

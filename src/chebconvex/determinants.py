@@ -311,6 +311,16 @@ def first_failing_window(cols: Sequence[Sequence[float]], k: int,
             return first, i
 
 
+def windows_keep_sign(cols: Sequence[Sequence[float]], levels: Sequence) -> bool:
+    """Whether, at every order k = 1, ..., len(levels), the windows of k
+    consecutive columns share one nonzero sign, as :func:`first_failing_window`
+    decides them from the :func:`window_sweep` ``levels``. By Fekete's
+    criterion every increasing k-tuple of columns then has that sign too
+    (Gasca and Pena, 1992; Karlin, "Total Positivity", 1968, ch. 2)."""
+    return all(first_failing_window(cols, k, dets, scales)[1] is None
+               for k, (dets, scales) in enumerate(levels, 1))
+
+
 def _square_scale(rows: Sequence[Sequence[float]]) -> float:
     """The scale proxy of a square matrix, given by rows, which it checks."""
     n, scale = len(rows), 1.0

@@ -48,12 +48,14 @@ class OmegaCombination:
 
 
 def _check_node_residuals(omega: OmegaCombination, nodes: Sequence[float],
+                          cols: Sequence[Sequence[float]],
                           targets: Sequence[float]) -> None:
+    """Check omega against ``targets`` at the nodes, from the basis values
+    ``cols`` that the caller evaluated there."""
     # Tolerance is relative to the cancellation scale of each node equation;
     # a NaN residual fails it too.
-    for x, want in zip(nodes, targets):
-        terms = [c * func(x)
-                 for c, func in zip(omega.coefficients, omega.system.basis)]
+    for x, col, want in zip(nodes, cols, targets):
+        terms = [*map(mul, omega.coefficients, col)]
         scale = max(1.0, abs(want), sum(abs(t) for t in terms))
         if not abs(math.fsum(terms) - want) <= NODE_RESIDUAL_RTOL * scale:
             raise NearSingularError(
@@ -81,7 +83,7 @@ def interpolate(system: ChebyshevSystem, pts: Sequence[float],
     matrix = [list(system.evaluate_basis(x)) for x in nodes]
     coeffs, _ = solve_with_det(matrix, targets)
     omega = OmegaCombination(system, tuple(coeffs))
-    _check_node_residuals(omega, nodes, targets)
+    _check_node_residuals(omega, nodes, matrix, targets)
     return omega
 
 
@@ -99,13 +101,12 @@ def constrained_interpolate(system: ChebyshevSystem, knots: Sequence[float], f,
     if not math.isfinite(c_n):
         raise ArgumentError(f"non-finite pinned coefficient c_n={c_n!r}")
     knots = tuple(sorted(check_points(system, knots, n - 1)))
-    last = system.basis[n - 1]
-    truncated = system.truncate(n - 1)
-    matrix = [list(truncated.evaluate_basis(x)) for x in knots]
-    targets = [f(x) - c_n * last(x) for x in knots]
-    coeffs, _ = solve_with_det(matrix, targets)
+    cols = [system.evaluate_basis(x) for x in knots]
+    fvals = [f(x) for x in knots]
+    targets = [v - c_n * c[n - 1] for c, v in zip(cols, fvals)]
+    coeffs, _ = solve_with_det([c[:n - 1] for c in cols], targets)
     omega = OmegaCombination(system, tuple(coeffs) + (float(c_n),))
-    _check_node_residuals(omega, knots, [f(x) for x in knots])
+    _check_node_residuals(omega, knots, cols, fvals)
     return omega
 
 

@@ -1,8 +1,17 @@
 """Deterministic enumeration of ordered index tuples under a budget.
 
-Contiguous windows catch local sign changes of continuous determinants
-first, so they are always included; the rest of the budget is spent on the
-exhaustive enumeration when it fits, otherwise on a seeded random sample.
+A scan of k-tuples of grid points checks one of three tuple lists, named
+by its coverage. All C(m, k) of them, in lexicographic order, when they
+fit the budget ("exhaustive"). Otherwise the m-k+1 contiguous windows
+alone when the caller's window check holds ("windows"): by Fekete's
+criterion (Gasca and Pena, "Total positivity and Neville elimination",
+Linear Algebra Appl. 165, 1992; Karlin, "Total Positivity", 1968, ch. 2),
+if for each order j <= k the windows of j consecutive points under the
+first j functions share one nonzero sign, every increasing j-tuple has
+that sign, so the windows decide what every tuple would. Otherwise the
+windows followed by distinct seeded random tuples up to the budget
+("sampled"): windows catch local sign changes of continuous determinants
+first.
 """
 
 from __future__ import annotations
@@ -10,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Callable
 
 DEFAULT_BUDGET = 50_000
 DEFAULT_SEED = 0
@@ -44,3 +54,16 @@ def ordered_index_tuples(m: int, k: int, budget: int = DEFAULT_BUDGET,
             seen.add(t)
             out.append(t)
     return out
+
+
+def scan_tuples(m: int, k: int, budget: int, seed: int,
+                windows_decide: Callable[[], bool]
+                ) -> tuple[list[tuple[int, ...]], str]:
+    """The k-tuples a scan over range(m) checks, and their coverage (module
+    docstring). ``windows_decide`` is asked only when C(m, k) exceeds the
+    budget, and answers whether Fekete's criterion holds on the windows."""
+    if math.comb(m, k) <= budget:
+        return ordered_index_tuples(m, k, budget, seed), "exhaustive"
+    if windows_decide():
+        return ordered_index_tuples(m, k, windows_only=True), "windows"
+    return ordered_index_tuples(m, k, budget, seed), "sampled"

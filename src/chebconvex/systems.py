@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .determinants import minor_scan, sign_of
+from .determinants import minor_scan, sign_of, window_sweep, windows_keep_sign
 from .errors import ArgumentError, DomainError, GeometryError
 from .functions import BASIS_FORMS, FORMS, check_count, check_form, parse_floats
-from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples
+from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, scan_tuples
 
 INF = math.inf
 
@@ -196,6 +196,7 @@ class SystemClassification:
     verdict: str  # 'positive' | 'negative' | 'non-chebyshev'
     witness: Optional[tuple[float, ...]]
     tuples_checked: int
+    coverage: str  # 'exhaustive' | 'windows' | 'sampled' (see :mod:`.sampling`)
 
     def __post_init__(self):
         if self.verdict == "non-chebyshev" and self.witness is None:
@@ -227,21 +228,26 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     """Classify a system as positive / negative / non-chebyshev by sampling.
 
     Evaluates the collocation determinant over ordered n-tuples drawn from
-    ``grid``: exhaustively when the tuple count fits ``budget``, otherwise
-    all contiguous windows plus a seeded random subsample. The verdict is
-    ``positive`` (``negative``) when every checked determinant clears the
-    scale-relative zero tolerance with constant sign, and ``non-chebyshev``
-    with the first tuple, in sampler order, whose determinant vanishes or
-    differs in sign from the first one; ``tuples_checked`` is then that
-    tuple's position + 1. The windows that lead a sample are scanned in
-    order, and the scan stops at a failing one. The rest is scanned sorted,
-    where neighbours share elimination prefixes, and skips the tuples past
-    the lowest failing position found so far: a failure past the windows
-    may cost more determinants than its position.
+    ``grid`` by :func:`.sampling.scan_tuples`: exhaustively when the tuple
+    count fits ``budget``; otherwise the contiguous windows alone when, at
+    every order k <= n, the windows of the first k functions share one
+    nonzero sign (Fekete's criterion: then so does every k-tuple), and
+    else all contiguous windows plus a seeded random subsample. The verdict
+    is ``positive`` (``negative``) when every checked determinant clears
+    the scale-relative zero tolerance with constant sign, and
+    ``non-chebyshev`` with the first tuple, in sampler order, whose
+    determinant vanishes or differs in sign from the first one;
+    ``tuples_checked`` is then that tuple's position + 1. The windows that
+    lead a sample are scanned in order, and the scan stops at a failing
+    one. The rest is scanned sorted, where neighbours share elimination
+    prefixes, and skips the tuples past the lowest failing position found
+    so far: a failure past the windows may cost more determinants than its
+    position.
     """
     grid = validate_grid(system, grid, system.n)
     cols = [system.evaluate_basis(x) for x in grid]
-    tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed)
+    tuples, coverage = scan_tuples(len(grid), system.n, budget, seed, lambda: (
+        windows_keep_sign(cols, list(window_sweep(cols, system.n)))))
     # An exhaustive list is already sorted: all of it is the head.
     head = len(tuples)
     if head < math.comb(len(grid), system.n):
@@ -265,9 +271,9 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
                 break
     if fail < len(tuples):
         witness = tuple(grid[j] for j in tuples[fail])
-        return SystemClassification("non-chebyshev", witness, fail + 1)
+        return SystemClassification("non-chebyshev", witness, fail + 1, coverage)
     verdict = "positive" if first_sign == "+" else "negative"
-    return SystemClassification(verdict, None, len(tuples))
+    return SystemClassification(verdict, None, len(tuples), coverage)
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,38 @@ class TestCertifyCommand:
         assert code == 0
         assert doc["certificate"]["linear_table_interpolation"] is True
 
+    @pytest.mark.parametrize("method, budget, coverage, checked", [
+        ("theoremA", "10000", "exhaustive", math.comb(20, 4)),
+        ("theoremA", "500", "windows", 20 - 3),
+        ("corollary1", "500", "windows", 20 - 3),
+    ])
+    def test_coverage_reported(self, method, budget, coverage, checked):
+        code, doc = run_json("certify", "--method", method, "--system", "poly:3",
+                             "--f", "monomial:3", "--grid", "-1:1:20", "--budget", budget)
+        assert code == 0
+        cert = doc["certificate"]
+        assert (cert["coverage"], cert["tuples_checked"]) == (coverage, checked)
+
+    def test_definition_reports_no_coverage(self):
+        _, doc = run_json("certify", "--method", "definition",
+                          "--system", "poly:2", "--f", "monomial:2",
+                          "--nodes", "0,1", "--grid", "-1:2:40")
+        assert doc["certificate"]["coverage"] is None
+
 
 class TestClassifyCommand:
+    @pytest.mark.parametrize("system, grid, coverage, checked", [
+        ("poly:3", "-1:1:20", "windows", 18),
+        # cos changes sign at pi / 2: the windows of cos alone do not keep one
+        ("cossin", "0.1:3.1:30", "sampled", 100),
+    ])
+    def test_coverage_reported(self, system, grid, coverage, checked):
+        code, doc = run_json("classify", "--system", system, "--grid", grid,
+                             "--budget", "100")
+        assert code == 0
+        result = doc["classification"]
+        assert (result["coverage"], result["tuples_checked"]) == (coverage, checked)
+
     def test_positive_exits_zero(self):
         code, doc = run_json("classify", "--system", "poly:3", "--grid", "-1:1:20")
         assert code == 0
@@ -179,6 +209,7 @@ class TestClassifyCommand:
         assert code == 0
         assert doc["classification"]["verdict"] == "positive"
         assert doc["classification"]["tuples_checked"] == math.comb(15, 3)
+        assert doc["classification"]["coverage"] == "exhaustive"
 
 
 class TestDdCommand:

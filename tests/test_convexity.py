@@ -69,7 +69,13 @@ class TestTheoremA:
         b = certify_theorem_a(system, F_EXP, grid, budget=3000, seed=5)
         assert a == b
         assert a.verdict == CERTIFIED
-        assert a.tuples_checked == 3000
+        # Every order's windows keep one sign: the windows decide every tuple.
+        assert (a.coverage, a.tuples_checked) == ("windows", 80 - 3 + 1)
+        # A violated target's bordered windows are negative: the sample runs.
+        c = certify_theorem_a(system, F_NEG_CUBE, grid, budget=3000, seed=5)
+        assert c == certify_theorem_a(system, F_NEG_CUBE, grid, budget=3000, seed=5)
+        assert c.verdict == VIOLATED
+        assert (c.coverage, c.tuples_checked) == ("sampled", 3000)
 
     def test_basis_evaluated_once_per_grid_point(self, basis_calls):
         grid = grid_on(-1, 1, 30)
@@ -78,7 +84,10 @@ class TestTheoremA:
 
     def test_sampled_scan_matches_sampler_order_reference(self):
         """The sampled tuples are scanned sorted; minimum, witness and counts
-        equal those of a scan in sampler order with the same tie-break."""
+        equal those of a scan in sampler order with the same tie-break. The
+        cases all fall back to the sample: violated targets, whose bordered
+        windows are negative, and (cos, sin) past pi / 2, where the windows
+        of cos alone change sign."""
 
         def reference(system, f, grid, budget, seed, atol=1e-10, rtol=1e-8):
             n = system.n
@@ -98,17 +107,23 @@ class TestTheoremA:
                     len(tuples), 0)
 
         rng = random.Random(7)
-        cases = [(polynomial_system(n), ExpressionSource(kind, (n,)))
-                 for n in (2, 3, 4) for kind in ("monomial", "negmonomial")]
-        cases.append((exponential_system([0.0, 1.0]), ExpressionSource("exp", (-1.0,))))
+        cases = [(polynomial_system(n), ExpressionSource("negmonomial", (n,)), -1, 1)
+                 for n in (2, 3, 4)]
+        # sqrt(e^x) is concave in e^x
+        cases.append((exponential_system([0.0, 1.0]), ExpressionSource("exp", (0.5,)),
+                      -1, 1))
+        cases += [(cosine_sine_system(Interval(0.0, 3.0)), ExpressionSource("const", (c,)),
+                   0, 3)
+                  for c in (1.0, -1.0)]
         verdicts = set()
-        for system, f in cases:
+        for system, f, lo, hi in cases:
             for _ in range(3):
                 m = rng.randint(system.n + 6, 24)
-                grid = [float(x) for x in grid_on(-1, 1, m)]
+                grid = [float(x) for x in grid_on(lo, hi, m)]
                 budget = rng.randint(m, math.comb(m, system.n + 1) - 1)
                 seed = rng.randrange(1000)
                 cert = certify_theorem_a(system, f, grid, budget=budget, seed=seed)
+                assert cert.coverage == "sampled"
                 got = (cert.min_value, cert.witness,
                        cert.witness_value, cert.tuples_checked, cert.skipped)
                 assert repr(got) == repr(reference(system, f, grid, budget, seed))

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebconvex import interpolation
 from chebconvex import (ArgumentError, BasisFunction, CallableSource,
                         ChebyshevSystem, DegenerateInputError, Interval,
                         NearSingularError, constrained_interpolate,
@@ -156,3 +158,68 @@ class TestEvaluation:
     def test_describe_lists_terms(self):
         omega = interpolate(polynomial_system(2), (0.0, 1.0), (0.0, 1.0))
         assert "x" in omega.describe()
+
+
+class TestNodeResiduals:
+    """The residual check at the nodes takes the basis and target values its
+    caller evaluated there, rather than evaluating them again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counter of ``BasisFunction.__call__`` calls, by point."""
+        counts = Counter()
+        call = BasisFunction.__call__
+
+        def counting(self, x):
+            counts[x] += 1
+            return call(self, x)
+
+        monkeypatch.setattr(BasisFunction, "__call__", counting)
+        return counts
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Arguments of every node-residual check."""
+        seen = []
+        check = interpolation._check_node_residuals
+
+        def recording(omega, nodes, cols, targets):
+            seen.append((omega, nodes, cols, targets))
+            return check(omega, nodes, cols, targets)
+
+        monkeypatch.setattr(interpolation, "_check_node_residuals", recording)
+        return seen
+
+    @staticmethod
+    def assert_basis_values(omega, nodes, cols):
+        """The check saw, bit for bit, the basis values at each node taken
+        function by function, as it used to evaluate them itself."""
+        calls_before = [[func(x) for func in omega.system.basis] for x in nodes]
+        assert repr([list(c) for c in cols]) == repr(calls_before)
+
+    def test_interpolate_evaluates_the_basis_once_per_node(self, calls, checked):
+        system = polynomial_system(3)
+        nodes = (-0.5, 0.0, 0.5)
+        interpolate(system, nodes, [x ** 3 for x in nodes])
+        assert calls == Counter({x: 3 for x in nodes})
+        (omega, got_nodes, cols, targets), = checked
+        assert list(got_nodes) == list(nodes)
+        assert targets == [x ** 3 for x in nodes]
+        self.assert_basis_values(omega, nodes, cols)
+
+    def test_constrained_evaluates_basis_and_target_once_per_knot(self, calls, checked):
+        system = exponential_system((0.0, 1.0, 2.0))
+        knots = (-0.4, 0.7)
+        f_calls = Counter()
+
+        def f(x):
+            f_calls[x] += 1
+            return math.exp(1.5 * x)
+
+        constrained_interpolate(system, knots, f, 2.5)
+        assert calls == Counter({x: 3 for x in knots})
+        assert f_calls == Counter({x: 1 for x in knots})
+        (omega, got_nodes, cols, targets), = checked
+        assert got_nodes == knots
+        assert targets == [math.exp(1.5 * x) for x in knots]
+        self.assert_basis_values(omega, knots, cols)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebconvex import (ArgumentError, BasisFunction, DomainError,
+from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem, DomainError,
                         GeometryError, Interval, classify_on_grid,
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
@@ -15,6 +15,13 @@ from chebconvex.determinants import (det_and_scale, first_failing_window, sign_o
 from chebconvex.sampling import ordered_index_tuples
 
 from conftest import grid_on, minor_rows
+
+
+def mixed_signs(n: int, c: float) -> ChebyshevSystem:
+    """(x, c, x^2, ..., x^(n-1)): on a grid around 0 the windows of x alone
+    change sign, while from order 2 on every minor has the sign of -c."""
+    return ChebyshevSystem((BasisFunction("monomial", 1), BasisFunction("const", c),
+                            *(BasisFunction("monomial", k) for k in range(2, n))))
 
 
 class TestInterval:
@@ -217,7 +224,15 @@ class TestClassify:
         b = classify_on_grid(system, grid, budget=500, seed=11)
         assert a == b
         assert a.verdict == "positive"
-        assert a.tuples_checked == 500
+        # Every order's windows keep one sign: the windows decide every tuple.
+        assert (a.coverage, a.tuples_checked) == ("windows", 60 - 3 + 1)
+        # x changes sign on the grid, so the windows of (x) alone do not keep
+        # one, and (x, -1, x^2) is classified from the sample.
+        mixed = mixed_signs(3, -1.0)
+        c = classify_on_grid(mixed, grid, budget=500, seed=11)
+        assert c == classify_on_grid(mixed, grid, budget=500, seed=11)
+        assert c.verdict == "positive"
+        assert (c.coverage, c.tuples_checked) == ("sampled", 500)
 
     def test_windows_only_scan(self):
         system = polynomial_system(3)
@@ -256,13 +271,13 @@ class TestClassify:
                 grid = uniform_grid(wide, m, rng.uniform(0.0, 1.0), rng.uniform(2.0, 6.0))
             else:
                 n = rng.randint(2, 4)
-                maker = polynomial_system if kind == 2 else negated_polynomial_system
-                system, m = maker(n), rng.randint(n + 3, 16)
+                system, m = mixed_signs(n, 1.0 if kind == 2 else -1.0), rng.randint(n + 3, 16)
                 grid = grid_on(-1, 1, m)
             budget = rng.randint(1, math.comb(m, system.n) - 1)
             seed = rng.randrange(1000)
             want = reference(system, grid, budget, seed)
             got = classify_on_grid(system, grid, budget=budget, seed=seed)
+            assert got.coverage == "sampled"
             assert repr((got.verdict, got.witness, got.tuples_checked)) == repr(want)
             verdicts.add(want[0])
             past_windows += want[0] == "non-chebyshev" and want[2] > m - system.n + 1
