@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .determinants import (check_points, first_failing_window, function_row,
-                           minor_scan, sign_of, solve_with_det, window_sweep,
-                           windows_keep_sign)
+from .determinants import (Windows, check_points, exact_sign, function_row,
+                           minor_scan, sign_of, solve_with_det)
 from .divdiff import degenerated
 from .errors import NearSingularError, PreconditionError
 from .interpolation import OmegaCombination, interpolate
@@ -85,21 +84,21 @@ class MonotonicityReport:
 
 
 def require_positive(system: ChebyshevSystem, grid: Sequence[float],
-                     cols: Sequence[Sequence[float]], truncation: bool) -> list:
+                     cols: Sequence[Sequence[float]], truncation: bool) -> Windows:
     """Opportunistic positivity check over contiguous grid windows only, of
     the system and, with ``truncation``, of its first n-1 functions, from
-    the basis columns at a validated grid and one :func:`window_sweep`,
-    whose levels of every order k <= n it returns. A failure reports the
-    verdict of a window-only classification and its first failing window;
-    the system's is raised first."""
+    the basis columns at a validated grid and one :func:`window_sweep`.
+    It returns the :class:`Windows` it decided them with. A failure reports
+    the verdict of a window-only classification and its first failing
+    window; the system's is raised first."""
     n = system.n
     checks = {n: ("system", system)}
     if truncation:
         checks[n - 1] = ("truncated system", system.truncate(n - 1))
-    levels = list(window_sweep(cols, n))
+    windows = Windows(cols, n)
     failures = {}
     for k in checks:
-        first, fail = first_failing_window(cols, k, *levels[k - 1])
+        first, fail = windows.first_failing(k)
         if fail is not None:
             failures[k] = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
         elif first != "+":
@@ -108,19 +107,30 @@ def require_positive(system: ChebyshevSystem, grid: Sequence[float],
         if k in failures:
             raise PreconditionError(f"{label} {checked.describe()} is not positive "
                                     f"on the grid: verdict {failures[k]}")
-    return levels
+    return windows
 
 
-def bordered_windows_decide(bordered: Sequence[Sequence[float]],
-                            levels: Sequence) -> bool:
-    """Fekete's criterion for the (n+1)-tuples of a bordered scan: the basis
-    windows of every order k <= n keep one nonzero sign (``levels`` are the
-    sweep's over the basis columns, the first n entries of ``bordered``),
-    and every bordered window of n+1 points is positive, so that every
-    bordered (n+1)-tuple is positive too."""
-    windows = ordered_index_tuples(len(bordered), len(levels) + 1, windows_only=True)
-    return (windows_keep_sign(bordered, levels)
-            and all(sign_of(*d) == "+" for d in minor_scan(bordered, windows)))
+def bordered_window_minors(bordered: Sequence[Sequence[float]],
+                           windows: Windows) -> Optional[list[tuple[float, float]]]:
+    """The :func:`minor_scan` minors of the bordered windows of n+1 points,
+    in order, when they decide every bordered (n+1)-tuple by Fekete's
+    criterion, else None. The criterion holds when the basis windows of
+    every order k <= n keep one nonzero sign (``windows``, over the first n
+    entries of ``bordered``) and every bordered window is positive: by
+    :func:`sign_of`, or, where the zero test leaves it "0", by the
+    :func:`exact_sign` of its evaluated floats. A window with a non-finite
+    entry or an exactly singular one is not positive."""
+    if not windows.keep_sign():
+        return None
+    k = windows.n + 1
+    minors = []
+    for i, minor in enumerate(minor_scan(bordered, ordered_index_tuples(
+            len(bordered), k, windows_only=True))):
+        sign = sign_of(*minor)
+        if sign == "-" or sign == "0" and exact_sign(bordered[i:i + k]) != 1:
+            return None
+        minors.append(minor)
+    return minors
 
 
 def knot_exclusion(system: ChebyshevSystem) -> float:
@@ -212,22 +222,30 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
 
     A tuple violates when its determinant falls below ``-(atol + rtol *
     scale)`` at that tuple's own scale. Past the budget, the windows alone
-    are scanned when they decide every tuple (:func:`bordered_windows_decide`).
+    are scanned when they decide every tuple (:func:`bordered_window_minors`).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = [system.evaluate_basis(x) for x in grid]
-    levels = require_positive(system, grid, cols, False)
+    windows = require_positive(system, grid, cols, False)
     fvals = [f(x) for x in grid]
     bordered = [c + (v,) for c, v in zip(cols, fvals)]
-    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed,
-                                   lambda: bordered_windows_decide(bordered, levels))
+    window_minors = None
+
+    def windows_decide() -> bool:
+        nonlocal window_minors
+        window_minors = bordered_window_minors(bordered, windows)
+        return window_minors is not None
+
+    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, windows_decide)
     # The certificate does not depend on the order of the tuples, so they are
     # scanned sorted, where neighbours share their elimination prefixes. The
-    # first tuple is the first window in either order.
+    # first tuple is the first window in either order. The windows' minors
+    # are those the route was decided with.
     tuples.sort()
+    minors = window_minors if coverage == "windows" else minor_scan(bordered, tuples)
     scored = ((value, t, atol + rtol * scale)
-              for t, (value, scale) in zip(tuples, minor_scan(bordered, tuples)))
+              for t, (value, scale) in zip(tuples, minors))
     return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
 
 
@@ -241,23 +259,24 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     must not fall below the lower window's beyond tolerance. Windows whose
     collocation determinant degenerates are skipped and counted. Past the
     budget, the (n+1)-point windows alone are scanned when they decide
-    every tuple (:func:`bordered_windows_decide`).
+    every tuple (:func:`bordered_window_minors`).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = [system.evaluate_basis(x) for x in grid]
-    levels = require_positive(system, grid, cols, n >= 2)
+    windows = require_positive(system, grid, cols, n >= 2)
     fvals = [f(x) for x in grid]
 
     tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, lambda: (
-        bordered_windows_decide([c + (v,) for c, v in zip(cols, fvals)], levels)))
+        bordered_window_minors([c + (v,) for c, v in zip(cols, fvals)], windows)
+        is not None))
     # Each distinct window is scanned once, in lexicographic order, so that
-    # neighbouring windows share their elimination prefixes.
-    windows = sorted({w for t in tuples for w in (t[:n], t[1:])})
+    # neighbouring windows share their elimination prefixes; the denominators
+    # of the contiguous ones are often the precheck's minors already.
+    ws = sorted({w for t in tuples for w in (t[:n], t[1:])})
     numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
     dd: dict[tuple[int, ...], Optional[float]] = {}
-    for w, den, (num, _) in zip(windows, minor_scan(cols, windows),
-                                minor_scan(numerators, windows)):
+    for w, den, (num, _) in zip(ws, windows.scan(ws), minor_scan(numerators, ws)):
         dd[w] = None if sign_of(*den) == "0" else num / den[0]
 
     def scored():

@@ -70,6 +70,19 @@ a window that clears the margin has a kernel determinant that clears the
 zero test with the sweep's sign whenever beta_k * eps <=
 (``SWEEP_MARGIN`` - 2) tau: for k <= 4 (beta_4 = 737 <= 896), not from
 k = 5 (beta_5 = 6848). Windows of more points always fall back.
+:class:`Windows` keeps one sweep, one search per order and the kernel
+minors the searches computed, so a request decides each window once.
+
+Where the zero test leaves a sign open, :func:`exact_sign` gives the sign
+of the exact determinant of the evaluated floats; the certificates' route
+through the windows reads it for their bordered windows (the
+filter-then-exact scheme of Shewchuk, "Adaptive precision floating-point
+arithmetic and fast robust geometric predicates", Discrete Comput. Geom.
+18, 1997).
+A float is an integer times a power of two, so scaling each column by a
+power of two, which keeps the sign, makes the matrix an integer one, and
+fraction-free (Bareiss) elimination, whose divisions are all exact, gives
+its determinant. A non-finite entry has no exact value and no sign.
 """
 
 from __future__ import annotations
@@ -77,6 +90,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import gt, le, lt, mul, ne, sub, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -285,18 +299,24 @@ def sweep_signs(k: int, dets: Sequence[float], scales: Sequence[float]) -> list[
 
 
 def first_failing_window(cols: Sequence[Sequence[float]], k: int,
-                         dets: Sequence[float], scales: Sequence[float]
+                         dets: Sequence[float], scales: Sequence[float],
+                         minors: Optional[dict] = None
                          ) -> tuple[Optional[str], Optional[int]]:
     """The :func:`sign_of` of the first window of k consecutive columns and
     the index of the first window whose sign vanishes or differs from it
     (None if none does), given the windows' :func:`window_sweep` levels.
     The sweep's signs stand where :func:`sweep_signs` gives one; any other
-    window that the search reaches goes to :func:`minor_scan` alone."""
+    window that the search reaches goes to :func:`minor_scan` alone, and
+    its minor into ``minors``, when given, by window index tuple."""
     swept = sweep_signs(k, dets, scales)
+    minors = {} if minors is None else minors
 
     def sign(i: int) -> str:
-        window = [c[:k] for c in cols[i:i + k]]
-        return swept[i] or sign_of(*next(minor_scan(window, [tuple(range(k))])))
+        if swept[i]:
+            return swept[i]
+        minor = next(minor_scan([c[:k] for c in cols[i:i + k]], [tuple(range(k))]))
+        minors[tuple(range(i, i + k))] = minor
+        return sign_of(*minor)
 
     if not swept:
         return None, None
@@ -311,14 +331,70 @@ def first_failing_window(cols: Sequence[Sequence[float]], k: int,
             return first, i
 
 
-def windows_keep_sign(cols: Sequence[Sequence[float]], levels: Sequence) -> bool:
-    """Whether, at every order k = 1, ..., len(levels), the windows of k
-    consecutive columns share one nonzero sign, as :func:`first_failing_window`
-    decides them from the :func:`window_sweep` ``levels``. By Fekete's
-    criterion every increasing k-tuple of columns then has that sign too
-    (Gasca and Pena, 1992; Karlin, "Total Positivity", 1968, ch. 2)."""
-    return all(first_failing_window(cols, k, dets, scales)[1] is None
-               for k, (dets, scales) in enumerate(levels, 1))
+class Windows:
+    """The contiguous windows of the basis columns ``cols`` (n entries
+    each) at every order k <= n, each computed at most once per request:
+    one :func:`window_sweep`, run when first needed, one
+    :func:`first_failing_window` search per order, and the kernel minors
+    those searches computed, kept in ``minors`` by window index tuple."""
+
+    def __init__(self, cols: Sequence[Sequence[float]], n: int):
+        self.cols, self.n = cols, n
+        self.minors: dict[tuple[int, ...], tuple[float, float]] = {}
+        self._failures: dict[int, tuple[Optional[str], Optional[int]]] = {}
+
+    @cached_property
+    def levels(self) -> list:
+        return list(window_sweep(self.cols, self.n))
+
+    def first_failing(self, k: int) -> tuple[Optional[str], Optional[int]]:
+        """:func:`first_failing_window` for the windows of k points."""
+        if k not in self._failures:
+            self._failures[k] = first_failing_window(self.cols, k, *self.levels[k - 1],
+                                                     self.minors)
+        return self._failures[k]
+
+    def keep_sign(self) -> bool:
+        """Whether, at every order k = 1, ..., n, the windows of k points
+        share one nonzero sign. By Fekete's criterion every increasing
+        k-tuple of columns then has that sign too (Gasca and Pena, 1992;
+        Karlin, "Total Positivity", 1968, ch. 2)."""
+        return all(self.first_failing(k)[1] is None for k in range(1, self.n + 1))
+
+    def scan(self, tuples: Sequence[tuple[int, ...]]) -> Iterator[tuple[float, float]]:
+        """:func:`minor_scan` of the columns over n-tuples, lazily, with the
+        windows whose minors are already known read from ``minors``."""
+        if not self.minors:
+            return minor_scan(self.cols, tuples)
+        fresh = minor_scan(self.cols, (t for t in tuples if t not in self.minors))
+        return (self.minors.get(t) or next(fresh) for t in tuples)
+
+
+def exact_sign(cols: Sequence[Sequence[float]]) -> Optional[int]:
+    """The sign (1, 0 or -1) of the exact determinant of the square matrix
+    with these float columns, or None when an entry is not finite: integer
+    Bareiss elimination after scaling by powers of two (module docstring)."""
+    rows = []
+    for c in cols:
+        if not all(map(math.isfinite, c)):
+            return None
+        ratios = [x.as_integer_ratio() for x in c]
+        top = max(d for _, d in ratios).bit_length()
+        rows.append([p << (top - d.bit_length()) for p, d in ratios])
+    sign, prev = 1, 1
+    while rows:
+        s = next((i for i, r in enumerate(rows) if r[0]), None)
+        if s is None:
+            return 0
+        if s:
+            rows[0], rows[s], sign = rows[s], rows[0], -sign
+        # Bareiss: every entry left is a minor of the scaled matrix, so the
+        # division is exact, and the last pivot is its determinant.
+        (pivot, *head), *rows = rows
+        rows = [[(pivot * x - r[0] * y) // prev for x, y in zip(r[1:], head)]
+                for r in rows]
+        prev = pivot
+    return sign if prev > 0 else -sign
 
 
 def _square_scale(rows: Sequence[Sequence[float]]) -> float:

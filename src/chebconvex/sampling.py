@@ -8,7 +8,10 @@ criterion (Gasca and Pena, "Total positivity and Neville elimination",
 Linear Algebra Appl. 165, 1992; Karlin, "Total Positivity", 1968, ch. 2),
 if for each order j <= k the windows of j consecutive points under the
 first j functions share one nonzero sign, every increasing j-tuple has
-that sign, so the windows decide what every tuple would. Otherwise the
+that sign, so the windows decide what every tuple would. A window's
+sign is that of the zero test, or, for the bordered windows of a
+certificate that the zero test leaves open, the exact sign of the
+evaluated floats (:func:`.determinants.exact_sign`). Otherwise the
 windows followed by distinct seeded random tuples up to the budget
 ("sampled"): windows catch local sign changes of continuous determinants
 first.

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .determinants import minor_scan, sign_of, window_sweep, windows_keep_sign
+from .determinants import Windows, minor_scan, sign_of
 from .errors import ArgumentError, DomainError, GeometryError
 from .functions import BASIS_FORMS, FORMS, check_count, check_form, parse_floats
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, scan_tuples
@@ -231,8 +231,10 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     ``grid`` by :func:`.sampling.scan_tuples`: exhaustively when the tuple
     count fits ``budget``; otherwise the contiguous windows alone when, at
     every order k <= n, the windows of the first k functions share one
-    nonzero sign (Fekete's criterion: then so does every k-tuple), and
-    else all contiguous windows plus a seeded random subsample. The verdict
+    nonzero sign (Fekete's criterion: then so does every k-tuple; the
+    verdict is then the sign the criterion's search found, and no window
+    is computed again), and else all contiguous windows plus a seeded
+    random subsample. The verdict
     is ``positive`` (``negative``) when every checked determinant clears
     the scale-relative zero tolerance with constant sign, and
     ``non-chebyshev`` with the first tuple, in sampler order, whose
@@ -246,8 +248,11 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     """
     grid = validate_grid(system, grid, system.n)
     cols = [system.evaluate_basis(x) for x in grid]
-    tuples, coverage = scan_tuples(len(grid), system.n, budget, seed, lambda: (
-        windows_keep_sign(cols, list(window_sweep(cols, system.n)))))
+    windows = Windows(cols, system.n)
+    tuples, coverage = scan_tuples(len(grid), system.n, budget, seed, windows.keep_sign)
+    if coverage == "windows":
+        verdict = "positive" if windows.first_failing(system.n)[0] == "+" else "negative"
+        return SystemClassification(verdict, None, len(tuples), coverage)
     # An exhaustive list is already sorted: all of it is the head.
     head = len(tuples)
     if head < math.comb(len(grid), system.n):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from chebconvex import (ChebyshevSystem, ExpressionSource, Interval,
                         exponential_system, polynomial_system)
+from chebconvex import convexity, determinants, divdiff, systems
 
 
 def det_bruteforce(rows):
@@ -125,6 +126,25 @@ def basis_calls(monkeypatch):
 
     monkeypatch.setattr(ChebyshevSystem, "evaluate_basis", counting)
     return calls
+
+
+@pytest.fixture
+def minor_counts(monkeypatch):
+    """Counter of the minors ``determinants.minor_scan`` computes, by order,
+    wherever the package calls it: one per index tuple the scan takes."""
+    counts = Counter()
+    scan = determinants.minor_scan
+
+    def counting(vecs, tuples):
+        def taken():
+            for t in tuples:
+                counts[len(t)] += 1
+                yield t
+        return scan(vecs, taken())
+
+    for module in (determinants, convexity, divdiff, systems):
+        monkeypatch.setattr(module, "minor_scan", counting)
+    return counts
 
 
 def grid_on(lo: float, hi: float, count: int) -> list[float]:

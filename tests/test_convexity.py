@@ -17,8 +17,10 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         negated_polynomial_system, parse_function,
                         parse_system, polynomial_system, scan_theorem2,
                         verify_definition)
-from chebconvex.determinants import det_and_scale
+from chebconvex.convexity import bordered_window_minors, require_positive
+from chebconvex.determinants import TAU_FACTOR, det_and_scale, sign_of
 from chebconvex.sampling import ordered_index_tuples
+from chebconvex.systems import classify_on_grid
 
 from conftest import (F_CUBE, F_EXP, F_FIFTH, F_NEG_CUBE, F_SQUARE,
                       draw_separated, exact_classical_dd, grid_on, minor_rows,
@@ -520,3 +522,85 @@ class TestPositivityPrechecks:
             "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
             "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
             "-1.98998998998999, -1.984984984984985)")
+
+
+class TestExactBorderedSigns:
+    """Past the budget, a bordered window that the zero test leaves open
+    counts as positive by the exact sign of its evaluated floats."""
+
+    IV = Interval(-2.0, 3.0)
+
+    @pytest.mark.parametrize("certify, m", [(certify_theorem_a, 50), (certify_corollary1, 40)])
+    def test_fifth_power_on_a_fine_grid_takes_the_windows_route(self, certify, m):
+        cert = certify(polynomial_system(5, self.IV), F_FIFTH, grid_on(-2, 3, m), budget=2000)
+        assert (cert.coverage, cert.tuples_checked, cert.verdict) == ("windows", m - 5, CERTIFIED)
+
+    def test_windows_under_the_zero_test_agree_with_the_exhaustive_scan(self):
+        system, grid, n = polynomial_system(5, self.IV), grid_on(2, 3, 12), 5
+        cols = [system.evaluate_basis(x) for x in grid]
+        fvals = [F_FIFTH(x) for x in grid]
+        windows = [tuple(range(i, i + n + 1)) for i in range(len(grid) - n)]
+        # Window by window, as the exhaustive scan computes them, bit for bit.
+        bordered = [det_and_scale(minor_rows(cols, w, n, fvals)) for w in windows]
+        assert all(abs(det) <= TAU_FACTOR * scale for det, scale in bordered)
+        assert {sign_of(*det_and_scale(minor_rows(cols, tuple(range(i, i + n)), n)))
+                for i in range(len(grid) - n + 1)} == {"+"}
+
+        def dd(w):
+            num = det_and_scale(minor_rows(cols, w, n - 1, fvals))[0]
+            return num / det_and_scale(minor_rows(cols, w, n))[0]
+
+        window_values = {
+            certify_theorem_a: [det for det, _ in bordered],
+            certify_corollary1: [dd(w[1:]) - dd(w[:n]) for w in windows],
+        }
+        for certify, values in window_values.items():
+            routed = certify(system, F_FIFTH, grid, budget=500)
+            full = certify(system, F_FIFTH, grid, budget=math.comb(12, 6))
+            assert (routed.coverage, full.coverage) == ("windows", "exhaustive")
+            assert routed.verdict == full.verdict == CERTIFIED
+            assert routed.min_value == min(values)
+
+    @pytest.mark.parametrize("certify, m", [(certify_theorem_a, 50), (certify_corollary1, 40)])
+    def test_target_in_the_span_keeps_the_sample(self, certify, m):
+        # x^2 is the third basis function, so every bordered window is
+        # exactly singular: "0" by the zero test and 0 by the exact sign.
+        cert = certify(polynomial_system(5, self.IV), F_SQUARE, grid_on(-2, 3, m), budget=2000)
+        assert (cert.coverage, cert.tuples_checked) == ("sampled", 2000)
+
+    def test_window_with_a_nonfinite_entry_is_not_positive(self):
+        system, grid = polynomial_system(2, self.IV), grid_on(-2, 3, 6)
+        cols = [system.evaluate_basis(x) for x in grid]
+        windows = require_positive(system, grid, cols, False)
+        bordered = [c + (F_SQUARE(x),) for c, x in zip(cols, grid)]
+        assert bordered_window_minors(bordered, windows) is not None
+        # An infinite entry makes the window's scale infinite, so the zero
+        # test calls it "0"; the exact sign must leave it undecided.
+        bordered[0] = bordered[0][:2] + (math.inf,)
+        assert sign_of(*det_and_scale(minor_rows(bordered, (0, 1, 2), 3))) == "0"
+        assert bordered_window_minors(bordered, windows) is None
+
+
+class TestOneMinorPerWindow:
+    """On the windows route each window minor is computed once: the route
+    decision's minors are the scan's, and corollary 1's denominators are
+    the precheck's."""
+
+    IV = Interval(-2.0, 3.0)
+
+    def test_classify(self, minor_counts):
+        got = classify_on_grid(polynomial_system(5, self.IV), grid_on(-2, 3, 50), budget=2000)
+        assert (got.coverage, got.verdict, got.tuples_checked) == ("windows", "positive", 46)
+        assert minor_counts == {5: 46}
+
+    def test_theorem_a(self, minor_counts):
+        cert = certify_theorem_a(polynomial_system(5, self.IV), F_FIFTH, grid_on(-2, 3, 50),
+                                 budget=2000)
+        assert (cert.coverage, cert.tuples_checked) == ("windows", 45)
+        assert minor_counts == {5: 46, 6: 45}
+
+    def test_corollary1(self, minor_counts):
+        cert = certify_corollary1(polynomial_system(5, self.IV), F_FIFTH, grid_on(-2, 3, 40),
+                                  budget=2000)
+        assert (cert.coverage, cert.tuples_checked) == ("windows", 35)
+        assert minor_counts == {5: 36 + 36, 6: 35}

@@ -18,8 +18,9 @@ from chebconvex import determinants
 from chebconvex.convexity import require_positive
 from chebconvex.determinants import (EPS, SWEEP_MARGIN, SWEEP_MAX_ORDER,
                                      TAU_FACTOR, _sweep_error, check_points,
-                                     det_and_scale, first_failing_window,
-                                     minor_scan, sign_of, solve_with_det,
+                                     det_and_scale, exact_sign,
+                                     first_failing_window, minor_scan,
+                                     sign_of, solve_with_det,
                                      sweep_signs, window_sweep)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
@@ -353,6 +354,56 @@ class TestWindowSweep:
 
         monkeypatch.setattr(determinants, "minor_scan", kernel)
         require_positive(system, grid, cols, True)
+
+
+def fuzz_entry(rng: random.Random) -> float:
+    """One matrix entry: zeros of both signs, subnormals, magnitudes near
+    1e+-300, small integers and ordinary floats, of either sign."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0.0, -0.0])
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.choice([5e-324, 2.5e-310, rng.random() * 2.2e-308])
+    if kind == 2:
+        return rng.uniform(-1, 1) * 10.0 ** rng.choice([300, 307, -300, -307])
+    if kind == 3:
+        return float(rng.randint(-3, 3))
+    return rng.uniform(-10, 10) * 2.0 ** rng.randint(-60, 60)
+
+
+class TestExactSign:
+    def test_matches_the_fraction_determinant(self):
+        rng, seen = random.Random(20261018), set()
+        for _ in range(800):
+            k = rng.randint(1, 7)
+            cols = [[fuzz_entry(rng) for _ in range(k)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.25:
+                # a repeated column, or one scaled by a power of two
+                i, j = rng.sample(range(k), 2)
+                cols[j] = [x * rng.choice([1.0, -0.5, 4.0]) for x in cols[i]]
+            exact = exact_det(cols)
+            want = (exact > 0) - (exact < 0)
+            assert exact_sign(cols) == want, cols
+            seen.add((k, want))
+        assert {want for _, want in seen} == {-1, 0, 1}
+        assert {k for k, _ in seen} == set(range(1, 8))
+
+    def test_exactly_singular_is_zero(self):
+        assert exact_sign([[1.0, 2.0], [2.0, 4.0]]) == 0
+        assert exact_sign([[0.0, -0.0, 0.0], [1.0, 2.0, 3.0], [5.0, 1.0, 3.0]]) == 0
+        # below every float zero test, but not singular
+        assert exact_sign([[1.0, 1.0], [1.0, 1.0 + EPS]]) == 1
+        assert exact_sign([[5e-324, 0.0], [0.0, -5e-324]]) == -1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entry_has_no_sign(self, bad):
+        for i in range(3):
+            cols = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            cols[i][2 - i] = bad
+            assert exact_sign(cols) is None
+
+    def test_empty_matrix_is_positive(self):
+        assert exact_sign([]) == 1
 
 
 class TestVDet:
