@@ -19,7 +19,9 @@ the definition route feed one certificate builder, which never certifies
 when nothing was checked, and theorem 2, the definition route and
 :mod:`.support` walk the grid with one sign-pattern walker. Past the
 budget, theorem A and corollary 1 scan the contiguous windows alone when
-Fekete's criterion lets them decide every tuple (:mod:`.sampling`).
+Fekete's criterion gives every tuple the bordered windows' common sign
+and that sign decides the verdict: "+", or "-" with the worst window a
+violation (:mod:`.sampling`).
 
 Every verdict is certified-on-sample only: a grid check is necessary
 evidence, never a proof on the continuum.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .determinants import (Windows, check_points, exact_sign, function_row,
                            minor_scan, sign_of, solve_with_det)
@@ -110,27 +112,48 @@ def require_positive(system: ChebyshevSystem, grid: Sequence[float],
     return windows
 
 
-def bordered_window_minors(bordered: Sequence[Sequence[float]],
-                           windows: Windows) -> Optional[list[tuple[float, float]]]:
-    """The :func:`minor_scan` minors of the bordered windows of n+1 points,
-    in order, when they decide every bordered (n+1)-tuple by Fekete's
-    criterion, else None. The criterion holds when the basis windows of
-    every order k <= n keep one nonzero sign (``windows``, over the first n
-    entries of ``bordered``) and every bordered window is positive: by
-    :func:`sign_of`, or, where the zero test leaves it "0", by the
-    :func:`exact_sign` of its evaluated floats. A window with a non-finite
-    entry or an exactly singular one is not positive."""
+def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
+                           ) -> Optional[tuple[str, list[tuple[float, float]]]]:
+    """The common nonzero sign of the bordered windows of n+1 points and
+    their :func:`minor_scan` minors, in order, when Fekete's criterion gives
+    every bordered (n+1)-tuple that sign, else None. The criterion holds
+    when the basis windows of every order k <= n keep one nonzero sign
+    (``windows``, over the first n entries of ``bordered``) and every
+    bordered window has one sign: by :func:`sign_of`, or, where the zero
+    test leaves it "0", by the :func:`exact_sign` of its evaluated floats.
+    A window with a NaN minor, a non-finite entry or an exactly singular
+    one has no sign."""
     if not windows.keep_sign():
         return None
     k = windows.n + 1
-    minors = []
+    common, minors = None, []
     for i, minor in enumerate(minor_scan(bordered, ordered_index_tuples(
             len(bordered), k, windows_only=True))):
         sign = sign_of(*minor)
-        if sign == "-" or sign == "0" and exact_sign(bordered[i:i + k]) != 1:
+        if sign == "0":
+            sign = {1: "+", -1: "-"}.get(exact_sign(bordered[i:i + k]))
+        if sign is None or math.isnan(minor[0]) or sign != (common or sign):
             return None
+        common = sign
         minors.append(minor)
-    return minors
+    return common, minors
+
+
+def _windows_route(bordered: Sequence[Sequence[float]], windows: Windows,
+                   certificate: Callable[[list, list], ConvexityCertificate]
+                   ) -> Optional[ConvexityCertificate]:
+    """``certificate(tuples, minors)`` of the bordered windows of n+1 points
+    alone, given their minors, when it decides the scan, else None. It
+    decides when the windows' common sign (:func:`bordered_window_minors`)
+    is "+", so every tuple certifies, or "-" and the worst window violates,
+    so that the verdict rests on a checked tuple that clears its band."""
+    decided = bordered_window_minors(bordered, windows)
+    if decided is None:
+        return None
+    sign, minors = decided
+    cert = certificate(ordered_index_tuples(len(bordered), windows.n + 1,
+                                            windows_only=True), minors)
+    return cert if sign == "+" or cert.min_value == cert.witness_value else None
 
 
 def knot_exclusion(system: ChebyshevSystem) -> float:
@@ -222,7 +245,7 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
 
     A tuple violates when its determinant falls below ``-(atol + rtol *
     scale)`` at that tuple's own scale. Past the budget, the windows alone
-    are scanned when they decide every tuple (:func:`bordered_window_minors`).
+    are scanned when they decide every tuple (:func:`_windows_route`).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
@@ -230,23 +253,26 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     windows = require_positive(system, grid, cols, False)
     fvals = [f(x) for x in grid]
     bordered = [c + (v,) for c, v in zip(cols, fvals)]
-    window_minors = None
+
+    def certificate(tuples, minors, coverage="windows") -> ConvexityCertificate:
+        scored = ((value, t, atol + rtol * scale)
+                  for t, (value, scale) in zip(tuples, minors))
+        return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
+
+    routed = None
 
     def windows_decide() -> bool:
-        nonlocal window_minors
-        window_minors = bordered_window_minors(bordered, windows)
-        return window_minors is not None
+        nonlocal routed
+        routed = _windows_route(bordered, windows, certificate)
+        return routed is not None
 
     tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, windows_decide)
+    if routed is not None:
+        return routed
     # The certificate does not depend on the order of the tuples, so they are
-    # scanned sorted, where neighbours share their elimination prefixes. The
-    # first tuple is the first window in either order. The windows' minors
-    # are those the route was decided with.
+    # scanned sorted, where neighbours share their elimination prefixes.
     tuples.sort()
-    minors = window_minors if coverage == "windows" else minor_scan(bordered, tuples)
-    scored = ((value, t, atol + rtol * scale)
-              for t, (value, scale) in zip(tuples, minors))
-    return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
+    return certificate(tuples, minor_scan(bordered, tuples), coverage)
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
@@ -259,35 +285,44 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     must not fall below the lower window's beyond tolerance. Windows whose
     collocation determinant degenerates are skipped and counted. Past the
     budget, the (n+1)-point windows alone are scanned when they decide
-    every tuple (:func:`bordered_window_minors`).
+    every tuple (:func:`_windows_route`).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = [system.evaluate_basis(x) for x in grid]
     windows = require_positive(system, grid, cols, n >= 2)
     fvals = [f(x) for x in grid]
-
-    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, lambda: (
-        bordered_window_minors([c + (v,) for c, v in zip(cols, fvals)], windows)
-        is not None))
-    # Each distinct window is scanned once, in lexicographic order, so that
-    # neighbouring windows share their elimination prefixes; the denominators
-    # of the contiguous ones are often the precheck's minors already.
-    ws = sorted({w for t in tuples for w in (t[:n], t[1:])})
     numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
     dd: dict[tuple[int, ...], Optional[float]] = {}
-    for w, den, (num, _) in zip(ws, windows.scan(ws), minor_scan(numerators, ws)):
-        dd[w] = None if sign_of(*den) == "0" else num / den[0]
 
-    def scored():
-        for t in tuples:
-            lo, hi = dd[t[:n]], dd[t[1:]]
-            if lo is None or hi is None:
-                yield None
-            else:
-                yield hi - lo, t, atol + rtol * max(abs(hi), abs(lo))
+    def certificate(tuples, coverage="windows") -> ConvexityCertificate:
+        # Each window not scored yet is scanned once, in lexicographic order,
+        # so that neighbouring windows share their elimination prefixes; the
+        # denominators of the contiguous ones are often the precheck's.
+        ws = sorted({w for t in tuples for w in (t[:n], t[1:])}.difference(dd))
+        for w, den, (num, _) in zip(ws, windows.scan(ws), minor_scan(numerators, ws)):
+            dd[w] = None if sign_of(*den) == "0" else num / den[0]
 
-    return _certificate("corollary1", scored(), grid, f, atol, rtol, seed, coverage)
+        def scored():
+            for t in tuples:
+                lo, hi = dd[t[:n]], dd[t[1:]]
+                if lo is None or hi is None:
+                    yield None
+                else:
+                    yield hi - lo, t, atol + rtol * max(abs(hi), abs(lo))
+
+        return _certificate("corollary1", scored(), grid, f, atol, rtol, seed, coverage)
+
+    routed = None
+
+    def windows_decide() -> bool:
+        nonlocal routed
+        routed = _windows_route([c + (v,) for c, v in zip(cols, fvals)], windows,
+                                lambda tuples, _: certificate(tuples))
+        return routed is not None
+
+    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, windows_decide)
+    return certificate(tuples, coverage) if routed is None else routed
 
 
 def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],

@@ -11,10 +11,13 @@ first j functions share one nonzero sign, every increasing j-tuple has
 that sign, so the windows decide what every tuple would. A window's
 sign is that of the zero test, or, for the bordered windows of a
 certificate that the zero test leaves open, the exact sign of the
-evaluated floats (:func:`.determinants.exact_sign`). Otherwise the
-windows followed by distinct seeded random tuples up to the budget
+evaluated floats (:func:`.determinants.exact_sign`); a certificate whose
+bordered windows share the sign "-" takes this route only when its worst
+window violates, so that the verdict rests on a checked tuple. Otherwise
+the windows followed by distinct seeded random tuples up to the budget
 ("sampled"): windows catch local sign changes of continuous determinants
-first.
+first. The random tuples are those of ``random.Random(seed).sample``,
+drawn from its ``getrandbits`` stream without the per-draw overhead.
 """
 
 from __future__ import annotations
@@ -22,10 +25,42 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable
+from typing import Callable, Iterator
 
 DEFAULT_BUDGET = 50_000
 DEFAULT_SEED = 0
+
+
+def _draws(getrandbits: Callable[[int], int], m: int,
+           k: int) -> Iterator[tuple[int, ...]]:
+    """``tuple(sorted(rng.sample(range(m), k)))`` for successive draws,
+    from ``rng.getrandbits`` directly: the same calls, so the same stream.
+    Like :meth:`random.Random.sample`, it draws from a pool of m indices
+    when that list is smaller than a set of k picks, and otherwise redraws
+    an index until it is new; :meth:`random.Random._randbelow` redraws
+    ``bit_length`` bits until they fall below the bound."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if m <= setsize:
+        sizes = [(m - i, (m - i).bit_length()) for i in range(k)]
+        while True:
+            pool, picks = list(range(m)), []
+            for size, bits in sizes:
+                j = getrandbits(bits)
+                while j >= size:
+                    j = getrandbits(bits)
+                picks.append(pool[j])
+                pool[j] = pool[size - 1]
+            yield tuple(sorted(picks))
+    bits = m.bit_length()
+    while True:
+        picked: set[int] = set()
+        while len(picked) < k:
+            j = getrandbits(bits)
+            if j < m:
+                picked.add(j)
+        yield tuple(sorted(picked))
 
 
 def ordered_index_tuples(m: int, k: int, budget: int = DEFAULT_BUDGET,
@@ -45,14 +80,14 @@ def ordered_index_tuples(m: int, k: int, budget: int = DEFAULT_BUDGET,
     total = math.comb(m, k)
     if total <= budget:
         return list(itertools.combinations(range(m), k))
-    rng = random.Random(seed)
+    draws = _draws(random.Random(seed).getrandbits, m, k)
     seen = set(windows)
     out = list(windows)
     attempts = 0
     max_attempts = 20 * budget
     while len(out) < budget and attempts < max_attempts:
         attempts += 1
-        t = tuple(sorted(rng.sample(range(m), k)))
+        t = next(draws)
         if t not in seen:
             seen.add(t)
             out.append(t)

@@ -73,7 +73,7 @@ class TestTheoremA:
         assert a.verdict == CERTIFIED
         # Every order's windows keep one sign: the windows decide every tuple.
         assert (a.coverage, a.tuples_checked) == ("windows", 80 - 3 + 1)
-        # A violated target's bordered windows are negative: the sample runs.
+        # -x^3's bordered windows change sign at 0: the sample runs.
         c = certify_theorem_a(system, F_NEG_CUBE, grid, budget=3000, seed=5)
         assert c == certify_theorem_a(system, F_NEG_CUBE, grid, budget=3000, seed=5)
         assert c.verdict == VIOLATED
@@ -87,9 +87,10 @@ class TestTheoremA:
     def test_sampled_scan_matches_sampler_order_reference(self):
         """The sampled tuples are scanned sorted; minimum, witness and counts
         equal those of a scan in sampler order with the same tie-break. The
-        cases all fall back to the sample: violated targets, whose bordered
-        windows are negative, and (cos, sin) past pi / 2, where the windows
-        of cos alone change sign."""
+        cases all fall back to the sample: -x^(n+1) w.r.t. poly:n, whose
+        bordered windows change sign at 0; -x^4 w.r.t. poly:4 on grids whose
+        worst window lies inside its own band; and (cos, sin) past pi / 2,
+        where the windows of cos alone change sign."""
 
         def reference(system, f, grid, budget, seed, atol=1e-10, rtol=1e-8):
             n = system.n
@@ -109,20 +110,20 @@ class TestTheoremA:
                     len(tuples), 0)
 
         rng = random.Random(7)
-        cases = [(polynomial_system(n), ExpressionSource("negmonomial", (n,)), -1, 1)
-                 for n in (2, 3, 4)]
-        # sqrt(e^x) is concave in e^x
-        cases.append((exponential_system([0.0, 1.0]), ExpressionSource("exp", (0.5,)),
-                      -1, 1))
+        cases = [(polynomial_system(n), ExpressionSource("negmonomial", (n + 1,)), -1, 1,
+                  range(n + 6, 25))
+                 for n in (2, 3)]
+        cases.append((polynomial_system(4), ExpressionSource("negmonomial", (4,)), -1, 1,
+                      (24, 25, 26)))
         cases += [(cosine_sine_system(Interval(0.0, 3.0)), ExpressionSource("const", (c,)),
-                   0, 3)
+                   0, 3, range(8, 25))
                   for c in (1.0, -1.0)]
         verdicts = set()
-        for system, f, lo, hi in cases:
+        for system, f, lo, hi, sizes in cases:
             for _ in range(3):
-                m = rng.randint(system.n + 6, 24)
+                m = rng.choice(sizes)
                 grid = [float(x) for x in grid_on(lo, hi, m)]
-                budget = rng.randint(m, math.comb(m, system.n + 1) - 1)
+                budget = rng.randint(m, min(math.comb(m, system.n + 1) - 1, 3000))
                 seed = rng.randrange(1000)
                 cert = certify_theorem_a(system, f, grid, budget=budget, seed=seed)
                 assert cert.coverage == "sampled"
@@ -579,6 +580,74 @@ class TestExactBorderedSigns:
         bordered[0] = bordered[0][:2] + (math.inf,)
         assert sign_of(*det_and_scale(minor_rows(bordered, (0, 1, 2), 3))) == "0"
         assert bordered_window_minors(bordered, windows) is None
+
+
+class TestNegativeWindowsRoute:
+    """Past the budget, bordered windows that share the sign "-" decide a
+    violated certificate when the worst of them violates; otherwise the
+    sample runs."""
+
+    #: -1e-12 x^4: w.r.t. poly:4 on a grid of [-1, 1], every bordered window
+    #: clears the zero test negative, and none clears its violation band.
+    TINY = ExpressionSource("poly", (0.0, 0.0, 0.0, 0.0, -1e-12))
+
+    def test_workload_shapes(self):
+        # On this grid the most negative window of -x^4 lies inside its own
+        # atol + rtol * scale band, so theorem A keeps its sample.
+        a = certify_theorem_a(polynomial_system(4), ExpressionSource("negmonomial", (4,)),
+                              grid_on(-2, 3, 40), budget=2000)
+        assert (a.coverage, a.tuples_checked, a.verdict) == ("sampled", 2000, VIOLATED)
+        c = certify_corollary1(exponential_system([0.0, 1.0, 2.0]),
+                               ExpressionSource("exp", (-1.0,)), grid_on(-1, 1, 60),
+                               budget=2000)
+        assert (c.coverage, c.tuples_checked, c.verdict) == ("windows", 57, VIOLATED)
+        assert c.min_value == c.witness_value < 0.0
+
+    @pytest.mark.parametrize("certify", [certify_theorem_a, certify_corollary1])
+    def test_worst_window_inside_its_band_keeps_the_sample(self, certify):
+        cert = certify(polynomial_system(4), self.TINY, grid_on(-1, 1, 24), budget=500, seed=3)
+        assert (cert.coverage, cert.tuples_checked, cert.verdict) == ("sampled", 500, CERTIFIED)
+        assert cert.min_value < 0.0
+
+    def test_windows_under_the_zero_test_join_by_their_exact_sign(self):
+        # -x^5 w.r.t. poly:5 on a coarse grid of [-2, 1.5] and a fine one of
+        # [2, 3]: the fine windows fall under the zero test with the exact
+        # sign -1, and the coarse ones violate.
+        system, f = polynomial_system(5, Interval(-2.0, 3.0)), ExpressionSource("negmonomial", (5,))
+        grid = grid_on(-2, 1.5, 15) + grid_on(2, 3, 8)
+        cols = [system.evaluate_basis(x) for x in grid]
+        fvals = [f(x) for x in grid]
+        signs = [sign_of(*det_and_scale(minor_rows(cols, tuple(range(i, i + 6)), 5, fvals)))
+                 for i in range(len(grid) - 5)]
+        assert (signs.count("0"), signs.count("-")) == (3, 15)
+        bordered = [c + (v,) for c, v in zip(cols, fvals)]
+        windows = require_positive(system, grid, cols, False)
+        assert bordered_window_minors(bordered, windows)[0] == "-"
+        cert = certify_corollary1(system, f, grid, budget=500)
+        assert (cert.coverage, cert.tuples_checked, cert.verdict) == ("windows", 18, VIOLATED)
+
+    def test_window_with_a_nan_minor_has_no_sign(self):
+        system, grid = polynomial_system(2), grid_on(-1, 1, 6)
+        cols = [system.evaluate_basis(x) for x in grid]
+        windows = require_positive(system, grid, cols, False)
+        bordered = [c + (-x * x,) for c, x in zip(cols, grid)]
+        assert bordered_window_minors(bordered, windows)[0] == "-"
+        # The zero test calls a NaN determinant "-"; it must not join the
+        # negative windows.
+        bordered[3] = bordered[3][:2] + (math.nan,)
+        assert sign_of(*det_and_scale(minor_rows(bordered, (1, 2, 3), 3))) == "-"
+        assert bordered_window_minors(bordered, windows) is None
+
+    def test_corollary1_scores_each_window_once(self, minor_counts):
+        # The route decision scores the 21 contiguous windows and is turned
+        # down; the sample reuses their divided differences.
+        n, m, budget, seed = 4, 24, 500, 3
+        certify_corollary1(polynomial_system(n), self.TINY, grid_on(-1, 1, m),
+                           budget=budget, seed=seed)
+        tuples = ordered_index_tuples(m, n + 1, budget=budget, seed=seed)
+        distinct = {w for t in tuples for w in (t[:n], t[1:])}
+        # The bordered windows, then a numerator and a denominator per window.
+        assert minor_counts == {n + 1: m - n, n: 2 * len(distinct)}
 
 
 class TestOneMinorPerWindow:

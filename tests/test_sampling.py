@@ -36,6 +36,41 @@ class TestScanTuples:
         assert tuples == ordered_index_tuples(8, 3, budget=55, seed=1)
 
 
+class TestSampler:
+    def test_stream_of_random_sample(self):
+        """The seeded tuples are those of ``random.Random.sample``, on both
+        of its branches: a pool of m indices while that list is smaller
+        than a set of k picks (m <= 21 for k <= 5, m <= 85 for k = 6, 7),
+        else redraws into a set."""
+
+        def reference(m, k, budget, seed):
+            windows = [tuple(range(i, i + k)) for i in range(m - k + 1)]
+            rng = random.Random(seed)
+            out, seen = list(windows), set(windows)
+            for _ in range(20 * budget):
+                if len(out) >= budget:
+                    break
+                t = tuple(sorted(rng.sample(range(m), k)))
+                if t not in seen:
+                    seen.add(t)
+                    out.append(t)
+            return out
+
+        sampled = 0
+        for k in range(1, 8):
+            for m in range(k, 91):
+                total = math.comb(m, k)
+                if total <= m - k + 2:
+                    continue
+                # a few draws, a few windows' worth, and up to all of C(m, k)
+                for budget in {m - k + 2, min(total - 1, 2 * m), min(total - 1, 40)}:
+                    for seed in (0, 1, 2024):
+                        got = ordered_index_tuples(m, k, budget=budget, seed=seed)
+                        assert got == reference(m, k, budget, seed), (m, k, budget, seed)
+                        sampled += 1
+        assert sampled > 4000
+
+
 def exact_det(rows) -> Fraction:
     """Determinant by fraction-exact Gaussian elimination."""
     a = [[Fraction(x) for x in r] for r in rows]
@@ -115,7 +150,8 @@ def reference_classify(system, grid):
 
 def reference_values(method, system, f, grid, atol=1e-10, rtol=1e-8):
     """Exhaustive float scan of one certificate's (n+1)-tuples, one at a
-    time: the verdict, and each window's value by its first index."""
+    time: the verdict, and each window's value and tolerance by its first
+    index."""
     n = system.n
     cols = [system.evaluate_basis(x) for x in grid]
     fvals = [f(x) for x in grid]
@@ -134,7 +170,7 @@ def reference_values(method, system, f, grid, atol=1e-10, rtol=1e-8):
             value, tol = hi - lo, atol + rtol * max(abs(hi), abs(lo))
         violated |= value < -tol
         if t[-1] - t[0] == n:
-            windows[t[0]] = value
+            windows[t[0]] = value, tol
     return (VIOLATED if violated else CERTIFIED), windows
 
 
@@ -183,6 +219,50 @@ class TestWindowsRoute:
             assert (cert.coverage, cert.tuples_checked) == ("windows", m - n)
             verdict, windows = reference_values(method, system, f, grid)
             assert cert.verdict == verdict == CERTIFIED
-            assert cert.min_value == min(windows.values())
+            assert cert.min_value == min(value for value, _ in windows.values())
             full = certify(system, f, grid, budget=math.comb(m, n + 1))
             assert (full.coverage, full.verdict) == ("exhaustive", verdict)
+
+
+@st.composite
+def negative_window_cases(draw):
+    """Positive systems with targets whose bordered windows are negative on
+    a separated grid of [-1, 1]: -x^n w.r.t. poly:n, e^(x/2) w.r.t. exp:0,1
+    and e^-x w.r.t. exp:0,1,2."""
+    kind = draw(st.sampled_from(["poly", "exp:0,1", "exp:0,1,2"]))
+    if kind == "poly":
+        n = draw(st.integers(1, 4))
+        system, f = polynomial_system(n), ExpressionSource("negmonomial", (n,))
+    elif kind == "exp:0,1":
+        system, f = exponential_system([0.0, 1.0]), ExpressionSource("exp", (0.5,))
+    else:
+        system, f = exponential_system([0.0, 1.0, 2.0]), ExpressionSource("exp", (-1.0,))
+    m = draw(st.integers(system.n + 2, 9))
+    grid = list(draw(separated_points_strategy(m, -1.0, 1.0, sep=0.1)))
+    budget = draw(st.integers(1, math.comb(m, system.n + 1) - 1))
+    return system, f, grid, budget
+
+
+class TestNegativeWindowsRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(negative_window_cases(), st.integers(0, 99))
+    def test_route_agrees_with_an_exhaustive_scan(self, case, seed):
+        """Past the budget, negative bordered windows decide a certificate
+        exactly when the worst of them violates: then the verdict is the
+        exhaustive scan's, and the minimum and the witness are the worst
+        window's."""
+        system, f, grid, budget = case
+        m, n = len(grid), system.n
+        for method, certify in (("theoremA", certify_theorem_a),
+                                ("corollary1", certify_corollary1)):
+            cert = certify(system, f, grid, budget=budget, seed=seed)
+            verdict, windows = reference_values(method, system, f, grid)
+            worst, i = min((value, i) for i, (value, _) in windows.items())
+            if worst >= -windows[i][1]:
+                assert cert.coverage == "sampled"
+                continue
+            assert (cert.coverage, cert.tuples_checked) == ("windows", m - n)
+            assert cert.verdict == verdict == VIOLATED
+            # an increasing grid tuple: the worst window
+            assert cert.witness == tuple(grid[i:i + n + 1])
+            assert cert.min_value == cert.witness_value == worst
