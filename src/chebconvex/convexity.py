@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .determinants import (Windows, check_points, exact_sign, function_row,
-                           minor_scan, sign_of, solve_with_det)
+                           known_scan, minor_scan, sign_of, solve_with_det)
 from .divdiff import degenerated
-from .errors import NearSingularError, PreconditionError
+from .errors import NearSingularError, PreconditionError, SourceEvalError
 from .interpolation import OmegaCombination, interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples, scan_tuples
 from .systems import ChebyshevSystem, validate_grid
@@ -141,19 +141,22 @@ def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
 
 def _windows_route(bordered: Sequence[Sequence[float]], windows: Windows,
                    certificate: Callable[[list, list], ConvexityCertificate]
-                   ) -> Optional[ConvexityCertificate]:
+                   ) -> tuple[Optional[ConvexityCertificate], dict]:
     """``certificate(tuples, minors)`` of the bordered windows of n+1 points
-    alone, given their minors, when it decides the scan, else None. It
-    decides when the windows' common sign (:func:`bordered_window_minors`)
-    is "+", so every tuple certifies, or "-" and the worst window violates,
-    so that the verdict rests on a checked tuple that clears its band."""
+    alone, given their minors, when it decides the scan, else None; and
+    those minors by window index tuple, empty when the windows have no
+    common sign. It decides when the windows' common sign
+    (:func:`bordered_window_minors`) is "+", so every tuple certifies, or
+    "-" and the worst window violates, so that the verdict rests on a
+    checked tuple that clears its band."""
     decided = bordered_window_minors(bordered, windows)
     if decided is None:
-        return None
+        return None, {}
     sign, minors = decided
-    cert = certificate(ordered_index_tuples(len(bordered), windows.n + 1,
-                                            windows_only=True), minors)
-    return cert if sign == "+" or cert.min_value == cert.witness_value else None
+    tuples = ordered_index_tuples(len(bordered), windows.n + 1, windows_only=True)
+    cert = certificate(tuples, minors)
+    routed = sign == "+" or cert.min_value == cert.witness_value
+    return cert if routed else None, dict(zip(tuples, minors))
 
 
 def knot_exclusion(system: ChebyshevSystem) -> float:
@@ -181,20 +184,51 @@ def pattern_sign(count: int, region: int) -> int:
     return -1 if (count + region) % 2 else 1
 
 
-def sign_walk(f, nodes: Sequence[float], grid: Sequence[float],
-              delta: float) -> Iterator[tuple[int, int, float]]:
-    """Walk f over the grid for a check of f minus a combination that
-    interpolates it at the nodes: its sign pattern, or a ratio of it.
+def sign_walk(nodes: Sequence[float], grid: Sequence[float],
+              delta: float) -> Iterator[tuple[int, int]]:
+    """The grid points kept by a check of f minus a combination that
+    interpolates it at the sorted nodes: its sign pattern, or a ratio of it.
 
-    Yields ``(j, region, f(x))`` for each grid point x = grid[j] farther
-    than ``delta`` from every node, in grid order; region is the number of
-    nodes left of x. The difference vanishes at the nodes, where its sign
-    is noise. f is evaluated once per point, the combination by the caller.
+    Yields ``(j, region)`` for each grid point x = grid[j] farther than
+    ``delta`` from every node, in grid order; region is the number of nodes
+    left of x. The difference vanishes at the nodes, where its sign is
+    noise. Only the two nodes around x, found by bisection, can be the
+    nearest, so only they are tested. The caller evaluates f and the
+    combination at the kept points.
     """
+    count = len(nodes)
     for j, x in enumerate(grid):
-        if min(abs(x - k) for k in nodes) <= delta:
+        i = bisect.bisect_left(nodes, x)
+        if (i and x - nodes[i - 1] <= delta) or (i < count and nodes[i] - x <= delta):
             continue
-        yield j, bisect.bisect_left(nodes, x), f(x)
+        yield j, i
+
+
+def _walked_columns(system: ChebyshevSystem, grid: Sequence[float],
+                    kept: Sequence[tuple[int, int]]) -> Iterator[tuple[float, ...]]:
+    """The basis columns at the :func:`sign_walk` points ``kept``, in walk
+    order, evaluated in bulk up front. When that raises, they are evaluated
+    one point at a time instead, so that the error comes when the walk
+    reaches its point: after f and the checks at every earlier point."""
+    xs = [grid[j] for j, _ in kept]
+    try:
+        return iter(system.evaluate_grid(xs))
+    except Exception:  # raised again at its point
+        return map(system.evaluate_basis, xs)
+
+
+def _target_values(f, xs: Sequence[float]) -> list[float]:
+    """f at each of ``xs``. A value that is not finite raises
+    :class:`SourceEvalError` naming its point, as sources do themselves."""
+    values = [f(x) for x in xs]
+    if not all(map(math.isfinite, values)):
+        raise _not_finite(*next((x, v) for x, v in zip(xs, values)
+                                if not math.isfinite(v)))
+    return values
+
+
+def _not_finite(x: float, value: float) -> SourceEvalError:
+    return SourceEvalError(f"target function returned {value!r} at x={x!r}")
 
 
 def _certificate(method: str, scored: Iterable[Optional[tuple]],
@@ -249,30 +283,30 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
-    cols = [system.evaluate_basis(x) for x in grid]
+    cols = system.evaluate_grid(grid)
     windows = require_positive(system, grid, cols, False)
-    fvals = [f(x) for x in grid]
-    bordered = [c + (v,) for c, v in zip(cols, fvals)]
+    bordered = [c + (v,) for c, v in zip(cols, _target_values(f, grid))]
 
     def certificate(tuples, minors, coverage="windows") -> ConvexityCertificate:
         scored = ((value, t, atol + rtol * scale)
                   for t, (value, scale) in zip(tuples, minors))
         return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
 
-    routed = None
+    routed, known = None, {}
 
     def windows_decide() -> bool:
-        nonlocal routed
-        routed = _windows_route(bordered, windows, certificate)
+        nonlocal routed, known
+        routed, known = _windows_route(bordered, windows, certificate)
         return routed is not None
 
     tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, windows_decide)
     if routed is not None:
         return routed
     # The certificate does not depend on the order of the tuples, so they are
-    # scanned sorted, where neighbours share their elimination prefixes.
+    # scanned sorted, where neighbours share their elimination prefixes; the
+    # windows that a turned-down route computed are not computed again.
     tuples.sort()
-    return certificate(tuples, minor_scan(bordered, tuples), coverage)
+    return certificate(tuples, known_scan(bordered, tuples, known), coverage)
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
@@ -289,9 +323,9 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
-    cols = [system.evaluate_basis(x) for x in grid]
+    cols = system.evaluate_grid(grid)
     windows = require_positive(system, grid, cols, n >= 2)
-    fvals = [f(x) for x in grid]
+    fvals = _target_values(f, grid)
     numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
     dd: dict[tuple[int, ...], Optional[float]] = {}
 
@@ -300,7 +334,8 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
         # so that neighbouring windows share their elimination prefixes; the
         # denominators of the contiguous ones are often the precheck's.
         ws = sorted({w for t in tuples for w in (t[:n], t[1:])}.difference(dd))
-        for w, den, (num, _) in zip(ws, windows.scan(ws), minor_scan(numerators, ws)):
+        for w, den, (num, _) in zip(ws, known_scan(cols, ws, windows.minors),
+                                     minor_scan(numerators, ws)):
             dd[w] = None if sign_of(*den) == "0" else num / den[0]
 
         def scored():
@@ -318,7 +353,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     def windows_decide() -> bool:
         nonlocal routed
         routed = _windows_route([c + (v,) for c, v in zip(cols, fvals)], windows,
-                                lambda tuples, _: certificate(tuples))
+                                lambda tuples, _: certificate(tuples))[0]
         return routed is not None
 
     tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, windows_decide)
@@ -362,10 +397,12 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     p, q, lagrange = (OmegaCombination(truncated, tuple(c)).at_column
                       for c in (p, q, lagrange))
     scan: list[tuple[float, float]] = []
-    for j, region, fx in sign_walk(lambda x: function_row(f, (x,))[0], knots,
-                                   grid, knot_exclusion(system)):
+    kept = list(sign_walk(knots, grid, knot_exclusion(system)))
+    cols = _walked_columns(system, grid, kept)
+    for j, region in kept:
         x = grid[j]
-        col = system.evaluate_basis(x)
+        fx = function_row(f, (x,))[0]
+        col = next(cols)
         absc = [*map(abs, col)]
         r = col[n - 1] - q(col)
         if sign_of(det.value * r, math.prod(map(max, kmax, absc))) == "0":
@@ -398,11 +435,16 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
     if not all(a < b for a, b in zip(nodes, nodes[1:])):
         raise PreconditionError("nodes must be strictly increasing")
     grid = validate_grid(system, grid, 1)
-    omega = interpolate(system, nodes, [f(x) for x in nodes])
+    omega = interpolate(system, nodes, _target_values(f, nodes))
 
     def scored():
-        for j, region, fx in sign_walk(f, nodes, grid, knot_exclusion(system)):
-            ox = omega.at_column(system.evaluate_basis(grid[j]))
+        kept = list(sign_walk(nodes, grid, knot_exclusion(system)))
+        cols = _walked_columns(system, grid, kept)
+        for j, region in kept:
+            fx = f(grid[j])
+            if not math.isfinite(fx):
+                raise _not_finite(grid[j], fx)
+            ox = omega.at_column(next(cols))
             yield pattern_sign(n, region) * (fx - ox), (j,), atol + rtol * abs(fx)
 
     return _certificate("definition", scored(), grid, f, atol, rtol, None)

@@ -361,13 +361,17 @@ class Windows:
         Karlin, "Total Positivity", 1968, ch. 2)."""
         return all(self.first_failing(k)[1] is None for k in range(1, self.n + 1))
 
-    def scan(self, tuples: Sequence[tuple[int, ...]]) -> Iterator[tuple[float, float]]:
-        """:func:`minor_scan` of the columns over n-tuples, lazily, with the
-        windows whose minors are already known read from ``minors``."""
-        if not self.minors:
-            return minor_scan(self.cols, tuples)
-        fresh = minor_scan(self.cols, (t for t in tuples if t not in self.minors))
-        return (self.minors.get(t) or next(fresh) for t in tuples)
+
+def known_scan(vecs: Sequence[Sequence[float]], tuples: Sequence[tuple[int, ...]],
+               known: dict[tuple[int, ...], tuple[float, float]]
+               ) -> Iterator[tuple[float, float]]:
+    """:func:`minor_scan` of ``vecs`` over ``tuples``, lazily, with the minors
+    of the tuples in ``known`` read from it. A minor computed alone has the
+    same bits as one computed in a scan that shares its prefix."""
+    if not known:
+        return minor_scan(vecs, tuples)
+    fresh = minor_scan(vecs, (t for t in tuples if t not in known))
+    return (known.get(t) or next(fresh) for t in tuples)
 
 
 def exact_sign(cols: Sequence[Sequence[float]]) -> Optional[int]:

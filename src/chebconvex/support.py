@@ -177,8 +177,9 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     # counted twice: regions 0..n-2, then region n beyond the last knot.
     nodes = knots + knots[-1:]
     per_segment: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
-    for j, region, fx in sign_walk(f, nodes, grid, knot_exclusion(system)):
-        per_segment[min(region, n - 1)].append((grid[j], fx, omega.at_column(cols[j])))
+    for j, region in sign_walk(nodes, grid, knot_exclusion(system)):
+        x = grid[j]
+        per_segment[min(region, n - 1)].append((x, f(x), omega.at_column(cols[j])))
     segments = []
     for seg, points in enumerate(per_segment):
         required = pattern_sign(n, seg if seg < n - 1 else n)
@@ -211,7 +212,7 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 2)
     check_grid_size(grid, n)
-    cols = [system.evaluate_basis(x) for x in grid]
+    cols = system.evaluate_grid(grid)
     require_positive(system, grid, cols, True)
     limit = estimate_cn(system, f, knots, atol=atol, rtol=rtol)
     omega = constrained_interpolate(system, knots, f, limit.estimate)

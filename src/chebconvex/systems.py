@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -175,6 +176,20 @@ class ChebyshevSystem:
             raise DomainError(f"x={x!r} outside interval {self.interval.describe()}")
         return tuple(func(x) for func in self.basis)
 
+    def evaluate_grid(self, xs: Sequence[float]) -> list[tuple[float, ...]]:
+        """The basis columns at the points ``xs``: ``[self.evaluate_basis(x)
+        for x in xs]`` bit for bit, computed with one ``map`` per basis
+        function over the points. When a point lies outside the interval or
+        a function fails, the points are evaluated one at a time instead,
+        so the error is the one the first failing point raises there."""
+        lo, hi = self.interval.lo, self.interval.hi
+        try:
+            if xs and lo <= min(xs) and max(xs) <= hi and not any(map(math.isnan, xs)):
+                return list(zip(*[map(func._fn, xs) for func in self.basis]))
+        except Exception:  # raised again below, at its point
+            pass
+        return [self.evaluate_basis(x) for x in xs]
+
     def truncate(self, m: int) -> "ChebyshevSystem":
         """Restriction to the first ``m`` basis functions, same interval."""
         if not 1 <= m <= self.n:
@@ -204,16 +219,19 @@ class SystemClassification:
 
 
 def validate_grid(system: ChebyshevSystem, grid: Sequence[float], minimum: int) -> list[float]:
-    """Shared grid checks: enough points, strictly increasing, inside the interval."""
-    pts = [float(x) for x in grid]
+    """Shared grid checks: enough points, strictly increasing, inside the
+    interval. A strictly increasing grid lies in [first point, last point],
+    so its two ends decide membership; the points are walked one by one
+    only to name the first one outside."""
+    pts = list(map(float, grid))
     check_grid_size(pts, minimum)
-    for a, b in zip(pts, pts[1:]):
-        if not a < b:
-            raise ArgumentError("grid must be strictly increasing")
-    for x in pts:
-        if not system.interval.admits(x):
-            raise DomainError(f"grid point {x!r} outside {system.interval.describe()} "
-                              "(open endpoints excluded)")
+    if not all(map(operator.lt, pts, pts[1:])):
+        raise ArgumentError("grid must be strictly increasing")
+    admits = system.interval.admits
+    if pts and not (admits(pts[0]) and admits(pts[-1])):
+        x = next(x for x in pts if not admits(x))
+        raise DomainError(f"grid point {x!r} outside {system.interval.describe()} "
+                          "(open endpoints excluded)")
     return pts
 
 
@@ -247,7 +265,7 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     position.
     """
     grid = validate_grid(system, grid, system.n)
-    cols = [system.evaluate_basis(x) for x in grid]
+    cols = system.evaluate_grid(grid)
     windows = Windows(cols, system.n)
     tuples, coverage = scan_tuples(len(grid), system.n, budget, seed, windows.keep_sign)
     if coverage == "windows":

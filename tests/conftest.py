@@ -116,15 +116,23 @@ def exp01():
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """Counter of ``ChebyshevSystem.evaluate_basis`` calls, by point."""
+    """Counter of the points the basis is evaluated at, by point: one per
+    ``ChebyshevSystem.evaluate_basis`` call, and one per point of each
+    ``ChebyshevSystem.evaluate_grid`` call."""
     calls = Counter()
     evaluate = ChebyshevSystem.evaluate_basis
+    evaluate_grid = ChebyshevSystem.evaluate_grid
 
     def counting(self, x):
         calls[x] += 1
         return evaluate(self, x)
 
+    def counting_grid(self, xs):
+        calls.update(xs)
+        return evaluate_grid(self, xs)
+
     monkeypatch.setattr(ChebyshevSystem, "evaluate_basis", counting)
+    monkeypatch.setattr(ChebyshevSystem, "evaluate_grid", counting_grid)
     return calls
 
 

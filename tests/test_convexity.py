@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
-                        ChebyshevSystem, ExpressionSource, Interval,
+                        ChebyshevSystem, DomainError, ExpressionSource, Interval,
                         NearSingularError, PreconditionError, SourceEvalError,
                         TableSource, build_support, certify_corollary1,
                         certify_theorem_a,
@@ -17,7 +17,8 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         negated_polynomial_system, parse_function,
                         parse_system, polynomial_system, scan_theorem2,
                         verify_definition)
-from chebconvex.convexity import bordered_window_minors, require_positive
+from chebconvex.convexity import (bordered_window_minors, require_positive,
+                                  sign_walk)
 from chebconvex.determinants import TAU_FACTOR, det_and_scale, sign_of
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import classify_on_grid
@@ -649,6 +650,14 @@ class TestNegativeWindowsRoute:
         # The bordered windows, then a numerator and a denominator per window.
         assert minor_counts == {n + 1: m - n, n: 2 * len(distinct)}
 
+    def test_theorem_a_scores_each_window_once(self, minor_counts):
+        # The route decision computes the 36 bordered windows and is turned
+        # down; the sample, which holds them, reuses their minors.
+        cert = certify_theorem_a(polynomial_system(4), ExpressionSource("negmonomial", (4,)),
+                                 grid_on(-2, 3, 40), budget=2000)
+        assert (cert.coverage, cert.tuples_checked) == ("sampled", 2000)
+        assert minor_counts == {5: 2000}
+
 
 class TestOneMinorPerWindow:
     """On the windows route each window minor is computed once: the route
@@ -673,3 +682,121 @@ class TestOneMinorPerWindow:
                                   budget=2000)
         assert (cert.coverage, cert.tuples_checked) == ("windows", 35)
         assert minor_counts == {5: 36 + 36, 6: 35}
+
+
+def min_distance_walk(nodes, grid, delta):
+    """The walk's rule point by point: a point is kept when it is farther
+    than ``delta`` from every node."""
+    return [(j, bisect.bisect_left(nodes, x)) for j, x in enumerate(grid)
+            if min(abs(x - k) for k in nodes) > delta]
+
+
+class TestSignWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5), st.booleans(),
+           st.floats(0.0, 0.5), st.lists(st.floats(-3.0, 3.0), max_size=30), st.data())
+    def test_bisection_keeps_the_min_distance_points(self, nodes, repeat, delta, grid, data):
+        nodes = sorted(nodes)
+        if repeat:  # support counts its last knot twice
+            nodes.append(nodes[-1])
+        # Points exactly delta from a node, on either side.
+        edges = [k + s * delta for k in nodes for s in (-1.0, 1.0)]
+        grid = sorted(grid + data.draw(st.lists(st.sampled_from(edges), max_size=6)))
+        assert list(sign_walk(nodes, grid, delta)) == min_distance_walk(nodes, grid, delta)
+
+    def test_points_delta_from_a_node_are_dropped(self):
+        nodes, delta = (0.0, 1.0, 1.0), 0.25
+        grid = [-0.5, -0.25, 0.25, 0.5, 0.75, 1.25, 1.5]
+        assert list(sign_walk(nodes, grid, delta)) == [(0, 0), (3, 1), (6, 3)]
+        assert list(sign_walk(nodes, grid, delta)) == min_distance_walk(nodes, grid, delta)
+
+
+class TestNonFiniteTarget:
+    """A library callable that is not finite at an evaluated point raises
+    :class:`SourceEvalError` naming the first such point; sources (every
+    CLI target) raise it themselves."""
+
+    GRID = [i / 10 for i in range(-10, 11)]
+    NODES = (-0.75, -0.25, 0.25, 0.75)
+
+    @staticmethod
+    def target(bad, value=math.nan):
+        return lambda x: value if x in bad else -x ** 4
+
+    @pytest.mark.parametrize("route", ["theoremA", "corollary1", "definition"])
+    @pytest.mark.parametrize("bad, named", [((-1.0,), -1.0), ((0.5,), 0.5),
+                                            ((0.5, -0.3), -0.3)])
+    def test_first_nonfinite_point_is_named(self, route, bad, named):
+        f, system = self.target(bad), polynomial_system(4)
+        run = {"theoremA": lambda: certify_theorem_a(system, f, self.GRID, budget=100),
+               "corollary1": lambda: certify_corollary1(system, f, self.GRID, budget=100),
+               "definition": lambda: verify_definition(system, f, self.NODES, self.GRID)}
+        with pytest.raises(SourceEvalError,
+                           match=rf"^target function returned nan at x={named!r}$"):
+            run[route]()
+
+    def test_infinite_value_and_definition_node(self):
+        # The nodes are evaluated before the grid; 0.25 is a node only.
+        f = self.target((0.25, 0.2), -math.inf)
+        with pytest.raises(SourceEvalError, match=r"returned -inf at x=0\.25$"):
+            verify_definition(polynomial_system(4), f, self.NODES, self.GRID)
+        with pytest.raises(SourceEvalError, match=r"returned -inf at x=0\.2$"):
+            certify_theorem_a(polynomial_system(4), f, self.GRID)
+
+    def test_finite_targets_unchanged(self):
+        cert = certify_theorem_a(polynomial_system(4), self.target(()), self.GRID, budget=100)
+        assert cert.verdict == VIOLATED and cert.min_value <= cert.witness_value < 0.0
+
+
+class TestBulkEvaluationErrors:
+    """The pointwise routes evaluate the basis in bulk and raise what the
+    point-by-point path raises, in the same order: an f error or a
+    degeneracy at an earlier point wins over a basis overflow."""
+
+    SYSTEM = exponential_system((0.0, 800.0), Interval(-1.0, 1.0))
+    GRID = [j / 20 for j in range(-19, 20)]  # exp(800 x) overflows from x = 0.9
+
+    def per_point_error(self, system, grid):
+        with pytest.raises(DomainError) as info:
+            [system.evaluate_basis(x) for x in grid]
+        return str(info.value)
+
+    @pytest.mark.parametrize("route", ["support", "theorem2", "definition"])
+    def test_overflow_message_matches_the_point_by_point_path(self, route):
+        want = self.per_point_error(self.SYSTEM, self.GRID)
+        assert want == "basis exp(800x) overflowed at x=0.9"
+        run = {"support": lambda: build_support(self.SYSTEM, F_EXP, (0.0,), self.GRID),
+               "theorem2": lambda: scan_theorem2(self.SYSTEM, F_EXP, (0.0,), self.GRID),
+               "definition": lambda: verify_definition(self.SYSTEM, F_EXP, (-0.5, 0.0),
+                                                       self.GRID)}
+        with pytest.raises(DomainError) as info:
+            run[route]()
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("route", ["theorem2", "definition"])
+    @pytest.mark.parametrize("bad, error", [(0.8, SourceEvalError), (0.9, SourceEvalError),
+                                            (0.95, DomainError)])
+    def test_f_error_up_to_the_overflow_point_wins(self, route, bad, error):
+        def f(x):
+            if x == bad:
+                raise ValueError("no value here")
+            return math.exp(x)
+        f = CallableSource(f)
+        with pytest.raises(error):
+            if route == "theorem2":
+                scan_theorem2(self.SYSTEM, f, (0.0,), self.GRID)
+            else:
+                verify_definition(self.SYSTEM, f, (-0.5, 0.0), self.GRID)
+
+    def test_earlier_degeneracy_wins(self):
+        # (1, x^2, e^(800 x)) with the knots 0.3 and 0.6 degenerates at -0.3,
+        # where x^2 takes its value at the first knot.
+        system = ChebyshevSystem((BasisFunction("monomial", 0), BasisFunction("monomial", 2),
+                                  BasisFunction("exp", 800.0)), Interval(-1.0, 1.0))
+        grid = [j / 10 for j in range(-9, 10)]
+        assert self.per_point_error(system, grid).endswith("at x=0.9")
+        with pytest.raises(NearSingularError, match=r"degenerated at \(-0\.3, "):
+            scan_theorem2(system, F_EXP, (0.3, 0.6), grid)
+        without = [x for x in grid if x != -0.3]
+        with pytest.raises(DomainError, match=r"overflowed at x=0\.9$"):
+            scan_theorem2(system, F_EXP, (0.3, 0.6), without)

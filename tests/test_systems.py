@@ -13,6 +13,7 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem, DomainErr
 from chebconvex.determinants import (det_and_scale, first_failing_window, sign_of,
                                      window_sweep)
 from chebconvex.sampling import ordered_index_tuples
+from chebconvex.systems import validate_grid
 
 from conftest import grid_on, minor_rows
 
@@ -125,6 +126,116 @@ class TestBasisEvaluation:
         with pytest.raises(DomainError, match=r"^basis exp\(1000x\) overflowed at x=1\.0$"):
             system.evaluate_basis(1.0)
         assert system.evaluate_basis(0.0) == (1.0,)
+
+
+def outcome(evaluate):
+    """The float.hex of every value ``evaluate()`` returns, so that -0.0
+    and NaN count, or the type and message of what it raises."""
+    try:
+        return [tuple(v.hex() for v in col) for col in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BASIS_FUNCTIONS = st.one_of(
+    st.builds(BasisFunction, st.sampled_from(["monomial", "negmonomial"]),
+              st.integers(0, 7).map(float)),
+    st.builds(BasisFunction, st.just("exp"), st.floats(-900, 900)),
+    st.builds(BasisFunction, st.sampled_from(["cos", "sin"])),
+    st.builds(BasisFunction, st.just("const"), st.floats(-1e300, 1e300)),
+)
+INTERVALS = st.sampled_from([Interval(), Interval(-1.0, 1.0),
+                             Interval(0.0, math.pi, lo_open=True, hi_open=True),
+                             Interval(-2.0, 3.0, hi_open=True)])
+
+
+class TestEvaluateGrid:
+    """``evaluate_grid`` is ``evaluate_basis`` point by point, in bulk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(BASIS_FUNCTIONS, min_size=1, max_size=5), INTERVALS,
+           st.lists(st.one_of(st.floats(-1.5, 1.5), st.floats()), max_size=12))
+    def test_equals_point_by_point_evaluation(self, basis, interval, xs):
+        system = ChebyshevSystem(tuple(basis), interval)
+        assert outcome(lambda: system.evaluate_grid(xs)) == \
+            outcome(lambda: [system.evaluate_basis(x) for x in xs])
+
+    def test_every_form_bit_for_bit(self):
+        system = ChebyshevSystem((BasisFunction("monomial", 3), BasisFunction("negmonomial", 2),
+                                  BasisFunction("exp", -1.5), BasisFunction("cos"),
+                                  BasisFunction("sin"), BasisFunction("const", -0.0)))
+        xs = [-2.5, -0.0, 0.0, 1e-310, 0.1, 3.0]
+        cols = system.evaluate_grid(xs)
+        assert outcome(lambda: cols) == outcome(lambda: [system.evaluate_basis(x) for x in xs])
+        assert all(type(col) is tuple for col in cols)
+        assert math.copysign(1.0, cols[1][1]) == -1.0  # -(0.0 ** 2) is -0.0
+
+    def test_overflow_names_the_first_failing_point(self):
+        system = exponential_system((0.0, 800.0), Interval(-1.0, 1.0))
+        xs = grid_on(-1.0, 1.0, 41)
+        with pytest.raises(DomainError) as per_point:
+            [system.evaluate_basis(x) for x in xs]
+        assert str(per_point.value) == "basis exp(800x) overflowed at x=0.9000000000000001"
+        with pytest.raises(DomainError) as bulk:
+            system.evaluate_grid(xs)
+        assert str(bulk.value) == str(per_point.value)
+
+    def test_point_outside_before_an_overflow(self):
+        system = exponential_system((800.0,), Interval(-1.0, 1.0))
+        with pytest.raises(DomainError, match=r"^x=1\.5 outside interval \[-1, 1\]$"):
+            system.evaluate_grid([0.0, 1.5, 0.95])
+        with pytest.raises(DomainError, match="overflowed at x=0.95"):
+            system.evaluate_grid([0.0, 0.95, 1.5])
+        # min and max pass over a NaN that is not first.
+        with pytest.raises(DomainError, match=r"^x=nan outside"):
+            system.evaluate_grid([0.0, math.nan, 0.5])
+
+    def test_empty(self):
+        assert polynomial_system(3).evaluate_grid([]) == []
+
+
+def reference_validate_grid(system, grid, minimum):
+    """The grid checks point by point: every pair, then every point."""
+    pts = [float(x) for x in grid]
+    if len(pts) < minimum:
+        raise ArgumentError(f"grid has {len(pts)} points, need at least {minimum}")
+    for a, b in zip(pts, pts[1:]):
+        if not a < b:
+            raise ArgumentError("grid must be strictly increasing")
+    for x in pts:
+        if not system.interval.admits(x):
+            raise DomainError(f"grid point {x!r} outside {system.interval.describe()} "
+                              "(open endpoints excluded)")
+    return pts
+
+
+class TestValidateGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(INTERVALS, st.lists(st.one_of(st.floats(-3.5, 3.5), st.floats(),
+                                         st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0, math.pi]),
+                                         st.integers(-4, 4)), max_size=8),
+           st.integers(0, 3), st.booleans())
+    def test_same_result_and_errors_as_point_by_point(self, interval, grid, minimum, ordered):
+        if ordered:
+            grid = sorted(set(grid), key=float)
+        system = ChebyshevSystem((BasisFunction("monomial", 1),), interval)
+
+        def run(check):
+            try:
+                return [x.hex() for x in check(system, grid, minimum)]
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert run(validate_grid) == run(reference_validate_grid)
+
+    def test_names_the_first_point_outside(self):
+        system = polynomial_system(2, Interval(0.0, 1.0, hi_open=True))
+        with pytest.raises(DomainError, match=r"^grid point 2\.0 outside \[0, 1\) "):
+            validate_grid(system, [0.5, 2.0, 3.0], 2)
+        with pytest.raises(DomainError, match=r"^grid point 1\.0 outside"):
+            validate_grid(system, [0.0, 0.5, 1.0], 2)
+        with pytest.raises(ArgumentError, match="strictly increasing"):
+            validate_grid(system, [2.0, 0.5, 0.5], 2)
 
 
 class TestTruncate:
