@@ -14,11 +14,15 @@ and reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
 from . import support as support_mod
@@ -29,7 +33,7 @@ from .convexity import (CERTIFIED, DEFAULT_ATOL, DEFAULT_RTOL,
 from .divdiff import DividedDifference, classical_dd, gdd
 from .errors import ArgumentError, ChebConvexError
 from .functions import (ExpressionSource, FunctionSource, load_table,
-                        open_text, parse_floats, parse_function)
+                        open_text, parse_floats, parse_function, table_spec)
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED
 from .support import SupportResult, build_support
 from .systems import (ChebyshevSystem, Interval, SystemClassification,
@@ -204,6 +208,18 @@ def _resolve_grid(config: argparse.Namespace, system: ChebyshevSystem) -> list[f
     return uniform_grid(system.interval, count, lo, hi)
 
 
+def _resolve_target_and_grid(config: argparse.Namespace, system: ChebyshevSystem
+                             ) -> tuple[FunctionSource, list[float]]:
+    """The target of ``--f``, then the grid. When ``--f table:PATH`` and
+    ``--grid PATH`` name one file, it is parsed once: the target's
+    abscissae are the grid."""
+    f = parse_function(config.function)
+    table = table_spec(config.function)
+    if table is not None and isinstance(config.grid, str) and table[0] == config.grid:
+        return f, list(f.xs)
+    return f, _resolve_grid(config, system)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -304,8 +320,7 @@ def _run_dd(config: argparse.Namespace) -> tuple[dict, int]:
 
 def _run_certify(config: argparse.Namespace) -> tuple[dict, int]:
     system = _resolve_system(config)
-    f = parse_function(config.function)
-    grid = _resolve_grid(config, system)
+    f, grid = _resolve_target_and_grid(config, system)
     doc = {"system": _system_dict(system), "function": f.describe(),
            "disclaimer": "grid certification is necessary-but-not-sufficient "
                          "evidence; it proves nothing on the continuum"}
@@ -333,8 +348,7 @@ def _run_certify(config: argparse.Namespace) -> tuple[dict, int]:
 
 def _run_support(config: argparse.Namespace) -> tuple[dict, int]:
     system = _resolve_system(config)
-    f = parse_function(config.function)
-    grid = _resolve_grid(config, system)
+    f, grid = _resolve_target_and_grid(config, system)
     result = build_support(system, f, config.knots, grid,
                            atol=config.atol, rtol=config.rtol)
     doc = {"system": _system_dict(system), "function": f.describe(),
@@ -384,16 +398,14 @@ def _run_paper_example(config: argparse.Namespace) -> tuple[dict, int]:
     return doc, code
 
 
-def _column_rows(f, result: SupportResult, grid: Sequence[float]) -> list[list]:
-    """Plot rows for every grid point; f and omega are evaluated only at the
-    points that the sign-pattern check skipped."""
+def _column_rows(f, result: SupportResult, grid: Sequence[float]) -> list[tuple]:
+    """Plot rows ``(x, f, omega, f - omega, segment)`` for every grid point;
+    f and omega are evaluated only at the points that the sign-pattern
+    check skipped."""
     checked = {x: (fx, ox) for x, fx, ox in result.pattern.values}
-    rows = []
-    for x in grid:
-        fx, ox = checked[x] if x in checked else (f(x), result.omega(x))
-        segment = 1 + sum(1 for k in result.knots if x > k)
-        rows.append([x, fx, ox, fx - ox, segment])
-    return rows
+    fxs, oxs = zip(*[checked.get(x) or (f(x), result.omega(x)) for x in grid])
+    segments = [1 + bisect.bisect_left(result.knots, x) for x in grid]
+    return list(zip(grid, fxs, oxs, map(operator.sub, fxs, oxs), segments))
 
 
 _RUNNERS = {
@@ -409,20 +421,70 @@ _RUNNERS = {
 # Rendering
 
 def render_structured(doc: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, for
+    the keys of ``doc`` that do not start with "_"."""
     payload = {k: v for k, v in doc.items() if not k.startswith("_")}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _encode(payload, "") + "\n"
+
+
+def _encode(value, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` nested at ``indent``.
+    Dicts with string keys and lists are walked here; a list of finite
+    floats, or of equal-length rows of them, at any depth, is written with
+    one ``%r`` template. Everything else goes to ``json.dumps`` itself: its
+    newlines are structural, so nesting only indents them."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        return "{\n" + inner + (",\n" + inner).join(
+            encode_basestring_ascii(k) + ": " + _encode(v, inner)
+            for k, v in sorted(value.items())) + "\n" + indent + "}"
+    if (kind is list or kind is tuple) and value:
+        text = _float_array(value, indent)
+        if text is None:
+            text = "[\n" + inner + (",\n" + inner).join(
+                _encode(v, inner) for v in value) + "\n" + indent + "]"
+        return text
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _float_array(value, indent: str) -> Optional[str]:
+    """The JSON of ``value`` nested at ``indent`` when it is a nonempty list
+    whose leaves are finite floats, all at one depth, with equal lengths at
+    each level, else None. A finite float's repr has no "n"; "nan" and
+    "inf" have one."""
+    shape, leaves = [len(value)], value
+    while True:
+        kinds = set(map(type, leaves))
+        if kinds == {float}:
+            break
+        lengths = set(map(len, leaves)) if kinds <= {list, tuple} else ()
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        leaves = list(itertools.chain.from_iterable(leaves))
+    template = "%r"
+    for depth in reversed(range(len(shape))):
+        outer = indent + "  " * depth
+        inner = outer + "  "
+        template = ("[\n" + inner + (",\n" + inner).join([template] * shape[depth])
+                    + "\n" + outer + "]")
+    text = template % tuple(leaves)
+    return None if "n" in text else text
 
 
 def emit_columns(doc: dict) -> str:
     """Plot-ready columns (x, f, omega, f - omega, segment id) for support
-    and worked-example reports."""
+    and worked-example reports, one ``%r`` template per row."""
     rows = doc.get("_columns")
     if rows is None:
         raise ArgumentError("columns output needs a support or example report")
-    lines = ["x f omega diff segment"]
-    for x, fx, ox, diff, seg in rows:
-        lines.append(f"{x!r} {fx!r} {ox!r} {diff!r} {seg}")
-    return "\n".join(lines) + "\n"
+    return "".join(["x f omega diff segment\n",
+                    *map("%r %r %r %r %s\n".__mod__, map(tuple, rows))])
 
 
 def _render_human(doc: dict) -> str:

@@ -32,7 +32,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from operator import mul, sub, truediv
+from typing import Callable, Iterable, Optional, Sequence
 
 from .determinants import (Windows, check_points, exact_sign, function_row,
                            known_scan, minor_scan, sign_of, solve_with_det)
@@ -185,36 +187,74 @@ def pattern_sign(count: int, region: int) -> int:
 
 
 def sign_walk(nodes: Sequence[float], grid: Sequence[float],
-              delta: float) -> Iterator[tuple[int, int]]:
+              delta: float) -> tuple[list[int], list[int]]:
     """The grid points kept by a check of f minus a combination that
     interpolates it at the sorted nodes: its sign pattern, or a ratio of it.
 
-    Yields ``(j, region)`` for each grid point x = grid[j] farther than
-    ``delta`` from every node, in grid order; region is the number of nodes
+    Returns the indices j of the points x = grid[j] farther than ``delta``
+    from every node, in grid order, and their regions: the number of nodes
     left of x. The difference vanishes at the nodes, where its sign is
-    noise. Only the two nodes around x, found by bisection, can be the
-    nearest, so only they are tested. The caller evaluates f and the
-    combination at the kept points.
+    noise. A point is dropped when k - x <= delta for a node k >= x, or
+    x - k <= delta for a node k < x. Float subtraction is monotone, so on
+    each side of a node the dropped points of the sorted grid form one run,
+    found by bisection, and the kept points come in runs of one region.
     """
-    count = len(nodes)
-    for j, x in enumerate(grid):
-        i = bisect.bisect_left(nodes, x)
-        if (i and x - nodes[i - 1] <= delta) or (i < count and nodes[i] - x <= delta):
-            continue
-        yield j, i
+    js: list[int] = []
+    regions: list[int] = []
+    start = 0
+    for region, k in enumerate(nodes):
+        mid = bisect.bisect_right(grid, k)
+        stop = bisect.bisect_left(grid, True, start, mid, key=lambda x: k - x <= delta)
+        js.extend(range(start, stop))
+        regions.extend([region] * (stop - start))
+        start = max(start, bisect.bisect_left(grid, True, mid, len(grid),
+                                              key=lambda x: x - k > delta))
+    js.extend(range(start, len(grid)))
+    regions.extend([len(nodes)] * (len(grid) - start))
+    return js, regions
 
 
-def _walked_columns(system: ChebyshevSystem, grid: Sequence[float],
-                    kept: Sequence[tuple[int, int]]) -> Iterator[tuple[float, ...]]:
-    """The basis columns at the :func:`sign_walk` points ``kept``, in walk
-    order, evaluated in bulk up front. When that raises, they are evaluated
-    one point at a time instead, so that the error comes when the walk
-    reaches its point: after f and the checks at every earlier point."""
-    xs = [grid[j] for j, _ in kept]
+def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
+                walk: tuple[list[int], list[int]], bulk: Callable[..., Optional[list]],
+                point: Callable[[int, int], object],
+                cols: Optional[Sequence[Sequence[float]]] = None) -> list:
+    """The items of a pointwise route at the :func:`sign_walk` points
+    ``walk``: ``bulk(xs, fvals, rows)`` of their abscissae, f values and
+    basis rows (``rows[i]`` holds basis function i at every point), all
+    evaluated in bulk. The rows come from ``cols``, the basis columns at the
+    grid, or else from :meth:`ChebyshevSystem.evaluate_grid`, and f is taken
+    past ``FunctionSource.__call__`` and its per-point checks.
+
+    When an evaluation raises, an f value is not finite, or ``bulk``
+    returns None because one of its zero tests fired, the items are
+    ``point(j, region)`` at each point in grid order instead: the route's
+    loop, which evaluates f and the basis one point at a time and raises
+    the first failing point's error.
+    """
+    js, regions = walk
     try:
-        return iter(system.evaluate_grid(xs))
-    except Exception:  # raised again at its point
-        return map(system.evaluate_basis, xs)
+        xs = list(map(grid.__getitem__, js))
+        fvals = list(map(getattr(f, "_eval", f), xs))
+        if all(map(math.isfinite, fvals)):
+            kept = system.evaluate_grid(xs) if cols is None else map(cols.__getitem__, js)
+            items = bulk(xs, fvals, list(zip(*kept)) or [()] * system.n)
+            if items is not None:
+                return items
+    except Exception:  # raised again by the loop below, at its point
+        pass
+    return list(map(point, js, regions))
+
+
+def _zero_tested(det: float, values: Iterable[float], bounds: Sequence[float],
+                 absrows: Sequence[Sequence[float]]) -> bool:
+    """Whether ``det`` times any of ``values`` fails :func:`sign_of`'s zero
+    test at its point's scale: the product over the basis functions i of
+    ``max(bounds[i], absrows[i][j])``, multiplied in order, as ``math.prod``
+    does at one point."""
+    scales = [*map(max, repeat(bounds[0]), absrows[0])]
+    for bound, row in zip(bounds[1:], absrows[1:]):
+        scales = map(mul, scales, map(max, repeat(bound), row))
+    return "0" in map(sign_of, map(mul, repeat(det), values), scales)
 
 
 def _target_values(f, xs: Sequence[float]) -> list[float]:
@@ -379,9 +419,9 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 1)
     kcols = [system.evaluate_basis(k) for k in knots]
-    rows = [c[:n - 1] for c in kcols]
+    heads = [c[:n - 1] for c in kcols]
     try:
-        p, det = solve_with_det(rows, function_row(f, knots))
+        p, det = solve_with_det(heads, function_row(f, knots))
     except NearSingularError:
         det = None
     # minor_scan's row max-norms over the knots, and over the first n-1
@@ -391,26 +431,37 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     if det is None or sign_of(det.value, math.prod(kmax[:n - 1])) == "0":
         raise degenerated("truncated", knots)
     # The same matrix again, so these solves pass the same zero test.
-    q, _ = solve_with_det(rows, [c[n - 1] for c in kcols])
-    lagrange, _ = solve_with_det(rows, [0.0] * (n - 2) + [1.0])
+    q, _ = solve_with_det(heads, [c[n - 1] for c in kcols])
+    lagrange, _ = solve_with_det(heads, [0.0] * (n - 2) + [1.0])
     truncated = system.truncate(n - 1)
-    p, q, lagrange = (OmegaCombination(truncated, tuple(c)).at_column
-                      for c in (p, q, lagrange))
-    scan: list[tuple[float, float]] = []
-    kept = list(sign_walk(knots, grid, knot_exclusion(system)))
-    cols = _walked_columns(system, grid, kept)
-    for j, region in kept:
+    p, q, lagrange = (OmegaCombination(truncated, tuple(c)) for c in (p, q, lagrange))
+    walk = sign_walk(knots, grid, knot_exclusion(system))
+
+    def bulk(xs, fvals, rows):
+        rs = [*map(sub, rows[n - 1], q.at_rows(rows))]
+        absrows = [[*map(abs, row)] for row in rows]
+        # The points left of the last knot come first.
+        head = bisect.bisect_left(walk[1], n - 1)
+        if _zero_tested(det.value, rs, kmax, absrows) or _zero_tested(
+                det.value, lagrange.at_rows([row[:head] for row in rows]), hmax,
+                [row[:head] for row in absrows]):
+            return None
+        return list(zip(xs, map(truediv, map(sub, fvals, p.at_rows(rows)), rs)))
+
+    def point(j, region):
         x = grid[j]
         fx = function_row(f, (x,))[0]
-        col = next(cols)
+        col = system.evaluate_basis(x)
         absc = [*map(abs, col)]
-        r = col[n - 1] - q(col)
+        r = col[n - 1] - q.at_column(col)
         if sign_of(det.value * r, math.prod(map(max, kmax, absc))) == "0":
             raise degenerated("full", sorted(knots + (x,)))
-        if region < n - 1 and sign_of(det.value * lagrange(col),
+        if region < n - 1 and sign_of(det.value * lagrange.at_column(col),
                                       math.prod(map(max, hmax, absc))) == "0":
             raise degenerated("truncated", sorted(knots[:-1] + (x,)))
-        scan.append((x, (fx - p(col)) / r))
+        return x, (fx - p.at_column(col)) / r
+
+    scan = walk_values(system, f, grid, walk, bulk, point)
     if len(scan) < 2:
         raise PreconditionError(f"theorem2: nothing was checked; {len(scan)} grid "
                                 "point(s) clear the knot exclusion, a pair is needed")
@@ -437,14 +488,19 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
     grid = validate_grid(system, grid, 1)
     omega = interpolate(system, nodes, _target_values(f, nodes))
 
-    def scored():
-        kept = list(sign_walk(nodes, grid, knot_exclusion(system)))
-        cols = _walked_columns(system, grid, kept)
-        for j, region in kept:
-            fx = f(grid[j])
-            if not math.isfinite(fx):
-                raise _not_finite(grid[j], fx)
-            ox = omega.at_column(next(cols))
-            yield pattern_sign(n, region) * (fx - ox), (j,), atol + rtol * abs(fx)
+    walk = sign_walk(nodes, grid, knot_exclusion(system))
 
-    return _certificate("definition", scored(), grid, f, atol, rtol, None)
+    def bulk(xs, fvals, rows):
+        signs = map(pattern_sign, repeat(n), walk[1])
+        return list(zip(map(mul, signs, map(sub, fvals, omega.at_rows(rows))),
+                        zip(walk[0]), [atol + rtol * abs(fx) for fx in fvals]))
+
+    def point(j, region):
+        fx = f(grid[j])
+        if not math.isfinite(fx):
+            raise _not_finite(grid[j], fx)
+        ox = omega.at_column(system.evaluate_basis(grid[j]))
+        return pattern_sign(n, region) * (fx - ox), (j,), atol + rtol * abs(fx)
+
+    return _certificate("definition", walk_values(system, f, grid, walk, bulk, point),
+                        grid, f, atol, rtol, None)

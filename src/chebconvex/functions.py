@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import itertools
 import math
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
+import operator
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .errors import (ArgumentError, DomainError, ResolutionError,
                      SourceEvalError, TableFormatError)
 
 #: Relative snapping window for exact-abscissa queries against tables.
 TABLE_SNAP_FACTOR = 1e-12
+
+#: Lines of a table file parsed at a time in bulk: a bounded chunk, so a
+#: large table is never split into cells all at once.
+TABLE_CHUNK = 512
 
 
 class FunctionSource:
@@ -145,16 +151,15 @@ class TableSource(FunctionSource):
                  interpolation: str = "none"):
         if interpolation not in ("none", "linear"):
             raise ArgumentError(f"interpolation must be none|linear, got {interpolation!r}")
-        xs = tuple(float(x) for x in xs)
-        ys = tuple(float(y) for y in ys)
+        xs = tuple(map(float, xs))
+        ys = tuple(map(float, ys))
         if len(xs) != len(ys) or not xs:
             raise ArgumentError("table needs equal-length, nonempty columns")
-        for x in xs:
-            if not math.isfinite(x):
-                raise ArgumentError(f"non-finite table abscissa {x!r}")
-        for a, b in zip(xs, xs[1:]):
-            if not a < b:
-                raise ArgumentError("table abscissae must be strictly increasing")
+        if not all(map(math.isfinite, xs)):
+            x = next(x for x in xs if not math.isfinite(x))
+            raise ArgumentError(f"non-finite table abscissa {x!r}")
+        if not all(map(operator.lt, xs, xs[1:])):
+            raise ArgumentError("table abscissae must be strictly increasing")
         self.xs = xs
         self.ys = ys
         self.interpolation = interpolation
@@ -208,14 +213,49 @@ def load_table(source: Union[str, Iterable[str]],
     exactly two numeric columns, ``#`` comments, optional single header row.
     Rows are sorted by abscissa on load; non-finite and duplicate abscissae
     are rejected with their line numbers.
+
+    Once the first header or data row has come, the lines are parsed
+    :data:`TABLE_CHUNK` at a time, each chunk with one ``split`` per line
+    and one ``map(float)``. A chunk that is not all plain data rows (a
+    comment, a blank line, a cell too many or too few, a cell that is not a
+    number, a non-finite abscissa) is parsed line by line instead, which
+    raises the line's own error.
     """
     if isinstance(source, str):
-        lines = source.splitlines()
+        lines = iter(source.splitlines())
     else:
-        lines = [line.rstrip("\n") for line in source]
-    rows: list[tuple[float, float, int]] = []
-    header_allowed = True
-    for lineno, raw in enumerate(lines, start=1):
+        lines = (line.rstrip("\n") for line in source)
+    rows: tuple[list[float], list[float], list[int]] = ([], [], [])
+    lineno, header_allowed = 0, True
+    for raw in lines:
+        lineno += 1
+        header_allowed = _parse_lines([raw], lineno, header_allowed, rows)
+        if not header_allowed:
+            break
+    while chunk := list(itertools.islice(lines, TABLE_CHUNK)):
+        if not _parse_chunk(chunk, lineno + 1, rows):
+            _parse_lines(chunk, lineno + 1, False, rows)
+        lineno += len(chunk)
+    xs, ys, linenos = rows
+    if not xs:
+        raise TableFormatError("table contains no data rows")
+    if not all(map(operator.lt, xs, xs[1:])):
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        xs, ys, linenos = ([column[i] for i in order] for column in rows)
+        for i in range(len(xs) - 1):
+            if xs[i] == xs[i + 1]:
+                l0, l1 = linenos[i], linenos[i + 1]
+                raise TableFormatError(
+                    f"duplicate abscissa {xs[i]!r} on lines {l0} and {l1}", (l0, l1))
+    return TableSource(xs, ys, interpolation)
+
+
+def _parse_lines(lines: Sequence[str], first: int, header_allowed: bool,
+                 rows: tuple[list, list, list]) -> bool:
+    """Append the data rows of ``lines``, numbered from ``first``, to the
+    ``(xs, ys, line numbers)`` of ``rows``, one line at a time. Returns
+    whether a header row may still come."""
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -235,15 +275,32 @@ def load_table(source: Union[str, Iterable[str]],
         if not math.isfinite(x):
             raise TableFormatError(f"line {lineno}: non-finite abscissa {x!r}",
                                    (lineno,))
-        rows.append((x, y, lineno))
-    if not rows:
-        raise TableFormatError("table contains no data rows")
-    rows.sort(key=lambda r: r[0])
-    for (x0, _, l0), (x1, _, l1) in zip(rows, rows[1:]):
-        if x0 == x1:
-            raise TableFormatError(
-                f"duplicate abscissa {x0!r} on lines {l0} and {l1}", (l0, l1))
-    return TableSource([r[0] for r in rows], [r[1] for r in rows], interpolation)
+        rows[0].append(x)
+        rows[1].append(y)
+        rows[2].append(lineno)
+    return header_allowed
+
+
+def _parse_chunk(lines: Sequence[str], first: int, rows: tuple[list, list, list]) -> bool:
+    """Append the rows of ``lines``, numbered from ``first``, to ``rows`` in
+    bulk, as :func:`_parse_lines` would after the header, when every line is
+    a data row with a finite abscissa. Otherwise append nothing and return
+    False."""
+    # A comment fails the cell count or float(): no number holds a "#".
+    cells = list(map(str.split, "\n".join(lines).replace(",", " ").split("\n")))
+    if len(cells) != len(lines) or set(map(len, cells)) != {2}:
+        return False
+    try:
+        values = list(map(float, itertools.chain.from_iterable(cells)))
+    except ValueError:
+        return False
+    xs = values[0::2]
+    if not all(map(math.isfinite, xs)):
+        return False
+    rows[0].extend(xs)
+    rows[1].extend(values[1::2])
+    rows[2].extend(range(first, first + len(lines)))
+    return True
 
 
 @contextlib.contextmanager
@@ -258,21 +315,31 @@ def open_text(path: str, flag: str) -> Iterator[TextIO]:
         raise ArgumentError(f"{flag} {path}: not UTF-8 text ({exc})") from None
 
 
+def table_spec(spec: str) -> Optional[tuple[str, str]]:
+    """The path and interpolation mode of a ``table:PATH[:linear]``
+    function spec, else None."""
+    head, _, arg = spec.partition(":")
+    if head.strip().lower() != "table":
+        return None
+    path, _, mode = arg.partition(":")
+    return path, mode or "none"
+
+
 def parse_function(spec: str) -> FunctionSource:
     """Resolve a CLI-style function spec.
 
     ``monomial:3``, ``negmonomial:3``, ``exp:1.5``, ``cos``, ``sin``,
     ``const:2``, ``poly:c0,c1,...``, ``table:PATH`` or ``table:PATH:linear``.
     """
-    head, _, arg = spec.partition(":")
-    head = head.strip().lower()
-    if head == "table":
-        path, _, mode = arg.partition(":")
+    table = table_spec(spec)
+    if table is not None:
+        path, mode = table
         if not path:
             raise ArgumentError("table spec needs a file path")
-        mode = mode or "none"
         with open_text(path, "--f") as handle:
             return load_table(handle, interpolation=mode)
+    head, _, arg = spec.partition(":")
+    head = head.strip().lower()
     if head in FORMS:
         return ExpressionSource(head, parse_floats(arg, "function parameter"))
     raise ArgumentError(f"unknown function spec {spec!r}")

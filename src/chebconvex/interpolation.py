@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 from typing import Sequence
 
@@ -40,6 +41,13 @@ class OmegaCombination:
     def at_column(self, col: Sequence[float]) -> float:
         """The combination at a point, from the basis values ``col`` there."""
         return math.fsum(map(mul, self.coefficients, col))
+
+    def at_rows(self, rows: Sequence[Sequence[float]]) -> list[float]:
+        """The combination at many points, from ``rows[i]``, the values of
+        basis function i there: :meth:`at_column` at each point, bit for
+        bit, from the same products summed by the same ``fsum``."""
+        scaled = [map(mul, repeat(c), row) for c, row in zip(self.coefficients, rows)]
+        return list(map(math.fsum, zip(*scaled)))
 
     def describe(self) -> str:
         terms = [f"{c:g}*{func.describe()}"

@@ -17,13 +17,14 @@ construction is designed to produce.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_sign, require_positive,
-                        sign_walk)
+                        sign_walk, walk_values)
 from .determinants import MIN_SEPARATION_FACTOR, function_row
 from .divdiff import conditioning, gdd_scan
 from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
@@ -176,10 +177,19 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     # The support pattern is the definition's pattern with the last knot
     # counted twice: regions 0..n-2, then region n beyond the last knot.
     nodes = knots + knots[-1:]
-    per_segment: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
-    for j, region in sign_walk(nodes, grid, knot_exclusion(system)):
+    walk = sign_walk(nodes, grid, knot_exclusion(system))
+
+    def point(j, region):
         x = grid[j]
-        per_segment[min(region, n - 1)].append((x, f(x), omega.at_column(cols[j])))
+        return x, f(x), omega.at_column(cols[j])
+
+    values = walk_values(system, f, grid, walk,
+                         lambda xs, fvals, rows: list(zip(xs, fvals, omega.at_rows(rows))),
+                         point, cols)
+    # Regions ascend along the walk, so each segment is one slice of it: the
+    # points of region seg, and for the last segment those of region n.
+    bounds = [bisect.bisect_left(walk[1], seg) for seg in range(n)] + [len(values)]
+    per_segment = [values[a:b] for a, b in zip(bounds, bounds[1:])]
     segments = []
     for seg, points in enumerate(per_segment):
         required = pattern_sign(n, seg if seg < n - 1 else n)
@@ -188,13 +198,12 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
         violations = tuple((x, fx - ox) for x, fx, ox in points
                            if required * (fx - ox) < -(atol + rtol * abs(fx)))
         segments.append(SegmentCheck(seg + 1, lo, hi, required, len(points), violations))
-    checked = sum(len(points) for points in per_segment)
+    checked = len(values)
     if not checked:
         raise PreconditionError("support: nothing was checked; every grid point "
                                 "lies within the knot exclusion")
     return SignPatternReport(tuple(segments), all(not s.violations for s in segments),
-                             len(grid) - checked,
-                             tuple(p for points in per_segment for p in points))
+                             len(grid) - checked, tuple(values))
 
 
 def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],

@@ -212,6 +212,41 @@ class TestClassifyCommand:
         assert doc["classification"]["coverage"] == "exhaustive"
 
 
+class TestTableFiles:
+    """A table file that gives both the grid and the target is parsed once."""
+
+    @staticmethod
+    def counting_loads(monkeypatch):
+        from chebconvex import cli, functions
+        paths = []
+        load = functions.load_table
+
+        def counting(source, *args, **kwargs):
+            paths.append(getattr(source, "name", None))
+            return load(source, *args, **kwargs)
+
+        monkeypatch.setattr(functions, "load_table", counting)
+        monkeypatch.setattr(cli, "load_table", counting)
+        return paths
+
+    @pytest.mark.parametrize("method, points", [("theorem2", ("--knots", "0.0,1.0")),
+                                                ("definition", ("--nodes", "-1.0,0.0,1.0"))])
+    def test_grid_and_target_from_one_file(self, monkeypatch, tmp_path, method, points):
+        path, copy = tmp_path / "cube.tsv", tmp_path / "copy.tsv"
+        text = "# x x^3\n" + "".join(f"{x / 20!r} {(x / 20) ** 3!r}\n"
+                                      for x in range(-40, 61))
+        path.write_text(text)
+        copy.write_text(text)
+        argv = ["certify", "--method", method, "--system", "poly:3",
+                "--interval", "-2:3", *points, "--format", "structured"]
+        paths = self.counting_loads(monkeypatch)
+        once = run_cli(*argv, "--f", f"table:{path}", "--grid", str(path))
+        assert paths == [str(path)]
+        twice = run_cli(*argv, "--f", f"table:{path}", "--grid", str(copy))
+        assert paths == [str(path), str(path), str(copy)]
+        assert once == twice and once[0] == 0
+
+
 class TestDdCommand:
     def test_value_with_classical(self):
         code, doc = run_json("dd", "--system", "poly:3", "--f", "monomial:3",

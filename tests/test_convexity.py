@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
@@ -26,6 +26,8 @@ from chebconvex.systems import classify_on_grid
 from conftest import (F_CUBE, F_EXP, F_FIFTH, F_NEG_CUBE, F_SQUARE,
                       draw_separated, exact_classical_dd, grid_on, minor_rows,
                       separated_points_strategy)
+
+EPS = math.ulp(1.0)
 
 
 class TestTheoremA:
@@ -280,17 +282,30 @@ class TestTheorem2Scan:
                             polynomial_system(3, Interval(-1.0, 1.0)),
                             polynomial_system(4, Interval(-1.0, 1.0)),
                             exponential_system((0.0, 1.0), Interval(-1.0, 1.0)),
-                            exponential_system((0.0, 1.0, 2.0), Interval(-1.0, 1.0))]),
-           st.sampled_from([F_EXP, F_CUBE, F_NEG_CUBE]),
-           st.data())
-    def test_scan_agrees_with_gdd_on_separated_knots(self, system, f, data):
-        n = system.n
-        knots = data.draw(separated_points_strategy(n - 1, -0.9, 0.9, sep=0.1))
+                            exponential_system((0.0, 1.0, 2.0), Interval(-1.0, 1.0))])
+           .flatmap(lambda system: st.tuples(
+               st.just(system), separated_points_strategy(system.n - 1, -0.9, 0.9,
+                                                          sep=0.1))),
+           st.sampled_from([F_EXP, F_CUBE, F_NEG_CUBE]))
+    # x^3 w.r.t. poly:3 is the sum of the points, which nearly vanishes at
+    # x = -0.3999999999999999: there theorem 2 gave -4.66e-17 and gdd -6.53e-17.
+    @example((polynomial_system(3, Interval(-1.0, 1.0)),
+              (-0.05000000000000005, 0.44999999999999996)), F_CUBE)
+    def test_scan_agrees_with_gdd_on_separated_knots(self, system_knots, f):
+        system, knots = system_knots
         grid = grid_on(-1.0, 1.0, 41)
         report = scan_theorem2(system, f, knots, grid)
         for x, value in report.scan:
             want = gdd(system, sorted((*knots, x)), f).value
-            assert abs(value - want) <= 1e-9 * max(abs(value), abs(want)), x
+            # Where the value cancels nearly to 0, its rounding error is not
+            # relative to it but to the terms that cancel: for x^3 w.r.t.
+            # poly:3, a few eps times the sum of |point|. Lemma 1's form
+            # divides that rounding by (u_n - q)(x), which vanishes at the
+            # knots, so the floor grows by the sum of |point| over the
+            # distance from x to the nearest knot.
+            terms = sum(map(abs, (*knots, x)))
+            floor = 8 * EPS * terms * max(1.0, terms / min(abs(x - k) for k in knots))
+            assert abs(value - want) <= max(1e-9 * max(abs(value), abs(want)), floor), x
 
     @pytest.mark.parametrize("basis, knots, message", [
         ("monomial 1\nmonomial 0", (0.0,),
@@ -691,6 +706,25 @@ def min_distance_walk(nodes, grid, delta):
             if min(abs(x - k) for k in nodes) > delta]
 
 
+def per_point_walk(nodes, grid, delta):
+    """The walk one point at a time: only the two nodes around each point,
+    found by bisection, are tested."""
+    kept = []
+    for j, x in enumerate(grid):
+        i = bisect.bisect_left(nodes, x)
+        if (i and x - nodes[i - 1] <= delta) or (i < len(nodes) and nodes[i] - x <= delta):
+            continue
+        kept.append((j, i))
+    return kept
+
+
+def walked(nodes, grid, delta):
+    """:func:`sign_walk`'s kept indices and regions as ``(j, region)`` pairs."""
+    js, regions = sign_walk(nodes, grid, delta)
+    assert len(js) == len(regions)
+    return list(zip(js, regions))
+
+
 class TestSignWalk:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5), st.booleans(),
@@ -702,13 +736,39 @@ class TestSignWalk:
         # Points exactly delta from a node, on either side.
         edges = [k + s * delta for k in nodes for s in (-1.0, 1.0)]
         grid = sorted(grid + data.draw(st.lists(st.sampled_from(edges), max_size=6)))
-        assert list(sign_walk(nodes, grid, delta)) == min_distance_walk(nodes, grid, delta)
+        assert walked(nodes, grid, delta) == min_distance_walk(nodes, grid, delta)
+        assert walked(nodes, grid, delta) == per_point_walk(nodes, grid, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.lists(st.floats(0.0, 3.0), max_size=4),
+           st.floats(1e-6, 0.5), st.integers(2, 60), st.data())
+    def test_runs_agree_with_the_per_point_walk(self, first, gaps, delta, count, data):
+        # Gaps up to 3 delta, so neighbouring nodes are often closer than
+        # 2 delta and their dropped runs overlap; nodes may lie outside the
+        # grid, which spans [-1, 1].
+        nodes = [first]
+        for gap in gaps:
+            nodes.append(nodes[-1] + gap * delta)
+        if data.draw(st.booleans()):
+            nodes.append(nodes[-1])
+        grid = grid_on(-1.0, 1.0, count)
+        edges = [k + s * delta for k in nodes for s in (-1.0, 1.0)]
+        grid = sorted(set(grid).union(data.draw(st.lists(st.sampled_from(edges),
+                                                         max_size=6))))
+        assert walked(nodes, grid, delta) == per_point_walk(nodes, grid, delta)
 
     def test_points_delta_from_a_node_are_dropped(self):
         nodes, delta = (0.0, 1.0, 1.0), 0.25
         grid = [-0.5, -0.25, 0.25, 0.5, 0.75, 1.25, 1.5]
-        assert list(sign_walk(nodes, grid, delta)) == [(0, 0), (3, 1), (6, 3)]
-        assert list(sign_walk(nodes, grid, delta)) == min_distance_walk(nodes, grid, delta)
+        assert walked(nodes, grid, delta) == [(0, 0), (3, 1), (6, 3)]
+        assert walked(nodes, grid, delta) == min_distance_walk(nodes, grid, delta)
+
+    def test_nodes_outside_the_grid(self):
+        grid = [j / 4 for j in range(-4, 5)]
+        assert walked((-3.0, -2.0), grid, 0.5) == [(j, 2) for j in range(9)]
+        assert walked((2.0, 3.0), grid, 0.5) == [(j, 0) for j in range(9)]
+        assert walked((-1.5, 1.5), grid, 0.5) == [(j, 1) for j in range(1, 8)]
+        assert sign_walk((0.0,), [], 0.5) == ([], [])
 
 
 class TestNonFiniteTarget:
@@ -800,3 +860,66 @@ class TestBulkEvaluationErrors:
         without = [x for x in grid if x != -0.3]
         with pytest.raises(DomainError, match=r"overflowed at x=0\.9$"):
             scan_theorem2(system, F_EXP, (0.3, 0.6), without)
+
+
+class PointByPoint:
+    """A target without bulk evaluation: its ``_eval`` raises, so the
+    pointwise routes take their loops, one point at a time."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, x):
+        return self.f(x)
+
+    def _eval(self, x):
+        raise RuntimeError("no bulk evaluation")
+
+
+class TestBulkAndPointPaths:
+    """The pointwise routes give the same floats in bulk as point by point."""
+
+    SYSTEMS = [polynomial_system(2, Interval(-1.0, 1.0)), polynomial_system(3, Interval(-1.0, 1.0)),
+               polynomial_system(4, Interval(-1.0, 1.0)),
+               exponential_system((0.0, 1.0, 2.0), Interval(-1.0, 1.0))]
+    TARGETS = [F_EXP, F_CUBE, F_NEG_CUBE, ExpressionSource("sin"),
+               TableSource(grid_on(-1.0, 1.0, 57), [math.cos(3 * x) for x in grid_on(-1, 1, 57)])]
+
+    @staticmethod
+    def grid_and_knots(data, system, f):
+        if f.is_table:  # a table knows f at its abscissae only
+            grid = list(f.xs)
+            knots = sorted(data.draw(st.lists(st.sampled_from(grid[4:-4]), min_size=system.n - 1,
+                                              max_size=system.n - 1, unique=True)))
+            return grid, tuple(knots)
+        grid = grid_on(-1.0, 1.0, data.draw(st.integers(3, 90)))
+        return grid, data.draw(separated_points_strategy(system.n - 1, -0.9, 0.9, sep=0.05))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SYSTEMS), st.sampled_from(TARGETS), st.data())
+    def test_theorem2(self, system, f, data):
+        grid, knots = self.grid_and_knots(data, system, f)
+        bulk = scan_theorem2(system, f, knots, grid)
+        assert repr(bulk) == repr(scan_theorem2(system, PointByPoint(f), knots, grid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SYSTEMS), st.sampled_from(TARGETS), st.data())
+    def test_definition(self, system, f, data):
+        grid, knots = self.grid_and_knots(data, system, f)
+        nodes = sorted(set(knots) | {grid[1]})
+        assume(len(nodes) == system.n)
+        bulk = verify_definition(system, f, nodes, grid)
+        assert repr(bulk) == repr(verify_definition(system, PointByPoint(f), nodes, grid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SYSTEMS), st.sampled_from(TARGETS), st.data(),
+           st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    def test_sign_pattern(self, system, f, data, coefficients):
+        from chebconvex import OmegaCombination
+        from chebconvex.support import verify_sign_pattern
+        grid, knots = self.grid_and_knots(data, system, f)
+        omega = OmegaCombination(system, tuple(coefficients[:system.n]))
+        cols = system.evaluate_grid(grid)
+        bulk = verify_sign_pattern(system, f, omega, knots, grid, cols)
+        assert repr(bulk) == repr(verify_sign_pattern(system, PointByPoint(f), omega, knots,
+                                                      grid, cols))

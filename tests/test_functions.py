@@ -1,3 +1,4 @@
+import io
 import math
 import re
 
@@ -177,3 +178,119 @@ class TestParseFunction:
                               ("exp:1,x", "bad function parameter list '1,x'")]:
             with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
                 parse_function(spec)
+
+
+def line_by_line_table(lines):
+    """The table parse one line at a time: the xs and ys of the sorted rows,
+    or the message and line numbers of the first error."""
+    rows, header_allowed = [], True
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        cells = line.replace(",", " ").split()
+        if len(cells) != 2:
+            return f"line {lineno}: expected 2 columns, got {len(cells)}", (lineno,)
+        try:
+            x, y = float(cells[0]), float(cells[1])
+        except ValueError:
+            if header_allowed:
+                header_allowed = False
+                continue
+            return f"line {lineno}: non-numeric cell in {line!r}", (lineno,)
+        header_allowed = False
+        if not math.isfinite(x):
+            return f"line {lineno}: non-finite abscissa {x!r}", (lineno,)
+        rows.append((x, y, lineno))
+    if not rows:
+        return "table contains no data rows", ()
+    rows.sort(key=lambda r: r[0])
+    for (x0, _, l0), (x1, _, l1) in zip(rows, rows[1:]):
+        if x0 == x1:
+            return f"duplicate abscissa {x0!r} on lines {l0} and {l1}", (l0, l1)
+    return [r[0] for r in rows], [r[1] for r in rows]
+
+
+def parsed(source):
+    """What :func:`load_table` makes of ``source``, in the oracle's form."""
+    try:
+        table = load_table(source)
+    except TableFormatError as exc:
+        return str(exc), tuple(exc.lines)
+    return list(table.xs), list(table.ys)
+
+
+def same(got, want):
+    """Equal outcomes, floats compared by repr (NaN ordinates included)."""
+    return repr(got) == repr(want)
+
+
+#: Lines of every kind a table may hold, and a few that it may not.
+TABLE_LINES = st.one_of(
+    st.tuples(st.integers(-40, 40), st.floats(allow_infinity=True)).map(
+        lambda r: f"{r[0] / 4!r} {r[1]!r}"),
+    st.tuples(st.integers(-40, 40), st.integers(-9, 9)).map(lambda r: f"{r[0]},{r[1]}"),
+    st.tuples(st.integers(-40, 40), st.integers(-9, 9)).map(lambda r: f"  {r[0]} ,\t{r[1]}  "),
+    st.sampled_from(["x y", "x,y", "", "   ", "# comment", "1 2 # trailing", "1 2 3",
+                     "4", "oops 1", "1 oops", "inf 1", "-inf 2", "nan 3", "1 nan",
+                     "5\x0c6", "1,,2", "1e3 2e-3", "0x10 1"]),
+)
+
+
+class TestTableParsePaths:
+    """Chunks of plain data rows are parsed in bulk and everything else line
+    by line; together they give the line-by-line parse's values and errors."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 512])
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(TABLE_LINES, max_size=14), crlf=st.booleans())
+    def test_bulk_and_line_by_line_agree(self, chunk, lines, crlf):
+        from unittest import mock
+
+        from chebconvex import functions
+        end = "\r\n" if crlf else "\n"
+        text = end.join(lines) + end
+        # A string is split by str.splitlines, a file is read line by line.
+        sources = [(text, text.splitlines()),
+                   (io.StringIO(text), [line.rstrip("\n") for line in io.StringIO(text)]),
+                   ([line + "\n" for line in lines], lines)]
+        with mock.patch.object(functions, "TABLE_CHUNK", chunk):
+            for source, split in sources:
+                assert same(parsed(source), line_by_line_table(split))
+
+    @pytest.mark.parametrize("text, want", [
+        ("x y\n# c\n0 0\n1 1\n", ([0.0, 1.0], [0.0, 1.0])),
+        ("# c\nx,y\n\n0,0\r\n1,1\r\n\r\n2 , 4\n", ([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])),
+        ("2 4\n0 0\n1 1\n", ([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])),
+        ("0 0\n1 1\n0.0 2\n", ("duplicate abscissa 0.0 on lines 1 and 3", (1, 3))),
+        ("0 0\n-0.0 2\n", ("duplicate abscissa 0.0 on lines 1 and 2", (1, 2))),
+        ("0 0\ninf 1\n", ("line 2: non-finite abscissa inf", (2,))),
+        ("0 0\n1 1 1\n", ("line 2: expected 2 columns, got 3", (2,))),
+        ("x y\n0 0\nx y\n", ("line 3: non-numeric cell in 'x y'", (3,))),
+    ])
+    def test_cases(self, text, want):
+        assert line_by_line_table(text.splitlines()) == want
+        assert parsed(text) == want
+        assert parsed(io.StringIO(text)) == want
+
+    @pytest.mark.parametrize("bad, message", [
+        (None, None),
+        ("1 2 3", "line {n}: expected 2 columns, got 3"),
+        ("oops 1", "line {n}: non-numeric cell in 'oops 1'"),
+        ("nan 1", "line {n}: non-finite abscissa nan"),
+        ("3.0 1", "duplicate abscissa 3.0 on lines 27 and {n}"),
+    ])
+    def test_tables_longer_than_a_chunk(self, bad, message):
+        from chebconvex.functions import TABLE_CHUNK
+        rows = [f"{x / 8!r} {x * x!r}" for x in range(3 * TABLE_CHUNK + 7)]
+        lines = ["# x x^2", "x y", *rows]
+        n = 2 * TABLE_CHUNK + 100
+        if bad is not None:
+            lines[n - 1] = bad
+        want = line_by_line_table(lines)
+        if bad is None:
+            assert want[0] == [x / 8 for x in range(3 * TABLE_CHUNK + 7)]
+        else:
+            assert want == (message.format(n=n), (27, n) if "duplicate" in message else (n,))
+        assert parsed("\n".join(lines)) == want
+        assert parsed(io.StringIO("\n".join(lines) + "\n")) == want

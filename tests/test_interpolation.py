@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from chebconvex import interpolation
 from chebconvex import (ArgumentError, BasisFunction, CallableSource,
                         ChebyshevSystem, DegenerateInputError, Interval,
-                        NearSingularError, constrained_interpolate,
+                        NearSingularError, OmegaCombination,
+                        constrained_interpolate,
                         exponential_system, interpolate, lemma1_residual,
                         polynomial_system)
 
@@ -158,6 +159,25 @@ class TestEvaluation:
     def test_describe_lists_terms(self):
         omega = interpolate(polynomial_system(2), (0.0, 1.0), (0.0, 1.0))
         assert "x" in omega.describe()
+
+
+class TestAtRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-1e3, 1e3) | st.integers(-3, 3), min_size=n, max_size=n),
+        st.lists(st.lists(st.floats(), min_size=n, max_size=n), max_size=6))))
+    def test_equals_at_column_at_each_point(self, case):
+        coefficients, cols = case
+        omega = OmegaCombination(polynomial_system(len(coefficients)), tuple(coefficients))
+        rows = list(zip(*cols)) or [()] * len(coefficients)
+
+        def outcome(compute):
+            try:
+                return repr(compute())
+            except (OverflowError, ValueError) as exc:  # fsum's own errors
+                return type(exc).__name__
+        assert outcome(lambda: omega.at_rows(rows)) == outcome(
+            lambda: [omega.at_column(col) for col in cols])
 
 
 class TestNodeResiduals:
