@@ -11,18 +11,23 @@ tolerances meaningless here.
 
 One kernel computes every determinant: row-pivoted elimination, column by
 column. The pivot of step d is the first entry of largest magnitude from
-row d down in column d (``_pivot_step``, the one pivot search); carrying a
+row d down in column d (``_pivot_step``, the pivot search); carrying a
 later column through the step swaps two of its rows and subtracts
-multiples of row d (``_column``, the one row update). A column's entries
+multiples of row d (``_column``, the row update). A column's entries
 after d steps thus depend only on the first d columns and on itself, so
 :func:`minor_scan` can reuse the steps and reduced columns of the prefix a
 tuple shares with the previous one and still compute each minor as it
-would alone. In a lexicographic scan a tuple then costs one pivot step
-and an O(k) scale product instead of a k x k elimination, so sampled scans
-walk their tuples in sorted (trie) order and report what a scan in
-sampler order would. Row max-norms are folded with C-level ``max`` over
-absolute-value vectors computed once per scan; ``max`` keeps the first of
-equal items, so ties and NaNs fold as in a scan of each row in turn.
+would alone. Step k-2 works on rows k-2 and k-1 only, so
+:func:`minor_scan` takes it inline and keeps its pivot row, its other row
+and its factor; a last column then gives its final entry from its two
+entries at depth k-2, by the row update's float operations in the same
+order. In a lexicographic scan a tuple then costs one multiply-subtract on two
+cached entries and an O(k) scale product instead of a k x k elimination,
+so sampled scans walk their tuples in sorted (trie) order and report what
+a scan in sampler order would. Row max-norms are folded with C-level
+``max`` over absolute-value vectors computed once per scan; ``max`` keeps
+the first of equal items, so ties and NaNs fold as in a scan of each row
+in turn.
 Callers pass basis columns, one per point, to :func:`minor_scan` as they
 are; :func:`v_det`, :func:`d_det` and :func:`det_and_scale` pass theirs
 as one tuple. :func:`solve_with_det` carries the right-hand side through
@@ -207,34 +212,54 @@ def _column(levels: list, e: int, d: int, j: int) -> Sequence[float]:
 def minor_scan(vecs: Sequence[Sequence[float]],
                tuples: Iterable[Sequence[int]]) -> Iterator[tuple[float, float]]:
     """``(det, scale)`` of the square minor with columns ``vecs[t[0]], ...,
-    vecs[t[k-1]]`` for each index tuple ``t`` (k entries per vector),
-    lazily and in order. A tuple that shares its first c indices with the
-    previous one reuses levels 0..c; see the module docstring."""
+    vecs[t[k-1]]`` for each index tuple ``t`` of one length k (k entries per
+    vector), lazily and in order. A tuple that shares its first c indices
+    with the previous one reuses levels 0..c, and every tuple takes its
+    last step inline from its column at depth k-2; see the module
+    docstring."""
     absvecs = [[*map(abs, v)] for v in vecs]
-    # levels[d], for the prefix t[:d]: the step taken on column t[d-1], the
-    # determinant (None from a zero pivot on), the row max-norms, and the
-    # columns reduced to depth d under the prefix, by index.
-    levels: list = [(None, 1.0, None, vecs)]
-    prefix: Sequence[int] = ()
+    # levels[d], for the prefix t[:d], d <= k-2: the step taken on column
+    # t[d-1], the determinant (None from a zero pivot on), the row max-norms,
+    # and the columns reduced to depth d under the prefix, by index.
+    levels: list = [(None, 1.0, None, dict(enumerate(vecs)))]
+    prefix = None
     for t in tuples:
-        last = len(t) - 1
-        if t[:last] == prefix:
-            c = last
-        else:
-            c = [*map(ne, prefix, t), True].index(True)
+        if t[:-1] != prefix:
+            last = len(t) - 1
+            c = [*map(ne, prefix or (), t), True].index(True)
             del levels[c + 1:]
-            prefix = t[:last]
-        _, det, maxes, _ = levels[c]
-        for d in range(c, last):
-            j, step = t[d], None
-            if det is not None:
-                step, det = _pivot_step(_column(levels, c, d, j), d, det)
-            maxes = absvecs[j] if maxes is None else [*map(max, maxes, absvecs[j])]
-            levels.append((step, det, maxes, {}))
-        j = t[last]
+            prefix = t[:-1]
+            _, det, maxes, _ = levels[c]
+            for d in range(c, last - 1):
+                j, step = t[d], None
+                if det is not None:
+                    step, det = _pivot_step(_column(levels, c, d, j), d, det)
+                maxes = absvecs[j] if maxes is None else [*map(max, maxes, absvecs[j])]
+                levels.append((step, det, maxes, {}))
+            # Step k-2 (none for k = 1), inline: the pivot search on rows k-2
+            # and k-1. It leaves a column reduced to depth k-2 with the final
+            # entry col[other] - f * col[piv], or col[other] where f is 0.
+            cache, other, piv, f = levels[-1][3], 0, 0, 0.0
+            if last:
+                j = t[last - 1]
+                if det is not None:
+                    col = cache.get(j) or _column(levels, c, last - 1, j)
+                    other, piv = last, last - 1
+                    if abs(col[last]) > abs(col[piv]):
+                        other, piv, det = piv, last, -det
+                    if col[piv] == 0.0:
+                        det = None
+                    else:
+                        det, f = det * col[piv], col[other] / col[piv]
+                maxes = absvecs[j] if maxes is None else [*map(max, maxes, absvecs[j])]
+        j = t[-1]
+        value = 0.0
         if det is not None:
-            det = _pivot_step(_column(levels, c, last, j), last, det)[1]
-        yield (0.0 if det is None else det,
+            col = cache.get(j) or _column(levels, last - 1, last - 1, j)
+            v = col[other] - f * col[piv] if f else col[other]
+            if v:
+                value = det * v
+        yield (value,
                math.prod(absvecs[j] if maxes is None else map(max, maxes, absvecs[j])))
 
 

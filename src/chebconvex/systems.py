@@ -277,21 +277,21 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
         head = len(grid) - system.n + 1
     fail = len(tuples)
 
-    def positions():  # drawn one at a time, so the filter sees the latest fail
+    def positions():  # drawn lazily, so the filter skips past the latest fail
         yield from range(head)
         yield from (p for p in sorted(range(head, len(tuples)), key=tuples.__getitem__)
                     if p < fail)
 
     order, fed = itertools.tee(positions())
-    first_sign = None
-    for p, minor in zip(order, minor_scan(cols, map(tuples.__getitem__, fed))):
-        sign = sign_of(*minor)
-        if first_sign is None:
-            first_sign = sign
-        if sign == "0" or sign != first_sign:
-            fail = p
-            if p < head:
-                break
+    signs = itertools.starmap(sign_of, minor_scan(cols, map(tuples.__getitem__, fed)))
+    first_sign, _ = next(signs), next(order)
+    # The positions whose sign vanishes or differs from the first one fail;
+    # the lowest is the witness, however far ahead the scan has read.
+    failing = itertools.compress(order, map(operator.ne, signs, itertools.repeat(first_sign)))
+    for p in [0] if first_sign == "0" else failing:
+        fail = min(fail, p)
+        if p < head:
+            break
     if fail < len(tuples):
         witness = tuple(grid[j] for j in tuples[fail])
         return SystemClassification("non-chebyshev", witness, fail + 1, coverage)

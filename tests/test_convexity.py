@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
-                        ChebyshevSystem, DomainError, ExpressionSource, Interval,
+                        ChebyshevSystem, DegenerateInputError, DomainError,
+                        ExpressionSource, Interval,
                         NearSingularError, PreconditionError, SourceEvalError,
                         TableSource, build_support, certify_corollary1,
                         certify_theorem_a,
@@ -908,8 +909,16 @@ class TestBulkAndPointPaths:
         grid, knots = self.grid_and_knots(data, system, f)
         nodes = sorted(set(knots) | {grid[1]})
         assume(len(nodes) == system.n)
-        bulk = verify_definition(system, f, nodes, grid)
-        assert repr(bulk) == repr(verify_definition(system, PointByPoint(f), nodes, grid))
+
+        def outcome(target):
+            # grid[1] may lie closer to a knot than the minimum separation,
+            # which both paths reject with the same error.
+            try:
+                return repr(verify_definition(system, target, nodes, grid))
+            except DegenerateInputError as exc:
+                return repr(exc)
+
+        assert outcome(f) == outcome(PointByPoint(f))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SYSTEMS), st.sampled_from(TARGETS), st.data(),

@@ -134,7 +134,9 @@ def solve_oracle(rows, rhs):
     return x, det, scale
 
 
-ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
+# Non-finite, subnormal and huge entries make non-finite pivots and factors.
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.nan, math.inf,
+                                     -math.inf, 5e-324, -5e-324, 1e300, -1e300]),
                     st.builds(lambda m, e: m * 10.0 ** e,
                               st.floats(-1, 1, allow_nan=False), st.integers(-8, 8)))
 
@@ -184,6 +186,66 @@ class TestMinorScan:
         for t, pair in zip(tuples, minor_scan(vecs, tuples)):
             rows = minor_rows(vecs, t, 4)
             assert repr(pair) == repr(eliminate_oracle([list(r) for r in rows], 4, 4))
+
+    @staticmethod
+    def assert_matches_oracle(vecs, tuples):
+        got = list(minor_scan(vecs, tuples))
+        assert len(got) == len(tuples)
+        for t, pair in zip(tuples, got):
+            k = len(t)
+            want = eliminate_oracle([list(r) for r in minor_rows(vecs, t, k)], k, k)
+            assert repr(pair) == repr(want), t
+        return got
+
+    def test_negative_determinant_times_exact_zero_is_zero(self):
+        # Step 0 pivots on -1, so the prefix determinant is negative; the
+        # last entry is an exact zero, with no factor and then with one.
+        vecs = [(-1.0, 0.0), (3.0, 0.0), (-1.0, 1.0), (2.0, -2.0)]
+        got = self.assert_matches_oracle(vecs, [(0, 1), (2, 3)])
+        assert [repr(det) for det, _ in got] == ["0.0", "0.0"]
+        vecs = [(-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (5.0, 7.0, 0.0), (1.0, 2.0, 3.0)]
+        got = self.assert_matches_oracle(vecs, [(0, 1, 2), (0, 1, 3)])
+        assert repr(got[0][0]) == "0.0" and got[1][0] == -3.0
+
+    def test_zero_pivot_at_the_second_last_step(self):
+        # After step 0, column 1 is zero in rows 1 and 2: every tuple with
+        # the prefix (0, 1) is singular, each at its own full scale.
+        vecs = [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 4.0, 0.5), (3.0, -1.0, 8.0),
+                (0.0, 0.5, 2.0)]
+        tuples = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)]
+        got = self.assert_matches_oracle(vecs, tuples)
+        assert got[:3] == [(0.0, 2.0 * 4.0 * 0.5), (0.0, 3.0 * 1.0 * 8.0),
+                           (0.0, 2.0 * 0.5 * 2.0)]
+        assert got[3][0] != 0.0
+
+    def test_row_swap_at_the_second_last_step(self):
+        # Column 1 reduced by step 0 is larger in row 2 than in row 1.
+        vecs = [(1.0, 0.0, 0.0), (0.0, 1.0, 3.0), (2.0, 5.0, 7.0), (1.0, -1.0, 0.25),
+                (4.0, 0.0, 0.0)]
+        self.assert_matches_oracle(vecs, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+
+    def test_prefix_that_returns_after_another(self):
+        vecs = [tuple(x ** i for i in range(4)) for x in (-1.0, -0.5, 0.1, 0.3, 0.8, 2.0)]
+        a, b = [(0, 1, 2, j) for j in (3, 4, 5)], [(0, 1, 3, j) for j in (4, 5)]
+        self.assert_matches_oracle(vecs, a + b + a + [(0, 2, 3, 4)] + a[::-1])
+
+    @pytest.mark.parametrize("k, m", [(2, 9), (3, 9), (4, 9), (5, 10)])
+    def test_one_pivot_search_per_prefix(self, monkeypatch, k, m):
+        """In a lexicographic scan, a tuple that only changes its last index
+        takes no pivot search of its own."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return pivot_step(*args)
+
+        pivot_step = determinants._pivot_step
+        monkeypatch.setattr(determinants, "_pivot_step", counted)
+        vecs = [tuple(x ** i for i in range(k)) for x in range(1, m + 1)]
+        tuples = list(itertools.combinations(range(m), k))
+        assert len(list(minor_scan(vecs, tuples))) == len(tuples)
+        prefixes = {t[:d] for t in tuples for d in range(1, k)}
+        assert len(calls) <= len(prefixes)
 
     def test_exact_zero_pivot_keeps_the_scale(self):
         vecs = [(1.0, 2.0), (2.0, 4.0), (0.0, 3.0)]

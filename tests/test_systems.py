@@ -10,8 +10,8 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem, DomainErr
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
                         polynomial_system, uniform_grid)
-from chebconvex.determinants import (det_and_scale, first_failing_window, sign_of,
-                                     window_sweep)
+from chebconvex.determinants import (det_and_scale, first_failing_window, minor_scan,
+                                     sign_of, window_sweep)
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import validate_grid
 
@@ -357,7 +357,25 @@ class TestClassify:
     def test_sampled_scan_matches_sampler_order_reference(self):
         """Sampled classifications scan the sorted sample, but report the first
         failing tuple in sampler order, with its position as the count."""
+        self.check_sampled_scans()
 
+    def test_read_ahead_scan_matches_sampler_order_reference(self, monkeypatch):
+        """The verdict does not depend on the kernel drawing one tuple per
+        minor: a kernel that draws one tuple ahead reports the same ones."""
+        from chebconvex import systems
+
+        def read_ahead_scan(vecs, tuples):
+            tuples = iter(tuples)
+            ahead = next(tuples, None)
+            while ahead is not None:
+                t, ahead = ahead, next(tuples, None)
+                yield next(minor_scan(vecs, [t]))
+
+        monkeypatch.setattr(systems, "minor_scan", read_ahead_scan)
+        self.check_sampled_scans()
+
+    @staticmethod
+    def check_sampled_scans():
         def reference(system, grid, budget, seed):
             cols = [system.evaluate_basis(x) for x in grid]
             tuples = ordered_index_tuples(len(grid), system.n, budget=budget, seed=seed)
