@@ -22,6 +22,7 @@ import math
 import operator
 import os
 import sys
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
@@ -196,7 +197,8 @@ def _resolve_system(config: argparse.Namespace) -> ChebyshevSystem:
     spec = config.system
     if os.path.isfile(spec):
         with open_text(spec, "--system") as handle:
-            return parse_system(handle.read(), name=os.path.basename(spec))
+            system = parse_system(handle.read(), name=os.path.basename(spec))
+        return system if config.interval is None else replace(system, interval=config.interval)
     return named_system(spec, config.interval)
 
 

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .determinants import (Windows, check_points, exact_sign, function_row,
                            known_scan, minor_scan, sign_of, solve_with_det)
 from .divdiff import degenerated
-from .errors import NearSingularError, PreconditionError, SourceEvalError
+from .errors import NearSingularError, PreconditionError
 from .interpolation import OmegaCombination, interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples, scan_tuples
 from .systems import ChebyshevSystem, validate_grid
@@ -215,60 +215,50 @@ def sign_walk(nodes: Sequence[float], grid: Sequence[float],
 
 
 def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
-                walk: tuple[list[int], list[int]], bulk: Callable[..., Optional[list]],
-                point: Callable[[int, int], object],
+                walk: tuple[list[int], list[int]], route: Callable[..., list],
                 cols: Optional[Sequence[Sequence[float]]] = None) -> list:
     """The items of a pointwise route at the :func:`sign_walk` points
-    ``walk``: ``bulk(xs, fvals, rows)`` of their abscissae, f values and
-    basis rows (``rows[i]`` holds basis function i at every point), all
-    evaluated in bulk. The rows come from ``cols``, the basis columns at the
+    ``walk``: ``route(js, regions, xs, fvals, rows)`` of their grid indices,
+    regions, abscissae, f values and basis rows (``rows[i]`` holds basis
+    function i at every point). The route runs once over all the points,
+    evaluated in bulk: the rows come from ``cols``, the basis columns at the
     grid, or else from :meth:`ChebyshevSystem.evaluate_grid`, and f is taken
     past ``FunctionSource.__call__`` and its per-point checks.
 
-    When an evaluation raises, an f value is not finite, or ``bulk``
-    returns None because one of its zero tests fired, the items are
-    ``point(j, region)`` at each point in grid order instead: the route's
-    loop, which evaluates f and the basis one point at a time and raises
-    the first failing point's error.
+    When an evaluation raises, an f value is not finite, or the route
+    raises, it runs once per point in grid order instead, on f from
+    :func:`function_row` and the basis at that point alone, so the first
+    failing point's error is raised.
     """
     js, regions = walk
+    xs = list(map(grid.__getitem__, js))
     try:
-        xs = list(map(grid.__getitem__, js))
         fvals = list(map(getattr(f, "_eval", f), xs))
         if all(map(math.isfinite, fvals)):
             kept = system.evaluate_grid(xs) if cols is None else map(cols.__getitem__, js)
-            items = bulk(xs, fvals, list(zip(*kept)) or [()] * system.n)
-            if items is not None:
-                return items
-    except Exception:  # raised again by the loop below, at its point
+            return route(js, regions, xs, fvals, list(zip(*kept)) or [()] * system.n)
+    except Exception:  # raised again below, at its point
         pass
-    return list(map(point, js, regions))
+    items = []
+    for j, region, x in zip(js, regions, xs):
+        fx = function_row(f, (x,))
+        col = system.evaluate_basis(x) if cols is None else cols[j]
+        items += route((j,), (region,), (x,), fx, list(zip(col)))
+    return items
 
 
 def _zero_tested(det: float, values: Iterable[float], bounds: Sequence[float],
-                 absrows: Sequence[Sequence[float]]) -> bool:
-    """Whether ``det`` times any of ``values`` fails :func:`sign_of`'s zero
-    test at its point's scale: the product over the basis functions i of
-    ``max(bounds[i], absrows[i][j])``, multiplied in order, as ``math.prod``
-    does at one point."""
+                 absrows: Sequence[Sequence[float]]) -> Optional[int]:
+    """The index of the first point where ``det`` times its entry of
+    ``values`` fails :func:`sign_of`'s zero test at that point's scale, or
+    None: the product over the basis functions i of ``max(bounds[i],
+    absrows[i][j])``, multiplied in order, as ``math.prod`` does at one
+    point."""
     scales = [*map(max, repeat(bounds[0]), absrows[0])]
     for bound, row in zip(bounds[1:], absrows[1:]):
         scales = map(mul, scales, map(max, repeat(bound), row))
-    return "0" in map(sign_of, map(mul, repeat(det), values), scales)
-
-
-def _target_values(f, xs: Sequence[float]) -> list[float]:
-    """f at each of ``xs``. A value that is not finite raises
-    :class:`SourceEvalError` naming its point, as sources do themselves."""
-    values = [f(x) for x in xs]
-    if not all(map(math.isfinite, values)):
-        raise _not_finite(*next((x, v) for x, v in zip(xs, values)
-                                if not math.isfinite(v)))
-    return values
-
-
-def _not_finite(x: float, value: float) -> SourceEvalError:
-    return SourceEvalError(f"target function returned {value!r} at x={x!r}")
+    signs = [*map(sign_of, map(mul, repeat(det), values), scales)]
+    return signs.index("0") if "0" in signs else None
 
 
 def _certificate(method: str, scored: Iterable[Optional[tuple]],
@@ -325,7 +315,7 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     grid = validate_grid(system, grid, n + 1)
     cols = system.evaluate_grid(grid)
     windows = require_positive(system, grid, cols, False)
-    bordered = [c + (v,) for c, v in zip(cols, _target_values(f, grid))]
+    bordered = [c + (v,) for c, v in zip(cols, function_row(f, grid))]
 
     def certificate(tuples, minors, coverage="windows") -> ConvexityCertificate:
         scored = ((value, t, atol + rtol * scale)
@@ -365,7 +355,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     grid = validate_grid(system, grid, n + 1)
     cols = system.evaluate_grid(grid)
     windows = require_positive(system, grid, cols, n >= 2)
-    fvals = _target_values(f, grid)
+    fvals = function_row(f, grid)
     numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
     dd: dict[tuple[int, ...], Optional[float]] = {}
 
@@ -437,31 +427,21 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     p, q, lagrange = (OmegaCombination(truncated, tuple(c)) for c in (p, q, lagrange))
     walk = sign_walk(knots, grid, knot_exclusion(system))
 
-    def bulk(xs, fvals, rows):
+    def route(js, regions, xs, fvals, rows):
         rs = [*map(sub, rows[n - 1], q.at_rows(rows))]
         absrows = [[*map(abs, row)] for row in rows]
+        i = _zero_tested(det.value, rs, kmax, absrows)
+        if i is not None:
+            raise degenerated("full", sorted(knots + (xs[i],)))
         # The points left of the last knot come first.
-        head = bisect.bisect_left(walk[1], n - 1)
-        if _zero_tested(det.value, rs, kmax, absrows) or _zero_tested(
-                det.value, lagrange.at_rows([row[:head] for row in rows]), hmax,
-                [row[:head] for row in absrows]):
-            return None
+        head = bisect.bisect_left(regions, n - 1)
+        i = _zero_tested(det.value, lagrange.at_rows([row[:head] for row in rows]), hmax,
+                         [row[:head] for row in absrows])
+        if i is not None:
+            raise degenerated("truncated", sorted(knots[:-1] + (xs[i],)))
         return list(zip(xs, map(truediv, map(sub, fvals, p.at_rows(rows)), rs)))
 
-    def point(j, region):
-        x = grid[j]
-        fx = function_row(f, (x,))[0]
-        col = system.evaluate_basis(x)
-        absc = [*map(abs, col)]
-        r = col[n - 1] - q.at_column(col)
-        if sign_of(det.value * r, math.prod(map(max, kmax, absc))) == "0":
-            raise degenerated("full", sorted(knots + (x,)))
-        if region < n - 1 and sign_of(det.value * lagrange.at_column(col),
-                                      math.prod(map(max, hmax, absc))) == "0":
-            raise degenerated("truncated", sorted(knots[:-1] + (x,)))
-        return x, (fx - p.at_column(col)) / r
-
-    scan = walk_values(system, f, grid, walk, bulk, point)
+    scan = walk_values(system, f, grid, walk, route)
     if len(scan) < 2:
         raise PreconditionError(f"theorem2: nothing was checked; {len(scan)} grid "
                                 "point(s) clear the knot exclusion, a pair is needed")
@@ -486,21 +466,14 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
     if not all(a < b for a, b in zip(nodes, nodes[1:])):
         raise PreconditionError("nodes must be strictly increasing")
     grid = validate_grid(system, grid, 1)
-    omega = interpolate(system, nodes, _target_values(f, nodes))
+    omega = interpolate(system, nodes, function_row(f, nodes))
 
     walk = sign_walk(nodes, grid, knot_exclusion(system))
 
-    def bulk(xs, fvals, rows):
-        signs = map(pattern_sign, repeat(n), walk[1])
+    def route(js, regions, xs, fvals, rows):
+        signs = map(pattern_sign, repeat(n), regions)
         return list(zip(map(mul, signs, map(sub, fvals, omega.at_rows(rows))),
-                        zip(walk[0]), [atol + rtol * abs(fx) for fx in fvals]))
+                        zip(js), [atol + rtol * abs(fx) for fx in fvals]))
 
-    def point(j, region):
-        fx = f(grid[j])
-        if not math.isfinite(fx):
-            raise _not_finite(grid[j], fx)
-        ox = omega.at_column(system.evaluate_basis(grid[j]))
-        return pattern_sign(n, region) * (fx - ox), (j,), atol + rtol * abs(fx)
-
-    return _certificate("definition", walk_values(system, f, grid, walk, bulk, point),
+    return _certificate("definition", walk_values(system, f, grid, walk, route),
                         grid, f, atol, rtol, None)

@@ -101,7 +101,7 @@ from operator import gt, le, lt, mul, ne, sub, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import (ArgumentError, DegenerateInputError, DomainError,
-                     NearSingularError, SourceEvalError)
+                     NearSingularError, ResolutionError, SourceEvalError)
 
 # For annotations only: systems imports this module at run time.
 if TYPE_CHECKING: from .systems import ChebyshevSystem  # noqa: E701
@@ -526,12 +526,23 @@ def check_points(system: ChebyshevSystem, pts: Sequence[float],
 
 
 def function_row(f, pts: Sequence[float]) -> list[float]:
-    try:
-        return [float(f(x)) for x in pts]
-    except SourceEvalError:
-        raise
-    except Exception as exc:
-        raise SourceEvalError(f"target function failed at one of {tuple(pts)}") from exc
+    """f at each of ``pts``, in order: the one checked evaluation of a
+    target. An exception from f, or a value that is not finite, raises
+    :class:`SourceEvalError` naming the failing point, with the exception
+    as its cause. The errors that sources raise themselves pass through,
+    as :meth:`FunctionSource.__call__` lets them."""
+    values = []
+    for x in pts:
+        try:
+            value = float(f(x))
+        except (DomainError, ResolutionError, SourceEvalError):
+            raise
+        except Exception as exc:
+            raise SourceEvalError(f"target function failed at x={x!r}") from exc
+        if not math.isfinite(value):
+            raise SourceEvalError(f"target function returned {value!r} at x={x!r}")
+        values.append(value)
+    return values
 
 
 def v_det(system: ChebyshevSystem, pts: Sequence[float]) -> SignedValue:

@@ -305,11 +305,12 @@ def _parse_chunk(lines: Sequence[str], first: int, rows: tuple[list, list, list]
 
 @contextlib.contextmanager
 def open_text(path: str, flag: str) -> Iterator[TextIO]:
-    """``path`` open for reading as UTF-8 text. Text that is not UTF-8
-    raises :class:`ArgumentError` naming ``flag``, the command-line flag
-    that gave the file, and the path."""
+    """``path`` open for reading as UTF-8 text, without the byte order mark
+    that may open it. Text that is not UTF-8 raises :class:`ArgumentError`
+    naming ``flag``, the command-line flag that gave the file, and the
+    path."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise ArgumentError(f"{flag} {path}: not UTF-8 text ({exc})") from None

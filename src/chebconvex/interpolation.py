@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from .determinants import check_points, d_det, solve_with_det, v_det
+from .determinants import check_points, d_det, function_row, solve_with_det, v_det
 from .errors import ArgumentError, DegenerateInputError, NearSingularError
 from .systems import ChebyshevSystem
 
@@ -110,7 +110,7 @@ def constrained_interpolate(system: ChebyshevSystem, knots: Sequence[float], f,
         raise ArgumentError(f"non-finite pinned coefficient c_n={c_n!r}")
     knots = tuple(sorted(check_points(system, knots, n - 1)))
     cols = [system.evaluate_basis(x) for x in knots]
-    fvals = [f(x) for x in knots]
+    fvals = function_row(f, knots)
     targets = [v - c_n * c[n - 1] for c, v in zip(cols, fvals)]
     coeffs, _ = solve_with_det([c[:n - 1] for c in cols], targets)
     omega = OmegaCombination(system, tuple(coeffs) + (float(c_n),))
@@ -133,7 +133,7 @@ def lemma1_residual(system: ChebyshevSystem, knots: Sequence[float], f, c_n: flo
     if any(k == x for k in knots):
         raise DegenerateInputError(f"evaluation point x={x!r} coincides with a knot")
     omega = constrained_interpolate(system, knots, f, c_n)
-    lhs = f(x) - omega(x)
+    lhs = function_row(f, (x,))[0] - omega(x)
     extended = knots + (float(x),)
     bordered = d_det(system.truncate(n - 1), extended, f)
     full = v_det(system, extended)

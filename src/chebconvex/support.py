@@ -179,13 +179,9 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     nodes = knots + knots[-1:]
     walk = sign_walk(nodes, grid, knot_exclusion(system))
 
-    def point(j, region):
-        x = grid[j]
-        return x, f(x), omega.at_column(cols[j])
-
     values = walk_values(system, f, grid, walk,
-                         lambda xs, fvals, rows: list(zip(xs, fvals, omega.at_rows(rows))),
-                         point, cols)
+                         lambda js, regions, xs, fvals, rows:
+                         list(zip(xs, fvals, omega.at_rows(rows))), cols)
     # Regions ascend along the walk, so each segment is one slice of it: the
     # points of region seg, and for the last segment those of region n.
     bounds = [bisect.bisect_left(walk[1], seg) for seg in range(n)] + [len(values)]

@@ -202,6 +202,25 @@ class TestClassifyCommand:
         assert code == 0
         assert doc["system"]["basis"] == ["1", "x"]
 
+    @pytest.mark.parametrize("system", ["file", "poly:2"])
+    def test_interval_overrides_the_system(self, capsys, tmp_path, system):
+        # A definition file's interval line gives way to --interval, as an
+        # inline system's default does.
+        path = tmp_path / "sys.txt"
+        path.write_text("interval -2 3\nmonomial 0\nmonomial 1\n")
+        spec = str(path) if system == "file" else system
+        code, out = run_cli("classify", "--system", spec, "--interval", "0:1",
+                            "--grid", "-1.5:2.5:10")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: grid bounds [-1.5, 2.5] leave interval [0, 1]\n")
+        code, doc = run_json("classify", "--system", spec, "--interval", "0:1",
+                             "--grid", "0.25:0.75:10")
+        assert code == 0
+        assert doc["system"]["interval"] == {"lo": 0.0, "hi": 1.0,
+                                             "lo_open": False, "hi_open": False}
+        assert doc["system"]["basis"] == ["1", "x"]
+
     def test_grid_from_table_file(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("\n".join(f"{x/7},0" for x in range(-7, 8)))
@@ -245,6 +264,25 @@ class TestTableFiles:
         twice = run_cli(*argv, "--f", f"table:{path}", "--grid", str(copy))
         assert paths == [str(path), str(path), str(copy)]
         assert once == twice and once[0] == 0
+
+
+class TestTableTargetErrors:
+    @pytest.mark.parametrize("command", [
+        ("dd", "--points", "0.3,0.6"),
+        ("certify", "--method", "theoremA", "--grid", "0.3:0.6:4"),
+        ("certify", "--method", "theorem2", "--knots", "0.3", "--grid", "0:1:5"),
+        ("certify", "--method", "definition", "--nodes", "0.25,0.5", "--grid", "0.3:0.6:4"),
+    ])
+    def test_off_abscissa_error_is_the_tables_own(self, capsys, tmp_path, command):
+        # Every command reports the table's error for the first point it
+        # evaluates off the table, not a wrapper of it.
+        path = tmp_path / "square.csv"
+        path.write_text("".join(f"{x / 4} {(x / 4) ** 2}\n" for x in range(5)))
+        code, out = run_cli(*command, "--system", "poly:2", "--interval", "0:1",
+                            "--f", f"table:{path}")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: x=0.3 is not a table abscissa and interpolation is off\n")
 
 
 class TestDdCommand:
@@ -377,6 +415,41 @@ def test_console_script_exit_codes(monkeypatch, capsys, argv, code):
         console_main()
     assert exc.value.code == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark before a file's first line is not part of
+    that line."""
+
+    BOM = "\ufeff"
+
+    def test_table_keeps_its_first_row(self, tmp_path):
+        path = tmp_path / "square.csv"
+        path.write_text(self.BOM + "".join(f"{x / 4},{(x / 4) ** 2}\n" for x in range(5)),
+                        encoding="utf-8")
+        code, doc = run_json("dd", "--system", "poly:2", "--interval", "0:1",
+                             "--f", f"table:{path}", "--points", "0,1")
+        assert code == 0
+        assert doc["function"] == "table[5]"
+        assert doc["dd"]["value"] == 1.0
+
+    def test_grid_keeps_its_first_point(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(self.BOM + "".join(f"{x / 4},0\n" for x in range(5)),
+                        encoding="utf-8")
+        code, doc = run_json("classify", "--system", "poly:2", "--interval", "0:1",
+                             "--grid", str(path))
+        assert code == 0
+        assert doc["classification"]["tuples_checked"] == math.comb(5, 2)
+
+    def test_system_file(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text(self.BOM + "interval 0 1\nmonomial 0\nmonomial 1\n",
+                        encoding="utf-8")
+        code, doc = run_json("classify", "--system", str(path), "--grid", "0:1:5")
+        assert code == 0
+        assert doc["system"]["interval"]["hi"] == 1.0
+        assert doc["system"]["basis"] == ["1", "x"]
 
 
 class TestFileErrors:

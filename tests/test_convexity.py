@@ -13,8 +13,9 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         ExpressionSource, Interval,
                         NearSingularError, PreconditionError, SourceEvalError,
                         TableSource, build_support, certify_corollary1,
-                        certify_theorem_a,
+                        certify_theorem_a, classical_dd, constrained_interpolate,
                         cosine_sine_system, d_det, exponential_system, gdd,
+                        lemma1_residual,
                         negated_polynomial_system, parse_function,
                         parse_system, polynomial_system, scan_theorem2,
                         verify_definition)
@@ -784,17 +785,62 @@ class TestNonFiniteTarget:
     def target(bad, value=math.nan):
         return lambda x: value if x in bad else -x ** 4
 
-    @pytest.mark.parametrize("route", ["theoremA", "corollary1", "definition"])
+    KNOTS = (-0.75, -0.25, 0.25)
+
+    @classmethod
+    def run(cls, route, f):
+        system = polynomial_system(4)
+        return {"theoremA": lambda: certify_theorem_a(system, f, cls.GRID, budget=100),
+                "corollary1": lambda: certify_corollary1(system, f, cls.GRID, budget=100),
+                "definition": lambda: verify_definition(system, f, cls.NODES, cls.GRID),
+                "theorem2": lambda: scan_theorem2(system, f, cls.KNOTS, cls.GRID),
+                "support": lambda: build_support(system, f, cls.KNOTS, cls.GRID)}[route]()
+
+    @pytest.mark.parametrize("route", ["theoremA", "corollary1", "definition", "theorem2",
+                                       "support"])
     @pytest.mark.parametrize("bad, named", [((-1.0,), -1.0), ((0.5,), 0.5),
                                             ((0.5, -0.3), -0.3)])
     def test_first_nonfinite_point_is_named(self, route, bad, named):
-        f, system = self.target(bad), polynomial_system(4)
-        run = {"theoremA": lambda: certify_theorem_a(system, f, self.GRID, budget=100),
-               "corollary1": lambda: certify_corollary1(system, f, self.GRID, budget=100),
-               "definition": lambda: verify_definition(system, f, self.NODES, self.GRID)}
         with pytest.raises(SourceEvalError,
                            match=rf"^target function returned nan at x={named!r}$"):
-            run[route]()
+            self.run(route, self.target(bad))
+
+    @pytest.mark.parametrize("route", ["theoremA", "corollary1", "definition", "theorem2",
+                                       "support"])
+    def test_raising_callable_names_only_the_failing_point(self, route):
+        def f(x):
+            if x in (0.5, 0.7):
+                raise ZeroDivisionError("no value here")
+            return -x ** 4
+        with pytest.raises(SourceEvalError) as info:
+            self.run(route, f)
+        assert str(info.value) == "target function failed at x=0.5"
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("route", ["theorem2", "support"])
+    def test_nan_right_of_two_on_200_points(self, route):
+        # Every value right of x = 2 is NaN; the scan and the pattern check
+        # name the first such grid point instead of counting it as checked.
+        system, grid = polynomial_system(3, Interval(-2.0, 3.0)), [-2 + 5 * j / 199 for j in range(200)]
+        f = lambda x: x ** 3 if x <= 2.0 else math.nan  # noqa: E731
+        with pytest.raises(SourceEvalError,
+                           match=r"^target function returned nan at x=2\.0201005025125625$"):
+            if route == "theorem2":
+                scan_theorem2(system, f, (0.0, 1.0), grid)
+            else:
+                build_support(system, f, (0.0, 1.0), grid)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_pointwise_functions_reject_a_nonfinite_value(self, value):
+        f, system = self.target((0.5,), value), polynomial_system(3)
+        message = rf"^target function returned {value!r} at x=0\.5$"
+        for run in (lambda: d_det(system, (0.0, 0.25, 0.5, 1.0), f),
+                    lambda: gdd(system, (0.0, 0.5, 1.0), f),
+                    lambda: classical_dd((0.0, 0.5, 1.0), f),
+                    lambda: constrained_interpolate(system, (0.0, 0.5), f, 1.0),
+                    lambda: lemma1_residual(system, (0.0, 1.0), f, 1.0, 0.5)):
+            with pytest.raises(SourceEvalError, match=message):
+                run()
 
     def test_infinite_value_and_definition_node(self):
         # The nodes are evaluated before the grid; 0.25 is a node only.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chebconvex import interpolation
 from chebconvex import (ArgumentError, BasisFunction, CallableSource,
                         ChebyshevSystem, DegenerateInputError, Interval,
-                        NearSingularError, OmegaCombination,
+                        NearSingularError, OmegaCombination, SourceEvalError,
                         constrained_interpolate,
                         exponential_system, interpolate, lemma1_residual,
                         polynomial_system)
@@ -105,9 +105,10 @@ class TestConstrained:
         with pytest.raises(ArgumentError, match="non-finite pinned coefficient"):
             constrained_interpolate(polynomial_system(2), (0.5,), lambda x: x * x, c_n)
 
-    def test_nan_node_residual_fails_the_check(self):
-        # A plain callable may return NaN; the residual at its knot is then NaN.
-        with pytest.raises(NearSingularError, match="interpolation residual"):
+    def test_nan_target_at_a_knot_raises(self):
+        # A plain callable may return NaN; it is rejected where it is
+        # evaluated, before any solve or residual check.
+        with pytest.raises(SourceEvalError, match=r"^target function returned nan at x=0\.5$"):
             constrained_interpolate(polynomial_system(2), (0.5,), lambda x: math.nan, 1.0)
 
 

@@ -47,7 +47,8 @@ class TestEstimateCn:
         with pytest.raises(SourceEvalError) as info:
             estimate_cn(cube_system(), cube, (0.0, 1.0))
         first = 1.0 + H0_FACTOR * 5.0
-        assert str(info.value) == f"target function failed at one of ({first!r},)"
+        assert str(info.value) == f"target function failed at x={first!r}"
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_cube_fixture_converges_to_two(self):
         limit = estimate_cn(cube_system(), F_CUBE, (0.0, 1.0))
