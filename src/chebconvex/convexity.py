@@ -32,6 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import mul, sub, truediv
 from typing import Callable, Iterable, Optional, Sequence
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .determinants import (Windows, check_points, exact_sign, function_row,
                            known_scan, minor_scan, sign_of, solve_with_det)
 from .divdiff import degenerated
-from .errors import NearSingularError, PreconditionError
+from .errors import DomainError, NearSingularError, PreconditionError
 from .interpolation import OmegaCombination, interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples, scan_tuples
 from .systems import ChebyshevSystem, validate_grid
@@ -142,23 +143,24 @@ def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
 
 
 def _windows_route(bordered: Sequence[Sequence[float]], windows: Windows,
-                   certificate: Callable[[list, list], ConvexityCertificate]
-                   ) -> tuple[Optional[ConvexityCertificate], dict]:
+                   certificate: Callable[[list, list], ConvexityCertificate],
+                   known: dict) -> Optional[ConvexityCertificate]:
     """``certificate(tuples, minors)`` of the bordered windows of n+1 points
-    alone, given their minors, when it decides the scan, else None; and
-    those minors by window index tuple, empty when the windows have no
-    common sign. It decides when the windows' common sign
-    (:func:`bordered_window_minors`) is "+", so every tuple certifies, or
-    "-" and the worst window violates, so that the verdict rests on a
-    checked tuple that clears its band."""
+    alone, given their minors, when it decides the scan, else None. It
+    decides when the windows' common sign (:func:`bordered_window_minors`)
+    is "+", so every tuple certifies, or "-" and the worst window violates,
+    so that the verdict rests on a checked tuple that clears its band. When
+    the windows have a common sign, their minors also go into ``known``, by
+    window index tuple: a sample the route turns down holds the windows,
+    and reads their minors there."""
     decided = bordered_window_minors(bordered, windows)
     if decided is None:
-        return None, {}
+        return None
     sign, minors = decided
     tuples = ordered_index_tuples(len(bordered), windows.n + 1, windows_only=True)
+    known.update(zip(tuples, minors))
     cert = certificate(tuples, minors)
-    routed = sign == "+" or cert.min_value == cert.witness_value
-    return cert if routed else None, dict(zip(tuples, minors))
+    return cert if sign == "+" or cert.min_value == cert.witness_value else None
 
 
 def knot_exclusion(system: ChebyshevSystem) -> float:
@@ -269,7 +271,9 @@ def _certificate(method: str, scored: Iterable[Optional[tuple]],
     ``t`` holds grid indices and the item violates when value < -tol; None
     marks an item skipped as degenerate. Ties go to the lexicographically
     smallest ``t``, so the outcome does not depend on enumeration order.
-    A scan that checked nothing raises instead of certifying.
+    A scan that checked nothing raises instead of certifying, and so does
+    an item whose value or tolerance is not finite, which no comparison
+    with the other can decide: :class:`DomainError`, naming its points.
     """
     best: Optional[tuple[float, tuple[int, ...]]] = None
     violated: Optional[tuple[float, tuple[int, ...]]] = None
@@ -279,6 +283,9 @@ def _certificate(method: str, scored: Iterable[Optional[tuple]],
             skipped += 1
             continue
         value, t, tol = item
+        if not (math.isfinite(value) and math.isfinite(tol)):
+            raise DomainError(f"{method}: value {value!r} with tolerance {tol!r} at "
+                              f"{tuple(grid[j] for j in t)} is not finite")
         checked += 1
         key = (value, t)
         if best is None or key < best:
@@ -322,15 +329,10 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
                   for t, (value, scale) in zip(tuples, minors))
         return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
 
-    routed, known = None, {}
-
-    def windows_decide() -> bool:
-        nonlocal routed, known
-        routed, known = _windows_route(bordered, windows, certificate)
-        return routed is not None
-
-    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, windows_decide)
-    if routed is not None:
+    known: dict[tuple[int, ...], tuple[float, float]] = {}
+    tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
+        _windows_route, bordered, windows, certificate, known))
+    if routed:
         return routed
     # The certificate does not depend on the order of the tuples, so they are
     # scanned sorted, where neighbours share their elimination prefixes; the
@@ -378,16 +380,10 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
 
         return _certificate("corollary1", scored(), grid, f, atol, rtol, seed, coverage)
 
-    routed = None
-
-    def windows_decide() -> bool:
-        nonlocal routed
-        routed = _windows_route([c + (v,) for c, v in zip(cols, fvals)], windows,
-                                lambda tuples, _: certificate(tuples))[0]
-        return routed is not None
-
-    tuples, coverage = scan_tuples(len(grid), n + 1, budget, seed, windows_decide)
-    return certificate(tuples, coverage) if routed is None else routed
+    tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
+        _windows_route, [c + (v,) for c, v in zip(cols, fvals)], windows,
+        lambda tuples, _: certificate(tuples), {}))
+    return routed or certificate(tuples, coverage)
 
 
 def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
@@ -428,18 +424,18 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     walk = sign_walk(knots, grid, knot_exclusion(system))
 
     def route(js, regions, xs, fvals, rows):
-        rs = [*map(sub, rows[n - 1], q.at_rows(rows))]
+        rs = [*map(sub, rows[n - 1], q.at_rows(rows, xs))]
         absrows = [[*map(abs, row)] for row in rows]
         i = _zero_tested(det.value, rs, kmax, absrows)
         if i is not None:
             raise degenerated("full", sorted(knots + (xs[i],)))
         # The points left of the last knot come first.
         head = bisect.bisect_left(regions, n - 1)
-        i = _zero_tested(det.value, lagrange.at_rows([row[:head] for row in rows]), hmax,
+        i = _zero_tested(det.value, lagrange.at_rows([row[:head] for row in rows], xs), hmax,
                          [row[:head] for row in absrows])
         if i is not None:
             raise degenerated("truncated", sorted(knots[:-1] + (xs[i],)))
-        return list(zip(xs, map(truediv, map(sub, fvals, p.at_rows(rows)), rs)))
+        return list(zip(xs, map(truediv, map(sub, fvals, p.at_rows(rows, xs)), rs)))
 
     scan = walk_values(system, f, grid, walk, route)
     if len(scan) < 2:
@@ -472,7 +468,7 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
 
     def route(js, regions, xs, fvals, rows):
         signs = map(pattern_sign, repeat(n), regions)
-        return list(zip(map(mul, signs, map(sub, fvals, omega.at_rows(rows))),
+        return list(zip(map(mul, signs, map(sub, fvals, omega.at_rows(rows, xs))),
                         zip(js), [atol + rtol * abs(fx) for fx in fvals]))
 
     return _certificate("definition", walk_values(system, f, grid, walk, route),

@@ -323,61 +323,49 @@ def sweep_signs(k: int, dets: Sequence[float], scales: Sequence[float]) -> list[
     return [*map(("", "+", "-").__getitem__, map(sub, above, below))]
 
 
-def first_failing_window(cols: Sequence[Sequence[float]], k: int,
-                         dets: Sequence[float], scales: Sequence[float],
-                         minors: Optional[dict] = None
-                         ) -> tuple[Optional[str], Optional[int]]:
-    """The :func:`sign_of` of the first window of k consecutive columns and
-    the index of the first window whose sign vanishes or differs from it
-    (None if none does), given the windows' :func:`window_sweep` levels.
-    The sweep's signs stand where :func:`sweep_signs` gives one; any other
-    window that the search reaches goes to :func:`minor_scan` alone, and
-    its minor into ``minors``, when given, by window index tuple."""
-    swept = sweep_signs(k, dets, scales)
-    minors = {} if minors is None else minors
-
-    def sign(i: int) -> str:
-        if swept[i]:
-            return swept[i]
-        minor = next(minor_scan([c[:k] for c in cols[i:i + k]], [tuple(range(k))]))
-        minors[tuple(range(i, i + k))] = minor
-        return sign_of(*minor)
-
-    if not swept:
-        return None, None
-    first, i = sign(0), 0
-    if first == "0":
-        return first, 0
-    while True:
-        # the next window whose sweep sign is not the first window's
-        i = next(compress(count(i + 1), map(ne, islice(swept, i + 1, None),
-                                            repeat(first))), None)
-        if i is None or sign(i) != first:
-            return first, i
-
-
 class Windows:
     """The contiguous windows of the basis columns ``cols`` (n entries
     each) at every order k <= n, each computed at most once per request:
     one :func:`window_sweep`, run when first needed, one
-    :func:`first_failing_window` search per order, and the kernel minors
-    those searches computed, kept in ``minors`` by window index tuple."""
+    :meth:`first_failing` search per order, and the kernel minors those
+    searches computed, kept in ``minors`` by window index tuple."""
 
     def __init__(self, cols: Sequence[Sequence[float]], n: int):
         self.cols, self.n = cols, n
         self.minors: dict[tuple[int, ...], tuple[float, float]] = {}
-        self._failures: dict[int, tuple[Optional[str], Optional[int]]] = {}
+        self._failures: dict[int, tuple[str, Optional[int]]] = {}
 
     @cached_property
     def levels(self) -> list:
         return list(window_sweep(self.cols, self.n))
 
-    def first_failing(self, k: int) -> tuple[Optional[str], Optional[int]]:
-        """:func:`first_failing_window` for the windows of k points."""
-        if k not in self._failures:
-            self._failures[k] = first_failing_window(self.cols, k, *self.levels[k - 1],
-                                                     self.minors)
-        return self._failures[k]
+    def first_failing(self, k: int) -> tuple[str, Optional[int]]:
+        """The :func:`sign_of` of the first window of k points and the
+        index of the first window whose sign vanishes or differs from it
+        (None if none does). The sweep's signs stand where
+        :func:`sweep_signs` gives one; any other window that the search
+        reaches goes to :func:`minor_scan` alone, and its minor into
+        ``minors``."""
+        if k in self._failures:
+            return self._failures[k]
+        signs = sweep_signs(k, *self.levels[k - 1])
+
+        def sign(i: int) -> str:
+            if signs[i]:
+                return signs[i]
+            minor = next(minor_scan([c[:k] for c in self.cols[i:i + k]], [tuple(range(k))]))
+            self.minors[tuple(range(i, i + k))] = minor
+            return sign_of(*minor)
+
+        first, i = sign(0), 0
+        while first != "0":
+            # the next window whose sweep sign is not the first window's
+            i = next(compress(count(i + 1), map(ne, islice(signs, i + 1, None),
+                                                repeat(first))), None)
+            if i is None or sign(i) != first:
+                break
+        self._failures[k] = first, i
+        return first, i
 
     def keep_sign(self) -> bool:
         """Whether, at every order k = 1, ..., n, the windows of k points

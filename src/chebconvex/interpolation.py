@@ -17,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from .determinants import check_points, d_det, function_row, solve_with_det, v_det
-from .errors import ArgumentError, DegenerateInputError, NearSingularError
+from .errors import ArgumentError, DegenerateInputError, DomainError, NearSingularError
 from .systems import ChebyshevSystem
 
 #: Relative bound on interpolation residuals at the nodes.
@@ -36,18 +36,34 @@ class OmegaCombination:
             raise ArgumentError("coefficient count must match the system order")
 
     def __call__(self, x: float) -> float:
-        return self.at_column([func(x) for func in self.system.basis])
+        return self.at_column([func(x) for func in self.system.basis], x)
 
-    def at_column(self, col: Sequence[float]) -> float:
-        """The combination at a point, from the basis values ``col`` there."""
-        return math.fsum(map(mul, self.coefficients, col))
+    def at_column(self, col: Sequence[float], x: float) -> float:
+        """The combination at the point ``x``, from the basis values ``col``
+        there. A value that is not finite, or a sum that overflows, raises
+        :class:`DomainError` naming x, as a basis function that overflows
+        there does."""
+        try:
+            value = math.fsum(map(mul, self.coefficients, col))
+        except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf - inf
+            value = math.nan
+        if not math.isfinite(value):
+            raise DomainError(f"combination {self.describe()} is not finite at x={x!r}")
+        return value
 
-    def at_rows(self, rows: Sequence[Sequence[float]]) -> list[float]:
-        """The combination at many points, from ``rows[i]``, the values of
-        basis function i there: :meth:`at_column` at each point, bit for
-        bit, from the same products summed by the same ``fsum``."""
+    def at_rows(self, rows: Sequence[Sequence[float]], xs: Sequence[float]) -> list[float]:
+        """The combination at the points ``xs``, from ``rows[i]``, the values
+        of basis function i there: :meth:`at_column` at each point, bit for
+        bit, from the same products summed by the same ``fsum``, and with
+        its error at the first point where it raises one."""
         scaled = [map(mul, repeat(c), row) for c, row in zip(self.coefficients, rows)]
-        return list(map(math.fsum, zip(*scaled)))
+        try:
+            values = list(map(math.fsum, zip(*scaled)))
+            if all(map(math.isfinite, values)):
+                return values
+        except (OverflowError, ValueError):  # raised again below, at its point
+            pass
+        return [*map(self.at_column, zip(*rows), xs)]
 
     def describe(self) -> str:
         terms = [f"{c:g}*{func.describe()}"
@@ -63,9 +79,8 @@ def _check_node_residuals(omega: OmegaCombination, nodes: Sequence[float],
     # Tolerance is relative to the cancellation scale of each node equation;
     # a NaN residual fails it too.
     for x, col, want in zip(nodes, cols, targets):
-        terms = [*map(mul, omega.coefficients, col)]
-        scale = max(1.0, abs(want), sum(abs(t) for t in terms))
-        if not abs(math.fsum(terms) - want) <= NODE_RESIDUAL_RTOL * scale:
+        scale = max(1.0, abs(want), sum(abs(t) for t in map(mul, omega.coefficients, col)))
+        if not abs(omega.at_column(col, x) - want) <= NODE_RESIDUAL_RTOL * scale:
             raise NearSingularError(
                 f"interpolation residual at node {x!r} exceeds "
                 f"{NODE_RESIDUAL_RTOL:g} of scale {scale:g}")

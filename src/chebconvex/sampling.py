@@ -3,7 +3,8 @@
 A scan of k-tuples of grid points checks one of three tuple lists, named
 by its coverage. All C(m, k) of them, in lexicographic order, when they
 fit the budget ("exhaustive"). Otherwise the m-k+1 contiguous windows
-alone when the caller's window check holds ("windows"): by Fekete's
+alone when the caller's route, asked only then, answers that they decide
+the scan ("windows"): by Fekete's
 criterion (Gasca and Pena, "Total positivity and Neville elimination",
 Linear Algebra Appl. 165, 1992; Karlin, "Total Positivity", 1968, ch. 2),
 if for each order j <= k the windows of j consecutive points under the
@@ -18,6 +19,11 @@ the windows followed by distinct seeded random tuples up to the budget
 ("sampled"): windows catch local sign changes of continuous determinants
 first. The random tuples are those of ``random.Random(seed).sample``,
 drawn from its ``getrandbits`` stream without the per-draw overhead.
+
+:func:`scan_tuples` returns the route's answer with the tuples, so each
+scan has one shape: a classification's route is
+:meth:`.determinants.Windows.keep_sign`, and a certificate's route
+answers with the certificate of the windows itself, or None.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 DEFAULT_BUDGET = 50_000
 DEFAULT_SEED = 0
@@ -94,14 +100,16 @@ def ordered_index_tuples(m: int, k: int, budget: int = DEFAULT_BUDGET,
     return out
 
 
-def scan_tuples(m: int, k: int, budget: int, seed: int,
-                windows_decide: Callable[[], bool]
-                ) -> tuple[list[tuple[int, ...]], str]:
-    """The k-tuples a scan over range(m) checks, and their coverage (module
-    docstring). ``windows_decide`` is asked only when C(m, k) exceeds the
-    budget, and answers whether Fekete's criterion holds on the windows."""
+def scan_tuples(m: int, k: int, budget: int, seed: int, route: Callable[[], Any]
+                ) -> tuple[list[tuple[int, ...]], str, Any]:
+    """The k-tuples a scan over range(m) checks, their coverage (module
+    docstring) and the answer of ``route``, which is asked only when C(m, k)
+    exceeds the budget (None otherwise). A truthy answer says that the
+    windows decide the scan by Fekete's criterion, and is the route's own
+    result: the caller's verdict when the route has one."""
     if math.comb(m, k) <= budget:
-        return ordered_index_tuples(m, k, budget, seed), "exhaustive"
-    if windows_decide():
-        return ordered_index_tuples(m, k, windows_only=True), "windows"
-    return ordered_index_tuples(m, k, budget, seed), "sampled"
+        return ordered_index_tuples(m, k, budget, seed), "exhaustive", None
+    answer = route()
+    if answer:
+        return ordered_index_tuples(m, k, windows_only=True), "windows", answer
+    return ordered_index_tuples(m, k, budget, seed), "sampled", answer

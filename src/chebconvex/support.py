@@ -181,7 +181,7 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
 
     values = walk_values(system, f, grid, walk,
                          lambda js, regions, xs, fvals, rows:
-                         list(zip(xs, fvals, omega.at_rows(rows))), cols)
+                         list(zip(xs, fvals, omega.at_rows(rows, xs))), cols)
     # Regions ascend along the walk, so each segment is one slice of it: the
     # points of region seg, and for the last segment those of region n.
     bounds = [bisect.bisect_left(walk[1], seg) for seg in range(n)] + [len(values)]

@@ -246,56 +246,46 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     """Classify a system as positive / negative / non-chebyshev by sampling.
 
     Evaluates the collocation determinant over ordered n-tuples drawn from
-    ``grid`` by :func:`.sampling.scan_tuples`: exhaustively when the tuple
-    count fits ``budget``; otherwise the contiguous windows alone when, at
-    every order k <= n, the windows of the first k functions share one
-    nonzero sign (Fekete's criterion: then so does every k-tuple; the
-    verdict is then the sign the criterion's search found, and no window
-    is computed again), and else all contiguous windows plus a seeded
-    random subsample. The verdict
-    is ``positive`` (``negative``) when every checked determinant clears
-    the scale-relative zero tolerance with constant sign, and
-    ``non-chebyshev`` with the first tuple, in sampler order, whose
-    determinant vanishes or differs in sign from the first one;
-    ``tuples_checked`` is then that tuple's position + 1. The windows that
-    lead a sample are scanned in order, and the scan stops at a failing
-    one. The rest is scanned sorted, where neighbours share elimination
-    prefixes, and skips the tuples past the lowest failing position found
-    so far: a failure past the windows may cost more determinants than its
+    ``grid`` by :func:`.sampling.scan_tuples`, whose route past the budget
+    is :meth:`Windows.keep_sign`. The verdict is ``positive``
+    (``negative``) when every checked determinant clears the scale-relative
+    zero tolerance with constant sign, and ``non-chebyshev`` with the first
+    tuple, in sampler order, whose determinant vanishes or differs in sign
+    from the first one; ``tuples_checked`` is then that tuple's position +
+    1. Past the budget the n-point windows come first, and their signs,
+    first sign and first failing window are those of
+    :meth:`Windows.first_failing`, which computes no window twice; on the
+    windows route they are the verdict. The tuples after the first (all of
+    an exhaustive list) or after the windows (the rest of a sample) are
+    scanned sorted, where neighbours share elimination prefixes, up to the
+    first failing one, and then again over those at lower positions only:
+    a failure past the windows may cost more determinants than its
     position.
     """
-    grid = validate_grid(system, grid, system.n)
+    n = system.n
+    grid = validate_grid(system, grid, n)
     cols = system.evaluate_grid(grid)
-    windows = Windows(cols, system.n)
-    tuples, coverage = scan_tuples(len(grid), system.n, budget, seed, windows.keep_sign)
-    if coverage == "windows":
-        verdict = "positive" if windows.first_failing(system.n)[0] == "+" else "negative"
-        return SystemClassification(verdict, None, len(tuples), coverage)
-    # An exhaustive list is already sorted: all of it is the head.
-    head = len(tuples)
-    if head < math.comb(len(grid), system.n):
-        head = len(grid) - system.n + 1
-    fail = len(tuples)
-
-    def positions():  # drawn lazily, so the filter skips past the latest fail
-        yield from range(head)
-        yield from (p for p in sorted(range(head, len(tuples)), key=tuples.__getitem__)
-                    if p < fail)
-
-    order, fed = itertools.tee(positions())
-    signs = itertools.starmap(sign_of, minor_scan(cols, map(tuples.__getitem__, fed)))
-    first_sign, _ = next(signs), next(order)
-    # The positions whose sign vanishes or differs from the first one fail;
-    # the lowest is the witness, however far ahead the scan has read.
-    failing = itertools.compress(order, map(operator.ne, signs, itertools.repeat(first_sign)))
-    for p in [0] if first_sign == "0" else failing:
-        fail = min(fail, p)
-        if p < head:
+    windows = Windows(cols, n)
+    tuples, coverage, _ = scan_tuples(len(grid), n, budget, seed, windows.keep_sign)
+    if coverage == "exhaustive":
+        first = sign_of(*next(minor_scan(cols, tuples)))
+        fail, rest = (0, []) if first == "0" else (None, range(1, len(tuples)))
+    else:
+        first, fail = windows.first_failing(n)
+        rest = [] if fail is not None else sorted(range(len(grid) - n + 1, len(tuples)),
+                                                  key=tuples.__getitem__)
+    while rest:
+        signs = itertools.starmap(sign_of, minor_scan(cols, map(tuples.__getitem__, rest)))
+        i = next(itertools.compress(itertools.count(), map(operator.ne, signs,
+                                                           itertools.repeat(first))), None)
+        if i is None:
             break
-    if fail < len(tuples):
+        fail = rest[i]
+        rest = [p for p in rest[i + 1:] if p < fail]
+    if fail is not None:
         witness = tuple(grid[j] for j in tuples[fail])
         return SystemClassification("non-chebyshev", witness, fail + 1, coverage)
-    verdict = "positive" if first_sign == "+" else "negative"
+    verdict = "positive" if first == "+" else "negative"
     return SystemClassification(verdict, None, len(tuples), coverage)
 
 

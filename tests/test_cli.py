@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebconvex.cli import console_main, emit_columns, main
 
@@ -548,6 +552,62 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout
+
+
+#: Magnitudes up to the largest floats, where products and sums overflow.
+HUGE = st.sampled_from([0.0, 1.0, -2.5, 1e300, -1e300, 5e307, -5e307, 1e308, -1e308,
+                        1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@st.composite
+def extreme_requests(draw):
+    """``certify`` by any of its four methods, or ``support``, for poly:2 or
+    poly:3 on [-1, 3], with a ``poly:`` target or a table target whose
+    abscissae are the grid, and entries up to the largest floats."""
+    n = draw(st.integers(2, 3))
+    command = draw(st.sampled_from(["theoremA", "corollary1", "theorem2", "definition",
+                                    "support"]))
+    argv = ["support"] if command == "support" else ["certify", "--method", command]
+    argv += ["--system", f"poly:{n}", "--interval", "-1:3", "--format", "structured"]
+    table = None
+    if draw(st.booleans()):
+        coefficients = draw(st.lists(HUGE, min_size=1, max_size=4))
+        argv += ["--f", "poly:" + ",".join(map(repr, coefficients)),
+                 "--grid", draw(st.sampled_from(["-1:3:50", "-1:1.85:30", "0:1:12"]))]
+        xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    else:
+        xs = sorted(draw(st.sets(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0]),
+                                 min_size=n + 1, max_size=8)))
+        table = "".join(f"{x!r} {v!r}\n" for x, v in
+                        zip(xs, draw(st.lists(HUGE, min_size=len(xs), max_size=len(xs)))))
+        argv += ["--f", "table:{path}" + draw(st.sampled_from(["", ":linear"])),
+                 "--grid", "{path}"]
+    if command == "definition":
+        argv += ["--nodes", ",".join(map(repr, xs[:n]))]
+    elif command in ("theorem2", "support"):
+        argv += ["--knots", ",".join(map(repr, xs[1:n]))]
+    return argv, table
+
+
+class TestExtremeMagnitudes:
+    """No target, however large its values, ends a command in a traceback,
+    and no certificate passes with a minimum that is not finite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_requests())
+    def test_exit_codes_and_finite_minima(self, case):
+        argv, table = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if table is not None:
+                path = os.path.join(tmp, "t.tsv")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(table)
+                argv = [a.replace("{path}", path) for a in argv]
+            code, text = run_cli(*argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            certificate = json.loads(text).get("certificate", {})
+            assert math.isfinite(certificate.get("min_value", 0.0))
 
 
 class TestPaperExampleCommand:

@@ -21,7 +21,8 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         verify_definition)
 from chebconvex.convexity import (bordered_window_minors, require_positive,
                                   sign_walk)
-from chebconvex.determinants import TAU_FACTOR, det_and_scale, sign_of
+from chebconvex.determinants import (TAU_FACTOR, det_and_scale, sign_of, sweep_signs,
+                                     window_sweep)
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import classify_on_grid
 
@@ -700,6 +701,19 @@ class TestOneMinorPerWindow:
         assert (cert.coverage, cert.tuples_checked) == ("windows", 35)
         assert minor_counts == {5: 36 + 36, 6: 35}
 
+    def test_classify_sample_reads_its_windows_from_the_search(self, minor_counts):
+        # cos changes sign on [0, 6], so the sample runs; its 39 leading
+        # windows of (cos, sin) all have the sign "+", and the search
+        # decides all but two of them by the sweep. The kernel computes
+        # those two and the 12 sorted sample tuples scanned up to the
+        # failure at position 39, not the windows again.
+        system, grid = cosine_sine_system(Interval(0.0, 6.0)), grid_on(0, 6, 40)
+        cols = [system.evaluate_basis(x) for x in grid]
+        assert sweep_signs(2, *list(window_sweep(cols, 2))[1]).count("") == 2
+        got = classify_on_grid(system, grid, budget=300, seed=1)
+        assert (got.coverage, got.verdict, got.tuples_checked) == ("sampled", "non-chebyshev", 40)
+        assert minor_counts == {2: 2 + 12}
+
 
 def min_distance_walk(nodes, grid, delta):
     """The walk's rule point by point: a point is kept when it is farther
@@ -853,6 +867,36 @@ class TestNonFiniteTarget:
     def test_finite_targets_unchanged(self):
         cert = certify_theorem_a(polynomial_system(4), self.target(()), self.GRID, budget=100)
         assert cert.verdict == VIOLATED and cert.min_value <= cert.witness_value < 0.0
+
+
+class TestOverflow:
+    """Finite values whose combination or determinant overflows raise
+    :class:`DomainError` naming the first failing point or tuple, and
+    nothing certifies on a value or tolerance that is not finite."""
+
+    #: 1e308 x - 5e307 x^2: finite on [-1, 1.85], while its interpolant's
+    #: term 1e308 x overflows past x = 1.797...
+    BIG = ExpressionSource("poly", (0.0, 1e308, -5e307))
+
+    def test_definition_names_the_first_point_where_the_interpolant_overflows(self):
+        system = polynomial_system(3, Interval(-1.0, 3.0))
+        with pytest.raises(DomainError, match=r"is not finite at x=1\.85$"):
+            verify_definition(system, self.BIG, (0.0, 0.5, 1.0), grid_on(-1, 1.85, 30))
+
+    def test_theorem2_and_support_raise_a_library_error(self):
+        system, grid = polynomial_system(3, Interval(-1.0, 3.0)), grid_on(-1, 3, 50)
+        with pytest.raises(DomainError, match="is not finite at x="):
+            scan_theorem2(system, self.BIG, (0.2, 0.5), grid)
+        with pytest.raises(DomainError, match="is not finite at x="):
+            build_support(system, self.BIG, (0.2, 0.5), grid)
+
+    @pytest.mark.parametrize("certify", [certify_theorem_a, certify_corollary1])
+    def test_infinite_value_or_tolerance_never_certifies(self, certify):
+        # The scale of each tuple overflows, so atol + rtol * scale is inf
+        # and no value falls below its negative.
+        values = {0.0: 1e308, 0.5: -1e308, 1.0: 1e308, 2.0: -1e308}
+        with pytest.raises(DomainError, match=r"at \(0\.0, 0\.5, 1\.0\) is not finite$"):
+            certify(polynomial_system(2), values.__getitem__, sorted(values))
 
 
 class TestBulkEvaluationErrors:

@@ -17,10 +17,9 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem,
 from chebconvex import determinants
 from chebconvex.convexity import require_positive
 from chebconvex.determinants import (EPS, SWEEP_MARGIN, SWEEP_MAX_ORDER,
-                                     TAU_FACTOR, _sweep_error, check_points,
-                                     det_and_scale, exact_sign,
-                                     first_failing_window, minor_scan,
-                                     sign_of, solve_with_det,
+                                     TAU_FACTOR, Windows, _sweep_error,
+                                     check_points, det_and_scale, exact_sign,
+                                     minor_scan, sign_of, solve_with_det,
                                      sweep_signs, window_sweep)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
@@ -351,13 +350,14 @@ def swept_columns(draw):
 
 class TestWindowSweep:
     def check(self, cols, n):
+        windows = Windows(cols, n)
         for k, (dets, scales) in enumerate(window_sweep(cols, n), 1):
             minors = window_minors(cols, k)
             assert [repr(s) for s in scales] == [repr(s) for _, s in minors]
             signs = [sign_of(*minor) for minor in minors]
             for swept, sign in zip(sweep_signs(k, dets, scales), signs):
                 assert swept in ("", sign)
-            assert first_failing_window(cols, k, dets, scales) == reference_failure(signs)
+            assert windows.first_failing(k) == reference_failure(signs)
 
     @settings(max_examples=150, deadline=None)
     @given(swept_columns())

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from chebconvex import interpolation
 from chebconvex import (ArgumentError, BasisFunction, CallableSource,
-                        ChebyshevSystem, DegenerateInputError, Interval,
-                        NearSingularError, OmegaCombination, SourceEvalError,
+                        ChebyshevSystem, DegenerateInputError, DomainError,
+                        Interval, NearSingularError, OmegaCombination,
+                        SourceEvalError,
                         constrained_interpolate,
                         exponential_system, interpolate, lemma1_residual,
                         polynomial_system)
@@ -111,6 +112,13 @@ class TestConstrained:
         with pytest.raises(SourceEvalError, match=r"^target function returned nan at x=0\.5$"):
             constrained_interpolate(polynomial_system(2), (0.5,), lambda x: math.nan, 1.0)
 
+    def test_overflowing_node_equation_names_the_knot(self):
+        # 1e308 times the last basis value 4.0 overflows; at 0.5 the same
+        # pin solves.
+        with pytest.raises(DomainError, match=r"is not finite at x=4\.0$"):
+            constrained_interpolate(polynomial_system(2), (4.0,), lambda x: 1.0, 1e308)
+        constrained_interpolate(polynomial_system(2), (0.5,), lambda x: 1.0, 1e308)
+
 
 class TestDifferenceIdentity:
     def test_cube_fixture_at_two(self):
@@ -171,14 +179,15 @@ class TestAtRows:
         coefficients, cols = case
         omega = OmegaCombination(polynomial_system(len(coefficients)), tuple(coefficients))
         rows = list(zip(*cols)) or [()] * len(coefficients)
+        xs = [float(i) for i in range(len(cols))]
 
         def outcome(compute):
             try:
                 return repr(compute())
-            except (OverflowError, ValueError) as exc:  # fsum's own errors
-                return type(exc).__name__
-        assert outcome(lambda: omega.at_rows(rows)) == outcome(
-            lambda: [omega.at_column(col) for col in cols])
+            except DomainError as exc:  # a value that is not finite, at its point
+                return str(exc)
+        assert outcome(lambda: omega.at_rows(rows, xs)) == outcome(
+            lambda: [omega.at_column(col, x) for col, x in zip(cols, xs)])
 
 
 class TestNodeResiduals:

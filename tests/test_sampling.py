@@ -21,18 +21,18 @@ class TestScanTuples:
         def never():
             raise AssertionError("windows asked")
 
-        tuples, coverage = scan_tuples(8, 3, 56, 1, never)
-        assert coverage == "exhaustive"
+        tuples, coverage, answer = scan_tuples(8, 3, 56, 1, never)
+        assert (coverage, answer) == ("exhaustive", None)
         assert tuples == list(itertools.combinations(range(8), 3))
 
     def test_windows_when_they_decide(self):
-        tuples, coverage = scan_tuples(8, 3, 55, 1, lambda: True)
-        assert coverage == "windows"
+        tuples, coverage, answer = scan_tuples(8, 3, 55, 1, lambda: "verdict")
+        assert (coverage, answer) == ("windows", "verdict")
         assert tuples == [(i, i + 1, i + 2) for i in range(6)]
 
     def test_sample_otherwise(self):
-        tuples, coverage = scan_tuples(8, 3, 55, 1, lambda: False)
-        assert coverage == "sampled"
+        tuples, coverage, answer = scan_tuples(8, 3, 55, 1, lambda: None)
+        assert (coverage, answer) == ("sampled", None)
         assert tuples == ordered_index_tuples(8, 3, budget=55, seed=1)
 
 

@@ -10,8 +10,8 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem, DomainErr
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
                         polynomial_system, uniform_grid)
-from chebconvex.determinants import (det_and_scale, first_failing_window, minor_scan,
-                                     sign_of, window_sweep)
+from chebconvex.determinants import (Windows, det_and_scale, minor_scan, sign_of,
+                                     window_sweep)
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import validate_grid
 
@@ -351,8 +351,8 @@ class TestClassify:
         cols = [system.evaluate_basis(x) for x in grid]
         levels = list(window_sweep(cols, system.n))
         assert [len(dets) for dets, _ in levels] == [25, 24, 25 - 3 + 1]
-        for k, (dets, scales) in enumerate(levels, 1):
-            assert first_failing_window(cols, k, dets, scales) == ("+", None)
+        for k in range(1, system.n + 1):
+            assert Windows(cols, system.n).first_failing(k) == ("+", None)
 
     def test_sampled_scan_matches_sampler_order_reference(self):
         """Sampled classifications scan the sorted sample, but report the first
