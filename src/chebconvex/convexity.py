@@ -34,11 +34,12 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import mul, sub, truediv
+from operator import add, gt, le, mul, not_, or_, sub, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
-from .determinants import (Windows, check_points, exact_sign, function_row,
-                           known_scan, minor_scan, sign_of, solve_with_det)
+from .determinants import (TAU_FACTOR, Windows, check_points, exact_sign,
+                           function_row, known_scan, minor_scan, sign_of,
+                           solve_with_det)
 from .divdiff import degenerated
 from .errors import DomainError, NearSingularError, PreconditionError
 from .interpolation import OmegaCombination, interpolate
@@ -181,11 +182,12 @@ def interior_knots(system: ChebyshevSystem, knots) -> tuple[float, ...]:
     return knots
 
 
-def pattern_sign(count: int, region: int) -> int:
-    """Required sign of f - g in ``region`` (the number of nodes to its left)
-    of the alternating pattern around ``count`` nodes: (-1)^(count + region),
-    so the region right of the last node is nonnegative."""
-    return -1 if (count + region) % 2 else 1
+def pattern_signs(count: int) -> list[int]:
+    """Required sign of f - g in each region (the number of nodes to its
+    left, 0 to ``count``) of the alternating pattern around ``count``
+    nodes: (-1)^(count + region), so the region right of the last node is
+    nonnegative."""
+    return [-1 if (count + region) % 2 else 1 for region in range(count + 1)]
 
 
 def sign_walk(nodes: Sequence[float], grid: Sequence[float],
@@ -224,8 +226,9 @@ def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
     regions, abscissae, f values and basis rows (``rows[i]`` holds basis
     function i at every point). The route runs once over all the points,
     evaluated in bulk: the rows come from ``cols``, the basis columns at the
-    grid, or else from :meth:`ChebyshevSystem.evaluate_grid`, and f is taken
-    past ``FunctionSource.__call__`` and its per-point checks.
+    grid, or else from :meth:`ChebyshevSystem.evaluate_rows`, and f from its
+    ``values`` (:meth:`FunctionSource.values`), past its per-point checks; a
+    plain callable is mapped over the points.
 
     When an evaluation raises, an f value is not finite, or the route
     raises, it runs once per point in grid order instead, on f from
@@ -235,10 +238,14 @@ def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
     js, regions = walk
     xs = list(map(grid.__getitem__, js))
     try:
-        fvals = list(map(getattr(f, "_eval", f), xs))
+        values = getattr(f, "values", None)
+        fvals = list(map(f, xs) if values is None else values(xs))
         if all(map(math.isfinite, fvals)):
-            kept = system.evaluate_grid(xs) if cols is None else map(cols.__getitem__, js)
-            return route(js, regions, xs, fvals, list(zip(*kept)) or [()] * system.n)
+            if cols is None:
+                rows = system.evaluate_rows(xs)
+            else:
+                rows = list(zip(*map(cols.__getitem__, js))) or [()] * system.n
+            return route(js, regions, xs, fvals, rows)
     except Exception:  # raised again below, at its point
         pass
     items = []
@@ -250,17 +257,33 @@ def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
 
 
 def _zero_tested(det: float, values: Iterable[float], bounds: Sequence[float],
-                 absrows: Sequence[Sequence[float]]) -> Optional[int]:
+                 rows: Sequence[Sequence[float]]) -> Optional[int]:
     """The index of the first point where ``det`` times its entry of
     ``values`` fails :func:`sign_of`'s zero test at that point's scale, or
     None: the product over the basis functions i of ``max(bounds[i],
-    absrows[i][j])``, multiplied in order, as ``math.prod`` does at one
-    point."""
+    abs(rows[i][j]))``, multiplied in order, as ``math.prod`` does at one
+    point. The test is sign_of's, mapped over the points: a product that
+    is 0, or whose magnitude is at most ``TAU_FACTOR`` times the scale; a
+    NaN product passes.
+
+    Rounded products of nonnegative factors grow with each factor, so no
+    scale exceeds the one from each row's largest magnitude (unless that
+    is NaN, which ``max`` keeps only when it comes first). A product above
+    that bound passes, and the scales of the points are formed only when
+    some product does not clear it."""
+    products = [*map(mul, repeat(det), values)]
+    tops = [max(map(abs, row), default=0.0) for row in rows[:len(bounds)]]
+    if not any(map(math.isnan, tops)):
+        bound = TAU_FACTOR * math.prod(map(max, bounds, tops))
+        if all(map(gt, map(abs, products), repeat(bound))):
+            return None
+    absrows = [[*map(abs, row)] for row in rows]
     scales = [*map(max, repeat(bounds[0]), absrows[0])]
     for bound, row in zip(bounds[1:], absrows[1:]):
         scales = map(mul, scales, map(max, repeat(bound), row))
-    signs = [*map(sign_of, map(mul, repeat(det), values), scales)]
-    return signs.index("0") if "0" in signs else None
+    zero = [*map(or_, map(not_, products),
+                 map(le, map(abs, products), map(mul, repeat(TAU_FACTOR), scales)))]
+    return zero.index(True) if True in zero else None
 
 
 def _certificate(method: str, scored: Iterable[Optional[tuple]],
@@ -399,7 +422,9 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     stand, with its scale and messages: on the truncated determinant V at
     the knots first, then point by point on the full one, V (u_n - q)(x),
     and left of the last knot on the truncated one at the n-1 smallest
-    points, V l(x), for l = 1 at the last knot and 0 at the others.
+    points, V l(x), for l = 1 at the last knot and 0 at the others. A value
+    that is not finite raises :class:`DomainError` naming its point: no
+    step from or to it could be tested.
     """
     n = system.n
     knots = interior_knots(system, knots)
@@ -425,17 +450,20 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
 
     def route(js, regions, xs, fvals, rows):
         rs = [*map(sub, rows[n - 1], q.at_rows(rows, xs))]
-        absrows = [[*map(abs, row)] for row in rows]
-        i = _zero_tested(det.value, rs, kmax, absrows)
+        i = _zero_tested(det.value, rs, kmax, rows)
         if i is not None:
             raise degenerated("full", sorted(knots + (xs[i],)))
         # The points left of the last knot come first.
         head = bisect.bisect_left(regions, n - 1)
-        i = _zero_tested(det.value, lagrange.at_rows([row[:head] for row in rows], xs), hmax,
-                         [row[:head] for row in absrows])
+        left = [row[:head] for row in rows]
+        i = _zero_tested(det.value, lagrange.at_rows(left, xs), hmax, left)
         if i is not None:
             raise degenerated("truncated", sorted(knots[:-1] + (xs[i],)))
-        return list(zip(xs, map(truediv, map(sub, fvals, p.at_rows(rows, xs)), rs)))
+        values = [*map(truediv, map(sub, fvals, p.at_rows(rows, xs)), rs)]
+        if not all(map(math.isfinite, values)):
+            x, v = next((x, v) for x, v in zip(xs, values) if not math.isfinite(v))
+            raise DomainError(f"theorem2: value {v!r} is not finite at x={x!r}")
+        return list(zip(xs, values))
 
     scan = walk_values(system, f, grid, walk, route)
     if len(scan) < 2:
@@ -465,11 +493,13 @@ def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
     omega = interpolate(system, nodes, function_row(f, nodes))
 
     walk = sign_walk(nodes, grid, knot_exclusion(system))
+    signs = pattern_signs(n)
 
     def route(js, regions, xs, fvals, rows):
-        signs = map(pattern_sign, repeat(n), regions)
-        return list(zip(map(mul, signs, map(sub, fvals, omega.at_rows(rows, xs))),
-                        zip(js), [atol + rtol * abs(fx) for fx in fvals]))
+        slacks = map(mul, map(signs.__getitem__, regions),
+                     map(sub, fvals, omega.at_rows(rows, xs)))
+        tolerances = map(add, repeat(atol), map(mul, repeat(rtol), map(abs, fvals)))
+        return list(zip(slacks, zip(js), tolerances))
 
     return _certificate("definition", walk_values(system, f, grid, walk, route),
                         grid, f, atol, rtol, None)

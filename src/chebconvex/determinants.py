@@ -518,7 +518,18 @@ def function_row(f, pts: Sequence[float]) -> list[float]:
     target. An exception from f, or a value that is not finite, raises
     :class:`SourceEvalError` naming the failing point, with the exception
     as its cause. The errors that sources raise themselves pass through,
-    as :meth:`FunctionSource.__call__` lets them."""
+    as :meth:`FunctionSource.__call__` lets them. A source's ``values``
+    evaluates all the points at once; when that raises or gives a value
+    that is not finite, the points go to f one at a time, so that the
+    first failing point raises its error."""
+    bulk = getattr(f, "values", None)
+    if bulk is not None:
+        try:
+            row = [*map(float, bulk(pts))]
+            if all(map(math.isfinite, row)):
+                return row
+        except Exception:  # raised again below, at its point
+            pass
     values = []
     for x in pts:
         try:

@@ -18,12 +18,13 @@ how well the ratio satisfies it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .determinants import (check_points, d_det, distinct_points, function_row,
                            minor_scan, sign_of, v_det)
-from .errors import ArgumentError, NearSingularError
+from .errors import ArgumentError, DomainError, NearSingularError
 from .systems import ChebyshevSystem
 
 #: Below this |V_n| / scale ratio a result is flagged (not failed) in reports.
@@ -48,7 +49,8 @@ def classical_dd(pts: Sequence[float], f) -> float:
 
     Single point: f(x1). Longer tuples: the usual quotient of the two
     length-(k-1) differences, evaluated bottom-up so every contiguous
-    subrange is computed once.
+    subrange is computed once. A value that is not finite raises
+    :class:`DomainError` naming the points.
     """
     pts = distinct_points(pts)
     k = len(pts)
@@ -57,7 +59,14 @@ def classical_dd(pts: Sequence[float], f) -> float:
         for i in range(k - level):
             denom = pts[i + level] - pts[i]
             table[i] = (table[i + 1] - table[i]) / denom
-    return table[0]
+    return _finite(table[0], pts)
+
+
+def _finite(value: float, pts: Sequence[float]) -> float:
+    """``value``, the divided difference at ``pts``, unless it is not finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"divided difference {value!r} at {tuple(pts)} is not finite")
+    return value
 
 
 def conditioning(det: float, scale: float) -> float:
@@ -77,7 +86,8 @@ def gdd_scan(points: Sequence[float], cols: Sequence[tuple[float, ...]],
     any order, and of its full collocation determinant, from the basis
     columns ``cols`` and f values ``fvals`` there, each minor through
     :func:`minor_scan`. The error of a failed zero test, of the determinant
-    or of the truncated one at the n-1 smallest points, names it."""
+    or of the truncated one at the n-1 smallest points, names it, and so
+    does the :class:`DomainError` of a value that is not finite."""
     n = len(cols)
     every = [tuple(range(n))]
     head = sorted(range(n), key=points.__getitem__)[:n - 1]
@@ -89,7 +99,7 @@ def gdd_scan(points: Sequence[float], cols: Sequence[tuple[float, ...]],
     if head and sign_of(*next(truncs)) == "0":
         raise degenerated("truncated", [points[j] for j in head])
     num, _ = next(minor_scan([c[:n - 1] + (v,) for c, v in zip(cols, fvals)], every))
-    return num / det, (det, scale)
+    return _finite(num / det, points), (det, scale)
 
 
 def gdd(system: ChebyshevSystem, pts: Sequence[float], f) -> DividedDifference:

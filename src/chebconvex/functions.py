@@ -3,9 +3,11 @@
 :data:`FORMS` is the one table of closed forms, checked by
 :func:`check_form`, for basis functions (:class:`systems.BasisFunction`)
 and expression targets alike; general expression parsing is out of scope.
-Tabulated sources optionally interpolate linearly between samples, and
-that choice is flagged in every report built from them because
-interpolation can manufacture or destroy convexity.
+Each form has one evaluator, which maps the form's float operations over
+a sequence of points; a single point is the sequence of one. Tabulated
+sources optionally interpolate linearly between samples, and that choice
+is flagged in every report built from them because interpolation can
+manufacture or destroy convexity.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import contextlib
 import itertools
 import math
 import operator
+from functools import cached_property, partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .errors import (ArgumentError, DomainError, ResolutionError,
@@ -29,13 +33,21 @@ TABLE_CHUNK = 512
 
 
 class FunctionSource:
-    """Uniform evaluation interface for a target function."""
+    """Uniform evaluation interface for a target function. A source defines
+    ``values``, its evaluation at a sequence of points, or ``_eval``, at
+    one point; each is given by the other."""
 
     is_table = False
     uses_linear_interpolation = False
 
+    def values(self, xs: Sequence[float]) -> Iterable[float]:
+        """The values at the points ``xs``, in order, unchecked; an
+        evaluation that fails raises at the first point where it fails."""
+        return map(self._eval, xs)
+
     def _eval(self, x: float) -> float:
-        raise NotImplementedError
+        value, = self.values((x,))
+        return value
 
     def __call__(self, x: float) -> float:
         try:
@@ -53,18 +65,48 @@ class FunctionSource:
 
 
 #: The closed forms: name -> (parameter count, or None for one or more;
-#: a factory that binds the validated parameters once and returns the
-#: function of x). ``poly`` is for targets only. The parameter of
-#: ``monomial`` and ``negmonomial`` is an integer power.
+#: a factory that binds the parameters once and returns the form's
+#: evaluator, which maps the sequence of points ``xs`` to an iterator over
+#: the values there). ``poly`` is for targets only. The parameter of
+#: ``monomial`` and ``negmonomial`` is an integer power; a ``const`` keeps
+#: its parameter as given.
 FORMS = {
-    "monomial": (1, lambda p: lambda x, k=int(p[0]): x ** k),
-    "negmonomial": (1, lambda p: lambda x, k=int(p[0]): -(x ** k)),
-    "exp": (1, lambda p: lambda x, a=p[0]: math.exp(a * x)),
-    "cos": (0, lambda p: math.cos),
-    "sin": (0, lambda p: math.sin),
-    "const": (1, lambda p: lambda x, c=p[0]: c),
-    "poly": (None, lambda p: lambda x: _horner(x, p)),
+    "monomial": (1, lambda p: partial(_powers, int(p[0]))),
+    "negmonomial": (1, lambda p: partial(_negated_powers, int(p[0]))),
+    "exp": (1, lambda p: partial(_exponentials, float(p[0]))),
+    "cos": (0, lambda p: partial(map, math.cos)),
+    "sin": (0, lambda p: partial(map, math.sin)),
+    "const": (1, lambda p: partial(_constants, p[0])),
+    "poly": (None, lambda p: partial(_horner, p)),
 }
+
+
+def _powers(k: int, xs: Sequence[float]) -> Iterator[float]:
+    # pow(x, 0) is 1.0 and pow(x, 1) is x, for every float x.
+    if k == 0:
+        return repeat(1.0, len(xs))
+    return iter(xs) if k == 1 else map(pow, xs, repeat(k))
+
+
+def _negated_powers(k: int, xs: Sequence[float]) -> Iterator[float]:
+    return map(operator.neg, _powers(k, xs))
+
+
+def _exponentials(a: float, xs: Sequence[float]) -> Iterator[float]:
+    return map(math.exp, map(a.__mul__, xs))
+
+
+def _constants(c: float, xs: Sequence[float]) -> Iterator[float]:
+    return repeat(c, len(xs))
+
+
+def _horner(coeffs: tuple[float, ...], xs: Sequence[float]) -> Iterator[float]:
+    """``acc * x + c`` for the coefficients from the highest, from acc = 0.0."""
+    acc = repeat(0.0, len(xs))
+    for c in reversed(coeffs):
+        acc = map(operator.add, map(operator.mul, acc, xs), repeat(c))
+    return acc
+
 
 #: The forms a basis function may take.
 BASIS_FORMS = tuple(form for form in FORMS if form != "poly")
@@ -107,21 +149,14 @@ def parse_floats(text: str, what: str) -> tuple[float, ...]:
         raise ArgumentError(f"bad {what} list {text!r}") from None
 
 
-def _horner(x: float, coeffs: tuple[float, ...]) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 class ExpressionSource(FunctionSource):
     """One of the closed forms of :data:`FORMS`, e.g. x^3 or e^(a x)."""
 
     def __init__(self, form: str, params: Sequence[float] = ()):
         self.params = check_form(form, params, FORMS, "expression form")
         self.form = form
-        # The bound evaluator takes the place of the ``_eval`` method.
-        self._eval = FORMS[form][1](self.params)
+        # The bound evaluator takes the place of the ``values`` method.
+        self.values = FORMS[form][1](self.params)
 
     def describe(self) -> str:
         args = ",".join(f"{p:g}" for p in self.params)
@@ -184,6 +219,30 @@ class TableSource(FunctionSource):
         x0, x1 = self.xs[i - 1], self.xs[i]
         y0, y1 = self.ys[i - 1], self.ys[i]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    @cached_property
+    def _rows(self) -> dict[float, float]:
+        """``_eval`` at each abscissa, by abscissa: its own row's ordinate,
+        unless the row to its left lies within ``_snap``, which ``_eval``
+        tests first; then every abscissa is evaluated by ``_eval``."""
+        if all(map(operator.gt, map(operator.sub, self.xs[1:], self.xs), repeat(self._snap))):
+            return dict(zip(self.xs, self.ys))
+        return {x: self._eval(x) for x in self.xs}
+
+    def values(self, xs: Sequence[float]) -> list[float]:
+        """``_eval`` at each of the points ``xs``. When the first point is an
+        abscissa, the points that are abscissae are looked up in
+        ``_rows``, which is built once, and the others go to ``_eval``;
+        otherwise every point does, so a table queried off its rows never
+        builds ``_rows``."""
+        if xs:
+            i = bisect.bisect_left(self.xs, xs[0])
+            if i < len(self.xs) and self.xs[i] == xs[0]:
+                found = [*map(self._rows.get, xs)]
+                if None not in found:
+                    return found
+                return [self._eval(x) if v is None else v for x, v in zip(xs, found)]
+        return [*map(self._eval, xs)]
 
     def max_spacing_within(self, lo: float, hi: float) -> float:
         """Largest gap between consecutive abscissae whose span overlaps [lo, hi].

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
-                        knot_exclusion, pattern_sign, require_positive,
+                        knot_exclusion, pattern_signs, require_positive,
                         sign_walk, walk_values)
 from .determinants import MIN_SEPARATION_FACTOR, function_row
 from .divdiff import conditioning, gdd_scan
@@ -186,9 +186,10 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
     # points of region seg, and for the last segment those of region n.
     bounds = [bisect.bisect_left(walk[1], seg) for seg in range(n)] + [len(values)]
     per_segment = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+    signs = pattern_signs(n)
     segments = []
     for seg, points in enumerate(per_segment):
-        required = pattern_sign(n, seg if seg < n - 1 else n)
+        required = signs[seg if seg < n - 1 else n]
         lo = system.interval.lo if seg == 0 else knots[seg - 1]
         hi = system.interval.hi if seg == n - 1 else knots[seg]
         violations = tuple((x, fx - ox) for x, fx, ox in points

@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .determinants import Windows, minor_scan, sign_of
 from .errors import ArgumentError, DomainError, GeometryError
@@ -119,11 +119,13 @@ def uniform_grid(interval: Interval, count: int,
 @dataclass(frozen=True)
 class BasisFunction:
     """One evaluable basis function: x^k, e^(a x), cos, sin, c, or -x^k,
-    named by its form in :data:`functions.FORMS` (any but ``poly``)."""
+    named by its form in :data:`functions.FORMS` (any but ``poly``), whose
+    evaluator ``values`` is bound to it."""
 
     kind: str
     param: float = 0.0
-    _fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    values: Callable[[Sequence[float]], Iterator[float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # cos and sin take no parameter: ``param`` may only keep its default.
@@ -131,13 +133,14 @@ class BasisFunction:
         params = () if takes_none and self.param == 0.0 else (self.param,)
         check_form(self.kind, params, BASIS_FORMS, "basis kind")
         # Bound as given, so ``const`` returns ``param`` itself.
-        object.__setattr__(self, "_fn", FORMS[self.kind][1](params))
+        object.__setattr__(self, "values", FORMS[self.kind][1](params))
 
     def __call__(self, x: float) -> float:
         try:
-            return self._fn(x)
+            value, = self.values((x,))
         except OverflowError as exc:
             raise DomainError(f"basis {self.describe()} overflowed at x={x!r}") from exc
+        return value
 
     def describe(self) -> str:
         if self.kind in ("monomial", "negmonomial"):
@@ -176,19 +179,28 @@ class ChebyshevSystem:
             raise DomainError(f"x={x!r} outside interval {self.interval.describe()}")
         return tuple(func(x) for func in self.basis)
 
-    def evaluate_grid(self, xs: Sequence[float]) -> list[tuple[float, ...]]:
-        """The basis columns at the points ``xs``: ``[self.evaluate_basis(x)
-        for x in xs]`` bit for bit, computed with one ``map`` per basis
-        function over the points. When a point lies outside the interval or
-        a function fails, the points are evaluated one at a time instead,
-        so the error is the one the first failing point raises there."""
+    def evaluate_rows(self, xs: Sequence[float]) -> list[list[float]]:
+        """The basis rows at the points ``xs``, row i holding basis function
+        i at every point: ``[self.evaluate_basis(x) for x in xs]``
+        transposed, bit for bit, each row from its function's evaluator
+        over all the points. When a point lies outside the interval or a
+        function fails, the points are evaluated one at a time instead, so
+        the error is the one the first failing point raises there."""
         lo, hi = self.interval.lo, self.interval.hi
         try:
             if xs and lo <= min(xs) and max(xs) <= hi and not any(map(math.isnan, xs)):
-                return list(zip(*[map(func._fn, xs) for func in self.basis]))
+                return [list(func.values(xs)) for func in self.basis]
         except Exception:  # raised again below, at its point
             pass
-        return [self.evaluate_basis(x) for x in xs]
+        cols = [self.evaluate_basis(x) for x in xs]
+        return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis]
+
+    def evaluate_grid(self, xs: Sequence[float]) -> list[tuple[float, ...]]:
+        """The basis columns at the points ``xs``, column j holding every
+        basis function at point j: :meth:`evaluate_rows` transposed, so
+        ``[self.evaluate_basis(x) for x in xs]`` bit for bit, with its
+        errors."""
+        return list(zip(*self.evaluate_rows(xs)))
 
     def truncate(self, m: int) -> "ChebyshevSystem":
         """Restriction to the first ``m`` basis functions, same interval."""

@@ -118,21 +118,21 @@ def exp01():
 def basis_calls(monkeypatch):
     """Counter of the points the basis is evaluated at, by point: one per
     ``ChebyshevSystem.evaluate_basis`` call, and one per point of each
-    ``ChebyshevSystem.evaluate_grid`` call."""
+    ``ChebyshevSystem.evaluate_rows`` call, which ``evaluate_grid`` makes."""
     calls = Counter()
     evaluate = ChebyshevSystem.evaluate_basis
-    evaluate_grid = ChebyshevSystem.evaluate_grid
+    evaluate_rows = ChebyshevSystem.evaluate_rows
 
     def counting(self, x):
         calls[x] += 1
         return evaluate(self, x)
 
-    def counting_grid(self, xs):
+    def counting_rows(self, xs):
         calls.update(xs)
-        return evaluate_grid(self, xs)
+        return evaluate_rows(self, xs)
 
     monkeypatch.setattr(ChebyshevSystem, "evaluate_basis", counting)
-    monkeypatch.setattr(ChebyshevSystem, "evaluate_grid", counting_grid)
+    monkeypatch.setattr(ChebyshevSystem, "evaluate_rows", counting_rows)
     return calls
 
 

@@ -561,39 +561,60 @@ HUGE = st.sampled_from([0.0, 1.0, -2.5, 1e300, -1e300, 5e307, -5e307, 1e308, -1e
 
 @st.composite
 def extreme_requests(draw):
-    """``certify`` by any of its four methods, or ``support``, for poly:2 or
+    """Any command: ``classify``, ``dd``, ``certify`` by any of its four
+    methods, ``support`` or ``reproduce-paper-example``, for poly:2 or
     poly:3 on [-1, 3], with a ``poly:`` target or a table target whose
     abscissae are the grid, and entries up to the largest floats."""
     n = draw(st.integers(2, 3))
     command = draw(st.sampled_from(["theoremA", "corollary1", "theorem2", "definition",
-                                    "support"]))
-    argv = ["support"] if command == "support" else ["certify", "--method", command]
+                                    "support", "classify", "dd", "reproduce-paper-example"]))
+    if command == "reproduce-paper-example":
+        return [command, "--format", "structured"], None
+    if command in ("support", "classify", "dd"):
+        argv = [command]
+    else:
+        argv = ["certify", "--method", command]
     argv += ["--system", f"poly:{n}", "--interval", "-1:3", "--format", "structured"]
     table = None
     if draw(st.booleans()):
         coefficients = draw(st.lists(HUGE, min_size=1, max_size=4))
-        argv += ["--f", "poly:" + ",".join(map(repr, coefficients)),
-                 "--grid", draw(st.sampled_from(["-1:3:50", "-1:1.85:30", "0:1:12"]))]
+        target = "poly:" + ",".join(map(repr, coefficients))
+        grid = draw(st.sampled_from(["-1:3:50", "-1:1.85:30", "0:1:12"]))
         xs = [0.0, 0.25, 0.5, 0.75, 1.0]
     else:
         xs = sorted(draw(st.sets(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0]),
                                  min_size=n + 1, max_size=8)))
         table = "".join(f"{x!r} {v!r}\n" for x, v in
                         zip(xs, draw(st.lists(HUGE, min_size=len(xs), max_size=len(xs)))))
-        argv += ["--f", "table:{path}" + draw(st.sampled_from(["", ":linear"])),
-                 "--grid", "{path}"]
+        target = "table:{path}" + draw(st.sampled_from(["", ":linear"]))
+        grid = "{path}"
+    if command != "dd":
+        argv += ["--grid", grid]
+    if command != "classify":
+        argv += ["--f", target]
     if command == "definition":
         argv += ["--nodes", ",".join(map(repr, xs[:n]))]
     elif command in ("theorem2", "support"):
         argv += ["--knots", ",".join(map(repr, xs[1:n]))]
+    elif command == "dd":
+        argv += ["--points", ",".join(map(repr, xs[:n])), "--classical"]
     return argv, table
+
+
+def strict_json(text):
+    """The document ``text`` holds, refusing NaN and infinities, which
+    strict JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in a structured document")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestExtremeMagnitudes:
     """No target, however large its values, ends a command in a traceback,
-    and no certificate passes with a minimum that is not finite."""
+    no structured document holds a number that strict JSON lacks, and no
+    certificate passes with a minimum that is not finite."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(extreme_requests())
     def test_exit_codes_and_finite_minima(self, case):
         argv, table = case
@@ -605,9 +626,30 @@ class TestExtremeMagnitudes:
                 argv = [a.replace("{path}", path) for a in argv]
             code, text = run_cli(*argv)
         assert code in (0, 1, 2)
-        if code == 0:
-            certificate = json.loads(text).get("certificate", {})
-            assert math.isfinite(certificate.get("min_value", 0.0))
+        if code != 1:
+            doc = strict_json(text)
+            if code == 0:
+                assert math.isfinite(doc.get("certificate", {}).get("min_value", 0.0))
+
+    @pytest.mark.parametrize("argv, message", [
+        # (f - p)/(u_n - q) overflows at -1.0 and 0.25; the step from +inf
+        # down to -4.76e306 had an infinite tolerance and passed.
+        (["certify", "--method", "theorem2", "--system", "poly:3", "--interval", "-1:3",
+          "--f", "table:{T2}", "--grid", "{T2}", "--knots", "-0.5,0.0"],
+         "error: theorem2: value -inf is not finite at x=-1.0\n"),
+        (["dd", "--system", "poly:2", "--f", "table:{T3}", "--points", "0,1", "--classical"],
+         "error: divided difference inf at (0.0, 1.0) is not finite\n"),
+    ])
+    def test_overflow_is_an_error_not_a_result(self, tmp_path, capsys, argv, message):
+        tables = {"T2": "-1.0 -1.7976931348623157e+308\n-0.5 1.0\n0.0 1.0\n"
+                        "0.25 1e+308\n3.0 -5e+307\n",
+                  "T3": "0.0 -1.7e308\n1.0 1.7e308\n"}
+        for name, text in tables.items():
+            (tmp_path / name).write_text(text)
+            argv = [a.replace("{" + name + "}", str(tmp_path / name)) for a in argv]
+        code, text = run_cli(*argv, "--format", "structured")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == message
 
 
 class TestPaperExampleCommand:

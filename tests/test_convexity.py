@@ -19,8 +19,8 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         negated_polynomial_system, parse_function,
                         parse_system, polynomial_system, scan_theorem2,
                         verify_definition)
-from chebconvex.convexity import (bordered_window_minors, require_positive,
-                                  sign_walk)
+from chebconvex.convexity import (_zero_tested, bordered_window_minors,
+                                  require_positive, sign_walk)
 from chebconvex.determinants import (TAU_FACTOR, det_and_scale, sign_of, sweep_signs,
                                      window_sweep)
 from chebconvex.sampling import ordered_index_tuples
@@ -953,8 +953,47 @@ class TestBulkEvaluationErrors:
             scan_theorem2(system, F_EXP, (0.3, 0.6), without)
 
 
+def reference_zero_tested(det, values, bounds, rows):
+    """The first point whose product fails sign_of's zero test at its own
+    scale, one point at a time."""
+    for j, value in enumerate(values):
+        scale = math.prod(max(b, abs(row[j])) for b, row in zip(bounds, rows))
+        if sign_of(det * value, scale) == "0":
+            return j
+    return None
+
+
+class TestZeroTestOverPoints:
+    """Theorem 2's zero test over all the points at once finds the point
+    that sign_of finds one point at a time, NaN and bound shortcut
+    included."""
+
+    ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(
+        [0.0, -0.0, 1e-300, -3e-14, 1e-15, math.nan, math.inf, 5e-324]), st.floats())
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.integers(1, 12), st.integers(1, 3), st.data())
+    def test_agrees_with_sign_of_point_by_point(self, det, m, k, data):
+        values = data.draw(st.lists(self.ENTRIES, min_size=m, max_size=m))
+        rows = data.draw(st.lists(st.lists(self.ENTRIES, min_size=m, max_size=m),
+                                  min_size=k, max_size=k + 1))
+        bounds = data.draw(st.lists(st.floats(0.0, 1e3), min_size=k, max_size=k))
+        assert _zero_tested(det, values, bounds, rows) == \
+            reference_zero_tested(det, values, bounds, rows)
+
+    def test_nan_first_in_a_row_does_not_hide_a_larger_entry(self):
+        # max() over the row keeps a NaN that comes first, so the bound
+        # cannot stand for that row; the point of scale 1e10 is zero.
+        rows = [[math.nan, 1e10]]
+        assert _zero_tested(1.0, [1.0, 1e-7], [1.0], rows) == 1
+        assert reference_zero_tested(1.0, [1.0, 1e-7], [1.0], rows) == 1
+
+    def test_empty(self):
+        assert _zero_tested(1.0, [], [1.0, 1.0], [[], []]) is None
+
+
 class PointByPoint:
-    """A target without bulk evaluation: its ``_eval`` raises, so the
+    """A target without bulk evaluation: its ``values`` raises, so the
     pointwise routes take their loops, one point at a time."""
 
     def __init__(self, f):
@@ -963,7 +1002,7 @@ class PointByPoint:
     def __call__(self, x):
         return self.f(x)
 
-    def _eval(self, x):
+    def values(self, xs):
         raise RuntimeError("no bulk evaluation")
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebconvex import (ArgumentError, CallableSource, ExpressionSource,
-                        Interval, NearSingularError, classical_dd,
+from chebconvex import (ArgumentError, CallableSource, DomainError, ExpressionSource,
+                        Interval, NearSingularError, TableSource, classical_dd,
                         exponential_system, gdd, polynomial_system,
                         recurrence_identity_residual, v_det)
 
@@ -119,6 +119,26 @@ class TestGdd:
     def test_wrong_arity(self):
         with pytest.raises(ArgumentError):
             gdd(polynomial_system(3), (0.0, 1.0), F_CUBE)
+
+
+class TestOverflow:
+    """A divided difference of finite values that overflows is an error
+    naming its points, not a result."""
+
+    T3 = TableSource([0.0, 1.0], [-1.7e308, 1.7e308])
+
+    def test_gdd(self):
+        with pytest.raises(DomainError, match=r"^divided difference inf at \(0\.0, 1\.0\) "
+                                              r"is not finite$"):
+            gdd(polynomial_system(2), (0.0, 1.0), self.T3)
+
+    def test_classical(self):
+        with pytest.raises(DomainError, match=r"^divided difference inf at \(0\.0, 1\.0\) "
+                                              r"is not finite$"):
+            classical_dd((0.0, 1.0), self.T3)
+        # Both first differences are inf, and inf - inf is NaN.
+        with pytest.raises(DomainError, match=r"^divided difference nan at \(0\.0, 0\.5, 1\.0\) "):
+            classical_dd((0.0, 0.5, 1.0), TableSource([0.0, 0.5, 1.0], [-1e308, 0.0, 1e308]))
 
 
 class TestRecurrenceIdentity:

@@ -1,3 +1,4 @@
+import bisect
 import io
 import math
 import re
@@ -10,6 +11,105 @@ from chebconvex import (ArgumentError, BasisFunction, CallableSource,
                         ChebConvexError, DomainError, ExpressionSource, ResolutionError, SourceEvalError,
                         TableFormatError, TableSource, load_table,
                         parse_function)
+from chebconvex.functions import FORMS, TABLE_SNAP_FACTOR
+
+
+def _horner(x, coeffs):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+#: Each closed form at one point, as an expression in x: the reference that
+#: the forms' evaluators over sequences of points must match bit for bit.
+POINTWISE_FORMS = {
+    "monomial": lambda p: lambda x, k=int(p[0]): x ** k,
+    "negmonomial": lambda p: lambda x, k=int(p[0]): -(x ** k),
+    "exp": lambda p: lambda x, a=p[0]: math.exp(a * x),
+    "cos": lambda p: math.cos,
+    "sin": lambda p: math.sin,
+    "const": lambda p: lambda x, c=p[0]: c,
+    "poly": lambda p: lambda x: _horner(x, p),
+}
+
+#: Points where float operations differ most: signed zeros, subnormals,
+#: the largest floats, infinities and NaN, among ordinary ones.
+EDGE_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1.0, -1.0, 1e100, -1e100, 1e154, -1e300, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(-3.0, 3.0), st.floats())
+
+FORM_PARAMS = st.one_of(
+    st.tuples(st.sampled_from(["monomial", "negmonomial"]), st.integers(0, 8).map(lambda k: (k,))),
+    st.tuples(st.just("exp"), st.tuples(st.one_of(st.floats(-800.0, 800.0),
+                                                  st.floats(allow_nan=False, allow_infinity=False)))),
+    st.tuples(st.sampled_from(["cos", "sin"]), st.just(())),
+    st.tuples(st.just("const"), st.tuples(st.floats(allow_nan=False, allow_infinity=False))),
+    st.tuples(st.just("poly"),
+              st.lists(st.floats(-1e10, 1e10), min_size=1, max_size=5).map(tuple)),
+)
+
+
+def hexes(evaluate):
+    """The float.hex of every value ``evaluate()`` gives, so that -0.0 and
+    NaN count, or the type and message of what it raises."""
+    try:
+        return [v.hex() if isinstance(v, float) else repr(v) for v in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFormEvaluators:
+    """Each form's one evaluator over a sequence of points gives, bit for
+    bit, what its expression gives at each point alone, and raises what the
+    first failing point raises."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(FORM_PARAMS, st.lists(EDGE_POINTS, max_size=10))
+    def test_equals_the_expression_at_each_point(self, form_params, xs):
+        form, params = form_params
+        params = tuple(map(float, params))
+        reference = POINTWISE_FORMS[form](params)
+        assert hexes(lambda: FORMS[form][1](params)(xs)) == \
+            hexes(lambda: [reference(x) for x in xs])
+
+    def test_every_form_is_covered(self):
+        assert set(POINTWISE_FORMS) == set(FORMS)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_powers_keep_signed_zeros_subnormals_and_overflow(self, k):
+        xs = [-0.0, 0.0, 5e-324, -5e-324, -1.5, 1e154, -1e300]
+        for form in ("monomial", "negmonomial"):
+            reference = POINTWISE_FORMS[form]((k,))
+            assert hexes(lambda: FORMS[form][1]((k,))(xs)) == \
+                hexes(lambda: [reference(x) for x in xs])
+
+    @settings(max_examples=200, deadline=None)
+    @given(FORM_PARAMS.filter(lambda fp: fp[0] != "poly"), EDGE_POINTS)
+    def test_one_point_paths(self, form_params, x):
+        """A basis function and a target at one point: the evaluator over
+        that one point, with each one's error for an overflow."""
+        form, params = form_params
+        reference = POINTWISE_FORMS[form](tuple(map(float, params)))
+        try:
+            want = reference(x)
+        except OverflowError:
+            with pytest.raises(DomainError, match=f"overflowed at x={re.escape(repr(x))}$"):
+                BasisFunction(form, *params)(x)
+            with pytest.raises(SourceEvalError, match=f"failed at x={re.escape(repr(x))}$"):
+                ExpressionSource(form, params)(x)
+            return
+        except ValueError as exc:  # cos and sin of an infinity
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                BasisFunction(form, *params)(x)
+            with pytest.raises(SourceEvalError, match=f"failed at x={re.escape(repr(x))}$"):
+                ExpressionSource(form, params)(x)
+            return
+        assert hexes(lambda: [BasisFunction(form, *params)(x)]) == hexes(lambda: [want])
+        if math.isfinite(want):
+            assert hexes(lambda: [ExpressionSource(form, params)(x)]) == hexes(lambda: [want])
 
 
 class TestExpressionSource:
@@ -144,6 +244,70 @@ class TestTableSource:
         f = load_table(text)
         for x, y in rows:
             assert f(float(x)) == y
+
+
+def reference_table_eval(f, x):
+    """A table's value at one point as its rows define it: the row within
+    the snapping window of x, the left one tested first, else the line
+    between the neighbouring rows."""
+    i = bisect.bisect_left(f.xs, x)
+    snap = TABLE_SNAP_FACTOR * (f.xs[-1] - f.xs[0] if len(f.xs) > 1 else max(abs(f.xs[0]), 1.0))
+    for j in (i - 1, i):
+        if 0 <= j < len(f.xs) and abs(f.xs[j] - x) <= snap:
+            return f.ys[j]
+    if f.interpolation == "none":
+        raise ResolutionError(f"x={x!r} is not a table abscissa and interpolation is off")
+    if x < f.xs[0] or x > f.xs[-1]:
+        raise DomainError(f"x={x!r} outside table range [{f.xs[0]:g}, {f.xs[-1]:g}]")
+    x0, x1, y0, y1 = f.xs[i - 1], f.xs[i], f.ys[i - 1], f.ys[i]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+TABLES = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=30, unique=True).flatmap(
+    lambda xs: st.tuples(st.just(sorted(xs)),
+                         st.lists(st.floats(allow_nan=False), min_size=len(xs), max_size=len(xs)),
+                         st.sampled_from(["none", "linear"])))
+
+
+class TestTableValues:
+    """A table's ``values`` over a sequence of points is its ``_eval`` at
+    each point, and the reference, bit for bit, with the first failing
+    point's error."""
+
+    def check(self, f, xs):
+        want = hexes(lambda: [reference_table_eval(f, x) for x in xs])
+        assert hexes(lambda: f.values(xs)) == want
+        assert hexes(lambda: [f._eval(x) for x in xs]) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(TABLES, st.data())
+    def test_exact_hits(self, table, data):
+        xs, ys, interpolation = table
+        f = TableSource(xs, ys, interpolation)
+        self.check(f, data.draw(st.lists(st.sampled_from(xs), min_size=1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(TABLES, st.lists(st.one_of(st.floats(-120.0, 120.0), st.sampled_from([-0.0, 0.0])),
+                            max_size=20), st.booleans())
+    def test_off_grid_points(self, table, points, start_on_a_row):
+        xs, ys, interpolation = table
+        f = TableSource(xs, ys, interpolation)
+        self.check(f, ([xs[0]] if start_on_a_row else []) + points)
+
+    @pytest.mark.parametrize("interpolation", ["none", "linear"])
+    def test_adjacent_abscissae_within_the_snap(self, interpolation):
+        # The span is 2, so rows closer than 2e-12 snap to the one on the left.
+        f = TableSource([0.0, 1e-13, 1.0, 1.0 + 1e-12, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+                        interpolation)
+        xs = [0.0, 1e-13, 1.0, 1.0 + 1e-12, 2.0, 1.0 + 5e-13]
+        assert f.values(xs) == [1.0, 1.0, 3.0, 3.0, 5.0, 3.0]
+        self.check(f, xs)
+        self.check(f, xs[::-1])
+
+    def test_span_past_the_largest_float(self):
+        # The snapping window is infinite: every point snaps to a row.
+        f = TableSource([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0])
+        self.check(f, [0.0, 1e308, -1e308, 5.0, -math.inf, math.inf])
 
 
 class TestParseFunction:

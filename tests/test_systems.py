@@ -160,6 +160,18 @@ class TestEvaluateGrid:
         assert outcome(lambda: system.evaluate_grid(xs)) == \
             outcome(lambda: [system.evaluate_basis(x) for x in xs])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(BASIS_FUNCTIONS, min_size=1, max_size=5), INTERVALS,
+           st.lists(st.one_of(st.floats(-1.5, 1.5), st.floats()), max_size=12))
+    def test_rows_are_the_columns_transposed(self, basis, interval, xs):
+        system = ChebyshevSystem(tuple(basis), interval)
+
+        def point_by_point():
+            cols = [system.evaluate_basis(x) for x in xs]
+            return list(zip(*cols)) if cols else [()] * system.n
+
+        assert outcome(lambda: system.evaluate_rows(xs)) == outcome(point_by_point)
+
     def test_every_form_bit_for_bit(self):
         system = ChebyshevSystem((BasisFunction("monomial", 3), BasisFunction("negmonomial", 2),
                                   BasisFunction("exp", -1.5), BasisFunction("cos"),
@@ -176,6 +188,17 @@ class TestEvaluateGrid:
         with pytest.raises(DomainError) as per_point:
             [system.evaluate_basis(x) for x in xs]
         assert str(per_point.value) == "basis exp(800x) overflowed at x=0.9000000000000001"
+        with pytest.raises(DomainError) as bulk:
+            system.evaluate_grid(xs)
+        assert str(bulk.value) == str(per_point.value)
+
+    @pytest.mark.parametrize("kind, name", [("monomial", "x^3"), ("negmonomial", "-x^3")])
+    def test_power_overflow_names_the_first_failing_point(self, kind, name):
+        system = ChebyshevSystem(tuple(BasisFunction(kind, k) for k in (0, 1, 3)))
+        xs = [-2.0, 1e100, 1e103, -1e200]
+        with pytest.raises(DomainError) as per_point:
+            [system.evaluate_basis(x) for x in xs]
+        assert str(per_point.value) == f"basis {name} overflowed at x=1e+103"
         with pytest.raises(DomainError) as bulk:
             system.evaluate_grid(xs)
         assert str(bulk.value) == str(per_point.value)

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 tools/answers.py [--src PATH] [--seeds 1,2,3] [--rounds 4]
+    python3 tools/answers.py [--src PATH] [--seeds 1,2,3] [--rounds 4] [--per-template]
 
 It generates the requests of every workload in ``bench/workloads.py``, for
 each seed and rounds 0 to ``--rounds`` - 1, sends each one in-process
@@ -11,7 +11,10 @@ this checkout's ``src``), and prints the number of requests and one SHA-256
 over (template, exit code, stdout, stderr) of each, in order. Two trees give
 the same line exactly when every answer is the same byte for byte; to check
 a change against its parent, point ``--src`` at the ``src`` of a
-``git archive`` of the parent.
+``git archive`` of the parent. With ``--per-template``, a line for each
+template comes first: its number of requests and the SHA-256 of its own
+answers, then its name. Two trees' outputs then differ on the lines of the
+templates whose answers differ, so ``diff`` of the two names them.
 
 ``bench/`` is only read: no bytecode is written, and table files go to a
 temporary directory that is removed afterwards. Its path is replaced by a
@@ -33,13 +36,16 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def digest(src: str, seeds: list[int], rounds: int) -> tuple[int, str]:
-    """The number of requests and the SHA-256 of their answers."""
+def digest(src: str, seeds: list[int], rounds: int
+           ) -> tuple[int, str, dict[str, tuple[int, str]]]:
+    """The number of requests and the SHA-256 of their answers, and the
+    same two for each template, by template name."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "bench")]
     cli = importlib.import_module("chebconvex.cli")
     workloads = importlib.import_module("workloads")
     sha, count = hashlib.sha256(), 0
+    templates: dict[str, list] = {}  # template -> [requests, SHA-256]
     with tempfile.TemporaryDirectory(prefix="answers-") as workdir:
         for name in workloads.WORKLOADS:
             for seed in seeds:
@@ -52,11 +58,14 @@ def digest(src: str, seeds: list[int], rounds: int) -> tuple[int, str]:
                                 code = str(cli.main(list(request.argv), out))
                             except Exception as exc:  # an escaped error is an answer too
                                 code = f"raised {type(exc).__name__}: {exc}"
+                        own = templates.setdefault(request.template, [0, hashlib.sha256()])
                         for part in (request.template, code, out.getvalue(), err.getvalue()):
                             data = part.replace(workdir, "<workdir>").encode()
                             sha.update(b"%d:" % len(data) + data)
+                            own[1].update(b"%d:" % len(data) + data)
+                        own[0] += 1
                         count += 1
-    return count, sha.hexdigest()
+    return count, sha.hexdigest(), {t: (c, h.hexdigest()) for t, (c, h) in templates.items()}
 
 
 def main(argv=None) -> int:
@@ -65,10 +74,16 @@ def main(argv=None) -> int:
                         help="directory holding the chebconvex package")
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated benchmark seeds")
     parser.add_argument("--rounds", type=int, default=4, help="rounds per workload and seed")
+    parser.add_argument("--per-template", action="store_true",
+                        help="first print one digest line per template")
     args = parser.parse_args(argv)
     if not os.path.isdir(os.path.join(args.src, "chebconvex")):
         parser.error(f"no chebconvex package under {args.src}")
-    count, hexdigest = digest(args.src, [int(s) for s in args.seeds.split(",")], args.rounds)
+    count, hexdigest, templates = digest(args.src, [int(s) for s in args.seeds.split(",")],
+                                         args.rounds)
+    if args.per_template:
+        for template, (n, hexdigest_of) in templates.items():
+            print(f"{n} answers sha256 {hexdigest_of}  {template}")
     print(f"{count} answers sha256 {hexdigest}")
     return 0
 
