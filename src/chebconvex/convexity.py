@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import add, gt, le, mul, not_, or_, sub, truediv
+from operator import add, le, mul, not_, or_, sub, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
 from .determinants import (TAU_FACTOR, Windows, check_points, exact_sign,
@@ -226,9 +226,8 @@ def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
     regions, abscissae, f values and basis rows (``rows[i]`` holds basis
     function i at every point). The route runs once over all the points,
     evaluated in bulk: the rows come from ``cols``, the basis columns at the
-    grid, or else from :meth:`ChebyshevSystem.evaluate_rows`, and f from its
-    ``values`` (:meth:`FunctionSource.values`), past its per-point checks; a
-    plain callable is mapped over the points.
+    grid, or else from :meth:`ChebyshevSystem.evaluate_rows`, and f from
+    :func:`function_row`.
 
     When an evaluation raises, an f value is not finite, or the route
     raises, it runs once per point in grid order instead, on f from
@@ -238,14 +237,12 @@ def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
     js, regions = walk
     xs = list(map(grid.__getitem__, js))
     try:
-        values = getattr(f, "values", None)
-        fvals = list(map(f, xs) if values is None else values(xs))
-        if all(map(math.isfinite, fvals)):
-            if cols is None:
-                rows = system.evaluate_rows(xs)
-            else:
-                rows = list(zip(*map(cols.__getitem__, js))) or [()] * system.n
-            return route(js, regions, xs, fvals, rows)
+        fvals = function_row(f, xs)
+        if cols is None:
+            rows = system.evaluate_rows(xs)
+        else:
+            rows = list(zip(*map(cols.__getitem__, js))) or [()] * system.n
+        return route(js, regions, xs, fvals, rows)
     except Exception:  # raised again below, at its point
         pass
     items = []
@@ -264,23 +261,11 @@ def _zero_tested(det: float, values: Iterable[float], bounds: Sequence[float],
     abs(rows[i][j]))``, multiplied in order, as ``math.prod`` does at one
     point. The test is sign_of's, mapped over the points: a product that
     is 0, or whose magnitude is at most ``TAU_FACTOR`` times the scale; a
-    NaN product passes.
-
-    Rounded products of nonnegative factors grow with each factor, so no
-    scale exceeds the one from each row's largest magnitude (unless that
-    is NaN, which ``max`` keeps only when it comes first). A product above
-    that bound passes, and the scales of the points are formed only when
-    some product does not clear it."""
+    NaN product passes."""
     products = [*map(mul, repeat(det), values)]
-    tops = [max(map(abs, row), default=0.0) for row in rows[:len(bounds)]]
-    if not any(map(math.isnan, tops)):
-        bound = TAU_FACTOR * math.prod(map(max, bounds, tops))
-        if all(map(gt, map(abs, products), repeat(bound))):
-            return None
-    absrows = [[*map(abs, row)] for row in rows]
-    scales = [*map(max, repeat(bounds[0]), absrows[0])]
-    for bound, row in zip(bounds[1:], absrows[1:]):
-        scales = map(mul, scales, map(max, repeat(bound), row))
+    scales = [*map(max, repeat(bounds[0]), map(abs, rows[0]))]
+    for bound, row in zip(bounds[1:], rows[1:]):
+        scales = map(mul, scales, map(max, repeat(bound), map(abs, row)))
     zero = [*map(or_, map(not_, products),
                  map(le, map(abs, products), map(mul, repeat(TAU_FACTOR), scales)))]
     return zero.index(True) if True in zero else None

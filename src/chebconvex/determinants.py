@@ -102,6 +102,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import (ArgumentError, DegenerateInputError, DomainError,
                      NearSingularError, ResolutionError, SourceEvalError)
+from .functions import FunctionSource
 
 # For annotations only: systems imports this module at run time.
 if TYPE_CHECKING: from .systems import ChebyshevSystem  # noqa: E701
@@ -518,14 +519,14 @@ def function_row(f, pts: Sequence[float]) -> list[float]:
     target. An exception from f, or a value that is not finite, raises
     :class:`SourceEvalError` naming the failing point, with the exception
     as its cause. The errors that sources raise themselves pass through,
-    as :meth:`FunctionSource.__call__` lets them. A source's ``values``
-    evaluates all the points at once; when that raises or gives a value
-    that is not finite, the points go to f one at a time, so that the
-    first failing point raises its error."""
-    bulk = getattr(f, "values", None)
-    if bulk is not None:
+    as :meth:`FunctionSource.__call__` lets them. A
+    :class:`FunctionSource` evaluates all the points at once, through its
+    ``values``; when that raises or gives a value that is not finite, the
+    points go to f one at a time, so that the first failing point raises
+    its error."""
+    if isinstance(f, FunctionSource):
         try:
-            row = [*map(float, bulk(pts))]
+            row = [*map(float, f.values(pts))]
             if all(map(math.isfinite, row)):
                 return row
         except Exception:  # raised again below, at its point

@@ -93,7 +93,7 @@ def _negated_powers(k: int, xs: Sequence[float]) -> Iterator[float]:
 
 
 def _exponentials(a: float, xs: Sequence[float]) -> Iterator[float]:
-    return map(math.exp, map(a.__mul__, xs))
+    return map(math.exp, map(partial(operator.mul, a), xs))
 
 
 def _constants(c: float, xs: Sequence[float]) -> Iterator[float]:
@@ -101,11 +101,13 @@ def _constants(c: float, xs: Sequence[float]) -> Iterator[float]:
 
 
 def _horner(coeffs: tuple[float, ...], xs: Sequence[float]) -> Iterator[float]:
-    """``acc * x + c`` for the coefficients from the highest, from acc = 0.0."""
-    acc = repeat(0.0, len(xs))
+    """``acc * x + c`` for the coefficients from the highest, from acc = 0.0.
+    Each level is a list, so the depth of the maps does not grow with the
+    number of coefficients."""
+    acc = [0.0] * len(xs)
     for c in reversed(coeffs):
-        acc = map(operator.add, map(operator.mul, acc, xs), repeat(c))
-    return acc
+        acc = [*map(operator.add, map(operator.mul, acc, xs), repeat(c))]
+    return iter(acc)
 
 
 #: The forms a basis function may take.

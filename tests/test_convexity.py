@@ -1,8 +1,10 @@
 import bisect
+import contextlib
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         ChebyshevSystem, DegenerateInputError, DomainError,
                         ExpressionSource, Interval,
-                        NearSingularError, PreconditionError, SourceEvalError,
+                        NearSingularError, OmegaCombination, PreconditionError,
+                        SourceEvalError,
                         TableSource, build_support, certify_corollary1,
                         certify_theorem_a, classical_dd, constrained_interpolate,
                         cosine_sine_system, d_det, exponential_system, gdd,
@@ -965,8 +968,7 @@ def reference_zero_tested(det, values, bounds, rows):
 
 class TestZeroTestOverPoints:
     """Theorem 2's zero test over all the points at once finds the point
-    that sign_of finds one point at a time, NaN and bound shortcut
-    included."""
+    that sign_of finds one point at a time, NaN included."""
 
     ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(
         [0.0, -0.0, 1e-300, -3e-14, 1e-15, math.nan, math.inf, 5e-324]), st.floats())
@@ -982,8 +984,8 @@ class TestZeroTestOverPoints:
             reference_zero_tested(det, values, bounds, rows)
 
     def test_nan_first_in_a_row_does_not_hide_a_larger_entry(self):
-        # max() over the row keeps a NaN that comes first, so the bound
-        # cannot stand for that row; the point of scale 1e10 is zero.
+        # The NaN entry gives its point a NaN scale, which passes; the
+        # point of scale 1e10 is zero.
         rows = [[math.nan, 1e10]]
         assert _zero_tested(1.0, [1.0, 1e-7], [1.0], rows) == 1
         assert reference_zero_tested(1.0, [1.0, 1e-7], [1.0], rows) == 1
@@ -992,18 +994,20 @@ class TestZeroTestOverPoints:
         assert _zero_tested(1.0, [], [1.0, 1.0], [[], []]) is None
 
 
-class PointByPoint:
-    """A target without bulk evaluation: its ``values`` raises, so the
-    pointwise routes take their loops, one point at a time."""
+@contextlib.contextmanager
+def point_by_point():
+    """The pointwise routes one point at a time: a combination over more
+    than one point raises, so ``walk_values`` takes its loop, and evaluates
+    the target and the basis at each point alone."""
+    at_rows = OmegaCombination.at_rows
 
-    def __init__(self, f):
-        self.f = f
+    def one_point(self, rows, xs):
+        if len(xs) > 1:
+            raise RuntimeError("no bulk evaluation")
+        return at_rows(self, rows, xs)
 
-    def __call__(self, x):
-        return self.f(x)
-
-    def values(self, xs):
-        raise RuntimeError("no bulk evaluation")
+    with mock.patch.object(OmegaCombination, "at_rows", one_point):
+        yield
 
 
 class TestBulkAndPointPaths:
@@ -1030,7 +1034,8 @@ class TestBulkAndPointPaths:
     def test_theorem2(self, system, f, data):
         grid, knots = self.grid_and_knots(data, system, f)
         bulk = scan_theorem2(system, f, knots, grid)
-        assert repr(bulk) == repr(scan_theorem2(system, PointByPoint(f), knots, grid))
+        with point_by_point():
+            assert repr(bulk) == repr(scan_theorem2(system, f, knots, grid))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SYSTEMS), st.sampled_from(TARGETS), st.data())
@@ -1039,25 +1044,26 @@ class TestBulkAndPointPaths:
         nodes = sorted(set(knots) | {grid[1]})
         assume(len(nodes) == system.n)
 
-        def outcome(target):
+        def outcome():
             # grid[1] may lie closer to a knot than the minimum separation,
             # which both paths reject with the same error.
             try:
-                return repr(verify_definition(system, target, nodes, grid))
+                return repr(verify_definition(system, f, nodes, grid))
             except DegenerateInputError as exc:
                 return repr(exc)
 
-        assert outcome(f) == outcome(PointByPoint(f))
+        bulk = outcome()
+        with point_by_point():
+            assert bulk == outcome()
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SYSTEMS), st.sampled_from(TARGETS), st.data(),
            st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
     def test_sign_pattern(self, system, f, data, coefficients):
-        from chebconvex import OmegaCombination
         from chebconvex.support import verify_sign_pattern
         grid, knots = self.grid_and_knots(data, system, f)
         omega = OmegaCombination(system, tuple(coefficients[:system.n]))
         cols = system.evaluate_grid(grid)
         bulk = verify_sign_pattern(system, f, omega, knots, grid, cols)
-        assert repr(bulk) == repr(verify_sign_pattern(system, PointByPoint(f), omega, knots,
-                                                      grid, cols))
+        with point_by_point():
+            assert repr(bulk) == repr(verify_sign_pattern(system, f, omega, knots, grid, cols))

@@ -2,6 +2,7 @@ import bisect
 import io
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,28 @@ class TestFormEvaluators:
         assert hexes(lambda: [BasisFunction(form, *params)(x)]) == hexes(lambda: [want])
         if math.isfinite(want):
             assert hexes(lambda: [ExpressionSource(form, params)(x)]) == hexes(lambda: [want])
+
+    @pytest.mark.parametrize("form, params", [("monomial", (3,)), ("negmonomial", (2,)),
+                                              ("exp", (2,)), ("cos", ()), ("sin", ()),
+                                              ("const", (1.5,)), ("poly", (1, -2, 0.5))])
+    def test_a_point_that_is_not_a_float(self, form, params):
+        """A Fraction point gives what the expression gives there: ``a * x``
+        falls back to the Fraction's reflected product."""
+        x = Fraction(1, 2)
+        want = hexes(lambda: [POINTWISE_FORMS[form](tuple(map(float, params)))(x)])
+        assert hexes(lambda: [ExpressionSource(form, params)(x)]) == want
+        if form != "poly":
+            assert hexes(lambda: [BasisFunction(form, *params)(x)]) == want
+
+    def test_a_long_poly(self):
+        """100,000 coefficients: Horner's rule keeps the bits of the
+        per-point loop, and its depth does not grow with the count."""
+        coeffs = tuple((-1.0) ** i / (i + 1) for i in range(100_000))
+        xs = [-1.0, -0.5, 0.0, 0.999, 1.0]
+        f = ExpressionSource("poly", coeffs)
+        want = hexes(lambda: [_horner(x, coeffs) for x in xs])
+        assert hexes(lambda: f.values(xs)) == want
+        assert hexes(lambda: [f(x) for x in xs]) == want
 
 
 class TestExpressionSource:

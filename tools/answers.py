@@ -2,19 +2,19 @@
 
 Usage (from the repository root)::
 
-    python3 tools/answers.py [--src PATH] [--seeds 1,2,3] [--rounds 4] [--per-template]
+    python3 tools/answers.py [--src PATH] [--seeds 1,2,3] [--rounds 4]
 
 It generates the requests of every workload in ``bench/workloads.py``, for
 each seed and rounds 0 to ``--rounds`` - 1, sends each one in-process
 through ``chebconvex.cli.main`` of the package under ``--src`` (default:
-this checkout's ``src``), and prints the number of requests and one SHA-256
-over (template, exit code, stdout, stderr) of each, in order. Two trees give
-the same line exactly when every answer is the same byte for byte; to check
+this checkout's ``src``), and prints, last, the number of requests and one
+SHA-256 over (template, exit code, stdout, stderr) of each, in order. Two
+trees give the same last line exactly when every answer is the same byte
+for byte; to check
 a change against its parent, point ``--src`` at the ``src`` of a
-``git archive`` of the parent. With ``--per-template``, a line for each
-template comes first: its number of requests and the SHA-256 of its own
-answers, then its name. Two trees' outputs then differ on the lines of the
-templates whose answers differ, so ``diff`` of the two names them.
+``git archive`` of the parent. A line for each template comes first: its
+number of requests and the SHA-256 of its own answers, then its name, so
+``diff`` of two trees' outputs names the templates whose answers differ.
 
 ``bench/`` is only read: no bytecode is written, and table files go to a
 temporary directory that is removed afterwards. Its path is replaced by a
@@ -74,16 +74,13 @@ def main(argv=None) -> int:
                         help="directory holding the chebconvex package")
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated benchmark seeds")
     parser.add_argument("--rounds", type=int, default=4, help="rounds per workload and seed")
-    parser.add_argument("--per-template", action="store_true",
-                        help="first print one digest line per template")
     args = parser.parse_args(argv)
     if not os.path.isdir(os.path.join(args.src, "chebconvex")):
         parser.error(f"no chebconvex package under {args.src}")
     count, hexdigest, templates = digest(args.src, [int(s) for s in args.seeds.split(",")],
                                          args.rounds)
-    if args.per_template:
-        for template, (n, hexdigest_of) in templates.items():
-            print(f"{n} answers sha256 {hexdigest_of}  {template}")
+    for template, (n, hexdigest_of) in templates.items():
+        print(f"{n} answers sha256 {hexdigest_of}  {template}")
     print(f"{count} answers sha256 {hexdigest}")
     return 0
 
