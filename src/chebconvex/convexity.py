@@ -117,22 +117,22 @@ def require_positive(system: ChebyshevSystem, grid: Sequence[float],
 
 
 def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
-                           ) -> Optional[tuple[str, list[tuple[float, float]]]]:
-    """The common nonzero sign of the bordered windows of n+1 points and
-    their :func:`minor_scan` minors, in order, when Fekete's criterion gives
-    every bordered (n+1)-tuple that sign, else None. The criterion holds
-    when the basis windows of every order k <= n keep one nonzero sign
-    (``windows``, over the first n entries of ``bordered``) and every
-    bordered window has one sign: by :func:`sign_of`, or, where the zero
-    test leaves it "0", by the :func:`exact_sign` of its evaluated floats.
-    A window with a NaN minor, a non-finite entry or an exactly singular
-    one has no sign."""
+                           ) -> Optional[tuple[str, list, list]]:
+    """The common nonzero sign of the bordered windows of n+1 points, their
+    index tuples and their :func:`minor_scan` minors, in order, when
+    Fekete's criterion gives every bordered (n+1)-tuple that sign, else
+    None. The criterion holds when the basis windows of every order k <= n
+    keep one nonzero sign (``windows``, over the first n entries of
+    ``bordered``) and every bordered window has one sign: by
+    :func:`sign_of`, or, where the zero test leaves it "0", by the
+    :func:`exact_sign` of its evaluated floats. A window with a NaN minor,
+    a non-finite entry or an exactly singular one has no sign."""
     if not windows.keep_sign():
         return None
     k = windows.n + 1
+    tuples = ordered_index_tuples(len(bordered), k, windows_only=True)
     common, minors = None, []
-    for i, minor in enumerate(minor_scan(bordered, ordered_index_tuples(
-            len(bordered), k, windows_only=True))):
+    for i, minor in enumerate(minor_scan(bordered, tuples)):
         sign = sign_of(*minor)
         if sign == "0":
             sign = {1: "+", -1: "-"}.get(exact_sign(bordered[i:i + k]))
@@ -140,26 +140,21 @@ def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
             return None
         common = sign
         minors.append(minor)
-    return common, minors
+    return common, tuples, minors
 
 
 def _windows_route(bordered: Sequence[Sequence[float]], windows: Windows,
-                   certificate: Callable[[list, list], ConvexityCertificate],
-                   known: dict) -> Optional[ConvexityCertificate]:
+                   certificate: Callable[[list, list], ConvexityCertificate]
+                   ) -> Optional[ConvexityCertificate]:
     """``certificate(tuples, minors)`` of the bordered windows of n+1 points
     alone, given their minors, when it decides the scan, else None. It
     decides when the windows' common sign (:func:`bordered_window_minors`)
     is "+", so every tuple certifies, or "-" and the worst window violates,
-    so that the verdict rests on a checked tuple that clears its band. When
-    the windows have a common sign, their minors also go into ``known``, by
-    window index tuple: a sample the route turns down holds the windows,
-    and reads their minors there."""
+    so that the verdict rests on a checked tuple that clears its band."""
     decided = bordered_window_minors(bordered, windows)
     if decided is None:
         return None
-    sign, minors = decided
-    tuples = ordered_index_tuples(len(bordered), windows.n + 1, windows_only=True)
-    known.update(zip(tuples, minors))
+    sign, tuples, minors = decided
     cert = certificate(tuples, minors)
     return cert if sign == "+" or cert.min_value == cert.witness_value else None
 
@@ -219,15 +214,13 @@ def sign_walk(nodes: Sequence[float], grid: Sequence[float],
 
 
 def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
-                walk: tuple[list[int], list[int]], route: Callable[..., list],
-                cols: Optional[Sequence[Sequence[float]]] = None) -> list:
+                walk: tuple[list[int], list[int]], route: Callable[..., list]) -> list:
     """The items of a pointwise route at the :func:`sign_walk` points
     ``walk``: ``route(js, regions, xs, fvals, rows)`` of their grid indices,
     regions, abscissae, f values and basis rows (``rows[i]`` holds basis
     function i at every point). The route runs once over all the points,
-    evaluated in bulk: the rows come from ``cols``, the basis columns at the
-    grid, or else from :meth:`ChebyshevSystem.evaluate_rows`, and f from
-    :func:`function_row`.
+    evaluated in bulk: the rows by :meth:`ChebyshevSystem.evaluate_rows`,
+    and f by :func:`function_row`.
 
     When an evaluation raises, an f value is not finite, or the route
     raises, it runs once per point in grid order instead, on f from
@@ -237,19 +230,13 @@ def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
     js, regions = walk
     xs = list(map(grid.__getitem__, js))
     try:
-        fvals = function_row(f, xs)
-        if cols is None:
-            rows = system.evaluate_rows(xs)
-        else:
-            rows = list(zip(*map(cols.__getitem__, js))) or [()] * system.n
-        return route(js, regions, xs, fvals, rows)
+        return route(js, regions, xs, function_row(f, xs), system.evaluate_rows(xs))
     except Exception:  # raised again below, at its point
         pass
     items = []
     for j, region, x in zip(js, regions, xs):
         fx = function_row(f, (x,))
-        col = system.evaluate_basis(x) if cols is None else cols[j]
-        items += route((j,), (region,), (x,), fx, list(zip(col)))
+        items += route((j,), (region,), (x,), fx, list(zip(system.evaluate_basis(x))))
     return items
 
 
@@ -337,16 +324,14 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
                   for t, (value, scale) in zip(tuples, minors))
         return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
 
-    known: dict[tuple[int, ...], tuple[float, float]] = {}
     tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
-        _windows_route, bordered, windows, certificate, known))
+        _windows_route, bordered, windows, certificate))
     if routed:
         return routed
     # The certificate does not depend on the order of the tuples, so they are
-    # scanned sorted, where neighbours share their elimination prefixes; the
-    # windows that a turned-down route computed are not computed again.
+    # scanned sorted, where neighbours share their elimination prefixes.
     tuples.sort()
-    return certificate(tuples, known_scan(bordered, tuples, known), coverage)
+    return certificate(tuples, minor_scan(bordered, tuples), coverage)
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
@@ -390,7 +375,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
 
     tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
         _windows_route, [c + (v,) for c, v in zip(cols, fvals)], windows,
-        lambda tuples, _: certificate(tuples), {}))
+        lambda tuples, _: certificate(tuples)))
     return routed or certificate(tuples, coverage)
 
 

@@ -100,9 +100,8 @@ from itertools import chain, compress, count, islice, repeat
 from operator import gt, le, lt, mul, ne, sub, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .errors import (ArgumentError, DegenerateInputError, DomainError,
-                     NearSingularError, ResolutionError, SourceEvalError)
-from .functions import FunctionSource
+from .errors import ArgumentError, DegenerateInputError, DomainError, NearSingularError
+from .functions import CallableSource, FunctionSource
 
 # For annotations only: systems imports this module at run time.
 if TYPE_CHECKING: from .systems import ChebyshevSystem  # noqa: E701
@@ -516,33 +515,23 @@ def check_points(system: ChebyshevSystem, pts: Sequence[float],
 
 def function_row(f, pts: Sequence[float]) -> list[float]:
     """f at each of ``pts``, in order: the one checked evaluation of a
-    target. An exception from f, or a value that is not finite, raises
-    :class:`SourceEvalError` naming the failing point, with the exception
-    as its cause. The errors that sources raise themselves pass through,
-    as :meth:`FunctionSource.__call__` lets them. A
-    :class:`FunctionSource` evaluates all the points at once, through its
-    ``values``; when that raises or gives a value that is not finite, the
-    points go to f one at a time, so that the first failing point raises
-    its error."""
-    if isinstance(f, FunctionSource):
-        try:
-            row = [*map(float, f.values(pts))]
-            if all(map(math.isfinite, row)):
-                return row
-        except Exception:  # raised again below, at its point
-            pass
-    values = []
-    for x in pts:
-        try:
-            value = float(f(x))
-        except (DomainError, ResolutionError, SourceEvalError):
-            raise
-        except Exception as exc:
-            raise SourceEvalError(f"target function failed at x={x!r}") from exc
-        if not math.isfinite(value):
-            raise SourceEvalError(f"target function returned {value!r} at x={x!r}")
-        values.append(value)
-    return values
+    target, a :class:`FunctionSource` or a plain callable, which is taken
+    as ``CallableSource(f, "target function")``. All the points are
+    evaluated at once, through the source's ``values``; when that raises or
+    gives a value that is not finite, the points go to
+    :meth:`FunctionSource.__call__` one at a time, so that the first
+    failing point raises its error: :class:`SourceEvalError` naming it,
+    with f's exception as its cause, or an error that the source raises
+    itself."""
+    if not isinstance(f, FunctionSource):
+        f = CallableSource(f, "target function")
+    try:
+        row = [*map(float, f.values(pts))]
+        if all(map(math.isfinite, row)):
+            return row
+    except Exception:  # raised again below, at its point
+        pass
+    return [*map(float, map(f, pts))]
 
 
 def v_det(system: ChebyshevSystem, pts: Sequence[float]) -> SignedValue:

@@ -93,7 +93,12 @@ def _negated_powers(k: int, xs: Sequence[float]) -> Iterator[float]:
 
 
 def _exponentials(a: float, xs: Sequence[float]) -> Iterator[float]:
-    return map(math.exp, map(partial(operator.mul, a), xs))
+    values = [*map(math.exp, map(partial(operator.mul, a), xs))]
+    # math.exp raises OverflowError for an exponent past about 709.8, but
+    # gives inf for one that overflowed to +inf itself: an overflow too.
+    if math.inf in values:
+        raise OverflowError("math range error")
+    return iter(values)
 
 
 def _constants(c: float, xs: Sequence[float]) -> Iterator[float]:

@@ -36,34 +36,25 @@ class OmegaCombination:
             raise ArgumentError("coefficient count must match the system order")
 
     def __call__(self, x: float) -> float:
-        return self.at_column([func(x) for func in self.system.basis], x)
-
-    def at_column(self, col: Sequence[float], x: float) -> float:
-        """The combination at the point ``x``, from the basis values ``col``
-        there. A value that is not finite, or a sum that overflows, raises
-        :class:`DomainError` naming x, as a basis function that overflows
-        there does."""
-        try:
-            value = math.fsum(map(mul, self.coefficients, col))
-        except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf - inf
-            value = math.nan
-        if not math.isfinite(value):
-            raise DomainError(f"combination {self.describe()} is not finite at x={x!r}")
-        return value
+        return self.at_rows([(func(x),) for func in self.system.basis], (x,))[0]
 
     def at_rows(self, rows: Sequence[Sequence[float]], xs: Sequence[float]) -> list[float]:
         """The combination at the points ``xs``, from ``rows[i]``, the values
-        of basis function i there: :meth:`at_column` at each point, bit for
-        bit, from the same products summed by the same ``fsum``, and with
-        its error at the first point where it raises one."""
+        of basis function i there: at each point, the ``fsum`` of the
+        coefficients times the basis values, in basis order. A value that
+        is not finite, or a sum that overflows, raises :class:`DomainError`
+        naming the first point where one does, as a basis function that
+        overflows there does."""
         scaled = [map(mul, repeat(c), row) for c, row in zip(self.coefficients, rows)]
-        try:
-            values = list(map(math.fsum, zip(*scaled)))
-            if all(map(math.isfinite, values)):
-                return values
-        except (OverflowError, ValueError):  # raised again below, at its point
-            pass
-        return [*map(self.at_column, zip(*rows), xs)]
+        values: list[float] = []
+        try:  # extend keeps the sums before one that raises
+            values.extend(map(math.fsum, zip(*scaled)))
+        except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf - inf
+            values.append(math.nan)
+        if not all(map(math.isfinite, values)):
+            x = next(x for x, v in zip(xs, values) if not math.isfinite(v))
+            raise DomainError(f"combination {self.describe()} is not finite at x={x!r}")
+        return values
 
     def describe(self) -> str:
         terms = [f"{c:g}*{func.describe()}"
@@ -80,7 +71,7 @@ def _check_node_residuals(omega: OmegaCombination, nodes: Sequence[float],
     # a NaN residual fails it too.
     for x, col, want in zip(nodes, cols, targets):
         scale = max(1.0, abs(want), sum(abs(t) for t in map(mul, omega.coefficients, col)))
-        if not abs(omega.at_column(col, x) - want) <= NODE_RESIDUAL_RTOL * scale:
+        if not abs(omega.at_rows(list(zip(col)), (x,))[0] - want) <= NODE_RESIDUAL_RTOL * scale:
             raise NearSingularError(
                 f"interpolation residual at node {x!r} exceeds "
                 f"{NODE_RESIDUAL_RTOL:g} of scale {scale:g}")

@@ -17,8 +17,9 @@ bordered windows share the sign "-" takes this route only when its worst
 window violates, so that the verdict rests on a checked tuple. Otherwise
 the windows followed by distinct seeded random tuples up to the budget
 ("sampled"): windows catch local sign changes of continuous determinants
-first. The random tuples are those of ``random.Random(seed).sample``,
-drawn from its ``getrandbits`` stream without the per-draw overhead.
+first. The random tuples are those of ``random.Random(seed).sample``:
+its own calls while it draws from a pool, and otherwise its redraws made
+on its ``getrandbits`` stream without the per-draw overhead.
 
 :func:`scan_tuples` returns the route's answer with the tuples, so each
 scan has one shape: a classification's route is
@@ -37,29 +38,21 @@ DEFAULT_BUDGET = 50_000
 DEFAULT_SEED = 0
 
 
-def _draws(getrandbits: Callable[[int], int], m: int,
-           k: int) -> Iterator[tuple[int, ...]]:
-    """``tuple(sorted(rng.sample(range(m), k)))`` for successive draws,
-    from ``rng.getrandbits`` directly: the same calls, so the same stream.
-    Like :meth:`random.Random.sample`, it draws from a pool of m indices
-    when that list is smaller than a set of k picks, and otherwise redraws
-    an index until it is new; :meth:`random.Random._randbelow` redraws
+def _draws(rng: random.Random, m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """``tuple(sorted(rng.sample(range(m), k)))`` for successive draws.
+    Where :meth:`random.Random.sample` draws from a pool of m indices (that
+    list is smaller than a set of k picks), it is called itself; where it
+    redraws an index until it is new, the same redraws are made here from
+    ``rng.getrandbits``: the same calls, so the same stream, without the
+    per-draw overhead. :meth:`random.Random._randbelow` redraws
     ``bit_length`` bits until they fall below the bound."""
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if m <= setsize:
-        sizes = [(m - i, (m - i).bit_length()) for i in range(k)]
         while True:
-            pool, picks = list(range(m)), []
-            for size, bits in sizes:
-                j = getrandbits(bits)
-                while j >= size:
-                    j = getrandbits(bits)
-                picks.append(pool[j])
-                pool[j] = pool[size - 1]
-            yield tuple(sorted(picks))
-    bits = m.bit_length()
+            yield tuple(sorted(rng.sample(range(m), k)))
+    getrandbits, bits = rng.getrandbits, m.bit_length()
     while True:
         picked: set[int] = set()
         while len(picked) < k:
@@ -86,7 +79,7 @@ def ordered_index_tuples(m: int, k: int, budget: int = DEFAULT_BUDGET,
     total = math.comb(m, k)
     if total <= budget:
         return list(itertools.combinations(range(m), k))
-    draws = _draws(random.Random(seed).getrandbits, m, k)
+    draws = _draws(random.Random(seed), m, k)
     seen = set(windows)
     out = list(windows)
     attempts = 0

@@ -157,12 +157,11 @@ def _nonincreasing(trace: Sequence[tuple[float, float]],
 
 
 def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
-                        knots, grid: Sequence[float], cols: Sequence[Sequence[float]],
+                        knots, grid: Sequence[float],
                         atol: float = DEFAULT_ATOL,
                         rtol: float = DEFAULT_RTOL) -> SignPatternReport:
     """Check the alternating sign pattern of f - omega across the knot-induced
-    subintervals; omega is combined from ``cols``, the basis columns at the
-    grid points.
+    subintervals.
 
     Segment k of n carries the requirement sign (-1)^(n-k+1) for k < n and
     +1 for the last (rightmost) segment; for n = 2 that means f - omega >= 0
@@ -181,7 +180,7 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
 
     values = walk_values(system, f, grid, walk,
                          lambda js, regions, xs, fvals, rows:
-                         list(zip(xs, fvals, omega.at_rows(rows, xs))), cols)
+                         list(zip(xs, fvals, omega.at_rows(rows, xs))))
     # Regions ascend along the walk, so each segment is one slice of it: the
     # points of region seg, and for the last segment those of region n.
     bounds = [bisect.bisect_left(walk[1], seg) for seg in range(n)] + [len(values)]
@@ -218,10 +217,8 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 2)
     check_grid_size(grid, n)
-    cols = system.evaluate_grid(grid)
-    require_positive(system, grid, cols, True)
+    require_positive(system, grid, system.evaluate_grid(grid), True)
     limit = estimate_cn(system, f, knots, atol=atol, rtol=rtol)
     omega = constrained_interpolate(system, knots, f, limit.estimate)
-    pattern = verify_sign_pattern(system, f, omega, knots, grid, cols,
-                                  atol=atol, rtol=rtol)
+    pattern = verify_sign_pattern(system, f, omega, knots, grid, atol=atol, rtol=rtol)
     return SupportResult(knots, omega, limit, pattern)

@@ -639,6 +639,14 @@ class TestExtremeMagnitudes:
          "error: theorem2: value -inf is not finite at x=-1.0\n"),
         (["dd", "--system", "poly:2", "--f", "table:{T3}", "--points", "0,1", "--classical"],
          "error: divided difference inf at (0.0, 1.0) is not finite\n"),
+        # 1e300 * x is +inf at each of these points, and math.exp(inf) is inf.
+        (["classify", "--system", "exp:1e300", "--grid", "2e8:1e10:5"],
+         "error: basis exp(1e+300x) overflowed at x=200000000.0\n"),
+        (["dd", "--system", "exp:1e300,0", "--f", "monomial:1", "--points", "1e9,2e9"],
+         "error: basis exp(1e+300x) overflowed at x=1000000000.0\n"),
+        (["certify", "--method", "theoremA", "--system", "poly:2", "--f", "exp:1e300",
+          "--grid", "2e8:1e10:5"],
+         "error: exp:1e+300 failed at x=200000000.0\n"),
     ])
     def test_overflow_is_an_error_not_a_result(self, tmp_path, capsys, argv, message):
         tables = {"T2": "-1.0 -1.7976931348623157e+308\n-0.5 1.0\n0.0 1.0\n"

@@ -671,13 +671,24 @@ class TestNegativeWindowsRoute:
         # The bordered windows, then a numerator and a denominator per window.
         assert minor_counts == {n + 1: m - n, n: 2 * len(distinct)}
 
-    def test_theorem_a_scores_each_window_once(self, minor_counts):
+    def test_theorem_a_scores_each_sampled_tuple_once(self, minor_counts):
         # The route decision computes the 36 bordered windows and is turned
-        # down; the sample, which holds them, reuses their minors.
-        cert = certify_theorem_a(polynomial_system(4), ExpressionSource("negmonomial", (4,)),
-                                 grid_on(-2, 3, 40), budget=2000)
+        # down; the sample, which holds them, scores each of its tuples once.
+        system, f = polynomial_system(4), ExpressionSource("negmonomial", (4,))
+        grid = grid_on(-2, 3, 40)
+        cert = certify_theorem_a(system, f, grid, budget=2000)
         assert (cert.coverage, cert.tuples_checked) == ("sampled", 2000)
-        assert minor_counts == {5: 2000}
+        assert minor_counts == {5: 36 + 2000}
+        # The minimum and the witness, from each sampled tuple's determinant
+        # computed alone.
+        cols, fvals = system.evaluate_grid(grid), [f(x) for x in grid]
+        tuples = ordered_index_tuples(40, 5, budget=2000, seed=0)
+        dets = [det_and_scale(minor_rows(cols, t, 4, fvals)) for t in tuples]
+        assert cert.min_value == min(dets)[0]
+        value, t = min((value, t) for (value, scale), t in zip(dets, tuples)
+                       if value < -(cert.atol + cert.rtol * scale))
+        assert cert.verdict == VIOLATED
+        assert (cert.witness_value, cert.witness) == (value, tuple(grid[j] for j in t))
 
 
 class TestOneMinorPerWindow:
@@ -1063,7 +1074,6 @@ class TestBulkAndPointPaths:
         from chebconvex.support import verify_sign_pattern
         grid, knots = self.grid_and_knots(data, system, f)
         omega = OmegaCombination(system, tuple(coefficients[:system.n]))
-        cols = system.evaluate_grid(grid)
-        bulk = verify_sign_pattern(system, f, omega, knots, grid, cols)
+        bulk = verify_sign_pattern(system, f, omega, knots, grid)
         with point_by_point():
-            assert repr(bulk) == repr(verify_sign_pattern(system, f, omega, knots, grid, cols))
+            assert repr(bulk) == repr(verify_sign_pattern(system, f, omega, knots, grid))

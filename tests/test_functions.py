@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, BasisFunction, CallableSource,
@@ -22,12 +22,20 @@ def _horner(x, coeffs):
     return acc
 
 
+def _exp(a, x):
+    """e^(a x), and an overflow where a * x itself is +inf, whose exp
+    math.exp would give as inf without an error."""
+    if a * x == math.inf:
+        raise OverflowError("math range error")
+    return math.exp(a * x)
+
+
 #: Each closed form at one point, as an expression in x: the reference that
 #: the forms' evaluators over sequences of points must match bit for bit.
 POINTWISE_FORMS = {
     "monomial": lambda p: lambda x, k=int(p[0]): x ** k,
     "negmonomial": lambda p: lambda x, k=int(p[0]): -(x ** k),
-    "exp": lambda p: lambda x, a=p[0]: math.exp(a * x),
+    "exp": lambda p: lambda x, a=p[0]: _exp(a, x),
     "cos": lambda p: math.cos,
     "sin": lambda p: math.sin,
     "const": lambda p: lambda x, c=p[0]: c,
@@ -69,6 +77,8 @@ class TestFormEvaluators:
 
     @settings(max_examples=400, deadline=None)
     @given(FORM_PARAMS, st.lists(EDGE_POINTS, max_size=10))
+    @example(("exp", (1e300,)), [1.0, 2e8])  # a * x overflows to +inf
+    @example(("exp", (-1.0,)), [0.0, -math.inf])
     def test_equals_the_expression_at_each_point(self, form_params, xs):
         form, params = form_params
         params = tuple(map(float, params))

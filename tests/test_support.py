@@ -17,11 +17,6 @@ from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, assert_halving,
                       grid_on)
 
 
-def columns(system, grid):
-    """The basis columns at the grid points, as build_support passes them."""
-    return [system.evaluate_basis(x) for x in grid]
-
-
 def cube_system():
     return polynomial_system(3, Interval(-2.0, 3.0))
 
@@ -206,8 +201,7 @@ class TestSignPattern:
         system = cube_system()
         omega = constrained_interpolate(system, (0.0, 1.0), F_CUBE, 2.0)
         grid = grid_on(-2, 3, 100)
-        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0), grid,
-                                     columns(system, grid))
+        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0), grid)
         assert report.overall
         assert [s.required_sign for s in report.segments] == [-1, 1, 1]
         assert all(not s.violations for s in report.segments)
@@ -218,8 +212,7 @@ class TestSignPattern:
         omega = OmegaCombination(system, (0.5, -1.0, 0.25))
         f = ExpressionSource("poly", (0.5, -1.0, 0.25))
         grid = grid_on(-2, 3, 50)
-        report = verify_sign_pattern(system, f, omega, (0.0, 1.0), grid,
-                                     columns(system, grid))
+        report = verify_sign_pattern(system, f, omega, (0.0, 1.0), grid)
         assert report.overall
 
     def test_overshot_pin_violates_past_the_last_knot(self):
@@ -228,8 +221,7 @@ class TestSignPattern:
         system = cube_system()
         omega = constrained_interpolate(system, (0.0, 1.0), F_CUBE, 2.5)
         grid = grid_on(-2, 3, 200)
-        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0), grid,
-                                     columns(system, grid))
+        report = verify_sign_pattern(system, F_CUBE, omega, (0.0, 1.0), grid)
         assert not report.overall
         assert not report.segments[0].violations
         assert not report.segments[1].violations
@@ -242,8 +234,7 @@ class TestSignPattern:
         system = polynomial_system(2, Interval(-1.0, 1.0))
         omega = OmegaCombination(system, (1.0, 1.0))  # tangent at 0
         grid = grid_on(-1, 1, 60)
-        report = verify_sign_pattern(system, F_EXP, omega, (0.0,), grid,
-                                     columns(system, grid))
+        report = verify_sign_pattern(system, F_EXP, omega, (0.0,), grid)
         assert report.overall
         assert [s.required_sign for s in report.segments] == [1, 1]
 
@@ -258,7 +249,7 @@ class TestSignPattern:
         omega = constrained_interpolate(system, (0.0, 1.0), F_CUBE, 2.0)
         grid = grid_on(-2, 3, 101)
         report = verify_sign_pattern(system, CallableSource(cube), omega,
-                                     (0.0, 1.0), grid, columns(system, grid))
+                                     (0.0, 1.0), grid)
         assert report.overall
         assert report.excluded == 2
         assert sum(calls[x] for x in grid) == len(grid) - report.excluded
@@ -269,8 +260,7 @@ class TestSignPattern:
         omega = OmegaCombination(system, (0.0, 1.0))
         with pytest.raises(PreconditionError, match="nothing was checked"):
             grid = [0.5, 0.50001]
-            verify_sign_pattern(system, F_SQUARE, omega, (0.5,), grid,
-                                columns(system, grid))
+            verify_sign_pattern(system, F_SQUARE, omega, (0.5,), grid)
 
 
 class TestBuildSupport:

@@ -149,8 +149,44 @@ INTERVALS = st.sampled_from([Interval(), Interval(-1.0, 1.0),
                              Interval(-2.0, 3.0, hi_open=True)])
 
 
+#: Basis functions whose values overflow at large points: exp at rates up
+#: to the largest floats, where a * x itself can overflow, and high powers.
+OVERFLOWING_BASIS = st.one_of(
+    st.builds(BasisFunction, st.just("exp"),
+              st.sampled_from([1e300, -1e300, 1e10, -0.5])
+              | st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(BasisFunction, st.sampled_from(["monomial", "negmonomial"]),
+              st.integers(0, 300).map(float)),
+)
+LARGE_POINTS = (st.sampled_from([-1e300, -2e8, -1.0, 0.0, 2.0, 1e9, 1e300,
+                                 1.7976931348623157e308])
+                | st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestEvaluateGrid:
     """``evaluate_grid`` is ``evaluate_basis`` point by point, in bulk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(OVERFLOWING_BASIS, min_size=1, max_size=3),
+           st.lists(LARGE_POINTS, min_size=1, max_size=8))
+    def test_no_value_that_is_not_finite(self, basis, xs):
+        """Every basis value that reaches a determinant is finite; otherwise
+        the grid raises the DomainError that the first point where
+        ``evaluate_basis`` raises one raises there."""
+        system = ChebyshevSystem(tuple(basis))
+        try:
+            cols = system.evaluate_grid(xs)
+        except DomainError as exc:
+            first = None
+            for x in xs:
+                try:
+                    system.evaluate_basis(x)
+                except DomainError as per_point:
+                    first = str(per_point)
+                    break
+            assert str(exc) == first
+        else:
+            assert all(math.isfinite(v) for col in cols for v in col)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(BASIS_FUNCTIONS, min_size=1, max_size=5), INTERVALS,
