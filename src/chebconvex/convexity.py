@@ -97,22 +97,21 @@ def require_positive(system: ChebyshevSystem, grid: Sequence[float],
     It returns the :class:`Windows` it decided them with. A failure reports
     the verdict of a window-only classification and its first failing
     window; the system's is raised first."""
-    n = system.n
-    checks = {n: ("system", system)}
+    windows = Windows(cols, system.n)
+    checks = [("system", system)]
     if truncation:
-        checks[n - 1] = ("truncated system", system.truncate(n - 1))
-    windows = Windows(cols, n)
-    failures = {}
-    for k in checks:
+        checks.append(("truncated system", system.truncate(system.n - 1)))
+    for label, checked in checks:
+        k = checked.n
         first, fail = windows.first_failing(k)
         if fail is not None:
-            failures[k] = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
+            verdict = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
         elif first != "+":
-            failures[k] = "negative, witness None"
-    for k, (label, checked) in checks.items():
-        if k in failures:
-            raise PreconditionError(f"{label} {checked.describe()} is not positive "
-                                    f"on the grid: verdict {failures[k]}")
+            verdict = "negative, witness None"
+        else:
+            continue
+        raise PreconditionError(f"{label} {checked.describe()} is not positive "
+                                f"on the grid: verdict {verdict}")
     return windows
 
 
@@ -304,7 +303,7 @@ def _certificate(method: str, scored: Iterable[Optional[tuple]],
 
 
 def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
-                      budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
+                      *, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
                       atol: float = DEFAULT_ATOL,
                       rtol: float = DEFAULT_RTOL) -> ConvexityCertificate:
     """Certify via signs of the bordered determinant over ordered (n+1)-tuples.
@@ -335,7 +334,7 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
-                       budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
+                       *, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
                        atol: float = DEFAULT_ATOL,
                        rtol: float = DEFAULT_RTOL) -> ConvexityCertificate:
     """Certify via the sliding-window divided-difference inequality.
@@ -380,7 +379,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
 
 
 def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
-                  atol: float = DEFAULT_ATOL,
+                  *, atol: float = DEFAULT_ATOL,
                   rtol: float = DEFAULT_RTOL) -> MonotonicityReport:
     """Scan x -> divided difference at (knots, x) and report monotonicity breaks.
 
@@ -445,7 +444,7 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
 
 
 def verify_definition(system: ChebyshevSystem, f, nodes, grid: Sequence[float],
-                      atol: float = DEFAULT_ATOL,
+                      *, atol: float = DEFAULT_ATOL,
                       rtol: float = DEFAULT_RTOL) -> ConvexityCertificate:
     """Check the alternating sign pattern of f minus its n-point interpolant.
 

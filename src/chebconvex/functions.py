@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import itertools
 import math
 import operator
 from functools import cached_property, partial
@@ -26,10 +25,6 @@ from .errors import (ArgumentError, DomainError, ResolutionError,
 
 #: Relative snapping window for exact-abscissa queries against tables.
 TABLE_SNAP_FACTOR = 1e-12
-
-#: Lines of a table file parsed at a time in bulk: a bounded chunk, so a
-#: large table is never split into cells all at once.
-TABLE_CHUNK = 512
 
 
 class FunctionSource:
@@ -280,48 +275,18 @@ def load_table(source: Union[str, Iterable[str]],
     Rows are sorted by abscissa on load; non-finite and duplicate abscissae
     are rejected with their line numbers.
 
-    Once the first header or data row has come, the lines are parsed
-    :data:`TABLE_CHUNK` at a time, each chunk with one ``split`` per line
-    and one ``map(float)``. A chunk that is not all plain data rows (a
-    comment, a blank line, a cell too many or too few, a cell that is not a
-    number, a non-finite abscissa) is parsed line by line instead, which
-    raises the line's own error.
+    The lines are parsed one at a time as they are read, so a file is never
+    held in memory whole. The first line that is neither blank nor a
+    comment may be a header: two cells that are not both numbers. On any
+    later line such cells are an error.
     """
     if isinstance(source, str):
-        lines = iter(source.splitlines())
-    else:
-        lines = (line.rstrip("\n") for line in source)
-    rows: tuple[list[float], list[float], list[int]] = ([], [], [])
-    lineno, header_allowed = 0, True
-    for raw in lines:
-        lineno += 1
-        header_allowed = _parse_lines([raw], lineno, header_allowed, rows)
-        if not header_allowed:
-            break
-    while chunk := list(itertools.islice(lines, TABLE_CHUNK)):
-        if not _parse_chunk(chunk, lineno + 1, rows):
-            _parse_lines(chunk, lineno + 1, False, rows)
-        lineno += len(chunk)
-    xs, ys, linenos = rows
-    if not xs:
-        raise TableFormatError("table contains no data rows")
-    if not all(map(operator.lt, xs, xs[1:])):
-        order = sorted(range(len(xs)), key=xs.__getitem__)
-        xs, ys, linenos = ([column[i] for i in order] for column in rows)
-        for i in range(len(xs) - 1):
-            if xs[i] == xs[i + 1]:
-                l0, l1 = linenos[i], linenos[i + 1]
-                raise TableFormatError(
-                    f"duplicate abscissa {xs[i]!r} on lines {l0} and {l1}", (l0, l1))
-    return TableSource(xs, ys, interpolation)
-
-
-def _parse_lines(lines: Sequence[str], first: int, header_allowed: bool,
-                 rows: tuple[list, list, list]) -> bool:
-    """Append the data rows of ``lines``, numbered from ``first``, to the
-    ``(xs, ys, line numbers)`` of ``rows``, one line at a time. Returns
-    whether a header row may still come."""
-    for lineno, raw in enumerate(lines, start=first):
+        source = source.splitlines()
+    xs: list[float] = []
+    ys: list[float] = []
+    linenos: list[int] = []
+    header_allowed = True
+    for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -341,32 +306,20 @@ def _parse_lines(lines: Sequence[str], first: int, header_allowed: bool,
         if not math.isfinite(x):
             raise TableFormatError(f"line {lineno}: non-finite abscissa {x!r}",
                                    (lineno,))
-        rows[0].append(x)
-        rows[1].append(y)
-        rows[2].append(lineno)
-    return header_allowed
-
-
-def _parse_chunk(lines: Sequence[str], first: int, rows: tuple[list, list, list]) -> bool:
-    """Append the rows of ``lines``, numbered from ``first``, to ``rows`` in
-    bulk, as :func:`_parse_lines` would after the header, when every line is
-    a data row with a finite abscissa. Otherwise append nothing and return
-    False."""
-    # A comment fails the cell count or float(): no number holds a "#".
-    cells = list(map(str.split, "\n".join(lines).replace(",", " ").split("\n")))
-    if len(cells) != len(lines) or set(map(len, cells)) != {2}:
-        return False
-    try:
-        values = list(map(float, itertools.chain.from_iterable(cells)))
-    except ValueError:
-        return False
-    xs = values[0::2]
-    if not all(map(math.isfinite, xs)):
-        return False
-    rows[0].extend(xs)
-    rows[1].extend(values[1::2])
-    rows[2].extend(range(first, first + len(lines)))
-    return True
+        xs.append(x)
+        ys.append(y)
+        linenos.append(lineno)
+    if not xs:
+        raise TableFormatError("table contains no data rows")
+    if not all(map(operator.lt, xs, xs[1:])):
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        xs, ys, linenos = ([column[i] for i in order] for column in (xs, ys, linenos))
+        for i in range(len(xs) - 1):
+            if xs[i] == xs[i + 1]:
+                l0, l1 = linenos[i], linenos[i + 1]
+                raise TableFormatError(
+                    f"duplicate abscissa {xs[i]!r} on lines {l0} and {l1}", (l0, l1))
+    return TableSource(xs, ys, interpolation)
 
 
 @contextlib.contextmanager

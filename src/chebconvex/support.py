@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_signs, require_positive,
                         sign_walk, walk_values)
-from .determinants import MIN_SEPARATION_FACTOR, function_row
+from .determinants import EPS, MIN_SEPARATION_FACTOR, function_row
 from .divdiff import conditioning, gdd_scan
 from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
 from .interpolation import OmegaCombination, constrained_interpolate
@@ -78,7 +78,7 @@ class SupportResult:
 
 
 def estimate_cn(system: ChebyshevSystem, f, knots,
-                h0: Optional[float] = None,
+                *, h0: Optional[float] = None,
                 atol: float = DEFAULT_ATOL,
                 rtol: float = DEFAULT_RTOL) -> LimitDiagnostics:
     """Estimate the right-hand limit of the divided-difference map at the
@@ -96,12 +96,9 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
     knots = interior_knots(system, knots)
     span = system.interval.tolerance_span
     x_last = knots[-1]
+    # An unbounded right end leaves infinite room, so the span decides.
     room = system.interval.hi - x_last
-    if math.isfinite(room):
-        default_h0 = min(H0_FACTOR * span, 0.5 * room)
-    else:
-        default_h0 = H0_FACTOR * span
-    h0 = default_h0 if h0 is None else float(h0)
+    h0 = min(H0_FACTOR * span, 0.5 * room) if h0 is None else float(h0)
     first = x_last + h0
     if h0 <= MIN_SEPARATION_FACTOR * span or first == x_last:
         raise GeometryError(f"h0={h0:.3e} leaves no room above the last knot")
@@ -146,11 +143,10 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
 def _nonincreasing(trace: Sequence[tuple[float, float]],
                    conditionings: Sequence[float],
                    atol: float, rtol: float) -> bool:
-    eps = 2.0 ** -52
     for i in range(1, len(trace)):
         v0, v1 = trace[i - 1][1], trace[i][1]
         mag = max(abs(v0), abs(v1))
-        noise = 8.0 * eps * mag / max(min(conditionings[i - 1], conditionings[i]), eps)
+        noise = 8.0 * EPS * mag / max(min(conditionings[i - 1], conditionings[i]), EPS)
         if v1 > v0 + atol + rtol * mag + noise:
             return False
     return True
@@ -158,7 +154,7 @@ def _nonincreasing(trace: Sequence[tuple[float, float]],
 
 def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
                         knots, grid: Sequence[float],
-                        atol: float = DEFAULT_ATOL,
+                        *, atol: float = DEFAULT_ATOL,
                         rtol: float = DEFAULT_RTOL) -> SignPatternReport:
     """Check the alternating sign pattern of f - omega across the knot-induced
     subintervals.
@@ -203,7 +199,7 @@ def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,
 
 
 def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
-                  atol: float = DEFAULT_ATOL,
+                  *, atol: float = DEFAULT_ATOL,
                   rtol: float = DEFAULT_RTOL) -> SupportResult:
     """Limit estimate, constrained interpolation, sign-pattern check, chained.
 

@@ -253,7 +253,7 @@ def check_grid_size(grid: Sequence[float], minimum: int) -> None:
 
 
 def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
-                     budget: int = DEFAULT_BUDGET,
+                     *, budget: int = DEFAULT_BUDGET,
                      seed: int = DEFAULT_SEED) -> SystemClassification:
     """Classify a system as positive / negative / non-chebyshev by sampling.
 

@@ -1077,3 +1077,36 @@ class TestBulkAndPointPaths:
         bulk = verify_sign_pattern(system, f, omega, knots, grid)
         with point_by_point():
             assert repr(bulk) == repr(verify_sign_pattern(system, f, omega, knots, grid))
+
+
+class TestKeywordOnlyOptions:
+    """Budget, seed, h0 and the tolerances are keyword-only: a stray
+    positional option is refused where the call is made."""
+
+    @staticmethod
+    def positional(name):
+        system = polynomial_system(3, Interval(-2.0, 3.0))
+        grid = grid_on(-2.0, 3.0, 21)
+        knots = (0.0, 1.0)
+        omega = constrained_interpolate(system, knots, F_CUBE, 2.0)
+        return {"certify_theorem_a": (system, F_CUBE, grid),
+                "certify_corollary1": (system, F_CUBE, grid),
+                "classify_on_grid": (system, grid),
+                "scan_theorem2": (system, F_CUBE, knots, grid),
+                "verify_definition": (system, F_CUBE, (-1.0, 0.0, 1.0), grid),
+                "verify_sign_pattern": (system, F_CUBE, omega, knots, grid),
+                "build_support": (system, F_CUBE, knots, grid),
+                "estimate_cn": (system, F_CUBE, knots)}[name]
+
+    @pytest.mark.parametrize("name, stray", [
+        ("certify_theorem_a", 100), ("certify_corollary1", 100),
+        ("classify_on_grid", 100), ("scan_theorem2", 1e-9),
+        ("verify_definition", 1e-9), ("verify_sign_pattern", 1e-9),
+        ("build_support", 1e-9), ("estimate_cn", 0.01),
+    ])
+    def test_a_stray_positional_option_raises(self, name, stray):
+        import chebconvex
+        args = self.positional(name)
+        with pytest.raises(TypeError, match=rf"^{name}\(\) takes {len(args)} positional "
+                                            rf"arguments but {len(args) + 1} were given$"):
+            getattr(chebconvex, name)(*args, stray)

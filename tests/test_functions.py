@@ -435,25 +435,20 @@ TABLE_LINES = st.one_of(
 
 
 class TestTableParsePaths:
-    """Chunks of plain data rows are parsed in bulk and everything else line
-    by line; together they give the line-by-line parse's values and errors."""
+    """A string, a file and a list of lines all give the line-by-line
+    oracle's values and errors."""
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 512])
     @settings(max_examples=150, deadline=None)
     @given(lines=st.lists(TABLE_LINES, max_size=14), crlf=st.booleans())
-    def test_bulk_and_line_by_line_agree(self, chunk, lines, crlf):
-        from unittest import mock
-
-        from chebconvex import functions
+    def test_agrees_with_the_line_by_line_oracle(self, lines, crlf):
         end = "\r\n" if crlf else "\n"
         text = end.join(lines) + end
         # A string is split by str.splitlines, a file is read line by line.
         sources = [(text, text.splitlines()),
                    (io.StringIO(text), [line.rstrip("\n") for line in io.StringIO(text)]),
                    ([line + "\n" for line in lines], lines)]
-        with mock.patch.object(functions, "TABLE_CHUNK", chunk):
-            for source, split in sources:
-                assert same(parsed(source), line_by_line_table(split))
+        for source, split in sources:
+            assert same(parsed(source), line_by_line_table(split))
 
     @pytest.mark.parametrize("text, want", [
         ("x y\n# c\n0 0\n1 1\n", ([0.0, 1.0], [0.0, 1.0])),
@@ -477,16 +472,15 @@ class TestTableParsePaths:
         ("nan 1", "line {n}: non-finite abscissa nan"),
         ("3.0 1", "duplicate abscissa 3.0 on lines 27 and {n}"),
     ])
-    def test_tables_longer_than_a_chunk(self, bad, message):
-        from chebconvex.functions import TABLE_CHUNK
-        rows = [f"{x / 8!r} {x * x!r}" for x in range(3 * TABLE_CHUNK + 7)]
+    def test_long_tables(self, bad, message):
+        rows = [f"{x / 8!r} {x * x!r}" for x in range(1543)]
         lines = ["# x x^2", "x y", *rows]
-        n = 2 * TABLE_CHUNK + 100
+        n = 1124
         if bad is not None:
             lines[n - 1] = bad
         want = line_by_line_table(lines)
         if bad is None:
-            assert want[0] == [x / 8 for x in range(3 * TABLE_CHUNK + 7)]
+            assert want[0] == [x / 8 for x in range(1543)]
         else:
             assert want == (message.format(n=n), (27, n) if "duplicate" in message else (n,))
         assert parsed("\n".join(lines)) == want

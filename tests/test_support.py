@@ -76,6 +76,12 @@ class TestEstimateCn:
         assert limit.h_sequence[0][0] <= 0.05  # half the 0.1 of room
         assert limit.estimate == pytest.approx(2.0, abs=1e-6)
 
+    def test_h0_on_an_interval_with_no_right_end(self):
+        # Infinite room leaves the span, capped at 1, to set h0.
+        limit = estimate_cn(polynomial_system(2), F_EXP, (0.0,))
+        assert limit.h_sequence[0][0] == H0_FACTOR * 1.0 == 0.01
+        assert limit.estimate == pytest.approx(1.0, abs=1e-5)
+
     def test_h0_override_and_geometry_error(self):
         limit = estimate_cn(cube_system(), F_CUBE, (0.0, 1.0), h0=0.01)
         assert limit.h_sequence[0][0] == 0.01
