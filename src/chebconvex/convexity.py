@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import add, le, mul, not_, or_, sub, truediv
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .determinants import (TAU_FACTOR, Windows, check_points, exact_sign,
                            function_row, known_scan, minor_scan, sign_of,
@@ -44,7 +44,7 @@ from .divdiff import degenerated
 from .errors import DomainError, NearSingularError, PreconditionError
 from .interpolation import OmegaCombination, interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples, scan_tuples
-from .systems import ChebyshevSystem, validate_grid
+from .systems import ChebyshevSystem, structural_sign, validate_grid
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
@@ -96,12 +96,10 @@ def require_positive(system: ChebyshevSystem, grid: Sequence[float],
     the basis columns at a validated grid and one :func:`window_sweep`.
     It returns the :class:`Windows` it decided them with. A failure reports
     the verdict of a window-only classification and its first failing
-    window; the system's is raised first."""
+    window; the system's is raised first. :func:`structurally_positive`
+    decides the same check from the basis alone, where it can."""
     windows = Windows(cols, system.n)
-    checks = [("system", system)]
-    if truncation:
-        checks.append(("truncated system", system.truncate(system.n - 1)))
-    for label, checked in checks:
+    for label, checked in _prechecked(system, truncation):
         k = checked.n
         first, fail = windows.first_failing(k)
         if fail is not None:
@@ -110,9 +108,35 @@ def require_positive(system: ChebyshevSystem, grid: Sequence[float],
             verdict = "negative, witness None"
         else:
             continue
-        raise PreconditionError(f"{label} {checked.describe()} is not positive "
-                                f"on the grid: verdict {verdict}")
+        raise _not_positive(label, checked, verdict)
     return windows
+
+
+def structurally_positive(system: ChebyshevSystem, truncation: bool) -> bool:
+    """The check of :func:`require_positive` from the basis alone, by
+    :func:`structural_sign`: False when a sign is undecided, else True, or
+    the negative verdict's error for the first system whose sign is "-"."""
+    checks = [(label, checked, structural_sign(checked))
+              for label, checked in _prechecked(system, truncation)]
+    if any(sign is None for *_, sign in checks):
+        return False
+    for label, checked, sign in checks:
+        if sign == "-":
+            raise _not_positive(label, checked, "negative, witness None")
+    return True
+
+
+def _prechecked(system: ChebyshevSystem, truncation: bool
+                ) -> Iterator[tuple[str, ChebyshevSystem]]:
+    """The systems a positivity precheck covers, labelled, the system first."""
+    yield "system", system
+    if truncation:
+        yield "truncated system", system.truncate(system.n - 1)
+
+
+def _not_positive(label: str, checked: ChebyshevSystem, verdict: str) -> PreconditionError:
+    return PreconditionError(f"{label} {checked.describe()} is not positive "
+                             f"on the grid: verdict {verdict}")
 
 
 def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows

@@ -250,16 +250,16 @@ class TableSource(FunctionSource):
         """Largest gap between consecutive abscissae whose span overlaps [lo, hi].
 
         Raises :class:`ResolutionError` when the table does not cover the window.
+        The gaps that overlap it are those from the last abscissa <= lo to
+        the first >= hi, found by bisection.
         """
-        if self.xs[0] > lo or self.xs[-1] < hi:
+        xs = self.xs
+        if xs[0] > lo or xs[-1] < hi:
             raise ResolutionError(
-                f"table covers [{self.xs[0]:g}, {self.xs[-1]:g}], "
+                f"table covers [{xs[0]:g}, {xs[-1]:g}], "
                 f"needs [{lo:g}, {hi:g}]")
-        worst = 0.0
-        for a, b in zip(self.xs, self.xs[1:]):
-            if b > lo and a < hi:
-                worst = max(worst, b - a)
-        return worst
+        i, j = bisect.bisect_right(xs, lo) - 1, bisect.bisect_left(xs, hi)
+        return max(map(operator.sub, xs[i + 1:j + 1], xs[i:j]), default=0.0)
 
     def describe(self) -> str:
         tag = ",linear" if self.interpolation == "linear" else ""

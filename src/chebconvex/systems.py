@@ -2,8 +2,11 @@
 
 A system is an ordered tuple of basis functions on an interval. Whether it
 actually is a Chebyshev system (collocation determinant never vanishing on
-ordered point tuples) is checked by sampling, never assumed: see
-:func:`classify_on_grid`.
+ordered point tuples) is never assumed: it is checked by sampling (see
+:func:`classify_on_grid`), or, for three families of bases (monomials,
+negated monomials and exponentials), it follows from the basis tuple alone
+(:func:`structural_sign`). The support construction takes its positivity
+hypothesis from the latter where it can, and samples every other basis.
 
 A basis function is one of the closed forms of :data:`functions.FORMS`,
 the table that targets use too, validated by :func:`functions.check_form`.
@@ -299,6 +302,30 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
         return SystemClassification("non-chebyshev", witness, fail + 1, coverage)
     verdict = "positive" if first == "+" else "negative"
     return SystemClassification(verdict, None, len(tuples), coverage)
+
+
+def structural_sign(system: ChebyshevSystem) -> Optional[str]:
+    """The sign, "+" or "-", of the collocation determinant of ``system`` at
+    every increasing tuple of reals when the basis tuple alone fixes it,
+    else None. It is the sign of the permutation that sorts the parameters
+    for monomials with the powers 0, ..., k-1 (a row-permuted Vandermonde
+    determinant), times (-1)^k for negated ones, and for exponentials with
+    distinct rates (e^(a x) is a totally positive kernel: Karlin, *Total
+    Positivity*, 1968). It is the sign of the reals, not of their floats."""
+    kinds = {func.kind for func in system.basis}
+    params = [func.param for func in system.basis]
+    k = system.n
+    if kinds in ({"monomial"}, {"negmonomial"}):
+        if sorted(params) != list(range(k)):
+            return None
+        flips = k % 2 if kinds == {"negmonomial"} else 0
+    elif kinds == {"exp"} and len(set(params)) == k:
+        flips = 0
+    else:
+        return None
+    # One flip per inversion of the permutation that sorts the parameters.
+    flips += sum(itertools.starmap(operator.gt, itertools.combinations(params, 2)))
+    return "-" if flips % 2 else "+"
 
 
 # ---------------------------------------------------------------------------

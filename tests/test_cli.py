@@ -35,6 +35,15 @@ class TestSupportCommand:
         assert doc["seed"] == 0
         assert doc["schema"] == "chebconvex.report/1"
 
+    def test_positive_family_on_a_grid_under_the_zero_test(self):
+        # Some windows of poly:4 on this grid fall under the zero test; the
+        # system's positivity comes from its basis, so support proceeds.
+        code, doc = run_json("support", "--system", "poly:4", "--interval", "-2:3",
+                             "--f", "monomial:3", "--knots", "0,1,2", "--grid", "-2:3:700")
+        assert code == 0
+        assert doc["support"]["c_n"]["estimate"] == 1.0
+        assert doc["support"]["pattern"]["overall"] is True
+
     def test_pattern_failure_exits_two(self):
         code, doc = run_json("support", "--system", "poly:3", "--f", "negmonomial:3",
                              "--knots", "0,1", "--grid", "-2:3:60")

@@ -511,17 +511,29 @@ class TestPositivityPrechecks:
 
     def test_negative_truncation_of_a_positive_system(self):
         system = negated_polynomial_system(4, self.IV)
-        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 40))) == (
-            "truncated system (-1, -x, -x^2) on [-2, 3] is not positive on the grid: "
-            "verdict negative, witness None")
+        want = ("truncated system (-1, -x, -x^2) on [-2, 3] is not positive on the grid: "
+                "verdict negative, witness None")
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 40))) == want
+        assert self.message(lambda: build_support(system, F_CUBE, (0.0, 1.0, 2.0),
+                                                  grid_on(-2, 3, 40))) == want
+
+    def test_descending_rates(self):
+        system = exponential_system((1.0, 0.0), self.IV)
+        want = ("system (exp(1x), exp(0x)) on [-2, 3] is not positive on the grid: "
+                "verdict negative, witness None")
+        grid = grid_on(-2, 3, 40)
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid)) == want
+        assert self.message(lambda: build_support(system, F_CUBE, (0.0,), grid)) == want
 
     def test_system_failure_is_raised_before_the_truncation_failure(self):
         # (x, 1, x^2) and its truncation (x, 1) are both negative
         system = ChebyshevSystem((BasisFunction("monomial", 1), BasisFunction("monomial", 0),
                                   BasisFunction("monomial", 2)), self.IV)
-        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 40))) == (
-            "system (x, 1, x^2) on [-2, 3] is not positive on the grid: "
-            "verdict negative, witness None")
+        want = ("system (x, 1, x^2) on [-2, 3] is not positive on the grid: "
+                "verdict negative, witness None")
+        grid = grid_on(-2, 3, 40)
+        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid)) == want
+        assert self.message(lambda: build_support(system, F_CUBE, (0.0, 1.0), grid)) == want
 
     def test_non_chebyshev_truncation(self):
         # cos changes sign at pi/2, so its first window past it has a new sign
@@ -532,19 +544,27 @@ class TestPositivityPrechecks:
         assert self.message(lambda: build_support(system, F_CUBE, (1.0,), grid)) == want
 
     def test_windows_at_the_zero_test_fall_back_to_the_kernel(self):
-        # On this fine grid some windows of (1, x, x^2, x^3) come within the
-        # zero test; the first of them that the kernel calls zero fails.
         system = polynomial_system(4, self.IV)
-        assert self.message(lambda: build_support(system, F_CUBE, (0.0, 1.0, 2.0),
-                                                  grid_on(-2, 3, 700))) == (
-            "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
-            "verdict non-chebyshev, witness (2.184549356223176, 2.19170243204578, "
-            "2.198855507868384, 2.206008583690987)")
         assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 1000),
                                                        budget=10)) == (
             "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
             "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
             "-1.98998998998999, -1.984984984984985)")
+
+    def test_support_takes_a_positive_family_from_its_basis(self, monkeypatch):
+        # On this fine grid some windows of (1, x, x^2, x^3) come within the
+        # zero test, and the first of them that the kernel calls zero fails
+        # the grid check; the Vandermonde sign holds on every grid.
+        system, grid = polynomial_system(4, self.IV), grid_on(-2, 3, 700)
+        cols = system.evaluate_grid(grid)
+        assert self.message(lambda: require_positive(system, grid, cols, True)) == (
+            "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
+            "verdict non-chebyshev, witness (2.184549356223176, 2.19170243204578, "
+            "2.198855507868384, 2.206008583690987)")
+        monkeypatch.setattr("chebconvex.support.require_positive", None)
+        result = build_support(system, F_CUBE, (0.0, 1.0, 2.0), grid)
+        assert result.c_n.estimate == 1.0
+        assert result.pattern.overall
 
 
 class TestExactBorderedSigns:
@@ -926,11 +946,20 @@ class TestBulkEvaluationErrors:
             [system.evaluate_basis(x) for x in grid]
         return str(info.value)
 
-    @pytest.mark.parametrize("route", ["support", "theorem2", "definition"])
+    #: x^2 overflows at the first point; support takes (1, x, x^2)'s
+    #: positivity from its basis, yet still evaluates it over the grid first.
+    POLY, POLY_GRID = polynomial_system(3), grid_on(-1e200, 1e200, 5)
+
+    @pytest.mark.parametrize("route", ["support", "theorem2", "definition", "support-poly"])
     def test_overflow_message_matches_the_point_by_point_path(self, route):
-        want = self.per_point_error(self.SYSTEM, self.GRID)
-        assert want == "basis exp(800x) overflowed at x=0.9"
-        run = {"support": lambda: build_support(self.SYSTEM, F_EXP, (0.0,), self.GRID),
+        poly = route == "support-poly"
+        want = self.per_point_error(*((self.POLY, self.POLY_GRID) if poly
+                                      else (self.SYSTEM, self.GRID)))
+        assert want == ("basis x^2 overflowed at x=-1e+200" if poly
+                        else "basis exp(800x) overflowed at x=0.9")
+        run = {"support-poly": lambda: build_support(self.POLY, F_CUBE, (0.0, 1.0),
+                                                     self.POLY_GRID),
+               "support": lambda: build_support(self.SYSTEM, F_EXP, (0.0,), self.GRID),
                "theorem2": lambda: scan_theorem2(self.SYSTEM, F_EXP, (0.0,), self.GRID),
                "definition": lambda: verify_definition(self.SYSTEM, F_EXP, (-0.5, 0.0),
                                                        self.GRID)}

@@ -269,6 +269,26 @@ class TestTableSource:
         with pytest.raises(ResolutionError):
             f.max_spacing_within(0.5, 2.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=15, unique=True),
+           st.data())
+    def test_max_spacing_matches_the_pairwise_loop(self, cells, data):
+        # Abscissae on a coarse lattice, so that lo and hi often fall on one.
+        xs = sorted(c / 4 for c in cells)
+        f = TableSource(xs, [0.0] * len(xs))
+        bound = st.one_of(st.sampled_from(xs), st.integers(-42, 42).map(lambda c: c / 4),
+                          st.floats(-11, 11))
+        lo, hi = data.draw(bound), data.draw(bound)
+        if xs[0] > lo or xs[-1] < hi:
+            with pytest.raises(ResolutionError, match="table covers"):
+                f.max_spacing_within(lo, hi)
+            return
+        worst = 0.0
+        for a, b in zip(xs, xs[1:]):
+            if b > lo and a < hi:
+                worst = max(worst, b - a)
+        assert f.max_spacing_within(lo, hi) == worst
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(-50, 50), st.floats(-5, 5, allow_nan=False)),
                     min_size=1, max_size=12, unique_by=lambda t: t[0]))

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,12 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem, DomainErr
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
                         polynomial_system, uniform_grid)
-from chebconvex.determinants import (Windows, det_and_scale, minor_scan, sign_of,
-                                     window_sweep)
+from chebconvex.determinants import (Windows, det_and_scale, exact_sign, minor_scan,
+                                     sign_of, window_sweep)
 from chebconvex.sampling import ordered_index_tuples
-from chebconvex.systems import validate_grid
+from chebconvex.systems import structural_sign, validate_grid
 
-from conftest import grid_on, minor_rows
+from conftest import det_bruteforce, draw_separated, grid_on, minor_rows
 
 
 def mixed_signs(n: int, c: float) -> ChebyshevSystem:
@@ -324,6 +326,62 @@ class TestTruncate:
         system = polynomial_system(5)
         if k <= m:
             assert system.truncate(m).truncate(k) == system.truncate(k)
+
+
+def basis_of(kind, params):
+    return ChebyshevSystem(tuple(BasisFunction(kind, p) for p in params))
+
+
+class TestStructuralSign:
+    """The sign that the basis tuple alone gives every collocation
+    determinant at increasing points, against exact oracles at random
+    increasing grids, and None for every other basis."""
+
+    SIGNS = {1: "+", -1: "-"}
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("kind, unit", [("monomial", 1), ("negmonomial", -1)])
+    def test_powers_against_exact_rational_evaluation(self, kind, unit, k):
+        rng = random.Random(k)
+        for _ in range(10):
+            powers = rng.sample(range(k), k)
+            system = basis_of(kind, powers)
+            grid = sorted({rng.uniform(-3.0, 3.0) for _ in range(k + 2)})
+            for t in itertools.combinations(grid, k):
+                det = det_bruteforce([[unit * Fraction(x) ** p for x in t] for p in powers])
+                assert structural_sign(system) == self.SIGNS[(det > 0) - (det < 0)], (powers, t)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_exp_against_the_exact_sign_on_separated_grids(self, k):
+        rng = random.Random(k)
+        for _ in range(10):
+            system = exponential_system(rng.sample([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], k))
+            cols = system.evaluate_grid(draw_separated(rng, k + 2, -2.0, 2.0, sep=0.2))
+            for t in itertools.combinations(cols, k):
+                assert structural_sign(system) == self.SIGNS[exact_sign(t)], system.name
+
+    def test_named_families_and_their_truncations(self):
+        assert [structural_sign(polynomial_system(4).truncate(m)) for m in (1, 2, 3, 4)] == [
+            "+"] * 4
+        assert [structural_sign(negated_polynomial_system(4).truncate(m))
+                for m in (1, 2, 3, 4)] == ["-", "+", "-", "+"]
+        assert structural_sign(exponential_system((0.0, 1.0, 2.0))) == "+"
+        assert structural_sign(exponential_system((1.0, 0.0))) == "-"
+
+    def test_a_system_file_counts_as_its_family(self):
+        assert structural_sign(parse_system("monomial 1\nmonomial 0\nmonomial 2\n")) == "-"
+        assert structural_sign(parse_system("negmonomial 0\nnegmonomial 1\n")) == "+"
+        assert structural_sign(parse_system("exp 2\nexp 0.5\nexp -1\n")) == "-"
+
+    @pytest.mark.parametrize("system", [
+        cosine_sine_system(), named_system("cos"), basis_of("const", (1.0,)),
+        basis_of("exp", (1.0, 1.0)), basis_of("monomial", (0.0, 2.0)),
+        basis_of("monomial", (1.0,)), parse_system("monomial 0\nexp 1\n"),
+        parse_system("monomial 0\nnegmonomial 1\n")],
+        ids=["cossin", "cos", "const", "duplicate-rates", "powers-0-2", "power-1",
+             "mixed-file", "mixed-signs-file"])
+    def test_other_bases_are_undecided(self, system):
+        assert structural_sign(system) is None
 
 
 class TestClassify:
