@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import add, le, mul, not_, or_, sub, truediv
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .determinants import (TAU_FACTOR, Windows, check_points, exact_sign,
                            function_row, known_scan, minor_scan, sign_of,
@@ -91,52 +91,31 @@ class MonotonicityReport:
 
 def require_positive(system: ChebyshevSystem, grid: Sequence[float],
                      cols: Sequence[Sequence[float]], truncation: bool) -> Windows:
-    """Opportunistic positivity check over contiguous grid windows only, of
-    the system and, with ``truncation``, of its first n-1 functions, from
-    the basis columns at a validated grid and one :func:`window_sweep`.
-    It returns the :class:`Windows` it decided them with. A failure reports
-    the verdict of a window-only classification and its first failing
-    window; the system's is raised first. :func:`structurally_positive`
-    decides the same check from the basis alone, where it can."""
+    """The positivity hypothesis of theorem A, corollary 1 and the support
+    construction, for the system and, with ``truncation``, its first n-1
+    functions; the system's failure is raised first. When
+    :func:`structural_sign` decides all of them from the basis alone, their
+    signs stand, and "-" fails as a negative verdict. Otherwise the basis
+    columns ``cols`` at the validated grid decide, over contiguous windows
+    only: a failure reports the verdict of a window-only classification
+    and its first failing window. Returns the :class:`Windows` of
+    ``cols``, which sweep only when a window search first asks: here, or
+    on the windows route."""
     windows = Windows(cols, system.n)
-    for label, checked in _prechecked(system, truncation):
-        k = checked.n
-        first, fail = windows.first_failing(k)
+    checked = (system, system.truncate(system.n - 1)) if truncation else (system,)
+    signs = [*map(structural_sign, checked)]
+    for label, part, sign in zip(("system", "truncated system"), checked, signs):
+        k = part.n
+        first, fail = (sign, None) if None not in signs else windows.first_failing(k)
         if fail is not None:
             verdict = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
         elif first != "+":
             verdict = "negative, witness None"
         else:
             continue
-        raise _not_positive(label, checked, verdict)
+        raise PreconditionError(f"{label} {part.describe()} is not positive "
+                                f"on the grid: verdict {verdict}")
     return windows
-
-
-def structurally_positive(system: ChebyshevSystem, truncation: bool) -> bool:
-    """The check of :func:`require_positive` from the basis alone, by
-    :func:`structural_sign`: False when a sign is undecided, else True, or
-    the negative verdict's error for the first system whose sign is "-"."""
-    checks = [(label, checked, structural_sign(checked))
-              for label, checked in _prechecked(system, truncation)]
-    if any(sign is None for *_, sign in checks):
-        return False
-    for label, checked, sign in checks:
-        if sign == "-":
-            raise _not_positive(label, checked, "negative, witness None")
-    return True
-
-
-def _prechecked(system: ChebyshevSystem, truncation: bool
-                ) -> Iterator[tuple[str, ChebyshevSystem]]:
-    """The systems a positivity precheck covers, labelled, the system first."""
-    yield "system", system
-    if truncation:
-        yield "truncated system", system.truncate(system.n - 1)
-
-
-def _not_positive(label: str, checked: ChebyshevSystem, verdict: str) -> PreconditionError:
-    return PreconditionError(f"{label} {checked.describe()} is not positive "
-                             f"on the grid: verdict {verdict}")
 
 
 def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
@@ -380,7 +359,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     def certificate(tuples, coverage="windows") -> ConvexityCertificate:
         # Each window not scored yet is scanned once, in lexicographic order,
         # so that neighbouring windows share their elimination prefixes; the
-        # denominators of the contiguous ones are often the precheck's.
+        # denominators of the contiguous ones are often the window search's.
         ws = sorted({w for t in tuples for w in (t[:n], t[1:])}.difference(dd))
         for w, den, (num, _) in zip(ws, known_scan(cols, ws, windows.minors),
                                      minor_scan(numerators, ws)):

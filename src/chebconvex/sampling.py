@@ -67,9 +67,11 @@ def ordered_index_tuples(m: int, k: int, budget: int = DEFAULT_BUDGET,
                          windows_only: bool = False) -> list[tuple[int, ...]]:
     """Strictly increasing k-tuples of indices drawn from range(m).
 
-    Exhaustive (lexicographic) when C(m, k) <= budget; otherwise all
+    Exhaustive (lexicographic) when C(m, k) <= budget; otherwise all m-k+1
     contiguous windows followed by distinct seeded random tuples up to the
-    budget. The result is deterministic for fixed (m, k, budget, seed).
+    budget, so the budget caps the random draws, never the windows: there
+    are max(budget, m-k+1) tuples at most. The result is deterministic for
+    fixed (m, k, budget, seed).
     """
     if k < 1 or k > m:
         return []

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_signs, require_positive,
-                        sign_walk, structurally_positive, walk_values)
+                        sign_walk, walk_values)
 from .determinants import EPS, MIN_SEPARATION_FACTOR, function_row
 from .divdiff import conditioning, gdd_scan
 from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
@@ -204,22 +204,18 @@ def build_support(system: ChebyshevSystem, f, knots, grid: Sequence[float],
     """Limit estimate, constrained interpolation, sign-pattern check, chained.
 
     Requires that the system and its truncation to the first n-1 functions
-    are positive: from the basis alone when :func:`structurally_positive`
-    decides both, else (opportunistically) on the grid's contiguous
-    windows, by :func:`require_positive`. The basis is evaluated over the
-    grid either way, so a basis that fails there raises its own error
-    first. Pattern violations are reported, not raised: they are evidence
-    that the target is not convex with respect to the system. A grid with
-    no point outside the knot exclusion raises instead (from
+    are positive, by :func:`require_positive` on the basis columns at the
+    grid: the basis is evaluated there first, so a basis that fails there
+    raises its own error. Pattern violations are reported, not raised: they
+    are evidence that the target is not convex with respect to the system.
+    A grid with no point outside the knot exclusion raises instead (from
     :func:`verify_sign_pattern`).
     """
     n = system.n
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 2)
     check_grid_size(grid, n)
-    cols = system.evaluate_grid(grid)
-    if not structurally_positive(system, True):
-        require_positive(system, grid, cols, True)
+    require_positive(system, grid, system.evaluate_grid(grid), True)
     limit = estimate_cn(system, f, knots, atol=atol, rtol=rtol)
     omega = constrained_interpolate(system, knots, f, limit.estimate)
     pattern = verify_sign_pattern(system, f, omega, knots, grid, atol=atol, rtol=rtol)

@@ -5,8 +5,9 @@ actually is a Chebyshev system (collocation determinant never vanishing on
 ordered point tuples) is never assumed: it is checked by sampling (see
 :func:`classify_on_grid`), or, for three families of bases (monomials,
 negated monomials and exponentials), it follows from the basis tuple alone
-(:func:`structural_sign`). The support construction takes its positivity
-hypothesis from the latter where it can, and samples every other basis.
+(:func:`structural_sign`). The positivity precheck of theorem A,
+corollary 1 and the support construction takes its hypothesis from the
+latter where it can, and samples every other basis.
 
 A basis function is one of the closed forms of :data:`functions.FORMS`,
 the table that targets use too, validated by :func:`functions.check_form`.

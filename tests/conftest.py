@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from chebconvex import (ChebyshevSystem, ExpressionSource, Interval,
+from chebconvex import (BasisFunction, ChebyshevSystem, ExpressionSource, Interval,
                         exponential_system, polynomial_system)
 from chebconvex import convexity, determinants, divdiff, systems
 
@@ -153,6 +153,18 @@ def minor_counts(monkeypatch):
     for module in (determinants, convexity, divdiff, systems):
         monkeypatch.setattr(module, "minor_scan", counting)
     return counts
+
+
+def twin(system: ChebyshevSystem) -> ChebyshevSystem:
+    """``system`` with each power-0 function replaced by the constant it
+    evaluates to, 1.0 for ``monomial 0`` and -1.0 for ``negmonomial 0``:
+    the same floats and the same description, but a basis that
+    :func:`systems.structural_sign` leaves undecided, so the positivity
+    precheck takes the grid path."""
+    constants = {"monomial": 1.0, "negmonomial": -1.0}
+    basis = tuple(BasisFunction("const", constants[b.kind])
+                  if b.kind in constants and b.param == 0 else b for b in system.basis)
+    return ChebyshevSystem(basis, system.interval)
 
 
 def grid_on(lo: float, hi: float, count: int) -> list[float]:

@@ -24,6 +24,7 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         verify_definition)
 from chebconvex.convexity import (_zero_tested, bordered_window_minors,
                                   require_positive, sign_walk)
+from chebconvex import determinants
 from chebconvex.determinants import (TAU_FACTOR, det_and_scale, sign_of, sweep_signs,
                                      window_sweep)
 from chebconvex.sampling import ordered_index_tuples
@@ -31,7 +32,7 @@ from chebconvex.systems import classify_on_grid
 
 from conftest import (F_CUBE, F_EXP, F_FIFTH, F_NEG_CUBE, F_SQUARE,
                       draw_separated, exact_classical_dd, grid_on, minor_rows,
-                      separated_points_strategy)
+                      separated_points_strategy, twin)
 
 EPS = math.ulp(1.0)
 
@@ -544,27 +545,94 @@ class TestPositivityPrechecks:
         assert self.message(lambda: build_support(system, F_CUBE, (1.0,), grid)) == want
 
     def test_windows_at_the_zero_test_fall_back_to_the_kernel(self):
-        system = polynomial_system(4, self.IV)
-        assert self.message(lambda: certify_corollary1(system, F_CUBE, grid_on(-2, 3, 1000),
+        # On this fine grid some windows of (1, x, x^2, x^3) come within the
+        # zero test, and the first of them that the kernel calls zero fails
+        # the grid check, which the twin basis takes. The Vandermonde sign
+        # of poly:4 holds on every grid, so its scans run.
+        system, grid = polynomial_system(4, self.IV), grid_on(-2, 3, 1000)
+        assert self.message(lambda: certify_corollary1(twin(system), F_CUBE, grid,
                                                        budget=10)) == (
             "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
             "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
             "-1.98998998998999, -1.984984984984985)")
+        a = certify_theorem_a(system, F_CUBE, grid, budget=10)
+        assert (a.verdict, a.coverage, a.tuples_checked) == (CERTIFIED, "sampled", 996)
+        c = certify_corollary1(system, F_CUBE, grid, budget=10)
+        assert (c.verdict, c.coverage, c.tuples_checked, c.skipped) == (
+            CERTIFIED, "sampled", 611, 385)
 
-    def test_support_takes_a_positive_family_from_its_basis(self, monkeypatch):
-        # On this fine grid some windows of (1, x, x^2, x^3) come within the
-        # zero test, and the first of them that the kernel calls zero fails
-        # the grid check; the Vandermonde sign holds on every grid.
+    def test_support_takes_a_positive_family_from_its_basis(self):
+        # As above on 700 points: the twin fails the grid check, and the
+        # Vandermonde sign passes poly:4 without it.
         system, grid = polynomial_system(4, self.IV), grid_on(-2, 3, 700)
         cols = system.evaluate_grid(grid)
-        assert self.message(lambda: require_positive(system, grid, cols, True)) == (
+        assert self.message(lambda: require_positive(twin(system), grid, cols, True)) == (
             "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
             "verdict non-chebyshev, witness (2.184549356223176, 2.19170243204578, "
             "2.198855507868384, 2.206008583690987)")
-        monkeypatch.setattr("chebconvex.support.require_positive", None)
         result = build_support(system, F_CUBE, (0.0, 1.0, 2.0), grid)
         assert result.c_n.estimate == 1.0
         assert result.pattern.overall
+
+
+class TestOnePrecheck:
+    """The basis decides the precheck where :func:`structural_sign` can,
+    with the grid path's outcome, and the windows sweep only when a window
+    search asks for it."""
+
+    IV = Interval(-2.0, 3.0)
+
+    @staticmethod
+    def outcome(system, grid, truncation):
+        try:
+            require_positive(system, grid, system.evaluate_grid(grid), truncation)
+        except PreconditionError as exc:
+            return str(exc)
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.permutations(range(k))),
+           st.sampled_from(["monomial", "negmonomial"]), st.booleans(),
+           st.integers(5, 9).flatmap(lambda m: separated_points_strategy(m, -2.0, 3.0, 0.25)))
+    def test_structure_agrees_with_the_grid(self, powers, kind, truncation, grid):
+        system = ChebyshevSystem(tuple(BasisFunction(kind, p) for p in powers), self.IV)
+        truncation = truncation and system.n >= 2
+        grid = list(grid)
+        assert twin(system).evaluate_grid(grid) == system.evaluate_grid(grid)
+        grid_path = self.outcome(twin(system), grid, truncation)
+        assume(grid_path is None or "non-chebyshev" not in grid_path)
+        assert self.outcome(system, grid, truncation) == grid_path
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = determinants.window_sweep
+
+        def counting(cols, n):
+            calls.append(n)
+            return sweep(cols, n)
+
+        monkeypatch.setattr(determinants, "window_sweep", counting)
+        return calls
+
+    @pytest.mark.parametrize("system, grid, f, knots", [
+        (polynomial_system(3, IV), grid_on(-2, 3, 12), F_CUBE, (0.0, 1.0)),
+        (cosine_sine_system(), grid_on(0.1, 1.5, 12), F_EXP, (0.5,)),
+    ], ids=["poly3", "cossin"])
+    @pytest.mark.parametrize("route, budget", [
+        ("support", None), ("theoremA", 10000), ("corollary1", 10000),
+        ("theoremA", 10), ("corollary1", 10)])
+    def test_sweeps_only_on_request(self, sweeps, system, grid, f, knots, route, budget):
+        if route == "support":
+            build_support(system, f, knots, grid)
+        else:
+            certify = {"theoremA": certify_theorem_a, "corollary1": certify_corollary1}[route]
+            cert = certify(system, f, grid, budget=budget)
+            assert cert.coverage == ("windows" if budget == 10 else "exhaustive")
+        # poly:3 is decided by its basis, so only the windows route sweeps;
+        # cossin is decided on the grid, by the one sweep the route reuses.
+        swept = system.name == "cossin" or budget == 10
+        assert sweeps == ([system.n] if swept else [])
 
 
 class TestExactBorderedSigns:
@@ -714,7 +782,7 @@ class TestNegativeWindowsRoute:
 class TestOneMinorPerWindow:
     """On the windows route each window minor is computed once: the route
     decision's minors are the scan's, and corollary 1's denominators are
-    the precheck's."""
+    the window search's."""
 
     IV = Interval(-2.0, 3.0)
 

@@ -25,7 +25,7 @@ from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
 
 from conftest import (F_CUBE, F_SQUARE, det_bruteforce, draw_separated, grid_on,
-                      minor_rows, separated_points_strategy)
+                      minor_rows, separated_points_strategy, twin)
 
 
 class TestCheckPoints:
@@ -407,7 +407,9 @@ class TestWindowSweep:
             self.check(cols, system.n)
 
     def test_clearly_positive_grid_needs_no_kernel(self, monkeypatch):
-        system = polynomial_system(3, Interval(-2.0, 3.0))
+        # The twin of poly:3, (const 1, x, x^2), leaves the basis undecided,
+        # so the precheck searches the windows of the sweep.
+        system = twin(polynomial_system(3, Interval(-2.0, 3.0)))
         grid = grid_on(-2, 3, 2000)
         cols = [system.evaluate_basis(x) for x in grid]
 
@@ -415,7 +417,8 @@ class TestWindowSweep:
             raise AssertionError("minor_scan ran")
 
         monkeypatch.setattr(determinants, "minor_scan", kernel)
-        require_positive(system, grid, cols, True)
+        windows = require_positive(system, grid, cols, True)
+        assert "levels" in vars(windows)
 
 
 def fuzz_entry(rng: random.Random) -> float:
