@@ -93,29 +93,28 @@ def require_positive(system: ChebyshevSystem, grid: Sequence[float],
                      cols: Sequence[Sequence[float]], truncation: bool) -> Windows:
     """The positivity hypothesis of theorem A, corollary 1 and the support
     construction, for the system and, with ``truncation``, its first n-1
-    functions; the system's failure is raised first. When
-    :func:`structural_sign` decides all of them from the basis alone, their
-    signs stand, and "-" fails as a negative verdict. Otherwise the basis
-    columns ``cols`` at the validated grid decide, over contiguous windows
-    only: a failure reports the verdict of a window-only classification
-    and its first failing window. Returns the :class:`Windows` of
-    ``cols``, which sweep only when a window search first asks: here, or
-    on the windows route."""
+    functions, the system's failure first: from :func:`structural_sign`
+    when it decides all of them, else by a window-only classification of
+    the basis columns ``cols`` at the validated grid. Returns their
+    :class:`Windows`, which sweep only when a window search first asks."""
     windows = Windows(cols, system.n)
     checked = (system, system.truncate(system.n - 1)) if truncation else (system,)
     signs = [*map(structural_sign, checked)]
     for label, part, sign in zip(("system", "truncated system"), checked, signs):
-        k = part.n
-        first, fail = (sign, None) if None not in signs else windows.first_failing(k)
-        if fail is not None:
-            verdict = f"non-chebyshev, witness {tuple(grid[fail:fail + k])}"
-        elif first != "+":
-            verdict = "negative, witness None"
-        else:
-            continue
+        _refuse(label, part, grid, *((sign, None) if None not in signs
+                                     else windows.first_failing(part.n)))
+    return windows
+
+
+def _refuse(label: str, part: ChebyshevSystem, grid: Sequence[float],
+            first: Optional[str], fail: Optional[int]) -> None:
+    """Raise that ``part`` is not positive on the grid unless its first
+    window's sign ``first`` is "+" and no window (index ``fail``) fails."""
+    if fail is not None or first != "+":
+        verdict = ("negative, witness None" if fail is None
+                   else f"non-chebyshev, witness {tuple(grid[fail:fail + part.n])}")
         raise PreconditionError(f"{label} {part.describe()} is not positive "
                                 f"on the grid: verdict {verdict}")
-    return windows
 
 
 def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
@@ -333,7 +332,13 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     # The certificate does not depend on the order of the tuples, so they are
     # scanned sorted, where neighbours share their elimination prefixes.
     tuples.sort()
-    return certificate(tuples, minor_scan(bordered, tuples), coverage)
+    cert = certificate(tuples, minor_scan(bordered, tuples), coverage)
+    if cert.witness is None and cert.min_value <= 0.0:
+        # Floats can collapse where the structure decides (exp(1e-300 x) is 1.0
+        # everywhere): every tuple reads 0, so the windows must be exactly positive.
+        _refuse("system", system, grid, "+", next((
+            i for i in range(len(grid) - n + 1) if exact_sign(cols[i:i + n]) != 1), None))
+    return cert
 
 
 def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],

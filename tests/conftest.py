@@ -90,6 +90,7 @@ F_SQUARE = ExpressionSource("monomial", (2,))
 F_FIFTH = ExpressionSource("monomial", (5,))
 F_EXP = ExpressionSource("exp", (1,))
 F_NEG_CUBE = ExpressionSource("negmonomial", (3,))
+F_NEG_SQUARE = ExpressionSource("negmonomial", (2,))
 
 FIXTURE_FUNCTIONS = (F_FIFTH, F_EXP, F_SQUARE)
 

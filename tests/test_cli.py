@@ -174,22 +174,17 @@ class TestCertifyCommand:
     FINE = ("--interval", "-2:3", "--f", "monomial:3", "--grid", "-2:3:1000",
             "--budget", "10")
 
-    def test_sample_holds_every_window_past_the_budget(self):
-        # --budget caps the random draws, not the scan: the sample always
-        # holds the m-k+1 = 996 windows of 5 of the 1000 points.
-        code, doc = run_json("certify", "--method", "theoremA", "--system", "poly:4",
-                             *self.FINE)
-        assert code == 0
-        cert = doc["certificate"]
-        assert (cert["coverage"], cert["tuples_checked"]) == ("sampled", 996)
-
     @pytest.mark.parametrize("method", ["theoremA", "corollary1"])
     def test_fine_grid_positivity_comes_from_the_basis(self, capsys, tmp_path, method):
         # Some windows of (1, x, x^2, x^3) on this grid fall under the zero
         # test: poly:4 passes by its Vandermonde sign, while the same floats
-        # under a constant first function fail the grid check.
-        code, _ = run_cli("certify", "--method", method, "--system", "poly:4", *self.FINE)
-        assert code == 0
+        # under a constant first function fail the grid check. --budget caps
+        # the random draws, not the scan: the sample always holds the
+        # m-k+1 = 996 windows of 5 of the 1000 points.
+        code, doc = run_json("certify", "--method", method, "--system", "poly:4", *self.FINE)
+        cert = doc["certificate"]
+        assert (code, cert["coverage"], cert["tuples_checked"] + cert["skipped"]) == (
+            0, "sampled", 996)
         path = tmp_path / "twin.txt"
         path.write_text("const 1\nmonomial 1\nmonomial 2\nmonomial 3\n")
         capsys.readouterr()
@@ -199,6 +194,16 @@ class TestCertifyCommand:
             "error: system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
             "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
             "-1.98998998998999, -1.984984984984985)\n")
+
+    def test_collapsed_floats_do_not_certify(self, capsys):
+        # exp(1e-300 x) evaluates to 1.0 on [0, 1], so every bordered
+        # determinant is exactly 0 whatever the target: x -> -x^2 is concave.
+        code, out = run_cli("certify", "--method", "theoremA", "--system", "exp:0,1e-300",
+                            "--interval", "0:1", "--f", "negmonomial:2", "--grid", "0:1:6")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: system (exp(0x), exp(1e-300x)) on [0, 1] is not positive on the "
+            "grid: verdict non-chebyshev, witness (0.0, 0.2)\n")
 
     def test_definition_reports_no_coverage(self):
         _, doc = run_json("certify", "--method", "definition",

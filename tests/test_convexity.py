@@ -30,7 +30,7 @@ from chebconvex.determinants import (TAU_FACTOR, det_and_scale, sign_of, sweep_s
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import classify_on_grid
 
-from conftest import (F_CUBE, F_EXP, F_FIFTH, F_NEG_CUBE, F_SQUARE,
+from conftest import (F_CUBE, F_EXP, F_FIFTH, F_NEG_CUBE, F_NEG_SQUARE, F_SQUARE,
                       draw_separated, exact_classical_dd, grid_on, minor_rows,
                       separated_points_strategy, twin)
 
@@ -555,8 +555,11 @@ class TestPositivityPrechecks:
             "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
             "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
             "-1.98998998998999, -1.984984984984985)")
+        # x^3 is the last basis function, so every bordered determinant is
+        # exactly 0, and the exact signs of the system's windows stand.
         a = certify_theorem_a(system, F_CUBE, grid, budget=10)
-        assert (a.verdict, a.coverage, a.tuples_checked) == (CERTIFIED, "sampled", 996)
+        assert (a.verdict, a.coverage, a.tuples_checked, a.min_value) == (
+            CERTIFIED, "sampled", 996, 0.0)
         c = certify_corollary1(system, F_CUBE, grid, budget=10)
         assert (c.verdict, c.coverage, c.tuples_checked, c.skipped) == (
             CERTIFIED, "sampled", 611, 385)
@@ -633,6 +636,28 @@ class TestOnePrecheck:
         # cossin is decided on the grid, by the one sweep the route reuses.
         swept = system.name == "cossin" or budget == 10
         assert sweeps == ([system.n] if swept else [])
+
+
+class TestCollapsedFloats:
+    """A basis that :func:`structural_sign` decides can still evaluate to
+    floats that are not a Chebyshev system on the grid; theorem A then
+    refuses as the grid check would, rather than certify on zeros."""
+
+    @pytest.mark.parametrize("f", [F_SQUARE, F_NEG_SQUARE], ids=["convex", "concave"])
+    @pytest.mark.parametrize("rate, m, budget", [
+        (1e-300, 6, 10000), (1e-300, 30, 100), (3e-16, 6, 10000)])
+    def test_theorem_a_refuses(self, f, rate, m, budget):
+        # exp(rate x) rounds to 1.0 at x = 0 and the next point, so the first
+        # window of (1, exp(rate x)) is exactly singular; at 1e-300 every
+        # window is, and every bordered determinant reads 0.
+        system, grid = exponential_system((0.0, rate), Interval(0.0, 1.0)), grid_on(0, 1, m)
+        with pytest.raises(PreconditionError) as info:
+            certify_theorem_a(system, f, grid, budget=budget)
+        assert str(info.value) == (
+            f"system (exp(0x), exp({rate:g}x)) on [0, 1] is not positive on the grid: "
+            f"verdict non-chebyshev, witness {tuple(grid[:2])}")
+        with pytest.raises(NearSingularError, match="degenerated; nothing was checked"):
+            certify_corollary1(system, f, grid, budget=budget)
 
 
 class TestExactBorderedSigns:
