@@ -38,8 +38,7 @@ from operator import add, le, mul, not_, or_, sub, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
 from .determinants import (TAU_FACTOR, Windows, check_points, exact_sign,
-                           function_row, known_scan, minor_scan, sign_of,
-                           solve_with_det)
+                           function_row, minor_scan, sign_of, solve_with_det)
 from .divdiff import degenerated
 from .errors import DomainError, NearSingularError, PreconditionError
 from .interpolation import OmegaCombination, interpolate
@@ -363,11 +362,9 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
 
     def certificate(tuples, coverage="windows") -> ConvexityCertificate:
         # Each window not scored yet is scanned once, in lexicographic order,
-        # so that neighbouring windows share their elimination prefixes; the
-        # denominators of the contiguous ones are often the window search's.
+        # so that neighbouring windows share their elimination prefixes.
         ws = sorted({w for t in tuples for w in (t[:n], t[1:])}.difference(dd))
-        for w, den, (num, _) in zip(ws, known_scan(cols, ws, windows.minors),
-                                     minor_scan(numerators, ws)):
+        for w, den, (num, _) in zip(ws, minor_scan(cols, ws), minor_scan(numerators, ws)):
             dd[w] = None if sign_of(*den) == "0" else num / den[0]
 
         def scored():

@@ -48,35 +48,46 @@ windows of every order k <= n. Their scales are folded as in
 
 The signs come from :func:`sweep_signs`. The sweep decides a window of
 k <= ``SWEEP_MAX_ORDER`` points when every nonzero basis value on the grid
-lies within ``SWEEP_RANGE``, 2^-150 to 2^150 in magnitude; none of its
-pivots is zero; every entry its elimination forms is at most
+lies within ``SWEEP_RANGE``, 2^-a to 2^a in magnitude with a = 96; none of
+its pivots is zero; every entry its elimination forms is at most
 ``SWEEP_GROWTH`` (G) times that column's max-norm c_j over the window; and
-|D| > ``SWEEP_MARGIN`` * tau, tau = 64 * eps * scale being the zero test.
-Every other window goes to :func:`minor_scan` alone.
+|D| > 3 tau + beta_k * eps * scale, tau = 64 * eps * scale being the zero
+test and beta_k the error bound below. Every other window goes to
+:func:`minor_scan` alone.
 
-The error bound behind the margin, with u = eps / 2. A row update (a row
-minus a multiple of the row above) leaves the determinant unchanged but
-for its rounding error f, so the computed D minus the exact one is the
-sum, over the updates, of the determinant of the partly reduced window
-with the updated row replaced by f, plus the rounding of the pivot
-product, at most (k-1) u |product|. At step s the window is block
-triangular: s finished rows, whose pivots are at most c_0 and then G c_t,
-over a block of k-s rows. The block's rows other than the updated one
-have entries at most G c_j, at step 0 at least one of them at most c_j as
-it came, and |f_j| <= 3u G c_j. Hadamard's inequality on that block, its
-columns divided by c_j, bounds each of the k-1-s terms of step s by
-3u G^(k-1) (k-s)^((k-s)/2) scale.
-Within ``SWEEP_RANGE``, results below the normal range add less than
-2^-400 scale, and nothing that passes the growth test overflows. Summed,
+The error bound, with u = eps / 2. A row update (a row minus a multiple
+of the row above) leaves the determinant unchanged but for its rounding
+error f, so the computed D minus the exact one is the sum, over the
+updates, of the determinant of the partly reduced window with the updated
+row replaced by f, plus the rounding of the pivot product, at most
+(k-1) u |product|. At step s the window is block triangular: s finished
+rows, whose pivots are at most c_0 and then G c_t, over a block of k-s
+rows. The block's rows other than the updated one have entries at most
+G c_j, at step 0 at least one of them at most c_j as it came, and
+|f_j| <= 3u G c_j. Hadamard's inequality on that block, its columns
+divided by c_j, bounds each of the k-1-s terms of step s by
+3u G^(k-1) (k-s)^((k-s)/2) scale. Summed,
 |D_sweep - D| <= beta_k * eps * scale, where beta_k = G^(k-1) (3 S_k + k - 1) / 2
 and S_k is the sum of (r-1) r^(r/2) over r = 2..k (:func:`_sweep_error`).
-The zero test presumes that the kernel's own error stays below tau. Then
-a window that clears the margin has a kernel determinant that clears the
-zero test with the sweep's sign whenever beta_k * eps <=
-(``SWEEP_MARGIN`` - 2) tau: for k <= 4 (beta_4 = 737 <= 896), not from
-k = 5 (beta_5 = 6848). Windows of more points always fall back.
-:class:`Windows` keeps one sweep, one search per order and the kernel
-minors the searches computed, so a request decides each window once.
+The zero test presumes that the kernel's own error stays below tau. A
+window that clears beta_k * eps * scale + 2 tau then has a kernel
+determinant that clears the zero test with the sweep's sign; the rule's
+third tau is slack for the rounding of the threshold itself and for
+results below the normal range.
+
+The range makes that bound hold up to ``SWEEP_MAX_ORDER``, the largest k
+that meets two inequalities. Every pivot is at most G 2^a = 2^(a+1), so
+(a+1) k < 1024 keeps every product of k pivots finite. A product of one
+pivot is a basis value, never below 2^-1022, so a partial product that
+falls there has at most k-2 pivots left and ends below
+2^(-1022 + (a+1)(k-2)); every row max-norm is at least 2^-a, so scale is
+at least 2^(-a k) and 3 tau more than 2^(-45 - a k), and
+(a+1)(k-2) + a k < 977 keeps such a window below the threshold: it is
+never decided. Entries that round below the normal range err by at most
+2^-1075 each, against a column max-norm of at least 2^-a, which adds less
+than 2^-900 scale to D. For a = 96 both inequalities hold up to k = 6.
+:class:`Windows` keeps one sweep and one search per order, so a request
+decides each window once.
 
 Where the zero test leaves a sign open, :func:`exact_sign` gives the sign
 of the exact determinant of the evaluated floats; the certificates' route
@@ -114,11 +125,6 @@ TAU_FACTOR = 64.0 * EPS
 #: Minimum point separation, as a fraction of the interval span.
 MIN_SEPARATION_FACTOR = 1e-9
 
-#: A window decided by the Neville sweep must clear the zero test this many
-#: times over; see the module docstring for the bound behind it.
-SWEEP_MARGIN = 16.0
-
-
 #: Entries the sweep forms may grow to this multiple of their column's
 #: max-norm over the window; a window with larger ones falls back.
 SWEEP_GROWTH = 2.0
@@ -132,14 +138,14 @@ def _sweep_error(k: int) -> float:
 
 
 #: The sweep decides no window unless every nonzero basis value on the grid
-#: lies within this range of magnitudes (module docstring).
-SWEEP_RANGE = (2.0 ** -150, 2.0 ** 150)
+#: lies within this range of magnitudes, 2^-a to 2^a (module docstring).
+SWEEP_RANGE = (2.0 ** -96, 2.0 ** 96)
 
 
 #: The most points a window decided by the sweep may have: the largest k
-#: whose error bound fits inside the margin.
-SWEEP_MAX_ORDER = max(k for k in range(1, 10)
-                      if _sweep_error(k) * EPS <= (SWEEP_MARGIN - 2) * TAU_FACTOR)
+#: that meets the module docstring's two inequalities for ``SWEEP_RANGE``.
+SWEEP_MAX_ORDER = max(k for a in [int(math.log2(SWEEP_RANGE[1]))] for k in range(1, 1024)
+                      if (a + 1) * k < 1024 and (a + 1) * (k - 2) + a * k < 977)
 
 
 @dataclass(frozen=True)
@@ -317,7 +323,7 @@ def sweep_signs(k: int, dets: Sequence[float], scales: Sequence[float]) -> list[
     "-" where the sweep decides the sign, "" where :func:`minor_scan` must."""
     if k > SWEEP_MAX_ORDER:
         return [""] * len(scales)
-    bound = SWEEP_MARGIN * TAU_FACTOR
+    bound = 3 * TAU_FACTOR + _sweep_error(k) * EPS
     above = map(gt, dets, map(bound.__mul__, scales))
     below = map(lt, dets, map((-bound).__mul__, scales))
     return [*map(("", "+", "-").__getitem__, map(sub, above, below))]
@@ -325,14 +331,12 @@ def sweep_signs(k: int, dets: Sequence[float], scales: Sequence[float]) -> list[
 
 class Windows:
     """The contiguous windows of the basis columns ``cols`` (n entries
-    each) at every order k <= n, each computed at most once per request:
-    one :func:`window_sweep`, run when first needed, one
-    :meth:`first_failing` search per order, and the kernel minors those
-    searches computed, kept in ``minors`` by window index tuple."""
+    each) at every order k <= n, each decided at most once per request:
+    one :func:`window_sweep`, run when first needed, and one
+    :meth:`first_failing` search per order."""
 
     def __init__(self, cols: Sequence[Sequence[float]], n: int):
         self.cols, self.n = cols, n
-        self.minors: dict[tuple[int, ...], tuple[float, float]] = {}
         self._failures: dict[int, tuple[str, Optional[int]]] = {}
 
     @cached_property
@@ -344,18 +348,14 @@ class Windows:
         index of the first window whose sign vanishes or differs from it
         (None if none does). The sweep's signs stand where
         :func:`sweep_signs` gives one; any other window that the search
-        reaches goes to :func:`minor_scan` alone, and its minor into
-        ``minors``."""
+        reaches goes to :func:`minor_scan` alone."""
         if k in self._failures:
             return self._failures[k]
         signs = sweep_signs(k, *self.levels[k - 1])
 
         def sign(i: int) -> str:
-            if signs[i]:
-                return signs[i]
-            minor = next(minor_scan([c[:k] for c in self.cols[i:i + k]], [tuple(range(k))]))
-            self.minors[tuple(range(i, i + k))] = minor
-            return sign_of(*minor)
+            return signs[i] or sign_of(*next(minor_scan([c[:k] for c in self.cols[i:i + k]],
+                                                        [tuple(range(k))])))
 
         first, i = sign(0), 0
         while first != "0":
@@ -373,18 +373,6 @@ class Windows:
         k-tuple of columns then has that sign too (Gasca and Pena, 1992;
         Karlin, "Total Positivity", 1968, ch. 2)."""
         return all(self.first_failing(k)[1] is None for k in range(1, self.n + 1))
-
-
-def known_scan(vecs: Sequence[Sequence[float]], tuples: Sequence[tuple[int, ...]],
-               known: dict[tuple[int, ...], tuple[float, float]]
-               ) -> Iterator[tuple[float, float]]:
-    """:func:`minor_scan` of ``vecs`` over ``tuples``, lazily, with the minors
-    of the tuples in ``known`` read from it. A minor computed alone has the
-    same bits as one computed in a scan that shares its prefix."""
-    if not known:
-        return minor_scan(vecs, tuples)
-    fresh = minor_scan(vecs, (t for t in tuples if t not in known))
-    return (known.get(t) or next(fresh) for t in tuples)
 
 
 def exact_sign(cols: Sequence[Sequence[float]]) -> Optional[int]:

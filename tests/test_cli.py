@@ -449,19 +449,31 @@ class TestUsageErrors:
             f"error: grid bounds need lo < hi, got lo={lo!r}, hi={hi!r}\n")
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["reproduce-paper-example"], 0),
-    (["classify", "--system", "cos", "--grid", "0:3.141592653589793:41"], 2),
-    (["dd", "--system", "poly:2", "--f", "monomial:inf", "--points", "0,1"], 1),
+@pytest.mark.parametrize("argv, code, err", [
+    (["reproduce-paper-example"], 0, ""),
+    (["classify", "--system", "cos", "--grid", "0:3.141592653589793:41"], 2, ""),
+    (["dd", "--system", "poly:2", "--f", "monomial:inf", "--points", "0,1"], 1,
+     "error: monomial parameter inf is not finite\n"),
+    (["support", "--system", "poly:1", "--f", "monomial:2", "--knots", "0.5",
+      "--interval", "0:1", "--grid", "0:1:5"], 1,
+     "error: knot-based constructions need a system of order >= 2\n"),
+    (["classify", "--system", "poly:2", "--grid", "0:1:5", "--budget", "0"], 1,
+     "error: budget must be >= 1\n"),
+    (["classify", "--system", "poly:2", "--grid", "0:1:1"], 1,
+     "error: grid count must be >= 2\n"),
+    # three parts that are not numbers: the name of the table file below
+    (["classify", "--system", "poly:2", "--interval", "0:1", "--grid", "x:y:z"], 0, ""),
 ])
-def test_console_script_exit_codes(monkeypatch, capsys, argv, code):
+def test_console_script_exit_codes(monkeypatch, capsys, tmp_path, argv, code, err):
     """``console_main``, the installed ``chebconvex`` script, reads sys.argv
     and exits with main's code."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x:y:z").write_text("0 0\n0.5 0.25\n1 1\n")
     monkeypatch.setattr(sys, "argv", ["chebconvex", *argv])
     with pytest.raises(SystemExit) as exc:
         console_main()
     assert exc.value.code == code
-    assert "Traceback" not in capsys.readouterr().err
+    assert capsys.readouterr().err == err
 
 
 class TestByteOrderMark:

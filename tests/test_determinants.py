@@ -16,7 +16,7 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem,
                         uniform_grid, v_det)
 from chebconvex import determinants
 from chebconvex.convexity import require_positive
-from chebconvex.determinants import (EPS, SWEEP_MARGIN, SWEEP_MAX_ORDER,
+from chebconvex.determinants import (EPS, SWEEP_MAX_ORDER, SWEEP_RANGE,
                                      TAU_FACTOR, Windows, _sweep_error,
                                      check_points, det_and_scale, exact_sign,
                                      minor_scan, sign_of, solve_with_det,
@@ -383,14 +383,22 @@ class TestWindowSweep:
                     exact = exact_det([v[:k] for v in vecs[i:i + k]])
                     assert abs(Fraction(det) - exact) <= Fraction(_sweep_error(k) * EPS * scale)
 
-    def test_margin_fits_the_bound_up_to_four_points(self):
-        room = (SWEEP_MARGIN - 2) * TAU_FACTOR
-        assert SWEEP_MAX_ORDER == 4
-        assert _sweep_error(4) * EPS <= room < _sweep_error(5) * EPS
+    def test_max_order_is_the_largest_the_range_allows(self):
+        # SWEEP_RANGE is 2^-a..2^a: k pivots of at most 2^(a+1) stay finite,
+        # and a partial product below 2^-1022 stays under 3 tau.
+        a = 96
+        assert SWEEP_RANGE == (2.0 ** -a, 2.0 ** a)
+
+        def fits(k):
+            return (a + 1) * k < 1024 and (a + 1) * (k - 2) + a * k < 977
+
+        assert SWEEP_MAX_ORDER == 6
+        assert all(map(fits, range(1, 7))) and not fits(7)
+        assert 2.0 ** (-1022 + (a + 1) * 4) < 3 * TAU_FACTOR * 2.0 ** (-6 * a)
 
     def test_undecided_windows_go_to_the_kernel(self):
         cases = [
-            # windows within the zero test's margin
+            # windows within the threshold of the sweep
             (polynomial_system(4), grid_on(-2, 3, 700)),
             # cos(1.6) = -0.03: a large multiplier, then growth past the bound
             (cosine_sine_system(), grid_on(0.1, 3.0, 30)),
@@ -398,7 +406,7 @@ class TestWindowSweep:
             (ChebyshevSystem((BasisFunction("monomial", 1), BasisFunction("monomial", 0))),
              grid_on(-1, 1, 21)),
             # more than SWEEP_MAX_ORDER points
-            (polynomial_system(5), grid_on(-1, 1, 12)),
+            (polynomial_system(7), grid_on(-1, 1, 12)),
         ]
         for system, grid in cases:
             cols = [system.evaluate_basis(x) for x in grid]

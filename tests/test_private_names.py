@@ -1,19 +1,30 @@
-"""Every module-level private function or class of the package has a use in
-the package: a stdlib ``ast`` check that stands in for a linter's dead-code
-rule. Tests do not count, so a helper that only tests call is reported."""
+"""Every module-level private function or class, and every module-level
+UPPER_CASE constant, of the package has a use in the package: a stdlib
+``ast`` check that stands in for a linter's dead-code rule. Tests do not
+count, so a helper or a constant that only tests read is reported."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chebconvex"
 
 
-def private_definitions(tree):
-    """The module-level functions and classes whose names start with one
-    underscore."""
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
+def definitions(tree):
+    """(name, node) of the module-level functions and classes whose names
+    start with one underscore, and of the names that module-level
+    assignments bind in UPPER_CASE."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(name.id, node) for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                      and re.fullmatch(r"[A-Z][A-Z0-9_]*", name.id)]
+    return found
 
 
 def referenced_names(node, skip):
@@ -34,16 +45,16 @@ def referenced_names(node, skip):
 
 
 def unreferenced(sources):
-    """(module, name) of each private definition in ``sources`` (module name
-    -> source text) that no module references outside the definition
+    """(module, name) of each definition in ``sources`` (module name ->
+    source text) that no module references outside the definition
     itself."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    return [(module, node.name)
-            for module, tree in trees.items() for node in private_definitions(tree)
-            if not any(node.name in referenced_names(other, node) for other in trees.values())]
+    return [(module, name)
+            for module, tree in trees.items() for name, node in definitions(tree)
+            if not any(name in referenced_names(other, node) for other in trees.values())]
 
 
-def test_every_private_helper_has_a_use():
+def test_every_private_helper_and_constant_has_a_use():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced(sources) == []
 
@@ -58,3 +69,16 @@ def test_check_sees_a_helper_with_no_caller():
                "b.py": ("from .a import _imported\n"
                         "def g(obj): return obj._method_name, _imported\n")}
     assert unreferenced(sources) == [("a.py", "_recursive"), ("a.py", "_Orphan")]
+
+
+def test_check_sees_a_constant_that_nothing_reads():
+    sources = {"a.py": ("READ = 1.0\n"
+                        "ORPHAN = 16.0\n"
+                        "SELF_REFERENCE = [SELF_REFERENCE for _ in ()]\n"
+                        "IMPORTED: int = 2\n"
+                        "LEFT, RIGHT = 0, 1\n"
+                        "_private = lower = 3\n"
+                        "def f(): return READ * LEFT\n"),
+               "b.py": "from .a import IMPORTED\n"}
+    assert unreferenced(sources) == [("a.py", "ORPHAN"), ("a.py", "SELF_REFERENCE"),
+                                     ("a.py", "RIGHT")]

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,11 @@ class TestScanTuples:
 
 
 class TestSampler:
+    @pytest.mark.parametrize("m, k", [(3, 4), (3, 0)])
+    def test_no_tuples_outside_one_to_m_points(self, m, k):
+        for options in ({}, {"budget": 1}, {"windows_only": True}):
+            assert ordered_index_tuples(m, k, **options) == []
+
     def test_stream_of_random_sample(self):
         """The seeded tuples are those of ``random.Random.sample``, on both
         of its branches: a pool of m indices while that list is smaller
