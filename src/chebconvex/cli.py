@@ -378,8 +378,8 @@ def _run_paper_example(config: argparse.Namespace) -> tuple[dict, int]:
          "detail": f"got {list(got)}"},
         {"name": "limit estimate equals 2 within 1e-6",
          "pass": abs(result.c_n.estimate - 2.0) <= 1e-6,
-         "detail": f"estimate {result.c_n.estimate!r} after "
-                   f"{len(result.c_n.h_sequence)} h-steps"},
+         "detail": f"estimate {result.c_n.estimate!r} from "
+                   f"{len(result.c_n.h_sequence)} samples"},
         {"name": "limit trace is nonincreasing",
          "pass": result.c_n.monotone_ok, "detail": ""},
         {"name": "difference is nonpositive left of 0, nonnegative on (0, 1) "

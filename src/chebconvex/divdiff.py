@@ -8,8 +8,8 @@ symmetric under any permutation of the points: numerator and denominator
 pick up the same column inversions.
 
 The ratio at one point tuple comes from :func:`gdd_scan`, for :func:`gdd`
-and the support limit; theorem 2's scan takes Lemma 1's form of it at
-fixed knots, with the errors of :func:`degenerated`.
+and the six samples of the support limit; theorem 2's scan takes Lemma 1's
+form of it at fixed knots, with the errors of :func:`degenerated`.
 
 Two divided differences of windows sharing n-1 points are linked by a
 one-step update identity; :func:`recurrence_identity_residual` measures

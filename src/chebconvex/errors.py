@@ -48,7 +48,8 @@ class GeometryError(ChebConvexError):
 
 
 class LimitDivergedError(ChebConvexError):
-    """One-sided limit estimation failed to converge; carries the h-trace."""
+    """The last two extrapolants of a one-sided limit disagreed; carries the
+    samples."""
 
     def __init__(self, message: str, diagnostics=None):
         super().__init__(message)

@@ -1,14 +1,15 @@
 """Support-type construction for generalized convex functions.
 
 Given n-1 interior knots, the coefficient of the last basis function is
-estimated as the right-hand limit of the divided-difference map just past
-the last knot, the remaining coefficients come from constrained
-interpolation at the knots, and the difference between the target and the
-resulting combination is checked for its alternating sign pattern: it must
-not cross the combination the wrong way on any of the n knot-induced
-subintervals, and must lie above it beyond the last knot. For a system of
-order 2 this is the classical support line (graph never above the target);
-for higher orders the combination changes sides at each interior knot.
+extrapolated from six samples of the divided-difference map just past
+the last knot to its right-hand limit there, the remaining coefficients
+come from constrained interpolation at the knots, and the difference
+between the target and the resulting combination is checked for its
+alternating sign pattern: it must not cross the combination the wrong way
+on any of the n knot-induced subintervals, and must lie above it beyond
+the last knot. For a system of order 2 this is the classical support line
+(graph never above the target); for higher orders the combination changes
+sides at each interior knot.
 
 Sign-pattern violations are data, not errors: for a target that is not
 convex with respect to the system, they are exactly the evidence the
@@ -25,15 +26,17 @@ from typing import Optional, Sequence
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_signs, require_positive,
                         sign_walk, walk_values)
-from .determinants import EPS, MIN_SEPARATION_FACTOR, function_row
-from .divdiff import conditioning, gdd_scan
-from .errors import GeometryError, LimitDivergedError, PreconditionError, ResolutionError
+from .determinants import MIN_SEPARATION_FACTOR, function_row
+from .divdiff import gdd_scan
+from .errors import (DomainError, GeometryError, LimitDivergedError, PreconditionError,
+                     ResolutionError)
 from .interpolation import OmegaCombination, constrained_interpolate
 from .systems import ChebyshevSystem, check_grid_size, validate_grid
 
 #: h0 defaults to this fraction of the span (capped by room to the right end).
 H0_FACTOR = 1e-2
-MAX_HALVINGS = 40
+#: The limit is extrapolated from the map at h0, h0/2, ..., h0/2^(LIMIT_SAMPLES-1).
+LIMIT_SAMPLES = 6
 
 #: Tables must resolve the limit window at least this much finer than h0.
 TABLE_SPACING_FACTOR = 2.0 ** -6
@@ -41,9 +44,11 @@ TABLE_SPACING_FACTOR = 2.0 ** -6
 
 @dataclass(frozen=True)
 class LimitDiagnostics:
-    """Trace of the geometric-halving estimate of a one-sided limit."""
+    """A one-sided limit extrapolated from samples of the map: the samples
+    as (h, value), h halving; whether the last two extrapolants agreed; the
+    last extrapolant; whether the samples were nonincreasing as h shrank."""
 
-    h_sequence: tuple[tuple[float, float], ...]  # (h, value), h halving
+    h_sequence: tuple[tuple[float, float], ...]
     converged: bool
     estimate: float
     monotone_ok: bool
@@ -81,17 +86,19 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
                 *, h0: Optional[float] = None,
                 atol: float = DEFAULT_ATOL,
                 rtol: float = DEFAULT_RTOL) -> LimitDiagnostics:
-    """Estimate the right-hand limit of the divided-difference map at the
-    last knot by geometric halving.
+    """The right-hand limit of the divided-difference map at the last knot
+    k: :func:`gdd_scan` at (knots, k + h) for h = h0 / 2^i, i <
+    ``LIMIT_SAMPLES``, the basis and f evaluated once at each knot and
+    sample, extrapolated to h = 0 by Neville–Aitken on the nominal h.
 
-    Sends (knots, last knot + h) through :func:`gdd_scan`, the basis and f
-    at the knots evaluated once, for h = h0 / 2^k, k <= ``MAX_HALVINGS``, with
-    the first point in the interval and no minimum separation, and stops
-    once consecutive values agree within ``atol + rtol * |value|``. The h
-    trace is kept for auditability; ``monotone_ok`` records whether the
-    values were nonincreasing as h shrank (expected for a convex target),
-    with slack widened by the conditioning of each evaluation so that
-    cancellation noise near tiny h does not read as a violation.
+    It has converged when the last two diagonal extrapolants agree within
+    ``atol + rtol * |estimate|``; otherwise :class:`LimitDivergedError`
+    carries the samples. An h0 whose last sample does not clear the
+    minimum separation, or rounds to k, raises :class:`GeometryError`. A
+    table target is gated on [k, k + h0], then sampled from min(h0, next
+    abscissa - k): every sample on the interpolant's first piece. The
+    samples are ``monotone_ok`` when nonincreasing as h shrinks, as for a
+    convex target, within ``atol + rtol`` times the larger of each two.
     """
     knots = interior_knots(system, knots)
     span = system.interval.tolerance_span
@@ -100,56 +107,45 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
     room = system.interval.hi - x_last
     h0 = min(H0_FACTOR * span, 0.5 * room) if h0 is None else float(h0)
     first = x_last + h0
-    if h0 <= MIN_SEPARATION_FACTOR * span or first == x_last:
-        raise GeometryError(f"h0={h0:.3e} leaves no room above the last knot")
     if not (math.isfinite(first) and system.interval.contains(first)):
         raise GeometryError(f"h0={h0:.3e} puts the first point {first!r} "
                             f"outside {system.interval.describe()}")
-    if getattr(f, "is_table", False):
+    if getattr(f, "is_table", False) and h0 > 0.0:
         spacing = f.max_spacing_within(x_last, first)
         if spacing > TABLE_SPACING_FACTOR * h0:
             raise ResolutionError(
                 f"table spacing {spacing:.3e} in the limit window exceeds "
                 f"{TABLE_SPACING_FACTOR * h0:.3e}")
+        h0 = min(h0, f.xs[bisect.bisect_right(f.xs, x_last)] - x_last)
+    hs = [h0 * 2.0 ** -i for i in range(LIMIT_SAMPLES)]
+    if hs[-1] <= MIN_SEPARATION_FACTOR * span or x_last + hs[-1] == x_last:
+        raise GeometryError(f"h0={h0:.3e} leaves no room above the last knot")
 
-    kcols = [system.evaluate_basis(k) for k in knots]
-    kvals = function_row(f, knots)
-    trace: list[tuple[float, float]] = []
-    conditionings: list[float] = []
-    estimate = None
-    for k in range(MAX_HALVINGS + 1):
-        h = h0 * 2.0 ** -k
-        x = x_last + h
-        if x == x_last:
-            break
-        value, den = gdd_scan(knots + (x,), kcols + [system.evaluate_basis(x)],
-                              kvals + function_row(f, (x,)))
-        trace.append((h, value))
-        conditionings.append(conditioning(*den))
-        if len(trace) >= 2:
-            prev = trace[-2][1]
-            if abs(value - prev) <= atol + rtol * abs(value):
-                estimate = value
-                break
-    monotone = _nonincreasing(trace, conditionings, atol, rtol)
-    if estimate is None:
-        diagnostics = LimitDiagnostics(tuple(trace), False, trace[-1][1], monotone)
+    m = len(knots)
+    points = knots + tuple(x_last + h for h in hs)
+    cols = system.evaluate_grid(points)
+    fvals = function_row(f, points)
+    samples = [gdd_scan(knots + (x,), cols[:m] + [col], fvals[:m] + [fx])[0]
+               for x, col, fx in zip(points[m:], cols[m:], fvals[m:])]
+    # Neville's tableau in place: entry j ends as the value at h = 0 of the
+    # polynomial through the first j + 1 samples, the diagonal extrapolant.
+    diagonal = samples[:]
+    for j in range(1, LIMIT_SAMPLES):
+        for i in range(LIMIT_SAMPLES - 1, j - 1, -1):
+            diagonal[i] += (diagonal[i] - diagonal[i - 1]) * hs[i] / (hs[i - j] - hs[i])
+    if not all(map(math.isfinite, diagonal)):
+        raise DomainError(f"the limit extrapolants {diagonal} from h0={h0:.3e} "
+                          f"are not all finite")
+    estimate = diagonal[-1]
+    monotone = all(v1 <= v0 + atol + rtol * max(abs(v0), abs(v1))
+                   for v0, v1 in zip(samples, samples[1:]))
+    trace = tuple(zip(hs, samples))
+    if abs(estimate - diagonal[-2]) > atol + rtol * abs(estimate):
         raise LimitDivergedError(
-            f"no convergence after {len(trace) - 1} halvings from h0={h0:.3e}",
-            diagnostics)
-    return LimitDiagnostics(tuple(trace), True, estimate, monotone)
-
-
-def _nonincreasing(trace: Sequence[tuple[float, float]],
-                   conditionings: Sequence[float],
-                   atol: float, rtol: float) -> bool:
-    for i in range(1, len(trace)):
-        v0, v1 = trace[i - 1][1], trace[i][1]
-        mag = max(abs(v0), abs(v1))
-        noise = 8.0 * EPS * mag / max(min(conditionings[i - 1], conditionings[i]), EPS)
-        if v1 > v0 + atol + rtol * mag + noise:
-            return False
-    return True
+            f"no convergence: the last two extrapolants from h0={h0:.3e} are "
+            f"{diagonal[-2]!r} and {estimate!r}",
+            LimitDiagnostics(trace, False, estimate, monotone))
+    return LimitDiagnostics(trace, True, estimate, monotone)
 
 
 def verify_sign_pattern(system: ChebyshevSystem, f, omega: OmegaCombination,

@@ -44,6 +44,18 @@ class TestSupportCommand:
         assert doc["support"]["c_n"]["estimate"] == 1.0
         assert doc["support"]["pattern"]["overall"] is True
 
+    def test_limit_converges_at_the_default_tolerances(self):
+        # c_n is the confluent divided difference of x^3 at (k1, k2, k2),
+        # k1 + 2 k2 = 1.669.
+        code, doc = run_json("support", "--system", "poly:3", "--interval", "-2:3",
+                             "--f", "monomial:3", "--knots", "-0.011,0.84",
+                             "--grid", "-1.9:2.9:200")
+        assert code == 0
+        c_n = doc["support"]["c_n"]
+        assert c_n["converged"] is True and c_n["monotone_ok"] is True
+        assert c_n["estimate"] == pytest.approx(1.669, rel=1e-9, abs=0.0)
+        assert len(c_n["h_trace"]) == 6
+
     def test_pattern_failure_exits_two(self):
         code, doc = run_json("support", "--system", "poly:3", "--f", "negmonomial:3",
                              "--knots", "0,1", "--grid", "-2:3:60")

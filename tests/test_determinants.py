@@ -478,6 +478,19 @@ class TestExactSign:
     def test_empty_matrix_is_positive(self):
         assert exact_sign([]) == 1
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 14: pivoting by raw magnitude gives a "
+                              "wrong nonzero sign on rows of widely different scale")
+    def test_kernel_sign_on_rows_of_wide_scale_matches_the_exact_sign(self):
+        # Nearly singular, its rows spanning 2^±100: the kernel returns
+        # -3.48e-19 at scale 1.24e-24, -2.8e5 times the scale, and sign_of
+        # says "-"; the exact determinant of the floats is +6.9e-28.
+        cols = [(-3.3093527415652853e-18, -1.328307912848137e-29, -3.5678633268351936e-16),
+                (1.0144066829134124e-25, 3.1697928020779195e-21, -118414161302227.55),
+                (1.014406682919423e-25, 3.169792882154011e-21, -118479516646009.02)]
+        assert exact_sign(cols) == 1
+        assert sign_of(*next(minor_scan(cols, [(0, 1, 2)]))) == "+"
+
 
 class TestVDet:
     def test_affine_at_0_1(self):

@@ -1,17 +1,18 @@
 import math
+import random
 from collections import Counter
 
 import pytest
 
-from chebconvex import (CERTIFIED, VIOLATED, CallableSource, ExpressionSource,
-                        GeometryError, Interval, LimitDivergedError,
+from chebconvex import (CERTIFIED, VIOLATED, CallableSource, DomainError,
+                        ExpressionSource, GeometryError, Interval, LimitDivergedError,
                         OmegaCombination, PreconditionError, ResolutionError,
                         SourceEvalError, TableSource, build_support,
                         certify_theorem_a, classical_dd,
                         constrained_interpolate, estimate_cn,
                         exponential_system, polynomial_system,
                         verify_sign_pattern)
-from chebconvex.support import H0_FACTOR
+from chebconvex.support import H0_FACTOR, LIMIT_SAMPLES
 
 from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, assert_halving,
                       grid_on)
@@ -31,7 +32,7 @@ class TestEstimateCn:
 
         limit = estimate_cn(cube_system(), CallableSource(cube), (0.0, 1.0))
         assert calls[0.0] == calls[1.0] == 1
-        assert sum(calls.values()) == len(limit.h_sequence) + 2 == 25
+        assert sum(calls.values()) == len(limit.h_sequence) + 2 == LIMIT_SAMPLES + 2 == 8
 
     def test_raising_target_names_only_the_failing_point(self):
         def cube(x):
@@ -54,10 +55,8 @@ class TestEstimateCn:
         # the map value at (0, 1, 1+h) is the node sum 2 + h
         h0, v0 = limit.h_sequence[0]
         assert v0 == pytest.approx(2.0 + h0, rel=1e-9)
-        # converged means the last two trace values actually agree
-        last, previous = limit.h_sequence[-1][1], limit.h_sequence[-2][1]
-        assert abs(last - previous) <= 1e-10 + 1e-8 * abs(last)
-        assert limit.estimate == last
+        # the map is exactly 2 + h, so the extrapolant to h = 0 is 2
+        assert abs(limit.estimate - 2.0) <= 1e-12
 
     def test_tangent_slope_of_exp(self):
         system = polynomial_system(2, Interval(-1.0, 1.0))
@@ -108,20 +107,41 @@ class TestEstimateCn:
     def test_basis_evaluated_once_per_knot_and_halving_point(self, basis_calls):
         limit = estimate_cn(cube_system(), F_CUBE, (0.0, 1.0))
         points = [1.0 + h for h, _ in limit.h_sequence]
-        assert len(points) > 2
+        assert len(points) == LIMIT_SAMPLES
         assert basis_calls == Counter([0.0, 1.0] + points)
 
-    def test_early_stop_states_the_halvings_made(self):
-        # 4096 + h rounds to the knot once h reaches 2^-41, half its ulp, so
-        # the halving stops unconverged after 30 of its 40 halvings.
+    def test_last_sample_rounding_to_the_knot_is_refused(self, basis_calls):
+        # 1e8 + 1e-7 is a point of its own, but the last sample's h of
+        # 1e-7/32 clears the minimum separation and is under half the ulp
+        # of 1e8, so that sample would be the knot itself.
+        f = CallableSource(lambda x: x ** 3, "cube")
+        assert 1e8 + 1e-7 != 1e8 and 1e8 + 1e-7 / 32 == 1e8
+        with pytest.raises(GeometryError, match="no room"):
+            estimate_cn(polynomial_system(2), f, (1e8,), h0=1e-7)
+        assert not basis_calls
+
+    def test_wiggle_diverges_within_the_six_samples(self):
         a = 4096.0
         system = exponential_system((0.0, 0.1))
         wiggle = CallableSource(
             lambda x: math.exp(0.1 * a) * (x - a) * math.sin(1.0 / (x - a)) if x != a
             else 0.0, "wiggle")
-        with pytest.raises(LimitDivergedError, match="after 30 halvings") as info:
+        with pytest.raises(LimitDivergedError, match="no convergence") as info:
             estimate_cn(system, wiggle, (a,), h0=2.0 ** -10)
-        assert len(info.value.diagnostics.h_sequence) == 31
+        trace = info.value.diagnostics
+        assert not trace.converged and not trace.monotone_ok
+        assert [h for h, _ in trace.h_sequence] == [2.0 ** -k for k in range(10, 16)]
+        assert math.isfinite(trace.estimate)
+
+    def test_extrapolant_past_the_float_range_is_an_error(self):
+        # Each sample, f(h) / h at h = 2^-k, is a finite ±1.5e308 of
+        # alternating sign, so their first differences overflow.
+        jump = CallableSource(
+            lambda x: x * 1.5e308 * (-1.0) ** round(-math.log2(x)) if x > 0.0 else 0.0,
+            "jump")
+        system = polynomial_system(2, Interval(-1.0, 1.0))
+        with pytest.raises(DomainError, match="not all finite"):
+            estimate_cn(system, jump, (0.0,), h0=2.0 ** -6)
 
     def test_oscillatory_target_diverges_with_trace(self):
         wild = CallableSource(
@@ -130,7 +150,7 @@ class TestEstimateCn:
             estimate_cn(cube_system(), wild, (0.0, 1.0))
         trace = info.value.diagnostics
         assert trace is not None and not trace.converged
-        assert len(trace.h_sequence) >= 30
+        assert len(trace.h_sequence) == LIMIT_SAMPLES == 6
 
     def test_monotone_limit_matches_classical_route(self):
         # independent route: the classical recurrence under the same halving
@@ -154,19 +174,36 @@ class TestEstimateCn:
         assert limit.converged and limit.monotone_ok
         assert limit.estimate == pytest.approx(oracle, abs=1e-6)
 
-    def test_noise_floor_divergence_is_reported_not_fudged(self):
-        # generic smooth fixture whose halving trace bottoms out just above
-        # the convergence tolerance: the honest outcome is divergence with
-        # the full trace attached
+    def test_exp_limit_is_the_confluent_divided_difference(self):
+        # At the default tolerances; the limit is the divided difference of
+        # e^x at (-0.3, 0.2, 0.2).
         system = polynomial_system(3, Interval(-1.0, 1.0))
-        with pytest.raises(LimitDivergedError) as info:
-            estimate_cn(system, F_EXP, (-0.3, 0.2))
-        trace = info.value.diagnostics
-        assert trace is not None and not trace.converged
-        assert len(trace.h_sequence) == 41
-        # the values still hover around the true one-sided limit
-        values = [v for _, v in trace.h_sequence[-10:]]
-        assert all(abs(v - 0.52047) < 1e-2 for v in values)
+        limit = estimate_cn(system, F_EXP, (-0.3, 0.2))
+        slope = (math.exp(0.2) - math.exp(-0.3)) / 0.5
+        exact = (math.exp(0.2) - slope) / 0.5
+        assert exact == pytest.approx(0.5204673664, abs=1e-10)
+        assert limit.converged and limit.monotone_ok
+        assert abs(limit.estimate - exact) <= 1e-11 * exact
+
+    def test_seeded_family_of_knot_pairs_matches_the_closed_forms(self):
+        # c_n at knots (k1, k2) is the confluent divided difference at
+        # (k1, k2, k2): k1 + 2 k2 for x^3, and for e^(wx) the slope at k2
+        # less the chord slope, over k2 - k1.
+        system = cube_system()
+        rng = random.Random(0)
+        pairs = [sorted((rng.uniform(-1.9, 2.9), rng.uniform(-1.9, 2.9)))
+                 for _ in range(800)]
+        pairs = [(k1, k2) for k1, k2 in pairs if k2 - k1 >= 1e-3]
+        assert len(pairs) == 799
+        for k1, k2 in pairs:
+            w = rng.uniform(0.5, 2.0)
+            chord = (math.exp(w * k2) - math.exp(w * k1)) / (k2 - k1)
+            for f, exact in ((F_CUBE, k1 + 2.0 * k2),
+                             (ExpressionSource("exp", (w,)),
+                              (w * math.exp(w * k2) - chord) / (k2 - k1))):
+                limit = estimate_cn(system, f, (k1, k2))
+                assert limit.converged and limit.monotone_ok, (k1, k2, w)
+                assert abs(limit.estimate - exact) <= 1e-8 * abs(exact), (k1, k2, w)
 
 
 class TestTableGate:
@@ -193,6 +230,17 @@ class TestTableGate:
         limit = estimate_cn(system, table, (0.0,))
         assert limit.converged
         assert limit.estimate == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("knot", [0.0, 1e-4])
+    def test_samples_stay_on_the_first_linear_piece(self, knot):
+        # After the gate on [k, k + 0.02], the samples start at the next
+        # abscissa, 2.5e-4: each is the slope of the piece [0, 2.5e-4].
+        system = polynomial_system(2, Interval(-1.0, 1.0))
+        limit = estimate_cn(system, self._table_exp(0.0, 0.021, 2.5e-4), (knot,))
+        slope = (math.exp(2.5e-4) - 1.0) / 2.5e-4
+        assert limit.h_sequence[0][0] == pytest.approx(2.5e-4 - knot, rel=1e-12)
+        assert all(v == pytest.approx(slope, rel=1e-9) for _, v in limit.h_sequence)
+        assert limit.converged and limit.estimate == pytest.approx(slope, rel=1e-9)
 
     def test_uncovered_window_rejected(self):
         system = polynomial_system(2, Interval(-1.0, 1.0))
