@@ -37,10 +37,11 @@ from itertools import repeat
 from operator import add, le, mul, not_, or_, sub, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
-from .determinants import (TAU_FACTOR, Windows, check_points, exact_sign,
-                           function_row, minor_scan, sign_of, solve_with_det)
+from .determinants import (TAU_FACTOR, ScaleBound, Windows, check_points, exact_sign,
+                           minor_scan, sign_of, solve_with_det)
 from .divdiff import degenerated
 from .errors import DomainError, NearSingularError, PreconditionError
+from .functions import function_row
 from .interpolation import OmegaCombination, interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples, scan_tuples
 from .systems import ChebyshevSystem, structural_sign, validate_grid
@@ -119,7 +120,7 @@ def _refuse(label: str, part: ChebyshevSystem, grid: Sequence[float],
 def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
                            ) -> Optional[tuple[str, list, list]]:
     """The common nonzero sign of the bordered windows of n+1 points, their
-    index tuples and their :func:`minor_scan` minors, in order, when
+    index tuples and their :func:`minor_scan` determinants, in order, when
     Fekete's criterion gives every bordered (n+1)-tuple that sign, else
     None. The criterion holds when the basis windows of every order k <= n
     keep one nonzero sign (``windows``, over the first n entries of
@@ -131,31 +132,31 @@ def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
         return None
     k = windows.n + 1
     tuples = ordered_index_tuples(len(bordered), k, windows_only=True)
-    common, minors = None, []
-    for i, minor in enumerate(minor_scan(bordered, tuples)):
-        sign = sign_of(*minor)
+    bound, common, dets = ScaleBound(bordered), None, []
+    for t, det in zip(tuples, minor_scan(bordered, tuples)):
+        sign = bound.sign(det, t)
         if sign == "0":
-            sign = {1: "+", -1: "-"}.get(exact_sign(bordered[i:i + k]))
-        if sign is None or math.isnan(minor[0]) or sign != (common or sign):
+            sign = {1: "+", -1: "-"}.get(exact_sign(bordered[t[0]:t[0] + k]))
+        if sign is None or math.isnan(det) or sign != (common or sign):
             return None
         common = sign
-        minors.append(minor)
-    return common, tuples, minors
+        dets.append(det)
+    return common, tuples, dets
 
 
 def _windows_route(bordered: Sequence[Sequence[float]], windows: Windows,
                    certificate: Callable[[list, list], ConvexityCertificate]
                    ) -> Optional[ConvexityCertificate]:
-    """``certificate(tuples, minors)`` of the bordered windows of n+1 points
-    alone, given their minors, when it decides the scan, else None. It
-    decides when the windows' common sign (:func:`bordered_window_minors`)
+    """``certificate(tuples, dets)`` of the bordered windows of n+1 points
+    alone, given their determinants, when it decides the scan, else None.
+    It decides when the windows' common sign (:func:`bordered_window_minors`)
     is "+", so every tuple certifies, or "-" and the worst window violates,
     so that the verdict rests on a checked tuple that clears its band."""
     decided = bordered_window_minors(bordered, windows)
     if decided is None:
         return None
-    sign, tuples, minors = decided
-    cert = certificate(tuples, minors)
+    sign, tuples, dets = decided
+    cert = certificate(tuples, dets)
     return cert if sign == "+" or cert.min_value == cert.witness_value else None
 
 
@@ -310,19 +311,31 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     """Certify via signs of the bordered determinant over ordered (n+1)-tuples.
 
     A tuple violates when its determinant falls below ``-(atol + rtol *
-    scale)`` at that tuple's own scale. Past the budget, the windows alone
-    are scanned when they decide every tuple (:func:`_windows_route`).
+    scale)`` at that tuple's own scale. That scale is computed only where
+    the value or the band at the scan's :class:`ScaleBound` is not finite,
+    or the bands at 0 and at the bound disagree. Past the budget, the
+    windows alone are scanned when they decide every tuple
+    (:func:`_windows_route`).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = system.evaluate_grid(grid)
     windows = require_positive(system, grid, cols, False)
     bordered = [c + (v,) for c, v in zip(cols, function_row(f, grid))]
+    bound = ScaleBound(bordered)
+    lo, hi = atol + rtol * 0.0, atol + rtol * bound.bound
 
-    def certificate(tuples, minors, coverage="windows") -> ConvexityCertificate:
-        scored = ((value, t, atol + rtol * scale)
-                  for t, (value, scale) in zip(tuples, minors))
-        return _certificate("theoremA", scored, grid, f, atol, rtol, seed, coverage)
+    def scored(tuples, dets):
+        for t, value in zip(tuples, dets):
+            if (math.isfinite(hi) and math.isfinite(value)
+                    and (value < -lo) == (value < -hi)):
+                yield value, t, hi
+            else:
+                yield value, t, atol + rtol * bound.scale(t)
+
+    def certificate(tuples, dets, coverage="windows") -> ConvexityCertificate:
+        return _certificate("theoremA", scored(tuples, dets), grid, f, atol, rtol, seed,
+                            coverage)
 
     tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
         _windows_route, bordered, windows, certificate))
@@ -358,14 +371,15 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     windows = require_positive(system, grid, cols, n >= 2)
     fvals = function_row(f, grid)
     numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
+    bound = ScaleBound(cols)
     dd: dict[tuple[int, ...], Optional[float]] = {}
 
     def certificate(tuples, coverage="windows") -> ConvexityCertificate:
         # Each window not scored yet is scanned once, in lexicographic order,
         # so that neighbouring windows share their elimination prefixes.
         ws = sorted({w for t in tuples for w in (t[:n], t[1:])}.difference(dd))
-        for w, den, (num, _) in zip(ws, minor_scan(cols, ws), minor_scan(numerators, ws)):
-            dd[w] = None if sign_of(*den) == "0" else num / den[0]
+        for w, den, num in zip(ws, minor_scan(cols, ws), minor_scan(numerators, ws)):
+            dd[w] = None if bound.sign(den, w) == "0" else num / den
 
         def scored():
             for t in tuples:
@@ -409,7 +423,7 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
         p, det = solve_with_det(heads, function_row(f, knots))
     except NearSingularError:
         det = None
-    # minor_scan's row max-norms over the knots, and over the first n-1
+    # det_and_scale's row max-norms over the knots, and over the first n-1
     # functions at all knots but the last: a point's head left of it.
     kmax = [max(map(abs, v)) for v in zip(*kcols)]
     hmax = [max((abs(c[i]) for c in kcols[:-1]), default=0.0) for i in range(n - 1)]

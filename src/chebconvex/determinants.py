@@ -17,23 +17,26 @@ multiples of row d (``_column``, the row update). A column's entries
 after d steps thus depend only on the first d columns and on itself, so
 :func:`minor_scan` can reuse the steps and reduced columns of the prefix a
 tuple shares with the previous one and still compute each minor as it
-would alone. Step k-2 works on rows k-2 and k-1 only, so
-:func:`minor_scan` takes it inline and keeps its pivot row, its other row
-and its factor; a last column then gives its final entry from its two
-entries at depth k-2, by the row update's float operations in the same
-order. In a lexicographic scan a tuple then costs one multiply-subtract on two
-cached entries and an O(k) scale product instead of a k x k elimination,
-so sampled scans walk their tuples in sorted (trie) order and report what
-a scan in sampler order would. Row max-norms are folded with C-level
-``max`` over absolute-value vectors computed once per scan; ``max`` keeps
-the first of equal items, so ties and NaNs fold as in a scan of each row
-in turn.
-Callers pass basis columns, one per point, to :func:`minor_scan` as they
-are; :func:`v_det`, :func:`d_det` and :func:`det_and_scale` pass theirs
-as one tuple. :func:`solve_with_det` carries the right-hand side through
-the same steps as one more column. Point tuples are plain float tuples,
-checked by :func:`distinct_points` and, against a system, by
-:func:`check_points`, whose minimum point separation is fixed.
+would alone. It takes step k-2, on rows k-2 and k-1 only, inline, so that
+a last column gives its final entry from its two entries at depth k-2 by
+the row update's float operations in the same order: in a lexicographic
+scan a tuple costs one multiply-subtract on two cached entries, and sampled
+scans walk their tuples in sorted (trie) order and report what a scan in
+sampler order would. The kernel yields determinants only; a single minor
+goes through :func:`det_and_scale`, which gives its scale too, and
+:func:`solve_with_det` carries a right-hand side as one more column.
+
+A scan's zero tests and tolerance bands read one bound, not each tuple's
+scale: the static filter of Fortune and Van Wyk (ACM Trans. Graph. 15,
+1996). :class:`ScaleBound` takes B, the product over rows of the row's
+max-norm across all the scan's columns. Rounding keeps a float product of
+nonnegative factors monotone in each, so no tuple's scale exceeds B, and a
+test monotone in the scale that reads alike at 0 and at B reads so at the
+tuple's own scale, which is computed only where they differ, bit for bit
+that of :func:`det_and_scale`. B decides nothing when an entry or B itself
+is not finite. Point tuples are plain float tuples, checked by
+:func:`distinct_points` and, against a system, by :func:`check_points`,
+whose minimum point separation is fixed.
 
 Contiguous windows have a second route, :func:`window_sweep`. Let D(i, k)
 be the determinant of the window of k points ending at point i under the
@@ -43,8 +46,8 @@ the row just above it, so its pivot of row i at step s is the ratio
 D(i, s+1) / D(i-1, s) of two contiguous minors (Gasca and Pena, "Total
 positivity and Neville elimination", Linear Algebra Appl. 165, 1992):
 D(i, k) = pivot(i, k-1) * D(i-1, k-1), and one O(m n^2) pass gives the
-windows of every order k <= n. Their scales are folded as in
-:func:`minor_scan`, so they are its scales bit for bit.
+windows of every order k <= n, with the scales of :func:`det_and_scale`
+bit for bit.
 
 The signs come from :func:`sweep_signs`. The sweep decides a window of
 k <= ``SWEEP_MAX_ORDER`` points when every nonzero basis value on the grid
@@ -53,7 +56,7 @@ its pivots is zero; every entry its elimination forms is at most
 ``SWEEP_GROWTH`` (G) times that column's max-norm c_j over the window; and
 |D| > 3 tau + beta_k * eps * scale, tau = 64 * eps * scale being the zero
 test and beta_k the error bound below. Every other window goes to
-:func:`minor_scan` alone.
+:func:`det_and_scale` alone.
 
 The error bound, with u = eps / 2. A row update (a row minus a multiple
 of the row above) leaves the determinant unchanged but for its rounding
@@ -112,7 +115,7 @@ from operator import gt, le, lt, mul, ne, sub, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import ArgumentError, DegenerateInputError, DomainError, NearSingularError
-from .functions import CallableSource, FunctionSource
+from .functions import function_row
 
 # For annotations only: systems imports this module at run time.
 if TYPE_CHECKING: from .systems import ChebyshevSystem  # noqa: E701
@@ -172,6 +175,32 @@ def classify_value(value: float, scale: float) -> SignedValue:
     return SignedValue(value, sign_of(value, scale), scale)
 
 
+def _scale(rows: Iterable[Sequence[float]]) -> float:
+    """The scale proxy: the product of the row max-norms, in order."""
+    return math.prod(max(map(abs, r)) for r in rows)
+
+
+class ScaleBound:
+    """The bound B of one scan over the columns ``vecs``, or inf when an
+    entry or B is not finite (module docstring)."""
+
+    def __init__(self, vecs: Sequence[Sequence[float]]):
+        self.vecs = vecs
+        finite = all(map(math.isfinite, chain.from_iterable(vecs)))
+        self.bound = _scale(zip(*vecs)) if finite else math.inf
+        self.tau = TAU_FACTOR * self.bound
+
+    def scale(self, t: Sequence[int]) -> float:
+        """The scale of the minor with the columns of ``t``."""
+        return _scale(zip(*map(self.vecs.__getitem__, t)))
+
+    def sign(self, value: float, t: Sequence[int]) -> str:
+        """:func:`sign_of` of that minor's ``value``, at B where B decides."""
+        if abs(value) > self.tau:
+            return "+" if value > 0.0 else "-"
+        return "0" if value == 0.0 else sign_of(value, self.scale(t))
+
+
 def _pivot_step(col: Sequence[float], d: int, det: float):
     """The pivot search of step ``d`` on ``col``, a column reduced to depth
     d: the step ``(d, pivot row, pivot, nonzero row factors)`` and ``det``
@@ -200,10 +229,10 @@ def _column(levels: list, e: int, d: int, j: int) -> Sequence[float]:
     """Column ``j`` reduced to depth ``d`` by the steps of ``levels`` (see
     :func:`minor_scan`), starting from the deepest of levels 0..e that
     caches it and caching it at every level it passes: the row update."""
-    while e and j not in levels[e][3]:
+    while e and j not in levels[e][2]:
         e -= 1
-    col = levels[e][3][j]
-    for (s, piv, _, factors), _, _, cache in levels[e + 1:d + 1]:
+    col = levels[e][2][j]
+    for (s, piv, _, factors), _, cache in levels[e + 1:d + 1]:
         col = list(col)
         x = col[piv]
         if piv != s:
@@ -216,18 +245,17 @@ def _column(levels: list, e: int, d: int, j: int) -> Sequence[float]:
 
 
 def minor_scan(vecs: Sequence[Sequence[float]],
-               tuples: Iterable[Sequence[int]]) -> Iterator[tuple[float, float]]:
-    """``(det, scale)`` of the square minor with columns ``vecs[t[0]], ...,
+               tuples: Iterable[Sequence[int]]) -> Iterator[float]:
+    """The determinant of the square minor with columns ``vecs[t[0]], ...,
     vecs[t[k-1]]`` for each index tuple ``t`` of one length k (k entries per
     vector), lazily and in order. A tuple that shares its first c indices
     with the previous one reuses levels 0..c, and every tuple takes its
     last step inline from its column at depth k-2; see the module
     docstring."""
-    absvecs = [[*map(abs, v)] for v in vecs]
     # levels[d], for the prefix t[:d], d <= k-2: the step taken on column
-    # t[d-1], the determinant (None from a zero pivot on), the row max-norms,
-    # and the columns reduced to depth d under the prefix, by index.
-    levels: list = [(None, 1.0, None, dict(enumerate(vecs)))]
+    # t[d-1], the determinant (None from a zero pivot on), and the columns
+    # reduced to depth d under the prefix, by index.
+    levels: list = [(None, 1.0, dict(enumerate(vecs)))]
     prefix = None
     for t in tuples:
         if t[:-1] != prefix:
@@ -235,38 +263,34 @@ def minor_scan(vecs: Sequence[Sequence[float]],
             c = [*map(ne, prefix or (), t), True].index(True)
             del levels[c + 1:]
             prefix = t[:-1]
-            _, det, maxes, _ = levels[c]
+            det = levels[c][1]
             for d in range(c, last - 1):
-                j, step = t[d], None
+                step = None
                 if det is not None:
-                    step, det = _pivot_step(_column(levels, c, d, j), d, det)
-                maxes = absvecs[j] if maxes is None else [*map(max, maxes, absvecs[j])]
-                levels.append((step, det, maxes, {}))
+                    step, det = _pivot_step(_column(levels, c, d, t[d]), d, det)
+                levels.append((step, det, {}))
             # Step k-2 (none for k = 1), inline: the pivot search on rows k-2
             # and k-1. It leaves a column reduced to depth k-2 with the final
             # entry col[other] - f * col[piv], or col[other] where f is 0.
-            cache, other, piv, f = levels[-1][3], 0, 0, 0.0
-            if last:
+            cache, other, piv, f = levels[-1][2], 0, 0, 0.0
+            if last and det is not None:
                 j = t[last - 1]
-                if det is not None:
-                    col = cache.get(j) or _column(levels, c, last - 1, j)
-                    other, piv = last, last - 1
-                    if abs(col[last]) > abs(col[piv]):
-                        other, piv, det = piv, last, -det
-                    if col[piv] == 0.0:
-                        det = None
-                    else:
-                        det, f = det * col[piv], col[other] / col[piv]
-                maxes = absvecs[j] if maxes is None else [*map(max, maxes, absvecs[j])]
-        j = t[-1]
+                col = cache.get(j) or _column(levels, c, last - 1, j)
+                other, piv = last, last - 1
+                if abs(col[last]) > abs(col[piv]):
+                    other, piv, det = piv, last, -det
+                if col[piv] == 0.0:
+                    det = None
+                else:
+                    det, f = det * col[piv], col[other] / col[piv]
         value = 0.0
         if det is not None:
+            j = t[-1]
             col = cache.get(j) or _column(levels, last - 1, last - 1, j)
             v = col[other] - f * col[piv] if f else col[other]
             if v:
                 value = det * v
-        yield (value,
-               math.prod(absvecs[j] if maxes is None else map(max, maxes, absvecs[j])))
+        yield value
 
 
 def window_sweep(cols: Sequence[Sequence[float]],
@@ -277,7 +301,7 @@ def window_sweep(cols: Sequence[Sequence[float]],
     module docstring). ``dets[i]`` is zero or NaN once a zero pivot touched
     window i, NaN once an entry beyond ``SWEEP_GROWTH`` times its column's
     max-norm over the window did, and NaN everywhere when a nonzero entry
-    of ``cols`` lies outside ``SWEEP_RANGE``; each ``scales[i]`` is that of :func:`minor_scan`. The
+    of ``cols`` lies outside ``SWEEP_RANGE``; ``scales[i]`` is that of :func:`det_and_scale`. The
     pass works on the transposed matrix (row j: basis function j at every
     point) and keeps only one step's reduced rows."""
     base = list(islice(zip(*cols), n))
@@ -320,7 +344,7 @@ def window_sweep(cols: Sequence[Sequence[float]],
 def sweep_signs(k: int, dets: Sequence[float], scales: Sequence[float]) -> list[str]:
     """The decision rule (module docstring) for windows of k points, given
     their :func:`window_sweep` determinants and scales: per window, "+" or
-    "-" where the sweep decides the sign, "" where :func:`minor_scan` must."""
+    "-" where the sweep decides the sign, "" where :func:`det_and_scale` must."""
     if k > SWEEP_MAX_ORDER:
         return [""] * len(scales)
     bound = 3 * TAU_FACTOR + _sweep_error(k) * EPS
@@ -348,14 +372,13 @@ class Windows:
         index of the first window whose sign vanishes or differs from it
         (None if none does). The sweep's signs stand where
         :func:`sweep_signs` gives one; any other window that the search
-        reaches goes to :func:`minor_scan` alone."""
+        reaches goes to :func:`det_and_scale` alone."""
         if k in self._failures:
             return self._failures[k]
         signs = sweep_signs(k, *self.levels[k - 1])
 
         def sign(i: int) -> str:
-            return signs[i] or sign_of(*next(minor_scan([c[:k] for c in self.cols[i:i + k]],
-                                                        [tuple(range(k))])))
+            return signs[i] or sign_of(*det_and_scale([*islice(zip(*self.cols[i:i + k]), k)]))
 
         first, i = sign(0), 0
         while first != "0":
@@ -403,27 +426,24 @@ def exact_sign(cols: Sequence[Sequence[float]]) -> Optional[int]:
 
 
 def _square_scale(rows: Sequence[Sequence[float]]) -> float:
-    """The scale proxy of a square matrix, given by rows, which it checks."""
-    n, scale = len(rows), 1.0
-    for r in rows:
-        if len(r) != n:
-            raise ArgumentError(f"matrix rows must have {n} entries")
-        scale *= max(map(abs, r))
-    return scale
+    """The :func:`_scale` of a square matrix, given by rows, which it checks."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ArgumentError(f"matrix rows must have {len(rows)} entries")
+    return _scale(rows)
 
 
 def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Determinant and scale proxy of a square matrix, given by rows: one
-    tuple through :func:`minor_scan`.
+    tuple through :func:`minor_scan`, the entry point for single minors.
 
     ``scale`` is the product of the row max-norms taken before elimination;
     it is the conditioning proxy behind every zero test in the library. The
     empty matrix has determinant 1 by convention.
     """
-    _square_scale(rows)  # for its check of the row lengths
+    scale = _square_scale(rows)
     if not rows:
         return 1.0, 1.0
-    return next(minor_scan([*zip(*rows)], [tuple(range(len(rows)))]))
+    return next(minor_scan([*zip(*rows)], [tuple(range(len(rows)))])), scale
 
 
 def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
@@ -443,12 +463,12 @@ def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
     # cache, which ends up holding each column reduced to the depth of its
     # own step.
     det, reduced = 1.0, {}
-    levels = [(None, 1.0, None, [*zip(*rows), b])]
+    levels = [(None, 1.0, [*zip(*rows), b])]
     for d in range(n):
         step, det = _pivot_step(_column(levels, 0, d, d), d, det)
         if step is None:
             break
-        levels.append((step, det, None, reduced))
+        levels.append((step, det, reduced))
     sv = classify_value(0.0 if det is None else det, scale)
     if sv.sign == "0":
         raise NearSingularError(
@@ -501,38 +521,16 @@ def check_points(system: ChebyshevSystem, pts: Sequence[float],
     return pts
 
 
-def function_row(f, pts: Sequence[float]) -> list[float]:
-    """f at each of ``pts``, in order: the one checked evaluation of a
-    target, a :class:`FunctionSource` or a plain callable, which is taken
-    as ``CallableSource(f, "target function")``. All the points are
-    evaluated at once, through the source's ``values``; when that raises or
-    gives a value that is not finite, the points go to
-    :meth:`FunctionSource.__call__` one at a time, so that the first
-    failing point raises its error: :class:`SourceEvalError` naming it,
-    with f's exception as its cause, or an error that the source raises
-    itself."""
-    if not isinstance(f, FunctionSource):
-        f = CallableSource(f, "target function")
-    try:
-        row = [*map(float, f.values(pts))]
-        if all(map(math.isfinite, row)):
-            return row
-    except Exception:  # raised again below, at its point
-        pass
-    return [*map(float, map(f, pts))]
-
-
 def v_det(system: ChebyshevSystem, pts: Sequence[float]) -> SignedValue:
     """Collocation determinant of ``system`` at ``pts`` (one point per column)."""
     pts = check_points(system, pts, system.n)
     cols = [system.evaluate_basis(x) for x in pts]
-    return classify_value(*next(minor_scan(cols, [tuple(range(len(cols)))])))
+    return classify_value(*det_and_scale([*zip(*cols)]))
 
 
 def d_det(system: ChebyshevSystem, pts: Sequence[float], f) -> SignedValue:
     """Bordered determinant: collocation rows of ``system`` plus the row of
     ``f`` values, at ``system.n + 1`` points."""
     pts = check_points(system, pts, system.n + 1)
-    cols = [system.evaluate_basis(x) for x in pts]
-    cols = [c + (v,) for c, v in zip(cols, function_row(f, pts))]
-    return classify_value(*next(minor_scan(cols, [tuple(range(len(cols)))])))
+    rows = [*zip(*(system.evaluate_basis(x) for x in pts)), function_row(f, pts)]
+    return classify_value(*det_and_scale(rows))

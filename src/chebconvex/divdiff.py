@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .determinants import (check_points, d_det, distinct_points, function_row,
-                           minor_scan, sign_of, v_det)
+from .determinants import check_points, d_det, det_and_scale, distinct_points, sign_of, v_det
 from .errors import ArgumentError, DomainError, NearSingularError
+from .functions import function_row
 from .systems import ChebyshevSystem
 
 #: Below this |V_n| / scale ratio a result is flagged (not failed) in reports.
@@ -85,20 +85,19 @@ def gdd_scan(points: Sequence[float], cols: Sequence[tuple[float, ...]],
     """``(value, (det, scale))`` of the divided difference at ``points``, in
     any order, and of its full collocation determinant, from the basis
     columns ``cols`` and f values ``fvals`` there, each minor through
-    :func:`minor_scan`. The error of a failed zero test, of the determinant
-    or of the truncated one at the n-1 smallest points, names it, and so
-    does the :class:`DomainError` of a value that is not finite."""
+    :func:`det_and_scale`. The error of a failed zero test, of the
+    determinant or of the truncated one at the n-1 smallest points, names
+    it, and so does the :class:`DomainError` of a value that is not finite."""
     n = len(cols)
-    every = [tuple(range(n))]
+    rows = [*zip(*cols)]
     head = sorted(range(n), key=points.__getitem__)[:n - 1]
-    det, scale = next(minor_scan(cols, every))
+    det, scale = det_and_scale(rows)
     if sign_of(det, scale) == "0":
         raise degenerated("full", points)
     # An order-1 system has the empty truncation, whose determinant is 1.
-    truncs = minor_scan([c[:n - 1] for c in cols], [head])
-    if head and sign_of(*next(truncs)) == "0":
+    if sign_of(*det_and_scale([*zip(*map(cols.__getitem__, head))][:n - 1])) == "0":
         raise degenerated("truncated", [points[j] for j in head])
-    num, _ = next(minor_scan([c[:n - 1] + (v,) for c, v in zip(cols, fvals)], every))
+    num, _ = det_and_scale(rows[:n - 1] + [fvals])
     return _finite(num / det, points), (det, scale)
 
 

@@ -179,6 +179,27 @@ class CallableSource(FunctionSource):
         return self.label
 
 
+def function_row(f, pts: Sequence[float]) -> list[float]:
+    """f at each of ``pts``, in order: the one checked evaluation of a
+    target, a :class:`FunctionSource` or a plain callable, which is taken
+    as ``CallableSource(f, "target function")``. All the points are
+    evaluated at once, through the source's ``values``; when that raises or
+    gives a value that is not finite, the points go to
+    :meth:`FunctionSource.__call__` one at a time, so that the first
+    failing point raises its error: :class:`SourceEvalError` naming it,
+    with f's exception as its cause, or an error that the source raises
+    itself."""
+    if not isinstance(f, FunctionSource):
+        f = CallableSource(f, "target function")
+    try:
+        row = [*map(float, f.values(pts))]
+        if all(map(math.isfinite, row)):
+            return row
+    except Exception:  # raised again below, at its point
+        pass
+    return [*map(float, map(f, pts))]
+
+
 class TableSource(FunctionSource):
     """Tabulated samples with optional linear interpolation between them."""
 

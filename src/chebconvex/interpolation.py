@@ -16,8 +16,9 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from .determinants import check_points, d_det, function_row, solve_with_det, v_det
+from .determinants import check_points, d_det, solve_with_det, v_det
 from .errors import ArgumentError, DegenerateInputError, DomainError, NearSingularError
+from .functions import function_row
 from .systems import ChebyshevSystem
 
 #: Relative bound on interpolation residuals at the nodes.

@@ -26,10 +26,11 @@ from typing import Optional, Sequence
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_signs, require_positive,
                         sign_walk, walk_values)
-from .determinants import MIN_SEPARATION_FACTOR, function_row
+from .determinants import MIN_SEPARATION_FACTOR
 from .divdiff import gdd_scan
 from .errors import (DomainError, GeometryError, LimitDivergedError, PreconditionError,
                      ResolutionError)
+from .functions import function_row
 from .interpolation import OmegaCombination, constrained_interpolate
 from .systems import ChebyshevSystem, check_grid_size, validate_grid
 

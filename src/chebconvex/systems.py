@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from .determinants import Windows, minor_scan, sign_of
+from .determinants import ScaleBound, Windows, minor_scan
 from .errors import ArgumentError, DomainError, GeometryError
 from .functions import BASIS_FORMS, FORMS, check_count, check_form, parse_floats
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, scan_tuples
@@ -283,15 +283,17 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     cols = system.evaluate_grid(grid)
     windows = Windows(cols, n)
     tuples, coverage, _ = scan_tuples(len(grid), n, budget, seed, windows.keep_sign)
+    bound = ScaleBound(cols)
     if coverage == "exhaustive":
-        first = sign_of(*next(minor_scan(cols, tuples)))
+        first = bound.sign(next(minor_scan(cols, tuples)), tuples[0])
         fail, rest = (0, []) if first == "0" else (None, range(1, len(tuples)))
     else:
         first, fail = windows.first_failing(n)
         rest = [] if fail is not None else sorted(range(len(grid) - n + 1, len(tuples)),
                                                   key=tuples.__getitem__)
     while rest:
-        signs = itertools.starmap(sign_of, minor_scan(cols, map(tuples.__getitem__, rest)))
+        signs = map(bound.sign, minor_scan(cols, map(tuples.__getitem__, rest)),
+                    map(tuples.__getitem__, rest))
         i = next(itertools.compress(itertools.count(), map(operator.ne, signs,
                                                            itertools.repeat(first))), None)
         if i is None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chebconvex import (BasisFunction, ChebyshevSystem, ExpressionSource, Interval,
                         exponential_system, polynomial_system)
-from chebconvex import convexity, determinants, divdiff, systems
+from chebconvex import convexity, determinants, systems
 
 
 def det_bruteforce(rows):
@@ -151,7 +151,7 @@ def minor_counts(monkeypatch):
                 yield t
         return scan(vecs, taken())
 
-    for module in (determinants, convexity, divdiff, systems):
+    for module in (determinants, convexity, systems):
         monkeypatch.setattr(module, "minor_scan", counting)
     return counts
 

@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -24,7 +25,7 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         verify_definition)
 from chebconvex.convexity import (_zero_tested, bordered_window_minors,
                                   require_positive, sign_walk)
-from chebconvex import determinants
+from chebconvex import convexity, determinants, systems
 from chebconvex.determinants import (TAU_FACTOR, det_and_scale, sign_of, sweep_signs,
                                      window_sweep)
 from chebconvex.sampling import ordered_index_tuples
@@ -1041,6 +1042,137 @@ class TestOverflow:
         values = {0.0: 1e308, 0.5: -1e308, 1.0: 1e308, 2.0: -1e308}
         with pytest.raises(DomainError, match=r"at \(0\.0, 0\.5, 1\.0\) is not finite$"):
             certify(polynomial_system(2), values.__getitem__, sorted(values))
+
+    def test_band_past_the_float_range_at_the_bound_takes_the_tuple_scale(self):
+        # B is finite, but rtol * B is not: no tuple is decided at B, and
+        # the first tuple whose own band overflows is named with it.
+        grid = [-2 + 5 * i / 15 for i in range(16)]
+        with pytest.raises(DomainError) as raised:
+            certify_theorem_a(polynomial_system(2), ExpressionSource("monomial", (2,)),
+                              grid, rtol=1e307)
+        assert str(raised.value) == (
+            "theoremA: value 6.74074074074074 with tolerance inf at "
+            "(-2.0, -1.6666666666666667, 2.666666666666667) is not finite")
+
+
+class ExactScales(determinants.ScaleBound):
+    """A bound that decides nothing: every zero test and band at the
+    tuple's own scale, as each was computed before the bound."""
+
+    def __init__(self, vecs):
+        super().__init__(vecs)
+        self.bound = self.tau = math.inf
+
+
+@st.composite
+def wide_requests(draw):
+    """A system on [-1, 1] whose rows span up to about 2^±100 (rates up to
+    70, constants 2^-100 to 2^100, repeated or zero rows for exactly
+    singular minors), a grid with points a few ulps apart, a target, a
+    budget and tolerances from 1e-300 to 1e307."""
+    n = draw(st.integers(1, 4))
+    rates = st.floats(-70, 70)
+    if draw(st.booleans()):  # exponentials with distinct rates: positive
+        basis = [BasisFunction("exp", a) for a in sorted(
+            draw(st.lists(rates, min_size=n, max_size=n, unique=True)))]
+    else:
+        constants = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                              st.integers(-100, 100).map(lambda e: 2.0 ** e))
+        basis = [draw(st.one_of(st.builds(BasisFunction, st.just("monomial"),
+                                          st.integers(0, 3).map(float)),
+                                st.builds(BasisFunction, st.just("exp"), rates),
+                                st.builds(BasisFunction, st.just("const"), constants)))
+                 for _ in range(n)]
+    points = draw(st.lists(st.floats(-1, 1), min_size=n + 1, max_size=n + 6, unique=True))
+    points += [x + ulps * math.ulp(x) for x, ulps in draw(st.lists(
+        st.tuples(st.sampled_from(points), st.integers(1, 64)), max_size=3))]
+    grid = sorted({x for x in points if -1.0 <= x <= 1.0})
+    assume(len(grid) > n)
+    e, b = draw(st.integers(-100, 100)), draw(st.floats(-3, 3))
+    f = draw(st.sampled_from([ExpressionSource("exp", (b,)),
+                              ExpressionSource("poly", (0.0, -b, 2.0 ** e)),
+                              ExpressionSource("negmonomial", (n,))]))
+    # The last range puts rtol * scale near typical values, where the bands
+    # at 0 and at the bound often part.
+    tolerance = st.one_of(st.sampled_from([0.0, 1e-300, 1e307]),
+                          st.floats(-300, 307).map(lambda u: 10.0 ** u),
+                          st.floats(-16, 1).map(lambda u: 10.0 ** u))
+    # An integer rtol picks a tuple to put just past its own band.
+    return (ChebyshevSystem(tuple(basis), Interval(-1.0, 1.0)), grid, f,
+            {"budget": draw(st.sampled_from([n + 1, 40, 10_000])),
+             "seed": draw(st.integers(0, 20))},
+            {"atol": draw(tolerance), "rtol": draw(tolerance | st.integers(0, 10 ** 6))})
+
+
+class TestScaleBoundFilter:
+    """The scan's bound decides classify's signs, corollary 1's zero tests
+    and theorem A's violation flags and errors as each tuple's own scale
+    does."""
+
+    def test_violation_inside_the_band_at_the_bound_stands(self):
+        # B = 1e8 from the point 100, so the band at B, 1e5, would hide the
+        # only negative tuple, -0.164 at its own scale 1, band 1e-3.
+        grid = [-1.0, -0.5, -0.25, 100.0]
+        cert = certify_theorem_a(polynomial_system(2), F_CUBE, grid, rtol=1e-3)
+        assert (cert.verdict, cert.witness) == (VIOLATED, (-1.0, -0.5, -0.25))
+        assert cert.witness_value == pytest.approx(-0.1640625, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_value_not_finite_names_its_own_band(self, monkeypatch, bad):
+        # A value that is not finite is never decided at the bound, so its
+        # error names the tolerance at the tuple's own scale.
+        system, grid = polynomial_system(3), grid_on(0, 2, 8)
+
+        def scan(vecs, tuples):
+            values = list(determinants.minor_scan(vecs, tuples))
+            return [bad] + values[1:]
+
+        monkeypatch.setattr(convexity, "minor_scan", scan)
+        t = (0, 1, 2, 3)
+        scale = det_and_scale(minor_rows(system.evaluate_grid(grid), t, 3,
+                                         [F_CUBE(x) for x in grid]))[1]
+        with pytest.raises(DomainError) as raised:
+            certify_theorem_a(system, F_CUBE, grid, rtol=1e-3)
+        assert str(raised.value) == (
+            f"theoremA: value {bad!r} with tolerance {1e-10 + 1e-3 * scale!r} at "
+            f"{tuple(grid[j] for j in t)} is not finite")
+
+    @staticmethod
+    def outcome(call, *args, **kwargs):
+        try:
+            return repr(call(*args, **kwargs))
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+    @staticmethod
+    def band_past(system, grid, f, atol, pick):
+        """An rtol that leaves the picked one of the bordered minors with a
+        value below -atol a violation by half its margin, at its own
+        scale: a scale far under B puts it between the bands at 0 and B."""
+        n, cols, fvals = system.n, system.evaluate_grid(grid), [f(x) for x in grid]
+        minors = [det_and_scale(minor_rows(cols, t, n, fvals))
+                  for t in itertools.combinations(range(len(grid)), n + 1)]
+        margins = [(-value - atol) / scale for value, scale in minors
+                   if -value > atol and 0.0 < scale and math.isfinite(value)]
+        return margins[pick % len(margins)] / 2 if margins else 1e-8
+
+    def outcomes(self, case):
+        system, grid, f, scan, tolerances = case
+        if isinstance(tolerances["rtol"], int):
+            tolerances = dict(tolerances, rtol=self.band_past(
+                system, grid, f, tolerances["atol"], tolerances["rtol"]))
+        return [self.outcome(classify_on_grid, system, grid, **scan),
+                self.outcome(certify_theorem_a, system, f, grid, **scan, **tolerances),
+                self.outcome(certify_corollary1, system, f, grid, **scan, **tolerances)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_requests())
+    def test_matches_the_tuple_scales(self, case):
+        got = self.outcomes(case)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (convexity, systems):
+                patch.setattr(module, "ScaleBound", ExactScales)
+            assert got == self.outcomes(case)
 
 
 class TestBulkEvaluationErrors:

@@ -17,12 +17,13 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem,
 from chebconvex import determinants
 from chebconvex.convexity import require_positive
 from chebconvex.determinants import (EPS, SWEEP_MAX_ORDER, SWEEP_RANGE,
-                                     TAU_FACTOR, Windows, _sweep_error,
+                                     TAU_FACTOR, ScaleBound, Windows, _sweep_error,
                                      check_points, det_and_scale, exact_sign,
                                      minor_scan, sign_of, solve_with_det,
                                      sweep_signs, window_sweep)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
+from chebconvex.systems import classify_on_grid
 
 from conftest import (F_CUBE, F_SQUARE, det_bruteforce, draw_separated, grid_on,
                       minor_rows, separated_points_strategy, twin)
@@ -166,6 +167,15 @@ def columns_and_tuples(draw):
     return vecs, k, tuples
 
 
+def folded_scale(vecs, t):
+    """The scale the kernel once folded for each tuple: the row max-norms
+    folded column by column with ``max``, then multiplied by ``math.prod``."""
+    maxes = [*map(abs, vecs[t[0]])]
+    for j in t[1:]:
+        maxes = [*map(max, maxes, map(abs, vecs[j]))]
+    return math.prod(maxes)
+
+
 class TestMinorScan:
     @settings(max_examples=300, deadline=None)
     @given(columns_and_tuples())
@@ -173,27 +183,28 @@ class TestMinorScan:
         vecs, k, tuples = case
         got = list(minor_scan(vecs, tuples))
         assert len(got) == len(tuples)
-        for t, pair in zip(tuples, got):
+        for t, det in zip(tuples, got):
             rows = minor_rows(vecs, t, k)
-            assert repr(pair) == repr(det_and_scale(rows))
-            assert repr(pair) == repr(eliminate_oracle([list(r) for r in rows], k, k))
+            want = eliminate_oracle([list(r) for r in rows], k, k)
+            assert repr((det, folded_scale(vecs, t))) == repr(det_and_scale(rows))
+            assert repr((det, folded_scale(vecs, t))) == repr(want)
 
     def test_vandermonde_scan_with_repeated_tuples(self):
         vecs = [tuple(x ** i for i in range(4)) for x in (-1.0, -0.3, 0.0, 0.2, 0.9, 1.5)]
         tuples = list(itertools.combinations(range(6), 4))
         tuples = tuples + tuples[::-1] + [tuples[3]] * 3
-        for t, pair in zip(tuples, minor_scan(vecs, tuples)):
+        for t, det in zip(tuples, minor_scan(vecs, tuples)):
             rows = minor_rows(vecs, t, 4)
-            assert repr(pair) == repr(eliminate_oracle([list(r) for r in rows], 4, 4))
+            assert repr(det) == repr(eliminate_oracle([list(r) for r in rows], 4, 4)[0])
 
     @staticmethod
     def assert_matches_oracle(vecs, tuples):
         got = list(minor_scan(vecs, tuples))
         assert len(got) == len(tuples)
-        for t, pair in zip(tuples, got):
+        for t, det in zip(tuples, got):
             k = len(t)
             want = eliminate_oracle([list(r) for r in minor_rows(vecs, t, k)], k, k)
-            assert repr(pair) == repr(want), t
+            assert repr((det, folded_scale(vecs, t))) == repr(want), t
         return got
 
     def test_negative_determinant_times_exact_zero_is_zero(self):
@@ -201,10 +212,10 @@ class TestMinorScan:
         # last entry is an exact zero, with no factor and then with one.
         vecs = [(-1.0, 0.0), (3.0, 0.0), (-1.0, 1.0), (2.0, -2.0)]
         got = self.assert_matches_oracle(vecs, [(0, 1), (2, 3)])
-        assert [repr(det) for det, _ in got] == ["0.0", "0.0"]
+        assert [repr(det) for det in got] == ["0.0", "0.0"]
         vecs = [(-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (5.0, 7.0, 0.0), (1.0, 2.0, 3.0)]
         got = self.assert_matches_oracle(vecs, [(0, 1, 2), (0, 1, 3)])
-        assert repr(got[0][0]) == "0.0" and got[1][0] == -3.0
+        assert repr(got[0]) == "0.0" and got[1] == -3.0
 
     def test_zero_pivot_at_the_second_last_step(self):
         # After step 0, column 1 is zero in rows 1 and 2: every tuple with
@@ -213,9 +224,10 @@ class TestMinorScan:
                 (0.0, 0.5, 2.0)]
         tuples = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)]
         got = self.assert_matches_oracle(vecs, tuples)
-        assert got[:3] == [(0.0, 2.0 * 4.0 * 0.5), (0.0, 3.0 * 1.0 * 8.0),
-                           (0.0, 2.0 * 0.5 * 2.0)]
-        assert got[3][0] != 0.0
+        assert got[:3] == [0.0, 0.0, 0.0]
+        assert [folded_scale(vecs, t) for t in tuples[:3]] == [
+            2.0 * 4.0 * 0.5, 3.0 * 1.0 * 8.0, 2.0 * 0.5 * 2.0]
+        assert got[3] != 0.0
 
     def test_row_swap_at_the_second_last_step(self):
         # Column 1 reduced by step 0 is larger in row 2 than in row 1.
@@ -248,8 +260,9 @@ class TestMinorScan:
 
     def test_exact_zero_pivot_keeps_the_scale(self):
         vecs = [(1.0, 2.0), (2.0, 4.0), (0.0, 3.0)]
-        assert list(minor_scan(vecs, [(0, 1), (0, 2), (1, 2)])) == [
-            (0.0, 2.0 * 4.0), (3.0, 1.0 * 3.0), (6.0, 2.0 * 4.0)]
+        tuples = [(0, 1), (0, 2), (1, 2)]
+        assert list(minor_scan(vecs, tuples)) == [0.0, 3.0, 6.0]
+        assert [ScaleBound(vecs).scale(t) for t in tuples] == [2.0 * 4.0, 1.0 * 3.0, 2.0 * 4.0]
 
     def test_lazy(self):
         drawn = []
@@ -283,13 +296,60 @@ class TestMinorScan:
             assert repr((x, sv.value, sv.scale)) == repr((x_want, det, scale))
 
 
+@st.composite
+def wide_columns(draw):
+    """k-entry columns whose rows span 2^-100 to 2^100 in scale, some of
+    them a few ulps from another column or equal to it (exactly singular
+    tuples), and now and then one with a non-finite entry."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(k, k + 5))
+    exponents = draw(st.lists(st.integers(-100, 100), min_size=k, max_size=k))
+    entry = st.one_of(st.just(0.0), st.floats(-1, 1))
+    vecs = [[math.ldexp(draw(entry), e) for e in exponents] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, ulps = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), draw(
+            st.integers(-4, 4))
+        vecs[b] = [x + ulps * math.ulp(x) for x in vecs[a]]
+    if draw(st.integers(0, 9)) == 0:
+        vecs[draw(st.integers(0, m - 1))][draw(st.integers(0, k - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan]))
+    return [tuple(v) for v in vecs], k
+
+
+class TestScaleBound:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_columns())
+    def test_bound_decides_the_zero_test_as_each_tuple_scale(self, case):
+        vecs, k = case
+        tuples = list(itertools.combinations(range(len(vecs)), k))
+        bound = ScaleBound(vecs)
+        for t, det in zip(tuples, minor_scan(vecs, tuples)):
+            scale = folded_scale(vecs, t)
+            assert repr((det, scale)) == repr(det_and_scale(minor_rows(vecs, t, k)))
+            assert repr(bound.scale(t)) == repr(scale)
+            assert not scale > bound.bound
+            assert bound.sign(det, t) == sign_of(det, scale)
+
+    def test_non_finite_entries_decide_nothing(self):
+        assert ScaleBound([(1.0, 2.0), (math.nan, 1.0)]).bound == math.inf
+        assert ScaleBound([(1e300, 1.0), (1.0, 1e300)]).bound == math.inf
+        assert ScaleBound([(1.0, -3.0), (0.5, 2.0)]).bound == 1.0 * 3.0
+
+    def test_vandermonde_scan_needs_no_tuple_scale(self, monkeypatch):
+        # Every minor of a 17-point poly:4 grid clears the zero test at B.
+        scales = []
+        monkeypatch.setattr(ScaleBound, "scale", lambda self, t: scales.append(t))
+        got = classify_on_grid(polynomial_system(4), grid_on(-2, 3, 17), budget=10_000)
+        assert (got.coverage, got.verdict, scales) == ("exhaustive", "positive", [])
+
+
 SWEEP_SYSTEMS = ("poly:2", "poly:3", "poly:4", "poly:5", "poly:6", "negpoly:3",
                  "exp:0,1,2.5", "exp:-1,0,1,2", "cossin")
 
 
 def window_minors(cols, k):
-    """(det, scale) of each window of k columns, one minor_scan per window."""
-    return [next(minor_scan([c[:k] for c in cols[i:i + k]], [tuple(range(k))]))
+    """(det, scale) of each window of k columns, one minor at a time."""
+    return [det_and_scale(minor_rows(cols, range(i, i + k), k))
             for i in range(len(cols) - k + 1)]
 
 
@@ -489,7 +549,7 @@ class TestExactSign:
                 (1.0144066829134124e-25, 3.1697928020779195e-21, -118414161302227.55),
                 (1.014406682919423e-25, 3.169792882154011e-21, -118479516646009.02)]
         assert exact_sign(cols) == 1
-        assert sign_of(*next(minor_scan(cols, [(0, 1, 2)]))) == "+"
+        assert sign_of(*det_and_scale(minor_rows(cols, (0, 1, 2), 3))) == "+"
 
 
 class TestVDet:
