@@ -34,15 +34,14 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import add, le, mul, not_, or_, sub, truediv
+from operator import add, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
-from .determinants import (TAU_FACTOR, ScaleBound, Windows, check_points, exact_sign,
-                           minor_scan, sign_of, solve_with_det)
-from .divdiff import degenerated
+from .determinants import ScaleBound, Windows, check_points, exact_sign, minor_scan
+from .divdiff import knot_map
 from .errors import DomainError, NearSingularError, PreconditionError
 from .functions import function_row
-from .interpolation import OmegaCombination, interpolate
+from .interpolation import interpolate
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, ordered_index_tuples, scan_tuples
 from .systems import ChebyshevSystem, structural_sign, validate_grid
 
@@ -241,24 +240,6 @@ def walk_values(system: ChebyshevSystem, f, grid: Sequence[float],
     return items
 
 
-def _zero_tested(det: float, values: Iterable[float], bounds: Sequence[float],
-                 rows: Sequence[Sequence[float]]) -> Optional[int]:
-    """The index of the first point where ``det`` times its entry of
-    ``values`` fails :func:`sign_of`'s zero test at that point's scale, or
-    None: the product over the basis functions i of ``max(bounds[i],
-    abs(rows[i][j]))``, multiplied in order, as ``math.prod`` does at one
-    point. The test is sign_of's, mapped over the points: a product that
-    is 0, or whose magnitude is at most ``TAU_FACTOR`` times the scale; a
-    NaN product passes."""
-    products = [*map(mul, repeat(det), values)]
-    scales = [*map(max, repeat(bounds[0]), map(abs, rows[0]))]
-    for bound, row in zip(bounds[1:], rows[1:]):
-        scales = map(mul, scales, map(max, repeat(bound), map(abs, row)))
-    zero = [*map(or_, map(not_, products),
-                 map(le, map(abs, products), map(mul, repeat(TAU_FACTOR), scales)))]
-    return zero.index(True) if True in zero else None
-
-
 def _certificate(method: str, scored: Iterable[Optional[tuple]],
                  grid: Sequence[float], f, atol: float, rtol: float,
                  seed: Optional[int],
@@ -402,58 +383,17 @@ def scan_theorem2(system: ChebyshevSystem, f, knots, grid: Sequence[float],
                   rtol: float = DEFAULT_RTOL) -> MonotonicityReport:
     """Scan x -> divided difference at (knots, x) and report monotonicity breaks.
 
-    Knots must be strictly increasing interior points; :func:`sign_walk`
-    walks the grid clear of them, and a scan without an adjacent pair
-    raises. By Lemma 1 the value at x is (f - p)(x) / (u_n - q)(x), where p
-    and q interpolate f and the last basis function u_n at the knots by the
-    first n-1 functions, solved for once. The zero tests of :func:`gdd`
-    stand, with its scale and messages: on the truncated determinant V at
-    the knots first, then point by point on the full one, V (u_n - q)(x),
-    and left of the last knot on the truncated one at the n-1 smallest
-    points, V l(x), for l = 1 at the last knot and 0 at the others. A value
-    that is not finite raises :class:`DomainError` naming its point: no
-    step from or to it could be tested.
+    Knots must be strictly increasing interior points. The map is
+    :func:`.divdiff.knot_map`, solved at the knots first; :func:`walk_values`
+    evaluates it at the :func:`sign_walk` points clear of the knots, so the
+    first failing point raises. A scan without an adjacent pair raises.
     """
-    n = system.n
     knots = interior_knots(system, knots)
     grid = validate_grid(system, grid, 1)
-    kcols = [system.evaluate_basis(k) for k in knots]
-    heads = [c[:n - 1] for c in kcols]
-    try:
-        p, det = solve_with_det(heads, function_row(f, knots))
-    except NearSingularError:
-        det = None
-    # det_and_scale's row max-norms over the knots, and over the first n-1
-    # functions at all knots but the last: a point's head left of it.
-    kmax = [max(map(abs, v)) for v in zip(*kcols)]
-    hmax = [max((abs(c[i]) for c in kcols[:-1]), default=0.0) for i in range(n - 1)]
-    if det is None or sign_of(det.value, math.prod(kmax[:n - 1])) == "0":
-        raise degenerated("truncated", knots)
-    # The same matrix again, so these solves pass the same zero test.
-    q, _ = solve_with_det(heads, [c[n - 1] for c in kcols])
-    lagrange, _ = solve_with_det(heads, [0.0] * (n - 2) + [1.0])
-    truncated = system.truncate(n - 1)
-    p, q, lagrange = (OmegaCombination(truncated, tuple(c)) for c in (p, q, lagrange))
+    values = knot_map(system, knots, f)
     walk = sign_walk(knots, grid, knot_exclusion(system))
-
-    def route(js, regions, xs, fvals, rows):
-        rs = [*map(sub, rows[n - 1], q.at_rows(rows, xs))]
-        i = _zero_tested(det.value, rs, kmax, rows)
-        if i is not None:
-            raise degenerated("full", sorted(knots + (xs[i],)))
-        # The points left of the last knot come first.
-        head = bisect.bisect_left(regions, n - 1)
-        left = [row[:head] for row in rows]
-        i = _zero_tested(det.value, lagrange.at_rows(left, xs), hmax, left)
-        if i is not None:
-            raise degenerated("truncated", sorted(knots[:-1] + (xs[i],)))
-        values = [*map(truediv, map(sub, fvals, p.at_rows(rows, xs)), rs)]
-        if not all(map(math.isfinite, values)):
-            x, v = next((x, v) for x, v in zip(xs, values) if not math.isfinite(v))
-            raise DomainError(f"theorem2: value {v!r} is not finite at x={x!r}")
-        return list(zip(xs, values))
-
-    scan = walk_values(system, f, grid, walk, route)
+    scan = walk_values(system, f, grid, walk, lambda js, regions, xs, fvals, rows:
+                       list(zip(xs, values(xs, fvals, rows))))
     if len(scan) < 2:
         raise PreconditionError(f"theorem2: nothing was checked; {len(scan)} grid "
                                 "point(s) clear the knot exclusion, a pair is needed")

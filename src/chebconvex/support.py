@@ -27,7 +27,7 @@ from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_signs, require_positive,
                         sign_walk, walk_values)
 from .determinants import MIN_SEPARATION_FACTOR
-from .divdiff import gdd_scan
+from .divdiff import knot_map
 from .errors import (DomainError, GeometryError, LimitDivergedError, PreconditionError,
                      ResolutionError)
 from .functions import function_row
@@ -88,9 +88,11 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
                 atol: float = DEFAULT_ATOL,
                 rtol: float = DEFAULT_RTOL) -> LimitDiagnostics:
     """The right-hand limit of the divided-difference map at the last knot
-    k: :func:`gdd_scan` at (knots, k + h) for h = h0 / 2^i, i <
-    ``LIMIT_SAMPLES``, the basis and f evaluated once at each knot and
-    sample, extrapolated to h = 0 by Neville–Aitken on the nominal h.
+    k: theorem 2's :func:`.divdiff.knot_map` at (knots, k + h) for h = h0 /
+    2^i, i < ``LIMIT_SAMPLES``, extrapolated to h = 0 by Neville–Aitken on
+    the nominal h. The map solves at the knots first, so a truncated
+    determinant that degenerates there raises before the basis or f is
+    evaluated at any sample, and before any sample's full-system test.
 
     It has converged when the last two diagonal extrapolants agree within
     ``atol + rtol * |estimate|``; otherwise :class:`LimitDivergedError`
@@ -122,12 +124,9 @@ def estimate_cn(system: ChebyshevSystem, f, knots,
     if hs[-1] <= MIN_SEPARATION_FACTOR * span or x_last + hs[-1] == x_last:
         raise GeometryError(f"h0={h0:.3e} leaves no room above the last knot")
 
-    m = len(knots)
-    points = knots + tuple(x_last + h for h in hs)
-    cols = system.evaluate_grid(points)
-    fvals = function_row(f, points)
-    samples = [gdd_scan(knots + (x,), cols[:m] + [col], fvals[:m] + [fx])[0]
-               for x, col, fx in zip(points[m:], cols[m:], fvals[m:])]
+    values = knot_map(system, knots, f)
+    xs = [x_last + h for h in hs]
+    samples = values(xs, function_row(f, xs), system.evaluate_rows(xs))
     # Neville's tableau in place: entry j ends as the value at h = 0 of the
     # polynomial through the first j + 1 samples, the diagonal extrapolant.
     diagonal = samples[:]

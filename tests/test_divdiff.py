@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, CallableSource, DomainError, ExpressionSource,
                         Interval, NearSingularError, TableSource, classical_dd,
-                        exponential_system, gdd, polynomial_system,
+                        exponential_system, gdd, parse_system, polynomial_system,
                         recurrence_identity_residual, v_det)
+from chebconvex.divdiff import knot_map
+from chebconvex.functions import function_row
 
 from conftest import (F_CUBE, F_EXP, F_SQUARE, FIXTURE_FUNCTIONS, draw_separated,
                       exp_rates, relgap, separated_points_strategy)
@@ -139,6 +141,98 @@ class TestOverflow:
         # Both first differences are inf, and inf - inf is NaN.
         with pytest.raises(DomainError, match=r"^divided difference nan at \(0\.0, 0\.5, 1\.0\) "):
             classical_dd((0.0, 0.5, 1.0), TableSource([0.0, 0.5, 1.0], [-1e308, 0.0, 1e308]))
+
+
+def map_at(system, knots, f, xs):
+    """knot_map's values at the points xs, evaluated in one call."""
+    return knot_map(system, knots, f)(xs, function_row(f, xs), system.evaluate_rows(xs))
+
+
+class TestKnotMap:
+    """Lemma 1's evaluator at fixed knots against gdd's determinant ratio,
+    which computes the same divided difference by an independent formula."""
+
+    ON = Interval(-1.0, 1.0)
+    # Each target's divided differences are positive (e^x w.r.t. powers,
+    # e^(3x) w.r.t. exp:0,1,2 is y^3 w.r.t. (1, y, y^2) in y = e^x), so a
+    # relative bound has no cancellation to absorb.
+    CASES = [(polynomial_system(2, ON), F_EXP),
+             (polynomial_system(3, ON), F_EXP),
+             (polynomial_system(4, ON), F_EXP),
+             (exponential_system((0.0, 1.0, 2.0), ON), ExpressionSource("exp", (3.0,)))]
+
+    @pytest.mark.parametrize("system, f", CASES, ids=["poly2", "poly3", "poly4", "exp012"])
+    def test_matches_gdd_on_both_sides_of_the_knots(self, system, f):
+        # Points at least 0.05 apart in [-0.95, 0.95]: each formula keeps
+        # all but a few digits there (worst seen 5e-13 relative, poly:4).
+        rng = random.Random(2024)
+        for side in range(system.n):  # x left of the first knot, ..., right of the last
+            for _ in range(40):
+                pts = list(draw_separated(rng, system.n, lo=-0.95, hi=0.95))
+                x = pts.pop(side)
+                knots = tuple(pts)
+                value, = map_at(system, knots, f, [x])
+                want = gdd(system, knots + (x,), f).value
+                assert abs(value - want) <= 1e-10 * abs(want), (knots, x)
+
+    def test_values_do_not_depend_on_the_other_points(self):
+        # Ascending points, as theorem 2's scan passes them, and points
+        # right of the last knot in descending order, as the support
+        # limit's samples: the same bits as one point at a time.
+        system, knots = polynomial_system(3, self.ON), (-0.2, 0.4)
+        for xs in ([-0.95, -0.7, 0.1, 0.6, 0.9], [0.9, 0.6, 0.45]):
+            values = map_at(system, knots, F_EXP, xs)
+            assert values == [map_at(system, knots, F_EXP, [x])[0] for x in xs]
+
+    def test_order_two_is_the_chord_slope(self):
+        # n = 2: one knot, and the Lagrange function of the truncation is 1.
+        system = polynomial_system(2, self.ON)
+        values = map_at(system, (0.25,), F_SQUARE, [-0.75, 0.75])
+        assert values == [pytest.approx(-0.5, rel=1e-15), pytest.approx(1.0, rel=1e-15)]
+
+    @pytest.mark.parametrize("basis, knots, x, message", [
+        ("monomial 0\nmonomial 2", (0.5,), -0.5,
+         "full-system collocation determinant degenerated at (-0.5, 0.5)"),
+        # Left of the last knot: the truncation (1, x^2) at (-0.3, 0.3).
+        ("monomial 0\nmonomial 2\nmonomial 3", (-0.3, 0.6), 0.3,
+         "truncated-system collocation determinant degenerated at (-0.3, 0.3)"),
+    ])
+    def test_degeneracies_at_a_point_named_as_gdd_names_them(self, basis, knots, x,
+                                                             message):
+        system = parse_system("interval -1 1\n" + basis)
+        with pytest.raises(NearSingularError) as err:
+            map_at(system, knots, F_CUBE, [x])
+        assert str(err.value) == message
+        with pytest.raises(NearSingularError) as err:
+            gdd(system, sorted(knots + (x,)), F_CUBE)
+        assert str(err.value) == message
+
+    def test_truncation_at_the_knots_is_tested_before_any_point(self):
+        # (x, x, 1): the full system and its truncation are both singular.
+        # gdd tests the full determinant first; the map tests the truncation
+        # at the knots once, before it is given any point.
+        system = parse_system("interval -1 1\nmonomial 1\nmonomial 1\nmonomial 0")
+        with pytest.raises(NearSingularError, match=r"^truncated-system .* at \(-0\.5, 0\.5\)$"):
+            knot_map(system, (-0.5, 0.5), F_CUBE)
+        with pytest.raises(NearSingularError, match=r"^full-system .* at \(-0\.5, 0\.5, 0\.9\)$"):
+            gdd(system, (-0.5, 0.5, 0.9), F_CUBE)
+
+    def test_truncation_at_the_knots_takes_the_scale_of_gdd(self):
+        # At the knots 0 and 1, (e^(-23x), e^(-22.999999x)) has determinant
+        # 1.03e-16. The solve's own scale, a product over the knots, is
+        # 1e-10, and passes it; gdd's, a product over the functions, is 1.
+        system = exponential_system((-23.0, -22.999999, 1.0), Interval(-1.0, 2.0))
+        with pytest.raises(NearSingularError, match=r"^truncated-system .* at \(0\.0, 1\.0\)$"):
+            knot_map(system, (0.0, 1.0), F_CUBE)
+
+    def test_value_that_is_not_finite_names_the_sorted_points(self):
+        # The chord slope of finite values overflows: (-1.7e308 - 1.7e308) / -1.
+        system = polynomial_system(2, Interval(0.0, 1.0))
+        message = r"^divided difference inf at \(0\.0, 1\.0\) is not finite$"
+        with pytest.raises(DomainError, match=message):
+            map_at(system, (1.0,), TestOverflow.T3, [0.0])
+        with pytest.raises(DomainError, match=message):
+            gdd(system, (0.0, 1.0), TestOverflow.T3)
 
 
 class TestRecurrenceIdentity:

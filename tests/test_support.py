@@ -6,12 +6,14 @@ import pytest
 
 from chebconvex import (CERTIFIED, VIOLATED, CallableSource, DomainError,
                         ExpressionSource, GeometryError, Interval, LimitDivergedError,
-                        OmegaCombination, PreconditionError, ResolutionError,
-                        SourceEvalError, TableSource, build_support,
+                        NearSingularError, OmegaCombination, PreconditionError,
+                        ResolutionError, SourceEvalError, TableSource, build_support,
                         certify_theorem_a, classical_dd,
                         constrained_interpolate, estimate_cn,
-                        exponential_system, polynomial_system,
+                        exponential_system, parse_system, polynomial_system,
                         verify_sign_pattern)
+from chebconvex.divdiff import knot_map
+from chebconvex.functions import function_row
 from chebconvex.support import H0_FACTOR, LIMIT_SAMPLES
 
 from conftest import (F_CUBE, F_EXP, F_NEG_CUBE, F_SQUARE, assert_halving,
@@ -119,6 +121,26 @@ class TestEstimateCn:
         with pytest.raises(GeometryError, match="no room"):
             estimate_cn(polynomial_system(2), f, (1e8,), h0=1e-7)
         assert not basis_calls
+
+    @pytest.mark.parametrize("system, f, knots", [
+        (polynomial_system(2, Interval(-1.0, 1.0)), F_EXP, (0.0,)),
+        (cube_system(), F_CUBE, (0.0, 1.0)),
+        (exponential_system((0.0, 1.0, 2.0), Interval(-1.0, 1.0)), F_EXP, (-0.4, 0.3)),
+    ], ids=["poly2", "poly3", "exp012"])
+    def test_samples_are_theorem_2s_map_bit_for_bit(self, system, f, knots):
+        limit = estimate_cn(system, f, knots)
+        xs = [knots[-1] + h for h, _ in limit.h_sequence]
+        values = knot_map(system, knots, f)(xs, function_row(f, xs), system.evaluate_rows(xs))
+        assert [*map(float.hex, values)] == [v.hex() for _, v in limit.h_sequence]
+
+    def test_truncation_at_the_knots_fails_before_any_sample(self, basis_calls):
+        # (x, x, 1) is singular, and so is its truncation at the knots: that
+        # is reported first, and the basis is evaluated at the knots only.
+        system = parse_system("interval -1 1\nmonomial 1\nmonomial 1\nmonomial 0")
+        with pytest.raises(NearSingularError, match=r"^truncated-system collocation "
+                                                    r"determinant degenerated at \(-0\.5, 0\.5\)$"):
+            estimate_cn(system, F_CUBE, (-0.5, 0.5))
+        assert basis_calls == Counter([-0.5, 0.5])
 
     def test_wiggle_diverges_within_the_six_samples(self):
         a = 4096.0
