@@ -37,7 +37,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
-from .determinants import ScaleBound, Windows, check_points, exact_sign, minor_scan
+from .determinants import ScaleBound, Windows, check_points, minor_scan
 from .divdiff import knot_map
 from .errors import DomainError, NearSingularError, PreconditionError
 from .functions import function_row
@@ -116,34 +116,25 @@ def _refuse(label: str, part: ChebyshevSystem, grid: Sequence[float],
                                 f"on the grid: verdict {verdict}")
 
 
-def bordered_window_minors(bordered: Sequence[Sequence[float]], windows: Windows
+def bordered_window_minors(bordered: Sequence[Sequence[float]]
                            ) -> Optional[tuple[str, list, list]]:
     """The common nonzero sign of the bordered windows of n+1 points, their
     index tuples and their :func:`minor_scan` determinants, in order, when
     Fekete's criterion gives every bordered (n+1)-tuple that sign, else
-    None. The criterion holds when the basis windows of every order k <= n
-    keep one nonzero sign (``windows``, over the first n entries of
-    ``bordered``) and every bordered window has one sign: by
-    :func:`sign_of`, or, where the zero test leaves it "0", by the
-    :func:`exact_sign` of its evaluated floats. A window with a NaN minor,
-    a non-finite entry or an exactly singular one has no sign."""
+    None. The criterion holds when the :class:`Windows` of ``bordered``
+    keep one nonzero sign at every order k <= n+1: the basis windows over
+    the first n entries, and the bordered windows. Those signs are exact,
+    so a window with a non-finite entry or an exactly singular one has
+    none; the determinants are only the certificate's values."""
+    k = len(bordered[0])
+    windows = Windows(bordered, k)
     if not windows.keep_sign():
         return None
-    k = windows.n + 1
     tuples = ordered_index_tuples(len(bordered), k, windows_only=True)
-    bound, common, dets = ScaleBound(bordered), None, []
-    for t, det in zip(tuples, minor_scan(bordered, tuples)):
-        sign = bound.sign(det, t)
-        if sign == "0":
-            sign = {1: "+", -1: "-"}.get(exact_sign(bordered[t[0]:t[0] + k]))
-        if sign is None or math.isnan(det) or sign != (common or sign):
-            return None
-        common = sign
-        dets.append(det)
-    return common, tuples, dets
+    return windows.first_failing(k)[0], tuples, list(minor_scan(bordered, tuples))
 
 
-def _windows_route(bordered: Sequence[Sequence[float]], windows: Windows,
+def _windows_route(bordered: Sequence[Sequence[float]],
                    certificate: Callable[[list, list], ConvexityCertificate]
                    ) -> Optional[ConvexityCertificate]:
     """``certificate(tuples, dets)`` of the bordered windows of n+1 points
@@ -151,7 +142,7 @@ def _windows_route(bordered: Sequence[Sequence[float]], windows: Windows,
     It decides when the windows' common sign (:func:`bordered_window_minors`)
     is "+", so every tuple certifies, or "-" and the worst window violates,
     so that the verdict rests on a checked tuple that clears its band."""
-    decided = bordered_window_minors(bordered, windows)
+    decided = bordered_window_minors(bordered)
     if decided is None:
         return None
     sign, tuples, dets = decided
@@ -295,8 +286,10 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     scale)`` at that tuple's own scale. That scale is computed only where
     the value or the band at the scan's :class:`ScaleBound` is not finite,
     or the bands at 0 and at the bound disagree. Past the budget, the
-    windows alone are scanned when they decide every tuple
-    (:func:`_windows_route`).
+    windows alone are scanned when their exact signs decide every tuple
+    (:func:`_windows_route`). A scan that certifies on a minimum of at most
+    0 stands only when the system's n-point windows are exactly positive
+    (the :class:`Windows` search of the precheck).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
@@ -319,7 +312,7 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
                             coverage)
 
     tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
-        _windows_route, bordered, windows, certificate))
+        _windows_route, bordered, certificate))
     if routed:
         return routed
     # The certificate does not depend on the order of the tuples, so they are
@@ -329,8 +322,7 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     if cert.witness is None and cert.min_value <= 0.0:
         # Floats can collapse where the structure decides (exp(1e-300 x) is 1.0
         # everywhere): every tuple reads 0, so the windows must be exactly positive.
-        _refuse("system", system, grid, "+", next((
-            i for i in range(len(grid) - n + 1) if exact_sign(cols[i:i + n]) != 1), None))
+        _refuse("system", system, grid, *windows.first_failing(n))
     return cert
 
 
@@ -349,7 +341,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     n = system.n
     grid = validate_grid(system, grid, n + 1)
     cols = system.evaluate_grid(grid)
-    windows = require_positive(system, grid, cols, n >= 2)
+    require_positive(system, grid, cols, n >= 2)
     fvals = function_row(f, grid)
     numerators = [c[:n - 1] + (v,) for c, v in zip(cols, fvals)]
     bound = ScaleBound(cols)
@@ -373,7 +365,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
         return _certificate("corollary1", scored(), grid, f, atol, rtol, seed, coverage)
 
     tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
-        _windows_route, [c + (v,) for c, v in zip(cols, fvals)], windows,
+        _windows_route, [c + (v,) for c, v in zip(cols, fvals)],
         lambda tuples, _: certificate(tuples)))
     return routed or certificate(tuples, coverage)
 

@@ -2,12 +2,15 @@
 
 The collocation determinant of a system at points (x_1, ..., x_n) is the
 determinant of the matrix whose (i, j) entry is basis_i(x_j); the bordered
-determinant appends a row of target-function values to it. All sign
-decisions are scale-relative: a determinant counts as zero when its
-magnitude falls below ``64 * eps * scale`` where ``scale`` is the product
-of the pre-elimination row max-norms. Row scales of Vandermonde-type
-matrices vary over many orders of magnitude, which makes absolute
-tolerances meaningless here.
+determinant appends a row of target-function values to it. The zero test
+is scale-relative: a determinant counts as zero when its magnitude falls
+below ``64 * eps * scale`` where ``scale`` is the product of the
+pre-elimination row max-norms. Row scales of Vandermonde-type matrices
+vary over many orders of magnitude, which makes absolute tolerances
+meaningless here. The test refuses quotients by a near-singular
+determinant; a sign that a scan reads is the exact sign of the evaluated
+floats wherever the test cannot vouch for it, so "0" then means exactly
+singular.
 
 One kernel computes every determinant: row-pivoted elimination, column by
 column. The pivot of step d is the first entry of largest magnitude from
@@ -39,65 +42,35 @@ is not finite. Point tuples are plain float tuples, checked by
 whose minimum point separation is fixed.
 
 Contiguous windows have a second route, :func:`window_sweep`. Let D(i, k)
-be the determinant of the window of k points ending at point i under the
+be the determinant of the window of k points starting at point i under the
 first k basis functions. Neville elimination of the matrix whose row i
 holds the basis values at point i subtracts from each row a multiple of
-the row just above it, so its pivot of row i at step s is the ratio
-D(i, s+1) / D(i-1, s) of two contiguous minors (Gasca and Pena, "Total
-positivity and Neville elimination", Linear Algebra Appl. 165, 1992):
-D(i, k) = pivot(i, k-1) * D(i-1, k-1), and one O(m n^2) pass gives the
-windows of every order k <= n, with the scales of :func:`det_and_scale`
-bit for bit.
+the row just above it, so its pivot of row i at step s is the ratio of two
+contiguous minors (Gasca and Pena, "Total positivity and Neville
+elimination", Linear Algebra Appl. 165, 1992), and D(i, k) is the product
+of the window's k pivots: one O(m n^2) pass gives the windows of every
+order k <= n. The sweep carries beside each entry it forms a running bound
+on its distance from the entry that exact elimination of the same floats
+forms (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3).
+With u = eps / 2, a factor a / b whose divisor clears its bound, |b| > e_b,
+errs by at most ((|a/b| + eta) e_b + u |a| + e_a) / (|b| - e_b) + eta, and
+an update x' - f x by at most e_x' + (|f| + e_f) e_x + (e_f + 2u |f|) |x| +
+u |x' - f x| + eta. The terms in eta = 2^-1070 bound the rounding of
+results below the normal range, and each bound is inflated by ``SLACK``
+for its own rounding. A factor whose divisor does not clear its bound has
+an infinite one, and so has every entry formed from it. A pivot that
+clears its bound has the sign of the exact pivot, so a window all of whose
+pivots clear theirs has the exact sign of D(i, k), with no limit on its
+order, on the growth of its entries or on their range; every other window
+goes to :func:`exact_sign`. :class:`Windows` keeps one sweep and one
+search per order, so a request decides each window once, and a window's
+sign "0" means that its evaluated floats are exactly singular.
 
-The signs come from :func:`sweep_signs`. The sweep decides a window of
-k <= ``SWEEP_MAX_ORDER`` points when every nonzero basis value on the grid
-lies within ``SWEEP_RANGE``, 2^-a to 2^a in magnitude with a = 96; none of
-its pivots is zero; every entry its elimination forms is at most
-``SWEEP_GROWTH`` (G) times that column's max-norm c_j over the window; and
-|D| > 3 tau + beta_k * eps * scale, tau = 64 * eps * scale being the zero
-test and beta_k the error bound below. Every other window goes to
-:func:`det_and_scale` alone.
-
-The error bound, with u = eps / 2. A row update (a row minus a multiple
-of the row above) leaves the determinant unchanged but for its rounding
-error f, so the computed D minus the exact one is the sum, over the
-updates, of the determinant of the partly reduced window with the updated
-row replaced by f, plus the rounding of the pivot product, at most
-(k-1) u |product|. At step s the window is block triangular: s finished
-rows, whose pivots are at most c_0 and then G c_t, over a block of k-s
-rows. The block's rows other than the updated one have entries at most
-G c_j, at step 0 at least one of them at most c_j as it came, and
-|f_j| <= 3u G c_j. Hadamard's inequality on that block, its columns
-divided by c_j, bounds each of the k-1-s terms of step s by
-3u G^(k-1) (k-s)^((k-s)/2) scale. Summed,
-|D_sweep - D| <= beta_k * eps * scale, where beta_k = G^(k-1) (3 S_k + k - 1) / 2
-and S_k is the sum of (r-1) r^(r/2) over r = 2..k (:func:`_sweep_error`).
-The zero test presumes that the kernel's own error stays below tau. A
-window that clears beta_k * eps * scale + 2 tau then has a kernel
-determinant that clears the zero test with the sweep's sign; the rule's
-third tau is slack for the rounding of the threshold itself and for
-results below the normal range.
-
-The range makes that bound hold up to ``SWEEP_MAX_ORDER``, the largest k
-that meets two inequalities. Every pivot is at most G 2^a = 2^(a+1), so
-(a+1) k < 1024 keeps every product of k pivots finite. A product of one
-pivot is a basis value, never below 2^-1022, so a partial product that
-falls there has at most k-2 pivots left and ends below
-2^(-1022 + (a+1)(k-2)); every row max-norm is at least 2^-a, so scale is
-at least 2^(-a k) and 3 tau more than 2^(-45 - a k), and
-(a+1)(k-2) + a k < 977 keeps such a window below the threshold: it is
-never decided. Entries that round below the normal range err by at most
-2^-1075 each, against a column max-norm of at least 2^-a, which adds less
-than 2^-900 scale to D. For a = 96 both inequalities hold up to k = 6.
-:class:`Windows` keeps one sweep and one search per order, so a request
-decides each window once.
-
-Where the zero test leaves a sign open, :func:`exact_sign` gives the sign
-of the exact determinant of the evaluated floats; the certificates' route
-through the windows reads it for their bordered windows (the
-filter-then-exact scheme of Shewchuk, "Adaptive precision floating-point
-arithmetic and fast robust geometric predicates", Discrete Comput. Geom.
-18, 1997).
+Where a filter leaves a sign open, the sweep's bound for a window or the
+zero test for a classification's tuple, :func:`exact_sign` gives the sign
+of the exact determinant of the evaluated floats (the filter-then-exact
+scheme of Shewchuk, "Adaptive precision floating-point arithmetic and
+fast robust geometric predicates", Discrete Comput. Geom. 18, 1997).
 A float is an integer times a power of two, so scaling each column by a
 power of two, which keeps the sign, makes the matrix an integer one, and
 fraction-free (Bareiss) elimination, whose divisions are all exact, gives
@@ -111,7 +84,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import gt, le, lt, mul, ne, sub, truediv
+from operator import mul, ne, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import ArgumentError, DegenerateInputError, DomainError, NearSingularError
@@ -128,27 +101,12 @@ TAU_FACTOR = 64.0 * EPS
 #: Minimum point separation, as a fraction of the interval span.
 MIN_SEPARATION_FACTOR = 1e-9
 
-#: Entries the sweep forms may grow to this multiple of their column's
-#: max-norm over the window; a window with larger ones falls back.
-SWEEP_GROWTH = 2.0
-
-
-def _sweep_error(k: int) -> float:
-    """beta_k: the sweep's error bound for a window of k points, in units
-    of eps * scale (module docstring)."""
-    terms = sum((r - 1) * r ** (r / 2) for r in range(2, k + 1))
-    return SWEEP_GROWTH ** (k - 1) * (3 * terms + k - 1) / 2
-
-
-#: The sweep decides no window unless every nonzero basis value on the grid
-#: lies within this range of magnitudes, 2^-a to 2^a (module docstring).
-SWEEP_RANGE = (2.0 ** -96, 2.0 ** 96)
-
-
-#: The most points a window decided by the sweep may have: the largest k
-#: that meets the module docstring's two inequalities for ``SWEEP_RANGE``.
-SWEEP_MAX_ORDER = max(k for a in [int(math.log2(SWEEP_RANGE[1]))] for k in range(1, 1024)
-                      if (a + 1) * k < 1024 and (a + 1) * (k - 2) + a * k < 977)
+#: The rounding error bounds of the window sweep (module docstring): a
+#: rounded product or quotient errs by at most ``EPS / 2`` times its value
+#: plus ``ETA`` below the normal range; ``SLACK`` covers the rounding of
+#: the bound itself.
+ETA = 2.0 ** -1070
+SLACK = 1.0 + 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -293,71 +251,50 @@ def minor_scan(vecs: Sequence[Sequence[float]],
         yield value
 
 
-def window_sweep(cols: Sequence[Sequence[float]],
-                 n: int) -> Iterator[tuple[list, list]]:
-    """For k = 1, ..., n in turn, the ``(dets, scales)`` of the windows of k
-    consecutive columns under their first k entries, by first column: one
-    Neville pass over ``cols``, which hold at least n entries each (see the
-    module docstring). ``dets[i]`` is zero or NaN once a zero pivot touched
-    window i, NaN once an entry beyond ``SWEEP_GROWTH`` times its column's
-    max-norm over the window did, and NaN everywhere when a nonzero entry
-    of ``cols`` lies outside ``SWEEP_RANGE``; ``scales[i]`` is that of :func:`det_and_scale`. The
-    pass works on the transposed matrix (row j: basis function j at every
-    point) and keeps only one step's reduced rows."""
-    base = list(islice(zip(*cols), n))
-    reduced: list = base  # the rows not yet finished, after the steps so far
-    maxes = [[*map(abs, b)] for b in base]  # per row, over each window
-    in_range = (max(chain.from_iterable(maxes), default=0.0) <= SWEEP_RANGE[1]
-                and min(filter(None, chain.from_iterable(maxes)),
-                        default=1.0) >= SWEEP_RANGE[0])
-    dets: Iterable[float] = repeat(1.0 if in_range else math.nan)
+def window_sweep(cols: Sequence[Sequence[float]], n: int) -> Iterator[list[int]]:
+    """For k = 1, ..., n in turn, the sign of each window of k consecutive
+    columns under their first k entries, by first column: 1 or -1 where
+    each of the window's k Neville pivots clears its running error bound,
+    so that the sign is that of the exact determinant, and 0 otherwise (see
+    the module docstring). One pass over ``cols``, which hold at least n
+    entries each, on the transposed matrix (row j: basis function j at
+    every point), keeping one step's reduced rows and their bounds."""
+    u = EPS / 2
+    reduced: list = list(islice(zip(*cols), n))  # the rows not yet finished
+    errors = [[x - x for x in row] for row in reduced]  # NaN at a non-finite entry
+    signs: Iterable[int] = repeat(1)
     for k in range(1, n + 1):
-        pivots = reduced[0]
-        dets = [*map(mul, pivots, dets)]
-        scales = maxes[0]
-        for v in maxes[1:k]:
-            scales = [*map(mul, scales, v)]
-        yield dets, scales
+        pivots, bounds = reduced[0], errors[0]
+        signs = [s * ((p > e) - (p < -e)) for s, p, e in zip(signs, pivots, bounds)]
+        yield signs
         if k == n:
             return
-        try:
-            factors = [*map(truediv, pivots[1:], pivots)]
-        except ZeroDivisionError:
-            factors = [a / b if b else math.nan for a, b in zip(pivots[1:], pivots)]
-        for j, c in enumerate(base):  # one row at a time, to keep memory low
-            # max(a, b), which keeps a unless b is larger, as a comprehension
-            maxes[j] = [b if b > a else a
-                        for a, b in zip(maxes[j], map(abs, islice(c, k, None)))]
-        reduced = [[*map(sub, r[1:], map(mul, factors, r))] for r in reduced[1:]]
-
-        def within():
-            return (map(le, map(abs, r), map(SWEEP_GROWTH.__mul__, v))
-                    for r, v in zip(reduced, maxes[k:]))
-
-        if not all(map(all, within())):
-            # A point with an entry past its bound is NaN from here on, and
-            # so is every window that holds it.
-            keep = [*map((math.nan, 1.0).__getitem__, map(all, zip(*within())))]
-            reduced = [[*map(mul, r, keep)] for r in reduced]
-
-
-def sweep_signs(k: int, dets: Sequence[float], scales: Sequence[float]) -> list[str]:
-    """The decision rule (module docstring) for windows of k points, given
-    their :func:`window_sweep` determinants and scales: per window, "+" or
-    "-" where the sweep decides the sign, "" where :func:`det_and_scale` must."""
-    if k > SWEEP_MAX_ORDER:
-        return [""] * len(scales)
-    bound = 3 * TAU_FACTOR + _sweep_error(k) * EPS
-    above = map(gt, dets, map(bound.__mul__, scales))
-    below = map(lt, dets, map((-bound).__mul__, scales))
-    return [*map(("", "+", "-").__getitem__, map(sub, above, below))]
+        # Per pair of neighbouring pivots: the factor, the multiplier of a
+        # row entry's bound and that of its magnitude in the updated bound.
+        factors, carry, spread = [], [], []
+        for a, ea, b, eb in zip(pivots[1:], bounds[1:], pivots, bounds):
+            if abs(b) > eb:
+                f = a / b
+                ef = ((abs(f) + ETA) * eb + u * abs(a) + ea + ETA) / (abs(b) - eb) * SLACK + ETA
+            else:
+                f, ef = 0.0, math.inf
+            factors.append(f)
+            carry.append(abs(f) + ef)
+            spread.append(ef + EPS * abs(f))
+        rows = [[*map(sub, r[1:], map(mul, factors, r))] for r in reduced[1:]]
+        errors = [[(e1 + c * e0 + d * abs(x) + u * abs(y)) * SLACK + ETA
+                   for e1, e0, x, y, c, d in zip(e[1:], e, r, s, carry, spread)]
+                  for e, r, s in zip(errors[1:], reduced[1:], rows)]
+        reduced = rows
 
 
 class Windows:
     """The contiguous windows of the basis columns ``cols`` (n entries
     each) at every order k <= n, each decided at most once per request:
     one :func:`window_sweep`, run when first needed, and one
-    :meth:`first_failing` search per order."""
+    :meth:`first_failing` search per order. A window's sign is exact: the
+    sweep's where it decides, else :func:`exact_sign`'s, so "0" means that
+    the evaluated floats are exactly singular (or not finite)."""
 
     def __init__(self, cols: Sequence[Sequence[float]], n: int):
         self.cols, self.n = cols, n
@@ -368,27 +305,26 @@ class Windows:
         return list(window_sweep(self.cols, self.n))
 
     def first_failing(self, k: int) -> tuple[str, Optional[int]]:
-        """The :func:`sign_of` of the first window of k points and the
-        index of the first window whose sign vanishes or differs from it
-        (None if none does). The sweep's signs stand where
-        :func:`sweep_signs` gives one; any other window that the search
-        reaches goes to :func:`det_and_scale` alone."""
+        """The sign of the first window of k points and the index of the
+        first window whose sign vanishes or differs from it (None if none
+        does). The sweep's signs stand where it gives one; any other window
+        that the search reaches goes to :func:`exact_sign`."""
         if k in self._failures:
             return self._failures[k]
-        signs = sweep_signs(k, *self.levels[k - 1])
+        signs = self.levels[k - 1]
 
-        def sign(i: int) -> str:
-            return signs[i] or sign_of(*det_and_scale([*islice(zip(*self.cols[i:i + k]), k)]))
+        def sign(i: int) -> int:
+            return signs[i] or exact_sign([c[:k] for c in self.cols[i:i + k]]) or 0
 
         first, i = sign(0), 0
-        while first != "0":
+        while first:
             # the next window whose sweep sign is not the first window's
             i = next(compress(count(i + 1), map(ne, islice(signs, i + 1, None),
                                                 repeat(first))), None)
             if i is None or sign(i) != first:
                 break
-        self._failures[k] = first, i
-        return first, i
+        self._failures[k] = "0+-"[first], i  # indexed by the sign 0, 1 or -1
+        return self._failures[k]
 
     def keep_sign(self) -> bool:
         """Whether, at every order k = 1, ..., n, the windows of k points
@@ -425,11 +361,11 @@ def exact_sign(cols: Sequence[Sequence[float]]) -> Optional[int]:
     return sign if prev > 0 else -sign
 
 
-def _square_scale(rows: Sequence[Sequence[float]]) -> float:
-    """The :func:`_scale` of a square matrix, given by rows, which it checks."""
+def _square(rows: Sequence[Sequence[float]]) -> Sequence[Sequence[float]]:
+    """``rows``, once they are checked to be those of a square matrix."""
     if any(len(r) != len(rows) for r in rows):
         raise ArgumentError(f"matrix rows must have {len(rows)} entries")
-    return _scale(rows)
+    return rows
 
 
 def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
@@ -440,7 +376,7 @@ def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
     it is the conditioning proxy behind every zero test in the library. The
     empty matrix has determinant 1 by convention.
     """
-    scale = _square_scale(rows)
+    scale = _scale(_square(rows))
     if not rows:
         return 1.0, 1.0
     return next(minor_scan([*zip(*rows)], [tuple(range(len(rows)))])), scale
@@ -448,17 +384,20 @@ def det_and_scale(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
 
 def solve_with_det(rows: Sequence[Sequence[float]], rhs: Sequence[float]
                    ) -> tuple[list[float], SignedValue]:
-    """Solve a square system and report the determinant from one elimination.
+    """Solve a square system, one row per point, and report the determinant
+    from one elimination.
 
     The right-hand side is one more column carried through the steps of
     :func:`minor_scan`. Raises :class:`NearSingularError` when the
-    determinant does not clear its scale-relative tolerance.
+    determinant does not clear the zero test at the collocation scale, the
+    product over columns (functions) of each column's max-norm, which
+    :func:`det_and_scale` takes for the same matrix given by functions.
     """
     n = len(rows)
     b = [float(v) for _, v in zip(rows, rhs)]
     if len(b) != n:
         raise ArgumentError("system dimensions do not match")
-    scale = _square_scale(rows)
+    scale = _scale(zip(*_square(rows)))
     # Steps 0..n-1 in order, stopping at a zero pivot. All levels share one
     # cache, which ends up holding each column reduced to the depth of its
     # own step.

@@ -126,7 +126,8 @@ def knot_map(system: ChebyshevSystem, knots: tuple[float, ...], f) -> Callable[.
     functions. Returns ``values(xs, fvals, rows)``, the map at ``xs`` from
     f and the basis rows there, O(n) per point, the points left of the last
     knot first. :func:`gdd`'s zero tests and messages stand: on the
-    truncated determinant V at the knots here, then on the full one,
+    truncated determinant V at the knots, the solve's own test at
+    :func:`gdd`'s scale, then on the full one,
     V (u_n - q)(x), and left of the last knot on the truncated one at the
     n-1 smallest points, V l(x), for l = 1 at the last knot and 0 at the
     others. Each raises for its first failing point, as does a value that
@@ -137,13 +138,11 @@ def knot_map(system: ChebyshevSystem, knots: tuple[float, ...], f) -> Callable[.
     try:
         p, det = solve_with_det(heads, function_row(f, knots))
     except NearSingularError:
-        det = None
+        raise degenerated("truncated", knots) from None
     # det_and_scale's row max-norms over the knots, and over the first n-1
     # functions at all knots but the last: a point's head left of it.
     kmax = [max(map(abs, row)) for row in krows]
     hmax = [max(map(abs, row[:-1]), default=0.0) for row in krows[:n - 1]]
-    if det is None or sign_of(det.value, math.prod(kmax[:n - 1])) == "0":
-        raise degenerated("truncated", knots)
     # The same matrix again, so these solves pass the same zero test.
     q, _ = solve_with_det(heads, krows[n - 1])
     lagrange, _ = solve_with_det(heads, [0.0] * (n - 2) + [1.0])

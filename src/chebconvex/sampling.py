@@ -10,9 +10,8 @@ Linear Algebra Appl. 165, 1992; Karlin, "Total Positivity", 1968, ch. 2),
 if for each order j <= k the windows of j consecutive points under the
 first j functions share one nonzero sign, every increasing j-tuple has
 that sign, so the windows decide what every tuple would. A window's
-sign is that of the zero test, or, for the bordered windows of a
-certificate that the zero test leaves open, the exact sign of the
-evaluated floats (:func:`.determinants.exact_sign`); a certificate whose
+sign is the exact sign of its evaluated floats
+(:class:`.determinants.Windows`); a certificate whose
 bordered windows share the sign "-" takes this route only when its worst
 window violates, so that the verdict rests on a checked tuple. Otherwise
 the windows followed by distinct seeded random tuples up to the budget
@@ -75,15 +74,13 @@ def ordered_index_tuples(m: int, k: int, budget: int = DEFAULT_BUDGET,
     """
     if k < 1 or k > m:
         return []
-    windows = [tuple(range(i, i + k)) for i in range(m - k + 1)]
-    if windows_only:
-        return windows
-    total = math.comb(m, k)
-    if total <= budget:
+    if not windows_only and math.comb(m, k) <= budget:
         return list(itertools.combinations(range(m), k))
+    out = [tuple(range(i, i + k)) for i in range(m - k + 1)]
+    if windows_only:
+        return out
     draws = _draws(random.Random(seed), m, k)
-    seen = set(windows)
-    out = list(windows)
+    seen = set(out)
     attempts = 0
     max_attempts = 20 * budget
     while len(out) < budget and attempts < max_attempts:

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from .determinants import ScaleBound, Windows, minor_scan
+from .determinants import ScaleBound, Windows, exact_sign, minor_scan
 from .errors import ArgumentError, DomainError, GeometryError
 from .functions import BASIS_FORMS, FORMS, check_count, check_form, parse_floats
 from .sampling import DEFAULT_BUDGET, DEFAULT_SEED, scan_tuples
@@ -263,12 +263,14 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
 
     Evaluates the collocation determinant over ordered n-tuples drawn from
     ``grid`` by :func:`.sampling.scan_tuples`, whose route past the budget
-    is :meth:`Windows.keep_sign`. The verdict is ``positive``
-    (``negative``) when every checked determinant clears the scale-relative
-    zero tolerance with constant sign, and ``non-chebyshev`` with the first
-    tuple, in sampler order, whose determinant vanishes or differs in sign
-    from the first one; ``tuples_checked`` is then that tuple's position +
-    1. Past the budget the n-point windows come first, and their signs,
+    is :meth:`Windows.keep_sign`. A tuple's sign is that of the zero test,
+    and where the test says "0", the :func:`exact_sign` of its evaluated
+    floats, so "0" means exactly singular floats. The verdict is
+    ``positive`` (``negative``) when every checked tuple has the first
+    one's nonzero sign, and ``non-chebyshev`` with the first tuple, in
+    sampler order, whose sign vanishes or differs from it;
+    ``tuples_checked`` is then that tuple's position + 1. Past the budget
+    the n-point windows come first, and their exact signs,
     first sign and first failing window are those of
     :meth:`Windows.first_failing`, which computes no window twice; on the
     windows route they are the verdict. The tuples after the first (all of
@@ -284,18 +286,26 @@ def classify_on_grid(system: ChebyshevSystem, grid: Sequence[float],
     windows = Windows(cols, n)
     tuples, coverage, _ = scan_tuples(len(grid), n, budget, seed, windows.keep_sign)
     bound = ScaleBound(cols)
+
+    def exact(p: int) -> str:
+        return "0+-"[exact_sign([cols[j] for j in tuples[p]]) or 0]
+
     if coverage == "exhaustive":
         first = bound.sign(next(minor_scan(cols, tuples)), tuples[0])
+        first = exact(0) if first == "0" else first
         fail, rest = (0, []) if first == "0" else (None, range(1, len(tuples)))
     else:
         first, fail = windows.first_failing(n)
         rest = [] if fail is not None else sorted(range(len(grid) - n + 1, len(tuples)),
                                                   key=tuples.__getitem__)
     while rest:
-        signs = map(bound.sign, minor_scan(cols, map(tuples.__getitem__, rest)),
-                    map(tuples.__getitem__, rest))
-        i = next(itertools.compress(itertools.count(), map(operator.ne, signs,
-                                                           itertools.repeat(first))), None)
+        signs, again = itertools.tee(map(bound.sign, minor_scan(
+            cols, map(tuples.__getitem__, rest)), map(tuples.__getitem__, rest)))
+        # Only a tuple whose sign differs from the first runs Python code here;
+        # one that the zero test leaves "0" takes its exact sign.
+        i = next((i for i, sign in itertools.compress(enumerate(signs), map(
+            operator.ne, again, itertools.repeat(first)))
+            if sign != "0" or exact(rest[i]) != first), None)
         if i is None:
             break
         fail = rest[i]

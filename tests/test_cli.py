@@ -187,25 +187,21 @@ class TestCertifyCommand:
             "--budget", "10")
 
     @pytest.mark.parametrize("method", ["theoremA", "corollary1"])
-    def test_fine_grid_positivity_comes_from_the_basis(self, capsys, tmp_path, method):
+    def test_fine_grid_positivity_from_the_basis_or_the_windows(self, tmp_path, method):
         # Some windows of (1, x, x^2, x^3) on this grid fall under the zero
-        # test: poly:4 passes by its Vandermonde sign, while the same floats
-        # under a constant first function fail the grid check. --budget caps
-        # the random draws, not the scan: the sample always holds the
-        # m-k+1 = 996 windows of 5 of the 1000 points.
+        # test: poly:4 passes by its Vandermonde sign, and the same floats
+        # under a constant first function by the exact signs of the windows,
+        # with the same certificate. --budget caps the random draws, not the
+        # scan: the sample always holds the m-k+1 = 996 windows of 5 of the
+        # 1000 points.
         code, doc = run_json("certify", "--method", method, "--system", "poly:4", *self.FINE)
         cert = doc["certificate"]
         assert (code, cert["coverage"], cert["tuples_checked"] + cert["skipped"]) == (
             0, "sampled", 996)
         path = tmp_path / "twin.txt"
         path.write_text("const 1\nmonomial 1\nmonomial 2\nmonomial 3\n")
-        capsys.readouterr()
-        code, out = run_cli("certify", "--method", method, "--system", str(path), *self.FINE)
-        assert (code, out) == (1, "")
-        assert capsys.readouterr().err == (
-            "error: system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
-            "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
-            "-1.98998998998999, -1.984984984984985)\n")
+        code, twin = run_json("certify", "--method", method, "--system", str(path), *self.FINE)
+        assert (code, twin["certificate"]) == (0, cert)
 
     def test_collapsed_floats_do_not_certify(self, capsys):
         # exp(1e-300 x) evaluates to 1.0 on [0, 1], so every bordered
@@ -222,6 +218,40 @@ class TestCertifyCommand:
                           "--system", "poly:2", "--f", "monomial:2",
                           "--nodes", "0,1", "--grid", "-1:2:40")
         assert doc["certificate"]["coverage"] is None
+
+
+class TestExactWindowSigns:
+    """A classification's sign is the exact sign of the evaluated floats
+    wherever the sweep's bound or the zero test cannot vouch for it."""
+
+    def test_fine_vandermonde_grid_is_positive_on_its_windows(self):
+        # A window of 2.494 ... 2.747 has |det| / scale about 5e-15, under
+        # the zero test; the sweep's running bound proves its sign.
+        code, doc = run_json("classify", "--system", "poly:5", "--grid", "-2.0:3.0:80",
+                             "--budget", "2000", "--seed", "1")
+        result = doc["classification"]
+        assert (code, result["verdict"], result["coverage"]) == (0, "positive", "windows")
+
+    @pytest.mark.parametrize("budget, coverage", [("50000", "exhaustive"), ("10", "windows")])
+    def test_tuples_under_the_zero_test_take_their_exact_sign(self, budget, coverage):
+        # Every 5-tuple of these 20 points is exactly positive, and most fall
+        # under the zero test, whichever route the budget takes.
+        code, doc = run_json("classify", "--system", "poly:5", "--interval", "-2:3",
+                             "--grid", "2.49:2.75:20", "--budget", budget)
+        result = doc["classification"]
+        assert (code, result["verdict"], result["coverage"]) == (0, "positive", coverage)
+
+    def test_witness_is_not_exactly_positive(self):
+        # The floats of x^7 on 400 points of [-2, 3] are not a positive
+        # system: the witness window's exact determinant is not positive.
+        from chebconvex import polynomial_system
+        from chebconvex.determinants import exact_sign
+        code, doc = run_json("classify", "--system", "poly:8", "--interval", "-2:3",
+                             "--grid", "-2:3:400", "--budget", "10")
+        result = doc["classification"]
+        assert (code, result["verdict"]) == (2, "non-chebyshev")
+        system = polynomial_system(8)
+        assert exact_sign([system.evaluate_basis(x) for x in result["witness"]]) != 1
 
 
 class TestClassifyCommand:

@@ -25,8 +25,7 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         verify_definition)
 from chebconvex.convexity import bordered_window_minors, require_positive, sign_walk
 from chebconvex import convexity, determinants, systems
-from chebconvex.determinants import (TAU_FACTOR, det_and_scale, sign_of, sweep_signs,
-                                     window_sweep)
+from chebconvex.determinants import TAU_FACTOR, det_and_scale, sign_of, window_sweep
 from chebconvex.divdiff import _zero_tested
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import classify_on_grid
@@ -415,6 +414,17 @@ class TestDefinition:
         assert cert.verdict == CERTIFIED
         assert abs(cert.min_value) <= 1e-9
 
+    def test_nodes_that_gdd_calls_degenerate_are_refused(self):
+        # At the nodes 0 and 1, (e^(-23x), e^(-22.999999x)) has determinant
+        # 1.03e-16 at the collocation scale 1: the interpolant's solve refuses
+        # it as gdd does, where it once certified with coefficients of
+        # +-9.74e15.
+        system = exponential_system((-23.0, -22.999999), Interval(-1.0, 2.0))
+        with pytest.raises(NearSingularError, match="numerically singular"):
+            verify_definition(system, F_CUBE, (0.0, 1.0), [i / 10 for i in range(-10, 21)])
+        with pytest.raises(NearSingularError, match=r"full-system .* at \(0\.0, 1\.0\)$"):
+            gdd(system, (0.0, 1.0), F_CUBE)
+
     def test_unsorted_nodes_rejected(self):
         with pytest.raises(PreconditionError, match="nodes must be strictly increasing"):
             verify_definition(polynomial_system(3), F_CUBE, (1.0, 0.0, 2.0),
@@ -545,38 +555,36 @@ class TestPositivityPrechecks:
         assert self.message(lambda: certify_corollary1(system, F_CUBE, grid)) == want
         assert self.message(lambda: build_support(system, F_CUBE, (1.0,), grid)) == want
 
-    def test_windows_at_the_zero_test_fall_back_to_the_kernel(self):
+    def test_windows_under_the_zero_test_pass_by_their_exact_signs(self):
         # On this fine grid some windows of (1, x, x^2, x^3) come within the
-        # zero test, and the first of them that the kernel calls zero fails
-        # the grid check, which the twin basis takes. The Vandermonde sign
-        # of poly:4 holds on every grid, so its scans run.
+        # zero test, but each is exactly positive and the sweep proves it:
+        # the twin basis passes the grid check and certifies as poly:4 does
+        # by its Vandermonde sign.
         system, grid = polynomial_system(4, self.IV), grid_on(-2, 3, 1000)
-        assert self.message(lambda: certify_corollary1(twin(system), F_CUBE, grid,
-                                                       budget=10)) == (
-            "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
-            "verdict non-chebyshev, witness (-2.0, -1.994994994994995, "
-            "-1.98998998998999, -1.984984984984985)")
-        # x^3 is the last basis function, so every bordered determinant is
-        # exactly 0, and the exact signs of the system's windows stand.
-        a = certify_theorem_a(system, F_CUBE, grid, budget=10)
-        assert (a.verdict, a.coverage, a.tuples_checked, a.min_value) == (
-            CERTIFIED, "sampled", 996, 0.0)
-        c = certify_corollary1(system, F_CUBE, grid, budget=10)
-        assert (c.verdict, c.coverage, c.tuples_checked, c.skipped) == (
-            CERTIFIED, "sampled", 611, 385)
+        cols = system.evaluate_grid(grid)
+        assert any(sign_of(*det_and_scale(minor_rows(cols, range(i, i + 4), 4))) == "0"
+                   for i in range(len(grid) - 3))
+        for basis in (system, twin(system)):
+            # x^3 is the last basis function, so every bordered determinant
+            # is exactly 0.
+            a = certify_theorem_a(basis, F_CUBE, grid, budget=10)
+            assert (a.verdict, a.coverage, a.tuples_checked, a.min_value) == (
+                CERTIFIED, "sampled", 996, 0.0)
+            c = certify_corollary1(basis, F_CUBE, grid, budget=10)
+            assert (c.verdict, c.coverage, c.tuples_checked, c.skipped) == (
+                CERTIFIED, "sampled", 611, 385)
 
     def test_support_takes_a_positive_family_from_its_basis(self):
-        # As above on 700 points: the twin fails the grid check, and the
-        # Vandermonde sign passes poly:4 without it.
+        # As above on 700 points: the Vandermonde sign passes poly:4, and
+        # the exact window signs pass its twin.
         system, grid = polynomial_system(4, self.IV), grid_on(-2, 3, 700)
         cols = system.evaluate_grid(grid)
-        assert self.message(lambda: require_positive(twin(system), grid, cols, True)) == (
-            "system (1, x, x^2, x^3) on [-2, 3] is not positive on the grid: "
-            "verdict non-chebyshev, witness (2.184549356223176, 2.19170243204578, "
-            "2.198855507868384, 2.206008583690987)")
-        result = build_support(system, F_CUBE, (0.0, 1.0, 2.0), grid)
-        assert result.c_n.estimate == 1.0
-        assert result.pattern.overall
+        windows = require_positive(twin(system), grid, cols, True)
+        assert windows.first_failing(4) == windows.first_failing(3) == ("+", None)
+        for basis in (system, twin(system)):
+            result = build_support(basis, F_CUBE, (0.0, 1.0, 2.0), grid)
+            assert result.c_n.estimate == 1.0
+            assert result.pattern.overall
 
 
 class TestOnePrecheck:
@@ -633,10 +641,9 @@ class TestOnePrecheck:
             certify = {"theoremA": certify_theorem_a, "corollary1": certify_corollary1}[route]
             cert = certify(system, f, grid, budget=budget)
             assert cert.coverage == ("windows" if budget == 10 else "exhaustive")
-        # poly:3 is decided by its basis, so only the windows route sweeps;
-        # cossin is decided on the grid, by the one sweep the route reuses.
-        swept = system.name == "cossin" or budget == 10
-        assert sweeps == ([system.n] if swept else [])
+        # poly:3 is decided by its basis, cossin on the grid by one sweep of
+        # its n basis rows; the windows route sweeps the n+1 bordered rows.
+        assert sweeps == [system.n] * (system.name == "cossin") + [system.n + 1] * (budget == 10)
 
 
 class TestCollapsedFloats:
@@ -724,12 +731,12 @@ class TestExactBorderedSigns:
         cols = [system.evaluate_basis(x) for x in grid]
         windows = require_positive(system, grid, cols, False)
         bordered = [c + (F_SQUARE(x),) for c, x in zip(cols, grid)]
-        assert bordered_window_minors(bordered, windows) is not None
+        assert bordered_window_minors(bordered) is not None
         # An infinite entry makes the window's scale infinite, so the zero
         # test calls it "0"; the exact sign must leave it undecided.
         bordered[0] = bordered[0][:2] + (math.inf,)
         assert sign_of(*det_and_scale(minor_rows(bordered, (0, 1, 2), 3))) == "0"
-        assert bordered_window_minors(bordered, windows) is None
+        assert bordered_window_minors(bordered) is None
 
 
 class TestNegativeWindowsRoute:
@@ -772,7 +779,7 @@ class TestNegativeWindowsRoute:
         assert (signs.count("0"), signs.count("-")) == (3, 15)
         bordered = [c + (v,) for c, v in zip(cols, fvals)]
         windows = require_positive(system, grid, cols, False)
-        assert bordered_window_minors(bordered, windows)[0] == "-"
+        assert bordered_window_minors(bordered)[0] == "-"
         cert = certify_corollary1(system, f, grid, budget=500)
         assert (cert.coverage, cert.tuples_checked, cert.verdict) == ("windows", 18, VIOLATED)
 
@@ -781,12 +788,12 @@ class TestNegativeWindowsRoute:
         cols = [system.evaluate_basis(x) for x in grid]
         windows = require_positive(system, grid, cols, False)
         bordered = [c + (-x * x,) for c, x in zip(cols, grid)]
-        assert bordered_window_minors(bordered, windows)[0] == "-"
+        assert bordered_window_minors(bordered)[0] == "-"
         # The zero test calls a NaN determinant "-"; it must not join the
         # negative windows.
         bordered[3] = bordered[3][:2] + (math.nan,)
         assert sign_of(*det_and_scale(minor_rows(bordered, (1, 2, 3), 3))) == "-"
-        assert bordered_window_minors(bordered, windows) is None
+        assert bordered_window_minors(bordered) is None
 
     def test_corollary1_scores_each_window_once(self, minor_counts):
         # The route decision scores the 21 contiguous windows and is turned
@@ -820,9 +827,9 @@ class TestNegativeWindowsRoute:
 
 
 class TestOneMinorPerWindow:
-    """On the windows route each window is decided once: a basis window by
-    the sweep, or, where the sweep leaves it open, by one kernel minor; a
-    bordered window's minor in the route decision is the scan's.
+    """On the windows route no window's sign takes a kernel minor: the sweep
+    decides it, or, where it leaves it open, :func:`exact_sign`. The kernel
+    computes each bordered window's value once, for the certificate.
     Corollary 1 scans its denominators itself, once each."""
 
     IV = Interval(-2.0, 3.0)
@@ -830,14 +837,13 @@ class TestOneMinorPerWindow:
     def test_classify(self, minor_counts):
         got = classify_on_grid(polynomial_system(5, self.IV), grid_on(-2, 3, 50), budget=2000)
         assert (got.coverage, got.verdict, got.tuples_checked) == ("windows", "positive", 46)
-        # The sweep decides all but 3 of the 46 windows of 5 points.
-        assert minor_counts == {5: 3}
+        assert minor_counts == {}
 
     def test_theorem_a(self, minor_counts):
         cert = certify_theorem_a(polynomial_system(5, self.IV), F_FIFTH, grid_on(-2, 3, 50),
                                  budget=2000)
         assert (cert.coverage, cert.tuples_checked) == ("windows", 45)
-        assert minor_counts == {5: 3, 6: 45}
+        assert minor_counts == {6: 45}
 
     def test_corollary1(self, minor_counts):
         cert = certify_corollary1(polynomial_system(5, self.IV), F_FIFTH, grid_on(-2, 3, 40),
@@ -848,16 +854,15 @@ class TestOneMinorPerWindow:
 
     def test_classify_sample_reads_its_windows_from_the_search(self, minor_counts):
         # cos changes sign on [0, 6], so the sample runs; its 39 leading
-        # windows of (cos, sin) all have the sign "+", and the search
-        # decides all but two of them by the sweep. The kernel computes
-        # those two and the 12 sorted sample tuples scanned up to the
-        # failure at position 39, not the windows again.
+        # windows of (cos, sin) all have the sign "+", and the sweep decides
+        # them all. The kernel computes the 12 sorted sample tuples scanned
+        # up to the failure at position 39, not the windows again.
         system, grid = cosine_sine_system(Interval(0.0, 6.0)), grid_on(0, 6, 40)
         cols = [system.evaluate_basis(x) for x in grid]
-        assert sweep_signs(2, *list(window_sweep(cols, 2))[1]).count("") == 2
+        assert list(window_sweep(cols, 2))[1] == [1] * 39
         got = classify_on_grid(system, grid, budget=300, seed=1)
         assert (got.coverage, got.verdict, got.tuples_checked) == ("sampled", "non-chebyshev", 40)
-        assert minor_counts == {2: 2 + 12}
+        assert minor_counts == {2: 12}
 
 
 def min_distance_walk(nodes, grid, delta):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem,
@@ -16,11 +16,9 @@ from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem,
                         uniform_grid, v_det)
 from chebconvex import determinants
 from chebconvex.convexity import require_positive
-from chebconvex.determinants import (EPS, SWEEP_MAX_ORDER, SWEEP_RANGE,
-                                     TAU_FACTOR, ScaleBound, Windows, _sweep_error,
-                                     check_points, det_and_scale, exact_sign,
-                                     minor_scan, sign_of, solve_with_det,
-                                     sweep_signs, window_sweep)
+from chebconvex.determinants import (EPS, ScaleBound, Windows, check_points,
+                                     det_and_scale, exact_sign, minor_scan, sign_of,
+                                     solve_with_det, window_sweep)
 from chebconvex.errors import NearSingularError
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import classify_on_grid
@@ -122,7 +120,9 @@ def eliminate_oracle(a, n, width):
 def solve_oracle(rows, rhs):
     n = len(rows)
     a = [list(r) + [float(b)] for r, b in zip(rows, rhs)]
-    det, scale = eliminate_oracle(a, n, n + 1)
+    det, _ = eliminate_oracle(a, n, n + 1)
+    # The collocation scale: a row per point, so the product over columns.
+    scale = math.prod(max(abs(r[c]) for r in rows) for c in range(n))
     if abs(det) <= 64 * 2.0 ** -52 * scale:
         return None, det, scale
     x = [0.0] * n
@@ -343,14 +343,8 @@ class TestScaleBound:
         assert (got.coverage, got.verdict, scales) == ("exhaustive", "positive", [])
 
 
-SWEEP_SYSTEMS = ("poly:2", "poly:3", "poly:4", "poly:5", "poly:6", "negpoly:3",
+SWEEP_SYSTEMS = ("poly:2", "poly:3", "poly:4", "poly:5", "poly:6", "poly:8", "negpoly:3",
                  "exp:0,1,2.5", "exp:-1,0,1,2", "cossin")
-
-
-def window_minors(cols, k):
-    """(det, scale) of each window of k columns, one minor at a time."""
-    return [det_and_scale(minor_rows(cols, range(i, i + k), k))
-            for i in range(len(cols) - k + 1)]
 
 
 def reference_failure(signs):
@@ -379,112 +373,176 @@ def exact_det(cols):
     return det
 
 
+def exact_window_signs(cols, k):
+    """The exact sign of each window of k columns, 0 where an entry is not
+    finite."""
+    return [exact_sign([c[:k] for c in cols[i:i + k]]) or 0
+            for i in range(len(cols) - k + 1)]
+
+
 @st.composite
 def swept_columns(draw):
     """Basis columns of a system, its basis maybe shuffled, on a uniform,
     random or fine grid. A fine grid holds its centre (x = 0 for the
     polynomials, pi/2 where cos vanishes, pi past which (cos, sin) turns)
-    and reaches spacings whose windows come within the zero test."""
+    and reaches spacings of a few ulps, whose windows are nearly or exactly
+    singular in floats."""
     spec = draw(st.sampled_from(SWEEP_SYSTEMS))
     hi = 2 * math.pi if spec == "cossin" else 3.0
     interval = Interval(0.0 if spec == "cossin" else -2.0, hi, hi_open=spec == "cossin")
     system = named_system(spec, interval)
     if draw(st.booleans()):
         system = ChebyshevSystem(tuple(draw(st.permutations(system.basis))), interval)
-    m = draw(st.integers(max(system.n, 2), 150))
-    kind = draw(st.sampled_from(["uniform", "random", "fine"]))
+    m = draw(st.integers(max(system.n, 2), 60))
+    kind = draw(st.sampled_from(["uniform", "random", "fine", "ulps"]))
     if kind == "uniform":
         grid = uniform_grid(interval, m)
     elif kind == "random":
         grid = sorted(set(draw(st.lists(st.floats(interval.lo, min(hi, 6.28)),
                                         min_size=m, max_size=m))))
     else:
-        centre = draw(st.sampled_from([0.0, math.pi / 2, math.pi])
+        centre = draw(st.sampled_from([0.0, 1.0, math.pi / 2, math.pi])
                       | st.floats(interval.lo, min(hi, 6.28)))
-        h = 10.0 ** draw(st.floats(-4, -1))
+        if kind == "fine":
+            h = 10.0 ** draw(st.floats(-4, -1))
+        else:  # a few ulps apart
+            h = draw(st.integers(1, 4)) * math.ulp(centre or 1.0)
         grid = sorted({centre + (i - m // 2) * h for i in range(m)} | {centre})
         grid = [x for x in grid if interval.lo <= x < hi]
     assume(len(grid) >= system.n)
     return [system.evaluate_basis(x) for x in grid], system.n
 
 
+#: Magnitudes from the subnormals to the largest floats, 0 included.
+EXTREME = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060,
+                                     -(2.0 ** -1022), 2.0 ** 1023, -(2.0 ** 1023)]),
+                    st.builds(math.ldexp, st.floats(-1, 1),
+                              st.sampled_from([-1074, -1060, -1022, -1000, -500, 0,
+                                               500, 1000, 1022, 1023])))
+
+
+@st.composite
+def extreme_columns(draw):
+    """Columns whose entries mix 0, subnormals and magnitudes near 2^1023,
+    where factors and updates round below the normal range."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(k, k + 5))
+    return [tuple(draw(st.lists(EXTREME, min_size=k, max_size=k))) for _ in range(m)], k
+
+
+@st.composite
+def wide_scale_columns(draw):
+    """k x k to k x (k+4) columns, k = 1..6, with entries of magnitude
+    2^+-100 times a row scale of 2^+-100, and one near-duplicate column
+    (relative perturbation 1e-15 to 1e-5)."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(k, k + 4))
+    scales = draw(st.lists(st.integers(-100, 100), min_size=k, max_size=k))
+    vecs = [[math.ldexp(draw(st.floats(-1, 1)), draw(st.integers(-100, 100)) + e)
+             for e in scales] for _ in range(m)]
+    if m > 1:
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        delta = 10.0 ** draw(st.floats(-15, -5))
+        vecs[b] = [x * (1 + delta * draw(st.floats(-1, 1))) for x in vecs[a]]
+    return [tuple(v) for v in vecs], k
+
+
+@st.composite
+def dependent_columns(draw):
+    """k columns of small integers, k = 2..6, the last an integer
+    combination of the others, each row and column then scaled by a power
+    of two: exactly singular windows whose elimination rounds, so that a
+    pivot the bound must leave undecided comes out nonzero."""
+    k = draw(st.integers(2, 6))
+    ints = st.integers(-40, 40)
+    vecs = [draw(st.lists(ints, min_size=k, max_size=k)) for _ in range(k - 1)]
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=k - 1, max_size=k - 1))
+    vecs.insert(draw(st.integers(0, k - 1)),
+                [sum(c * v[r] for c, v in zip(coeffs, vecs)) for r in range(k)])
+    exponents = st.lists(st.integers(-60, 60), min_size=k, max_size=k)
+    rows, cols = draw(exponents), draw(exponents)
+    return [tuple(math.ldexp(x, e + c) for x, e in zip(v, rows))
+            for v, c in zip(vecs, cols)], k
+
+
 class TestWindowSweep:
-    def check(self, cols, n):
+    @staticmethod
+    def check(cols, n):
+        """Every sign the sweep decides is the exact sign of its window, and
+        each order's search reports what the exact signs do."""
         windows = Windows(cols, n)
-        for k, (dets, scales) in enumerate(window_sweep(cols, n), 1):
-            minors = window_minors(cols, k)
-            assert [repr(s) for s in scales] == [repr(s) for _, s in minors]
-            signs = [sign_of(*minor) for minor in minors]
-            for swept, sign in zip(sweep_signs(k, dets, scales), signs):
-                assert swept in ("", sign)
-            assert windows.first_failing(k) == reference_failure(signs)
+        for k, signs in enumerate(window_sweep(cols, n), 1):
+            exact = exact_window_signs(cols, k)
+            assert len(signs) == len(exact)
+            for i, (swept, want) in enumerate(zip(signs, exact)):
+                assert swept in (0, want), (k, i)
+            assert windows.first_failing(k) == reference_failure(["0+-"[s] for s in exact])
 
     @settings(max_examples=150, deadline=None)
     @given(swept_columns())
-    def test_decisions_match_the_kernel_on_basis_columns(self, case):
+    def test_decided_signs_are_exact_on_basis_columns(self, case):
         self.check(*case)
 
-    @settings(max_examples=150, deadline=None)
-    @given(columns_and_tuples())
-    def test_decisions_match_the_kernel_on_mixed_scale_columns(self, case):
-        vecs, k, _ = case
+    @settings(max_examples=300, deadline=None)
+    @given(wide_scale_columns())
+    def test_decided_signs_are_exact_on_rows_of_wide_scale(self, case):
+        self.check(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(extreme_columns())
+    # The factor 2^-1074 / 2^1000 rounds to 0, while 2^-2074 * 2^1023 is far
+    # larger than the entry 2^-1060 it is subtracted from.
+    @example(([(2.0 ** 1000, 2.0 ** 1023), (5e-324, 2.0 ** -1060)], 2))
+    def test_decided_signs_are_exact_below_the_normal_range(self, case):
+        self.check(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dependent_columns())
+    def test_exactly_singular_windows_stay_undecided(self, case):
+        vecs, k = case
+        assert exact_sign(vecs) == 0
         self.check(vecs, k)
 
     @settings(max_examples=100, deadline=None)
     @given(columns_and_tuples())
-    def test_error_within_the_bound(self, case):
-        """Every window the sweep vouches for (values in range, no zero
-        pivot, no growth past the bound) is within beta_k * eps * scale of
-        its exact determinant."""
-        vecs, n, _ = case
-        for k, (dets, scales) in enumerate(window_sweep(vecs, n), 1):
-            for i, (det, scale) in enumerate(zip(dets, scales)):
-                if not math.isnan(det):
-                    exact = exact_det([v[:k] for v in vecs[i:i + k]])
-                    assert abs(Fraction(det) - exact) <= Fraction(_sweep_error(k) * EPS * scale)
+    def test_decided_signs_are_exact_on_mixed_scale_columns(self, case):
+        vecs, k, _ = case
+        self.check(vecs, k)
 
-    def test_max_order_is_the_largest_the_range_allows(self):
-        # SWEEP_RANGE is 2^-a..2^a: k pivots of at most 2^(a+1) stay finite,
-        # and a partial product below 2^-1022 stays under 3 tau.
-        a = 96
-        assert SWEEP_RANGE == (2.0 ** -a, 2.0 ** a)
-
-        def fits(k):
-            return (a + 1) * k < 1024 and (a + 1) * (k - 2) + a * k < 977
-
-        assert SWEEP_MAX_ORDER == 6
-        assert all(map(fits, range(1, 7))) and not fits(7)
-        assert 2.0 ** (-1022 + (a + 1) * 4) < 3 * TAU_FACTOR * 2.0 ** (-6 * a)
-
-    def test_undecided_windows_go_to_the_kernel(self):
+    def test_undecided_windows_go_to_the_exact_sign(self):
         cases = [
-            # windows within the threshold of the sweep
-            (polynomial_system(4), grid_on(-2, 3, 700)),
-            # cos(1.6) = -0.03: a large multiplier, then growth past the bound
-            (cosine_sine_system(), grid_on(0.1, 3.0, 30)),
             # exact zero pivots: x = 0 under the basis (x, 1)
             (ChebyshevSystem((BasisFunction("monomial", 1), BasisFunction("monomial", 0))),
              grid_on(-1, 1, 21)),
-            # more than SWEEP_MAX_ORDER points
-            (polynomial_system(7), grid_on(-1, 1, 12)),
+            # windows of 7 and 8 points on a fine grid, within their bounds
+            (polynomial_system(8), grid_on(-2, 3, 400)),
         ]
         for system, grid in cases:
             cols = [system.evaluate_basis(x) for x in grid]
-            dets, scales = list(window_sweep(cols, system.n))[-1]
-            assert "" in sweep_signs(system.n, dets, scales)
+            assert 0 in list(window_sweep(cols, system.n))[-1]
             self.check(cols, system.n)
+
+    def test_order_seven_and_beyond_is_swept(self):
+        # No order limit: poly:7 and poly:8 on 12 points of [-1, 1] are
+        # decided without the kernel or the exact sign.
+        for n in (7, 8):
+            cols = [polynomial_system(n).evaluate_basis(x) for x in grid_on(-1, 1, 12)]
+            assert all(list(window_sweep(cols, n))[-1])
+            assert Windows(cols, n).keep_sign()
 
     def test_clearly_positive_grid_needs_no_kernel(self, monkeypatch):
         # The twin of poly:3, (const 1, x, x^2), leaves the basis undecided,
-        # so the precheck searches the windows of the sweep.
+        # so the precheck searches the windows of the sweep, which decides
+        # them all.
         system = twin(polynomial_system(3, Interval(-2.0, 3.0)))
         grid = grid_on(-2, 3, 2000)
         cols = [system.evaluate_basis(x) for x in grid]
 
-        def kernel(*args):
-            raise AssertionError("minor_scan ran")
+        def refused(*args):
+            raise AssertionError("the kernel or the exact sign ran")
 
-        monkeypatch.setattr(determinants, "minor_scan", kernel)
+        monkeypatch.setattr(determinants, "minor_scan", refused)
+        monkeypatch.setattr(determinants, "exact_sign", refused)
         windows = require_positive(system, grid, cols, True)
         assert "levels" in vars(windows)
 

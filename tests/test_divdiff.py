@@ -9,6 +9,7 @@ from chebconvex import (ArgumentError, CallableSource, DomainError, ExpressionSo
                         Interval, NearSingularError, TableSource, classical_dd,
                         exponential_system, gdd, parse_system, polynomial_system,
                         recurrence_identity_residual, v_det)
+from chebconvex.determinants import solve_with_det
 from chebconvex.divdiff import knot_map
 from chebconvex.functions import function_row
 
@@ -219,9 +220,13 @@ class TestKnotMap:
 
     def test_truncation_at_the_knots_takes_the_scale_of_gdd(self):
         # At the knots 0 and 1, (e^(-23x), e^(-22.999999x)) has determinant
-        # 1.03e-16. The solve's own scale, a product over the knots, is
-        # 1e-10, and passes it; gdd's, a product over the functions, is 1.
+        # 1.03e-16. The solve's scale is gdd's, a product over the functions,
+        # 1, where a product over the knots would be 1e-10 and pass it; the
+        # solve's refusal is the map's.
         system = exponential_system((-23.0, -22.999999, 1.0), Interval(-1.0, 2.0))
+        heads = [system.truncate(2).evaluate_basis(x) for x in (0.0, 1.0)]
+        with pytest.raises(NearSingularError, match=r"<= tau=1\.421e-14\)$"):
+            solve_with_det(heads, [0.0, 1.0])
         with pytest.raises(NearSingularError, match=r"^truncated-system .* at \(0\.0, 1\.0\)$"):
             knot_map(system, (0.0, 1.0), F_CUBE)
 

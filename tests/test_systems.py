@@ -467,7 +467,7 @@ class TestClassify:
         grid = grid_on(-1, 1, 25)
         cols = [system.evaluate_basis(x) for x in grid]
         levels = list(window_sweep(cols, system.n))
-        assert [len(dets) for dets, _ in levels] == [25, 24, 25 - 3 + 1]
+        assert [len(signs) for signs in levels] == [25, 24, 25 - 3 + 1]
         for k in range(1, system.n + 1):
             assert Windows(cols, system.n).first_failing(k) == ("+", None)
 
@@ -499,6 +499,8 @@ class TestClassify:
             first = None
             for checked, t in enumerate(tuples, 1):
                 sign = sign_of(*det_and_scale(minor_rows(cols, t, system.n)))
+                if sign == "0":  # the exact sign of the evaluated floats
+                    sign = "0+-"[exact_sign([cols[j] for j in t]) or 0]
                 if sign == "0" or (first is not None and sign != first):
                     return "non-chebyshev", tuple(grid[j] for j in t), checked
                 first = sign
