@@ -114,9 +114,9 @@ def build_parser() -> _Parser:
                            help="uniform grid lo:hi:count, or a table file whose "
                                 "abscissae form the grid")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="largest C(m, k) scanned in full; past it, the m-k+1 "
-                            "windows plus seeded random tuples up to this total, "
-                            "so never fewer than the windows (default %(default)s)")
+                       help="largest C(m, k) scanned in full; past it, the m-k+1 windows alone "
+                            "when they decide every tuple, else the windows plus seeded random "
+                            "tuples up to this total, at least the windows (default %(default)s)")
         p.add_argument("--seed", type=int, default=None,
                        help=f"PRNG seed for tuple subsampling (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
         p.add_argument("--atol", type=float, default=DEFAULT_ATOL)

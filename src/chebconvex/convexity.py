@@ -116,38 +116,23 @@ def _refuse(label: str, part: ChebyshevSystem, grid: Sequence[float],
                                 f"on the grid: verdict {verdict}")
 
 
-def bordered_window_minors(bordered: Sequence[Sequence[float]]
-                           ) -> Optional[tuple[str, list, list]]:
-    """The common nonzero sign of the bordered windows of n+1 points, their
-    index tuples and their :func:`minor_scan` determinants, in order, when
-    Fekete's criterion gives every bordered (n+1)-tuple that sign, else
-    None. The criterion holds when the :class:`Windows` of ``bordered``
-    keep one nonzero sign at every order k <= n+1: the basis windows over
-    the first n entries, and the bordered windows. Those signs are exact,
-    so a window with a non-finite entry or an exactly singular one has
-    none; the determinants are only the certificate's values."""
+def _windows_route(bordered: Sequence[Sequence[float]],
+                   certificate: Callable[[list, str], ConvexityCertificate]
+                   ) -> Optional[ConvexityCertificate]:
+    """``certificate(tuples, "windows")`` of the bordered windows of n+1
+    points alone when it decides the scan, else None. By Fekete's criterion
+    every bordered (n+1)-tuple has the windows' sign when the exact signs of
+    the :class:`Windows` of ``bordered`` keep one nonzero sign at each order
+    k <= n+1. The route decides when that sign is "+", or "-" and the worst
+    window violates, so that the verdict rests on a checked tuple that
+    clears its band. The certificate computes only the values it reads."""
     k = len(bordered[0])
     windows = Windows(bordered, k)
     if not windows.keep_sign():
         return None
-    tuples = ordered_index_tuples(len(bordered), k, windows_only=True)
-    return windows.first_failing(k)[0], tuples, list(minor_scan(bordered, tuples))
-
-
-def _windows_route(bordered: Sequence[Sequence[float]],
-                   certificate: Callable[[list, list], ConvexityCertificate]
-                   ) -> Optional[ConvexityCertificate]:
-    """``certificate(tuples, dets)`` of the bordered windows of n+1 points
-    alone, given their determinants, when it decides the scan, else None.
-    It decides when the windows' common sign (:func:`bordered_window_minors`)
-    is "+", so every tuple certifies, or "-" and the worst window violates,
-    so that the verdict rests on a checked tuple that clears its band."""
-    decided = bordered_window_minors(bordered)
-    if decided is None:
-        return None
-    sign, tuples, dets = decided
-    cert = certificate(tuples, dets)
-    return cert if sign == "+" or cert.min_value == cert.witness_value else None
+    cert = certificate(ordered_index_tuples(len(bordered), k, windows_only=True), "windows")
+    return (cert if windows.first_failing(k)[0] == "+" or cert.min_value == cert.witness_value
+            else None)
 
 
 def knot_exclusion(system: ChebyshevSystem) -> float:
@@ -285,11 +270,11 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     A tuple violates when its determinant falls below ``-(atol + rtol *
     scale)`` at that tuple's own scale. That scale is computed only where
     the value or the band at the scan's :class:`ScaleBound` is not finite,
-    or the bands at 0 and at the bound disagree. Past the budget, the
-    windows alone are scanned when their exact signs decide every tuple
-    (:func:`_windows_route`). A scan that certifies on a minimum of at most
-    0 stands only when the system's n-point windows are exactly positive
-    (the :class:`Windows` search of the precheck).
+    or the bands at 0 and at the bound disagree. Past the budget, only the
+    windows are scanned, their determinants computed here, when their exact
+    signs decide every tuple (:func:`_windows_route`). A scan that certifies
+    on a minimum of at most 0 stands only when the system's n-point windows
+    are exactly positive (the :class:`Windows` search of the precheck).
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
@@ -299,26 +284,25 @@ def certify_theorem_a(system: ChebyshevSystem, f, grid: Sequence[float],
     bound = ScaleBound(bordered)
     lo, hi = atol + rtol * 0.0, atol + rtol * bound.bound
 
-    def scored(tuples, dets):
-        for t, value in zip(tuples, dets):
+    def scored(tuples):
+        for t, value in zip(tuples, minor_scan(bordered, tuples)):
             if (math.isfinite(hi) and math.isfinite(value)
                     and (value < -lo) == (value < -hi)):
                 yield value, t, hi
             else:
                 yield value, t, atol + rtol * bound.scale(t)
 
-    def certificate(tuples, dets, coverage="windows") -> ConvexityCertificate:
-        return _certificate("theoremA", scored(tuples, dets), grid, f, atol, rtol, seed,
-                            coverage)
+    def certificate(tuples, coverage) -> ConvexityCertificate:
+        # The certificate does not depend on the order of the tuples, so they
+        # are scanned sorted, where neighbours share their elimination prefixes.
+        tuples.sort()
+        return _certificate("theoremA", scored(tuples), grid, f, atol, rtol, seed, coverage)
 
     tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
         _windows_route, bordered, certificate))
     if routed:
         return routed
-    # The certificate does not depend on the order of the tuples, so they are
-    # scanned sorted, where neighbours share their elimination prefixes.
-    tuples.sort()
-    cert = certificate(tuples, minor_scan(bordered, tuples), coverage)
+    cert = certificate(tuples, coverage)
     if cert.witness is None and cert.min_value <= 0.0:
         # Floats can collapse where the structure decides (exp(1e-300 x) is 1.0
         # everywhere): every tuple reads 0, so the windows must be exactly positive.
@@ -335,8 +319,8 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     For each ordered (n+1)-tuple the divided difference of the upper window
     must not fall below the lower window's beyond tolerance. Windows whose
     collocation determinant degenerates are skipped and counted. Past the
-    budget, the (n+1)-point windows alone are scanned when they decide
-    every tuple (:func:`_windows_route`).
+    budget, only the (n+1)-point windows are scanned when their bordered
+    signs decide every tuple (:func:`_windows_route`), with no bordered minor.
     """
     n = system.n
     grid = validate_grid(system, grid, n + 1)
@@ -347,7 +331,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
     bound = ScaleBound(cols)
     dd: dict[tuple[int, ...], Optional[float]] = {}
 
-    def certificate(tuples, coverage="windows") -> ConvexityCertificate:
+    def certificate(tuples, coverage) -> ConvexityCertificate:
         # Each window not scored yet is scanned once, in lexicographic order,
         # so that neighbouring windows share their elimination prefixes.
         ws = sorted({w for t in tuples for w in (t[:n], t[1:])}.difference(dd))
@@ -365,8 +349,7 @@ def certify_corollary1(system: ChebyshevSystem, f, grid: Sequence[float],
         return _certificate("corollary1", scored(), grid, f, atol, rtol, seed, coverage)
 
     tuples, coverage, routed = scan_tuples(len(grid), n + 1, budget, seed, partial(
-        _windows_route, [c + (v,) for c, v in zip(cols, fvals)],
-        lambda tuples, _: certificate(tuples)))
+        _windows_route, [c + (v,) for c, v in zip(cols, fvals)], certificate))
     return routed or certificate(tuples, coverage)
 
 

@@ -115,6 +115,8 @@ def uniform_grid(interval: Interval, count: int,
     if not a < b:
         raise GeometryError("grid bounds collapsed after endpoint inset")
     step = (b - a) / (count - 1)
+    if not math.isfinite(step):
+        raise GeometryError(f"grid bounds [{a}, {b}] span more than a float holds")
     pts = [a + i * step for i in range(count - 1)]
     pts.append(b)
     return pts

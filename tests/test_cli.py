@@ -482,6 +482,13 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             f"error: --grid bounds must be finite, got {grid!r}\n")
 
+    def test_grid_span_past_the_float_range(self, capsys):
+        # The bounds are finite and in order, but their span is not.
+        code, out = run_cli("classify", "--system", "poly:2", "--grid=-1e308:1e308:3")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: grid bounds [-1e+308, 1e+308] span more than a float holds\n")
+
     @pytest.mark.parametrize("grid", ["1:0:5", "0:0:5"])
     def test_grid_bounds_out_of_order(self, capsys, grid):
         code, _ = run_cli("classify", "--system", "poly:2", "--grid", grid)

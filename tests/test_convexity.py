@@ -23,9 +23,9 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         negated_polynomial_system, parse_function,
                         parse_system, polynomial_system, scan_theorem2,
                         verify_definition)
-from chebconvex.convexity import bordered_window_minors, require_positive, sign_walk
+from chebconvex.convexity import require_positive, sign_walk
 from chebconvex import convexity, determinants, systems
-from chebconvex.determinants import TAU_FACTOR, det_and_scale, sign_of, window_sweep
+from chebconvex.determinants import TAU_FACTOR, Windows, det_and_scale, sign_of, window_sweep
 from chebconvex.divdiff import _zero_tested
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import classify_on_grid
@@ -729,14 +729,13 @@ class TestExactBorderedSigns:
     def test_window_with_a_nonfinite_entry_is_not_positive(self):
         system, grid = polynomial_system(2, self.IV), grid_on(-2, 3, 6)
         cols = [system.evaluate_basis(x) for x in grid]
-        windows = require_positive(system, grid, cols, False)
         bordered = [c + (F_SQUARE(x),) for c, x in zip(cols, grid)]
-        assert bordered_window_minors(bordered) is not None
+        assert Windows(bordered, 3).keep_sign()
         # An infinite entry makes the window's scale infinite, so the zero
         # test calls it "0"; the exact sign must leave it undecided.
         bordered[0] = bordered[0][:2] + (math.inf,)
         assert sign_of(*det_and_scale(minor_rows(bordered, (0, 1, 2), 3))) == "0"
-        assert bordered_window_minors(bordered) is None
+        assert not Windows(bordered, 3).keep_sign()
 
 
 class TestNegativeWindowsRoute:
@@ -777,34 +776,34 @@ class TestNegativeWindowsRoute:
         signs = [sign_of(*det_and_scale(minor_rows(cols, tuple(range(i, i + 6)), 5, fvals)))
                  for i in range(len(grid) - 5)]
         assert (signs.count("0"), signs.count("-")) == (3, 15)
-        bordered = [c + (v,) for c, v in zip(cols, fvals)]
-        windows = require_positive(system, grid, cols, False)
-        assert bordered_window_minors(bordered)[0] == "-"
+        windows = Windows([c + (v,) for c, v in zip(cols, fvals)], 6)
+        assert windows.keep_sign() and windows.first_failing(6)[0] == "-"
         cert = certify_corollary1(system, f, grid, budget=500)
         assert (cert.coverage, cert.tuples_checked, cert.verdict) == ("windows", 18, VIOLATED)
 
     def test_window_with_a_nan_minor_has_no_sign(self):
         system, grid = polynomial_system(2), grid_on(-1, 1, 6)
         cols = [system.evaluate_basis(x) for x in grid]
-        windows = require_positive(system, grid, cols, False)
         bordered = [c + (-x * x,) for c, x in zip(cols, grid)]
-        assert bordered_window_minors(bordered)[0] == "-"
+        windows = Windows(bordered, 3)
+        assert windows.keep_sign() and windows.first_failing(3)[0] == "-"
         # The zero test calls a NaN determinant "-"; it must not join the
         # negative windows.
         bordered[3] = bordered[3][:2] + (math.nan,)
         assert sign_of(*det_and_scale(minor_rows(bordered, (1, 2, 3), 3))) == "-"
-        assert bordered_window_minors(bordered) is None
+        assert not Windows(bordered, 3).keep_sign()
 
     def test_corollary1_scores_each_window_once(self, minor_counts):
-        # The route decision scores the 21 contiguous windows and is turned
-        # down; the sample reuses their divided differences.
+        # The route decision scores the 21 contiguous windows by their
+        # n-point divided differences alone and is turned down; the sample
+        # reuses them.
         n, m, budget, seed = 4, 24, 500, 3
         certify_corollary1(polynomial_system(n), self.TINY, grid_on(-1, 1, m),
                            budget=budget, seed=seed)
         tuples = ordered_index_tuples(m, n + 1, budget=budget, seed=seed)
         distinct = {w for t in tuples for w in (t[:n], t[1:])}
-        # The bordered windows, then a numerator and a denominator per window.
-        assert minor_counts == {n + 1: m - n, n: 2 * len(distinct)}
+        # A numerator and a denominator per window, and no bordered minor.
+        assert minor_counts == {n: 2 * len(distinct)}
 
     def test_theorem_a_scores_each_sampled_tuple_once(self, minor_counts):
         # The route decision computes the 36 bordered windows and is turned
@@ -829,8 +828,9 @@ class TestNegativeWindowsRoute:
 class TestOneMinorPerWindow:
     """On the windows route no window's sign takes a kernel minor: the sweep
     decides it, or, where it leaves it open, :func:`exact_sign`. The kernel
-    computes each bordered window's value once, for the certificate.
-    Corollary 1 scans its denominators itself, once each."""
+    computes each bordered window's value once, for theorem A's certificate.
+    Corollary 1 computes no bordered minor, only its n-point numerators and
+    denominators, once each."""
 
     IV = Interval(-2.0, 3.0)
 
@@ -849,8 +849,44 @@ class TestOneMinorPerWindow:
         cert = certify_corollary1(polynomial_system(5, self.IV), F_FIFTH, grid_on(-2, 3, 40),
                                   budget=2000)
         assert (cert.coverage, cert.tuples_checked) == ("windows", 35)
-        # A denominator and a numerator per window of 5 points.
-        assert minor_counts == {5: 36 + 36, 6: 35}
+        # A denominator and a numerator per window of 5 points, and no
+        # bordered minor: the sweep decides the route.
+        assert minor_counts == {5: 36 + 36}
+
+    @pytest.mark.parametrize("method, system, f, m, verdict", [
+        ("theoremA", polynomial_system(5, IV), F_FIFTH, 50, CERTIFIED),
+        ("corollary1", polynomial_system(5, IV), F_FIFTH, 40, CERTIFIED),
+        ("theoremA", polynomial_system(3, Interval(-1.0, 1.0)), F_NEG_CUBE, 30, VIOLATED),
+        ("corollary1", exponential_system([0.0, 1.0, 2.0], Interval(-1.0, 1.0)),
+         ExpressionSource("exp", (-1.0,)), 60, VIOLATED),
+    ], ids=["theoremA+", "corollary1+", "theoremA-", "corollary1-"])
+    def test_route_values_are_those_of_each_window_alone(self, method, system, f, m, verdict):
+        # The "+" and "-" routes: the minimum and the witness, bit for bit,
+        # from each window's value computed alone.
+        iv, n = system.interval, system.n
+        grid = grid_on(iv.lo, iv.hi, m)
+        certify = {"theoremA": certify_theorem_a, "corollary1": certify_corollary1}[method]
+        cert = certify(system, f, grid, budget=500)
+        assert (cert.coverage, cert.tuples_checked, cert.verdict) == ("windows", m - n, verdict)
+        cols, fvals = system.evaluate_grid(grid), [f(x) for x in grid]
+        windows = [tuple(range(i, i + n + 1)) for i in range(m - n)]
+
+        def dd(w):
+            num = det_and_scale(minor_rows(cols, w, n - 1, fvals))[0]
+            return num / det_and_scale(minor_rows(cols, w, n))[0]
+
+        if method == "theoremA":
+            scored = [(value, w, cert.atol + cert.rtol * scale) for w, (value, scale) in
+                      ((w, det_and_scale(minor_rows(cols, w, n, fvals))) for w in windows)]
+        else:
+            scored = [(hi - lo, w, cert.atol + cert.rtol * max(abs(hi), abs(lo)))
+                      for w, lo, hi in ((w, dd(w[:n]), dd(w[1:])) for w in windows)]
+        assert cert.min_value == min(scored)[0]
+        worst = min(((value, w) for value, w, tol in scored if value < -tol), default=None)
+        if worst is None:
+            assert (cert.witness, cert.witness_value) == (None, None)
+        else:
+            assert (cert.witness_value, cert.witness) == (worst[0], tuple(grid[j] for j in worst[1]))
 
     def test_classify_sample_reads_its_windows_from_the_search(self, minor_counts):
         # cos changes sign on [0, 6], so the sample runs; its 39 leading

@@ -83,6 +83,14 @@ class TestUniformGrid:
         with pytest.raises(GeometryError, match="collapsed after endpoint inset"):
             uniform_grid(Interval(0.0, 1.0, True, True), 5, 0.0, 1e-6)
 
+    def test_span_past_the_float_range_is_named(self):
+        # (b - a) overflows to inf, so the step is not finite and would give
+        # the points nan and inf.
+        with pytest.raises(GeometryError, match=r"^grid bounds \[-1e\+308, 1e\+308\] span "
+                                                r"more than a float holds$"):
+            uniform_grid(Interval(), 3, -1e308, 1e308)
+        assert uniform_grid(Interval(), 3, -1e308, 0.0) == [-1e308, -5e307, 0.0]
+
 
 class TestBasisEvaluation:
     def test_poly3_at_two(self):
