@@ -22,7 +22,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
@@ -200,7 +199,8 @@ def _resolve_system(config: argparse.Namespace) -> ChebyshevSystem:
     if os.path.isfile(spec):
         with open_text(spec, "--system") as handle:
             system = parse_system(handle.read(), name=os.path.basename(spec))
-        return system if config.interval is None else replace(system, interval=config.interval)
+        return (system if config.interval is None
+                else ChebyshevSystem(system.basis, config.interval, system.name))
     return named_system(spec, config.interval)
 
 
@@ -335,14 +335,14 @@ def _run_certify(config: argparse.Namespace) -> tuple[dict, int]:
         cert = certify_corollary1(system, f, grid, budget=config.budget,
                                   seed=config.seed, atol=config.atol, rtol=config.rtol)
     elif config.method == "theorem2":
-        if not config.knots:
+        if config.knots is None:
             raise ArgumentError("--method theorem2 requires --knots")
         report = scan_theorem2(system, f, config.knots, grid,
                                atol=config.atol, rtol=config.rtol)
         doc["monotonicity"] = _monotonicity_dict(report)
         return doc, EXIT_OK if report.ok else EXIT_VIOLATED
     else:
-        if not config.nodes:
+        if config.nodes is None:
             raise ArgumentError("--method definition requires --nodes")
         cert = verify_definition(system, f, config.nodes, grid,
                                  atol=config.atol, rtol=config.rtol)

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .determinants import ScaleBound, Windows, check_points, minor_scan
 from .divdiff import knot_map
@@ -55,8 +54,7 @@ CERTIFIED = "certified-on-sample"
 VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class ConvexityCertificate:
+class ConvexityCertificate(NamedTuple):
     """Sampled convexity verdict with the extremal quantity and its witness."""
 
     method: str
@@ -75,8 +73,7 @@ class ConvexityCertificate:
     coverage: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Scan of the last-argument divided-difference map over a grid."""
 
     knots: tuple[float, ...]

@@ -81,11 +81,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import mul, ne, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArgumentError, DegenerateInputError, DomainError, NearSingularError
 from .functions import function_row
@@ -109,8 +108,7 @@ ETA = 2.0 ** -1070
 SLACK = 1.0 + 2.0 ** -40
 
 
-@dataclass(frozen=True)
-class SignedValue:
+class SignedValue(NamedTuple):
     """A determinant value with its tolerance-aware sign and scale proxy."""
 
     value: float

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import le, mul, not_, or_, sub, truediv
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .determinants import (TAU_FACTOR, check_points, d_det, det_and_scale, distinct_points,
                            sign_of, solve_with_det, v_det)
@@ -36,8 +35,7 @@ from .systems import ChebyshevSystem
 ILL_CONDITIONING_THRESHOLD = 1e-8
 
 
-@dataclass(frozen=True)
-class DividedDifference:
+class DividedDifference(NamedTuple):
     """A generalized divided difference value with its conditioning ratio."""
 
     value: float

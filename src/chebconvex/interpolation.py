@@ -11,7 +11,6 @@ exposed by :func:`lemma1_residual` as a built-in self-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
 from typing import Sequence
@@ -19,22 +18,21 @@ from typing import Sequence
 from .determinants import check_points, d_det, solve_with_det, v_det
 from .errors import ArgumentError, DegenerateInputError, DomainError, NearSingularError
 from .functions import function_row
-from .systems import ChebyshevSystem
+from .systems import ChebyshevSystem, Frozen
 
 #: Relative bound on interpolation residuals at the nodes.
 NODE_RESIDUAL_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OmegaCombination:
+class OmegaCombination(Frozen):
     """A linear combination of a system's basis functions."""
 
-    system: ChebyshevSystem
-    coefficients: tuple[float, ...]
+    __slots__ = _key = ("system", "coefficients")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.system.n:
+    def __init__(self, system: ChebyshevSystem, coefficients: tuple[float, ...]):
+        if len(coefficients) != system.n:
             raise ArgumentError("coefficient count must match the system order")
+        self._freeze(system, coefficients)
 
     def __call__(self, x: float) -> float:
         return self.at_rows([(func(x),) for func in self.system.basis], (x,))[0]

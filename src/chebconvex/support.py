@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .convexity import (DEFAULT_ATOL, DEFAULT_RTOL, interior_knots,
                         knot_exclusion, pattern_signs, require_positive,
@@ -43,8 +42,7 @@ LIMIT_SAMPLES = 6
 TABLE_SPACING_FACTOR = 2.0 ** -6
 
 
-@dataclass(frozen=True)
-class LimitDiagnostics:
+class LimitDiagnostics(NamedTuple):
     """A one-sided limit extrapolated from samples of the map: the samples
     as (h, value), h halving; whether the last two extrapolants agreed; the
     last extrapolant; whether the samples were nonincreasing as h shrank."""
@@ -55,8 +53,7 @@ class LimitDiagnostics:
     monotone_ok: bool
 
 
-@dataclass(frozen=True)
-class SegmentCheck:
+class SegmentCheck(NamedTuple):
     """Sign requirement and outcome on one knot-induced subinterval."""
 
     index: int  # 1-based, left to right
@@ -67,16 +64,14 @@ class SegmentCheck:
     violations: tuple[tuple[float, float], ...]  # (x, f(x) - omega(x))
 
 
-@dataclass(frozen=True)
-class SignPatternReport:
+class SignPatternReport(NamedTuple):
     segments: tuple[SegmentCheck, ...]
     overall: bool
     excluded: int  # grid points dropped by the knot-adjacent exclusion
     values: tuple[tuple[float, float, float], ...]  # (x, f(x), omega(x)) checked
 
 
-@dataclass(frozen=True)
-class SupportResult:
+class SupportResult(NamedTuple):
     knots: tuple[float, ...]
     omega: OmegaCombination
     c_n: LimitDiagnostics

@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .determinants import ScaleBound, Windows, exact_sign, minor_scan
 from .errors import ArgumentError, DomainError, GeometryError
@@ -35,25 +34,60 @@ INF = math.inf
 GRID_INSET_FACTOR = 1e-6
 
 
-@dataclass(frozen=True)
-class Interval:
+class Frozen:
+    """An immutable value: its ``_key`` attributes, in order, decide its
+    equality and hash. A subclass stores its ``__slots__`` once, in
+    ``__init__``, by :meth:`_freeze`, and keeps each argument of
+    ``__init__`` in the attribute of that name: those rebuild it, for its
+    repr, copies and pickles."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _args(self) -> dict:
+        code = type(self).__init__.__code__
+        return {name: getattr(self, name) for name in code.co_varnames[1:code.co_argcount]}
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in self._args().items())
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(self._args().values())
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Interval(Frozen):
     """A real interval, possibly unbounded, with open/closed endpoint flags."""
 
-    lo: float = -INF
-    hi: float = INF
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = _key = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
+    def __init__(self, lo: float = -INF, hi: float = INF,
+                 lo_open: bool = False, hi_open: bool = False):
+        if math.isnan(lo) or math.isnan(hi):
             raise ArgumentError("interval endpoints must not be NaN")
-        if not self.lo < self.hi:
-            raise ArgumentError(f"empty interval: lo={self.lo} must be < hi={self.hi}")
+        if not lo < hi:
+            raise ArgumentError(f"empty interval: lo={lo} must be < hi={hi}")
         # Infinite endpoints are necessarily open.
-        if math.isinf(self.lo):
-            object.__setattr__(self, "lo_open", True)
-        if math.isinf(self.hi):
-            object.__setattr__(self, "hi_open", True)
+        self._freeze(lo, hi, math.isinf(lo) or lo_open, math.isinf(hi) or hi_open)
 
     @property
     def span(self) -> float:
@@ -122,24 +156,21 @@ def uniform_grid(interval: Interval, count: int,
     return pts
 
 
-@dataclass(frozen=True)
-class BasisFunction:
+class BasisFunction(Frozen):
     """One evaluable basis function: x^k, e^(a x), cos, sin, c, or -x^k,
     named by its form in :data:`functions.FORMS` (any but ``poly``), whose
     evaluator ``values`` is bound to it."""
 
-    kind: str
-    param: float = 0.0
-    values: Callable[[Sequence[float]], Iterator[float]] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ("kind", "param", "values")
+    _key = ("kind", "param")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, param: float = 0.0):
         # cos and sin take no parameter: ``param`` may only keep its default.
-        takes_none = self.kind in FORMS and FORMS[self.kind][0] == 0
-        params = () if takes_none and self.param == 0.0 else (self.param,)
-        check_form(self.kind, params, BASIS_FORMS, "basis kind")
+        takes_none = kind in FORMS and FORMS[kind][0] == 0
+        params = () if takes_none and param == 0.0 else (param,)
+        check_form(kind, params, BASIS_FORMS, "basis kind")
         # Bound as given, so ``const`` returns ``param`` itself.
-        object.__setattr__(self, "values", FORMS[self.kind][1](params))
+        self._freeze(kind, param, FORMS[kind][1](params))
 
     def __call__(self, x: float) -> float:
         try:
@@ -160,20 +191,19 @@ class BasisFunction:
         return self.kind
 
 
-@dataclass(frozen=True)
-class ChebyshevSystem:
+class ChebyshevSystem(Frozen):
     """Ordered basis functions on an interval. Order is significant: it fixes
     the row order of every collocation matrix built from the system."""
 
-    basis: tuple[BasisFunction, ...]
-    interval: Interval = REAL_LINE
-    name: str = field(default="", compare=False)
+    __slots__ = ("basis", "interval", "name")
+    _key = ("basis", "interval")
 
-    def __post_init__(self):
-        basis = tuple(self.basis)
+    def __init__(self, basis: tuple[BasisFunction, ...], interval: Interval = REAL_LINE,
+                 name: str = ""):
+        basis = tuple(basis)
         if len(basis) < 1:
             raise ArgumentError("a system needs at least one basis function")
-        object.__setattr__(self, "basis", basis)
+        self._freeze(basis, interval, name)
 
     @property
     def n(self) -> int:
@@ -222,18 +252,18 @@ class ChebyshevSystem:
         return f"({inner}) on {self.interval.describe()}"
 
 
-@dataclass(frozen=True)
-class SystemClassification:
-    """Sampled verdict on the sign of the collocation determinant."""
+class SystemClassification(Frozen):
+    """Sampled verdict on the sign of the collocation determinant: ``verdict``
+    'positive' | 'negative' | 'non-chebyshev', and ``coverage`` 'exhaustive'
+    | 'windows' | 'sampled' (see :mod:`.sampling`)."""
 
-    verdict: str  # 'positive' | 'negative' | 'non-chebyshev'
-    witness: Optional[tuple[float, ...]]
-    tuples_checked: int
-    coverage: str  # 'exhaustive' | 'windows' | 'sampled' (see :mod:`.sampling`)
+    __slots__ = _key = ("verdict", "witness", "tuples_checked", "coverage")
 
-    def __post_init__(self):
-        if self.verdict == "non-chebyshev" and self.witness is None:
+    def __init__(self, verdict: str, witness: Optional[tuple[float, ...]],
+                 tuples_checked: int, coverage: str):
+        if verdict == "non-chebyshev" and witness is None:
             raise ArgumentError("non-chebyshev verdict requires a witness tuple")
+        self._freeze(verdict, witness, tuples_checked, coverage)
 
 
 def validate_grid(system: ChebyshevSystem, grid: Sequence[float], minimum: int) -> list[float]:

@@ -447,6 +447,20 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("args, message", [
+        (("--method", "theorem2", "--knots", ","), "point tuple must not be empty"),
+        (("--method", "definition", "--nodes", ","), "point tuple must not be empty"),
+        (("--method", "theorem2"), "--method theorem2 requires --knots"),
+        (("--method", "definition"), "--method definition requires --nodes"),
+    ], ids=["empty-knots", "empty-nodes", "no-knots", "no-nodes"])
+    def test_certify_point_list_empty_or_missing(self, capsys, args, message):
+        # A flag given with an empty list is reported as support and dd report
+        # one, not as a missing flag.
+        code, out = run_cli("certify", "--system", "poly:3", "--f", "monomial:3",
+                            "--grid", "-1.9:2.9:200", *args)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_columns_for_classify_is_usage_error(self):
         code, _ = run_cli("classify", "--system", "poly:2", "--grid", "-1:1:10",
                           "--format", "columns")

@@ -1,7 +1,11 @@
 """Every name a package module imports is used there: a stdlib ``ast``
-check that stands in for a linter's unused-import rule."""
+check that stands in for a linter's unused-import rule. And the CLI's
+import leaves out the standard modules that only cost start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,15 @@ def test_check_sees_an_unused_import():
               "__all__ = ['inf']\n"
               "def f(x: 'Sequence[float]'):\n    return os.sep\n")
     assert unused_imports(source) == [("missing", 3)]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Each CLI invocation is one process: a frozen dataclass compiles its
+    # methods when its module runs, and dataclasses imports inspect, ast and
+    # dis. -S keeps site-packages' start-up hooks out of the count.
+    check = ("import sys, chebconvex.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", check], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -171,6 +171,27 @@ class TestEvaluation:
         assert "x" in omega.describe()
 
 
+class TestOmegaValue:
+    def test_equality_hash_and_immutability(self):
+        system = polynomial_system(2)
+        omega = OmegaCombination(system, (1.0, 2.0))
+        same = OmegaCombination(ChebyshevSystem(system.basis, system.interval, "line"),
+                                (1.0, 2.0))
+        assert omega == same and hash(omega) == hash(same)
+        assert omega != OmegaCombination(system, (1.0, 3.0))
+        assert not isinstance(omega, tuple)
+        for name in ("system", "coefficients"):
+            with pytest.raises(AttributeError):
+                setattr(omega, name, None)
+        assert omega.coefficients == (1.0, 2.0)
+
+    @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_coefficient_count_must_match(self, coefficients):
+        with pytest.raises(ArgumentError) as info:
+            OmegaCombination(polynomial_system(2), coefficients)
+        assert str(info.value) == "coefficient count must match the system order"
+
+
 class TestAtRows:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebconvex import (ArgumentError, BasisFunction, ChebyshevSystem, DomainError,
-                        GeometryError, Interval, classify_on_grid,
+                        GeometryError, Interval, SystemClassification, classify_on_grid,
                         cosine_sine_system, exponential_system, named_system,
                         negated_polynomial_system, parse_system,
                         polynomial_system, uniform_grid)
@@ -47,6 +49,88 @@ class TestInterval:
         assert iv.hi_open
         assert iv.tolerance_span == 1.0
         assert Interval(-2.0, 3.0).tolerance_span == 5.0
+
+
+class TestValueSemantics:
+    """The constructed types compare, hash and check as frozen values of
+    their constructor's arguments, and are not tuples."""
+
+    def test_systems_differing_only_in_name_are_equal(self):
+        cut = polynomial_system(3).truncate(2)
+        other = ChebyshevSystem(polynomial_system(2).basis, cut.interval, "other")
+        assert (cut.name, other.name) == ("poly:3[:2]", "other")
+        assert cut == other and hash(cut) == hash(other)
+        assert cut != polynomial_system(2, Interval(0.0, 1.0))
+        assert cut != ChebyshevSystem(cut.basis[:1], cut.interval)
+
+    def test_basis_equality_ignores_the_bound_evaluator(self):
+        a, b = BasisFunction("exp", 2.0), BasisFunction("exp", 2.0)
+        assert a.values is not b.values
+        assert a == b and hash(a) == hash(b)
+        assert BasisFunction("monomial", 2) == BasisFunction("monomial", 2.0)
+        assert a != BasisFunction("exp", 3.0) and a != BasisFunction("const", 2.0)
+
+    def test_interval_equality_takes_every_field(self):
+        assert Interval(0.0, 1.0) == Interval(0.0, 1.0)
+        assert hash(Interval(0.0, 1.0)) == hash(Interval(0.0, 1.0))
+        assert Interval(0.0, 1.0) != Interval(0.0, 1.0, lo_open=True)
+        assert Interval(0.0, 1.0) != (0.0, 1.0, False, False)
+
+    @pytest.mark.parametrize("value, name", [
+        (Interval(0.0, 1.0), "lo"), (Interval(0.0, 1.0), "hi_open"),
+        (BasisFunction("exp", 1.0), "param"), (BasisFunction("exp", 1.0), "values"),
+        (polynomial_system(2), "basis"), (polynomial_system(2), "name"),
+        (SystemClassification("positive", None, 1, "exhaustive"), "verdict"),
+        (SystemClassification("positive", None, 1, "exhaustive"), "witness"),
+    ])
+    def test_attributes_cannot_be_assigned(self, value, name):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+
+    def test_copies_and_pickles_are_equal_values(self):
+        system = ChebyshevSystem((BasisFunction("exp", 1.5), BasisFunction("cos")),
+                                 Interval(0.0, math.inf), "named")
+        result = SystemClassification("non-chebyshev", (0.0, 1.0), 2, "sampled")
+        for value in (system, system.interval, system.basis[0], result):
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert twin == value and repr(twin) == repr(value)
+        rebuilt = pickle.loads(pickle.dumps(system))
+        assert rebuilt.name == "named" and rebuilt.evaluate_basis(0.5) == system.evaluate_basis(0.5)
+
+    def test_not_tuples(self):
+        system = polynomial_system(2)
+        for value in (system, system.interval, system.basis[0]):
+            assert not isinstance(value, tuple)
+            with pytest.raises(TypeError):
+                len(value)
+
+    def test_infinite_endpoints_are_open(self):
+        iv = Interval(-math.inf, math.inf, lo_open=False, hi_open=False)
+        assert (iv.lo_open, iv.hi_open) == (True, True)
+        assert iv == Interval() and not iv.admits(-math.inf)
+        assert Interval(-math.inf, 0.0).lo_open and not Interval(-math.inf, 0.0).hi_open
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Interval(math.nan, 1.0), "interval endpoints must not be NaN"),
+        (lambda: Interval(0.0, math.nan), "interval endpoints must not be NaN"),
+        (lambda: Interval(1.0, 1.0), "empty interval: lo=1.0 must be < hi=1.0"),
+        (lambda: Interval(2.0, -1.0), "empty interval: lo=2.0 must be < hi=-1.0"),
+        (lambda: BasisFunction("wavelet"), "unknown basis kind 'wavelet'"),
+        (lambda: BasisFunction("poly", 2.0), "unknown basis kind 'poly'"),
+        (lambda: BasisFunction("cos", 1.0), "cos takes no parameter"),
+        (lambda: ChebyshevSystem(()), "a system needs at least one basis function"),
+        (lambda: SystemClassification("non-chebyshev", None, 3, "exhaustive"),
+         "non-chebyshev verdict requires a witness tuple"),
+    ])
+    def test_validation_messages(self, build, message):
+        with pytest.raises(ArgumentError) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestUniformGrid:
