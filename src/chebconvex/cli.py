@@ -97,7 +97,7 @@ def build_parser() -> _Parser:
                         classical=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False, function=False, system=True):
+    def common(p, grid=False, function=False, system=True, columns=False):
         if system:
             p.add_argument("--system", required=True,
                            help="inline system name (poly:N, exp:a1,a2,..., "
@@ -121,7 +121,7 @@ def build_parser() -> _Parser:
         p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
         p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
         p.add_argument("--format", default="human", dest="fmt",
-                       choices=("human", "structured", "columns"))
+                       choices=("human", "structured", "columns")[:2 + columns])
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("classify", help="classify a system on a sampling grid")
@@ -141,12 +141,12 @@ def build_parser() -> _Parser:
     p.add_argument("--nodes", help="nodes for --method definition")
 
     p = sub.add_parser("support", help="build the support-type combination")
-    common(p, grid=True, function=True)
+    common(p, grid=True, function=True, columns=True)
     p.add_argument("--knots", required=True, help="comma-separated interior knots")
 
     p = sub.add_parser("reproduce-paper-example",
                        help="run the built-in cubic worked example and self-check it")
-    common(p, system=False)
+    common(p, system=False, columns=True)
 
     return parser
 

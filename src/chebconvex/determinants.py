@@ -29,15 +29,16 @@ sampler order would. The kernel yields determinants only; a single minor
 goes through :func:`det_and_scale`, which gives its scale too, and
 :func:`solve_with_det` carries a right-hand side as one more column.
 
-A scan's zero tests and tolerance bands read one bound, not each tuple's
-scale: the static filter of Fortune and Van Wyk (ACM Trans. Graph. 15,
-1996). :class:`ScaleBound` takes B, the product over rows of the row's
-max-norm across all the scan's columns. Rounding keeps a float product of
-nonnegative factors monotone in each, so no tuple's scale exceeds B, and a
-test monotone in the scale that reads alike at 0 and at B reads so at the
-tuple's own scale, which is computed only where they differ, bit for bit
-that of :func:`det_and_scale`. B decides nothing when an entry or B itself
-is not finite. Point tuples are plain float tuples, checked by
+The zero tests and tolerance bands of a scan, or of a walk of the map at
+fixed knots, read one bound, not each tuple's scale: the static filter of
+Fortune and Van Wyk (ACM Trans. Graph. 15, 1996). :class:`ScaleBound`
+takes B, the product over rows of the row's max-norm across all the
+columns. Rounding keeps a float product of nonnegative factors monotone
+in each, so no tuple's scale exceeds B, and a test monotone in the scale
+that reads alike at 0 and at B reads so at the tuple's own scale, which
+is computed only where they differ, bit for bit that of
+:func:`det_and_scale`. B decides nothing when an entry or B itself is not
+finite. Point tuples are plain float tuples, checked by
 :func:`distinct_points` and, against a system, by :func:`check_points`,
 whose minimum point separation is fixed.
 

@@ -10,6 +10,8 @@ pick up the same column inversions.
 :func:`gdd` takes the ratio at one point tuple from three minors. With
 n-1 knots fixed, :func:`knot_map` is the map x -> [knots, x]f of theorem 2
 and the support limit, in Lemma 1's form, with :func:`gdd`'s zero tests.
+A walk decides them as a scan does, at one :class:`.determinants.ScaleBound`
+over the knots and all its points.
 
 Two divided differences of windows sharing n-1 points are linked by a
 one-step update identity; :func:`recurrence_identity_residual` measures
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import compress, repeat
-from operator import le, mul, not_, or_, sub, truediv
+from itertools import compress, count, repeat
+from operator import le, mul, not_, sub, truediv
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .determinants import (TAU_FACTOR, check_points, d_det, det_and_scale, distinct_points,
+from .determinants import (ScaleBound, check_points, d_det, det_and_scale, distinct_points,
                            sign_of, solve_with_det, v_det)
 from .errors import ArgumentError, DomainError, NearSingularError
 from .functions import function_row
@@ -102,19 +104,17 @@ def gdd(system: ChebyshevSystem, pts: Sequence[float], f) -> DividedDifference:
                              abs(det) / scale if scale > 0.0 else 1.0)
 
 
-def _zero_tested(det: float, values: Iterable[float], bounds: Sequence[float],
-                 rows: Sequence[Sequence[float]]) -> Optional[int]:
-    """The index of the first point j where ``det`` times ``values[j]``
-    fails :func:`sign_of`'s zero test, mapped over the points, at the
-    product over i of ``max(bounds[i], abs(rows[i][j]))`` in order, as
-    ``math.prod`` multiplies at one point; or None. A NaN product passes."""
+def _first_zero(det: float, values: Iterable[float], kcols: Sequence[Sequence[float]],
+                rows: Sequence[Sequence[float]]) -> Optional[int]:
+    """The first point j where ``det * values[j]`` is "0" under the
+    :class:`ScaleBound` of the knot columns ``kcols`` and the points'
+    columns of ``rows``, for the minor of the knots and point j; or None.
+    Only a product that does not clear tau takes its own scale; NaN passes."""
+    bound = ScaleBound([*kcols, *zip(*rows)])
     products = [*map(mul, repeat(det), values)]
-    scales = [*map(max, repeat(bounds[0]), map(abs, rows[0]))]
-    for bound, row in zip(bounds[1:], rows[1:]):
-        scales = map(mul, scales, map(max, repeat(bound), map(abs, row)))
-    zero = [*map(or_, map(not_, products),
-                 map(le, map(abs, products), map(mul, repeat(TAU_FACTOR), scales)))]
-    return zero.index(True) if True in zero else None
+    k = len(kcols)
+    return next((j for j in compress(count(), map(le, map(abs, products), repeat(bound.tau)))
+                 if bound.sign(products[j], (*range(k), k + j)) == "0"), None)
 
 
 def knot_map(system: ChebyshevSystem, knots: tuple[float, ...], f) -> Callable[..., list[float]]:
@@ -128,19 +128,16 @@ def knot_map(system: ChebyshevSystem, knots: tuple[float, ...], f) -> Callable[.
     :func:`gdd`'s scale, then on the full one,
     V (u_n - q)(x), and left of the last knot on the truncated one at the
     n-1 smallest points, V l(x), for l = 1 at the last knot and 0 at the
-    others. Each raises for its first failing point, as does a value that
-    is not finite."""
+    others, each at :func:`_first_zero`'s bound. Each raises for its first
+    failing point, as does a value that is not finite."""
     n = system.n
     krows = system.evaluate_rows(knots)
+    kcols = [*zip(*krows)]
     heads = [*zip(*krows[:n - 1])]
     try:
         p, det = solve_with_det(heads, function_row(f, knots))
     except NearSingularError:
         raise degenerated("truncated", knots) from None
-    # det_and_scale's row max-norms over the knots, and over the first n-1
-    # functions at all knots but the last: a point's head left of it.
-    kmax = [max(map(abs, row)) for row in krows]
-    hmax = [max(map(abs, row[:-1]), default=0.0) for row in krows[:n - 1]]
     # The same matrix again, so these solves pass the same zero test.
     q, _ = solve_with_det(heads, krows[n - 1])
     lagrange, _ = solve_with_det(heads, [0.0] * (n - 2) + [1.0])
@@ -149,12 +146,12 @@ def knot_map(system: ChebyshevSystem, knots: tuple[float, ...], f) -> Callable[.
 
     def values(xs, fvals, rows):
         rs = [*map(sub, rows[n - 1], q.at_rows(rows, xs))]
-        i = _zero_tested(det.value, rs, kmax, rows)
+        i = _first_zero(det.value, rs, kcols, rows)
         if i is not None:
             raise degenerated("full", sorted(knots + (xs[i],)))
         head = bisect.bisect_left(xs, True, key=knots[-1].__le__)
-        left = [row[:head] for row in rows]
-        i = _zero_tested(det.value, lagrange.at_rows(left, xs), hmax, left)
+        left = [row[:head] for row in rows[:n - 1]]
+        i = _first_zero(det.value, lagrange.at_rows(left, xs), heads[:-1], left)
         if i is not None:
             raise degenerated("truncated", sorted(knots[:-1] + (xs[i],)))
         out = [*map(truediv, map(sub, fvals, p.at_rows(rows, xs)), rs)]

@@ -216,13 +216,17 @@ class TableSource(FunctionSource):
         if not all(map(math.isfinite, xs)):
             x = next(x for x in xs if not math.isfinite(x))
             raise ArgumentError(f"non-finite table abscissa {x!r}")
-        if not all(map(operator.lt, xs, xs[1:])):
-            raise ArgumentError("table abscissae must be strictly increasing")
+        # ``_eval`` snaps to the left row first, so one that close would never
+        # be read; a window that is never negative also orders the rows.
+        span = abs(xs[-1] - xs[0]) if len(xs) > 1 else max(abs(xs[0]), 1.0)
+        self._snap = TABLE_SNAP_FACTOR * span
+        if not all(map(operator.gt, map(operator.sub, xs[1:], xs), repeat(self._snap))):
+            a, b = next((a, b) for a, b in zip(xs, xs[1:]) if not b - a > self._snap)
+            raise ArgumentError(f"table abscissae {a!r} and {b!r} must increase by more "
+                                f"than the snapping window {self._snap:.3e}")
         self.xs = xs
         self.ys = ys
         self.interpolation = interpolation
-        span = xs[-1] - xs[0] if len(xs) > 1 else max(abs(xs[0]), 1.0)
-        self._snap = TABLE_SNAP_FACTOR * span
 
     @property
     def uses_linear_interpolation(self) -> bool:
@@ -245,12 +249,8 @@ class TableSource(FunctionSource):
 
     @cached_property
     def _rows(self) -> dict[float, float]:
-        """``_eval`` at each abscissa, by abscissa: its own row's ordinate,
-        unless the row to its left lies within ``_snap``, which ``_eval``
-        tests first; then every abscissa is evaluated by ``_eval``."""
-        if all(map(operator.gt, map(operator.sub, self.xs[1:], self.xs), repeat(self._snap))):
-            return dict(zip(self.xs, self.ys))
-        return {x: self._eval(x) for x in self.xs}
+        """Each abscissa's ordinate, which ``_eval`` gives there, by abscissa."""
+        return dict(zip(self.xs, self.ys))
 
     def values(self, xs: Sequence[float]) -> list[float]:
         """``_eval`` at each of the points ``xs``. When the first point is an

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebconvex import cli
 from chebconvex.cli import console_main, emit_columns, main
 
 
@@ -461,10 +462,24 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_columns_for_classify_is_usage_error(self):
-        code, _ = run_cli("classify", "--system", "poly:2", "--grid", "-1:1:10",
-                          "--format", "columns")
-        assert code == 1
+    @pytest.mark.parametrize("call, args", [
+        ("classify_on_grid", ("classify", "--system", "poly:5", "--interval", "-2:3",
+                              "--grid", "2.49:2.75:20")),
+        ("gdd", ("dd", "--system", "poly:3", "--f", "monomial:3", "--points", "0,1,2")),
+        ("certify_theorem_a", ("certify", "--method", "theoremA", "--system", "poly:3",
+                               "--f", "monomial:3", "--grid", "-1:1:10")),
+        ("scan_theorem2", ("certify", "--method", "theorem2", "--system", "poly:3",
+                           "--f", "monomial:3", "--knots", "0,0.5", "--grid", "-1:1:10")),
+    ], ids=["classify", "dd", "certify-theoremA", "certify-theorem2"])
+    def test_columns_refused_before_any_work(self, capsys, monkeypatch, call, args):
+        # Only support and the worked example have columns; the parser refuses
+        # them for any other command before the command runs.
+        def unreachable(*_, **__):
+            raise AssertionError(f"{call} ran")
+        monkeypatch.setattr(cli, call, unreachable)
+        assert run_cli(*args, "--format", "columns") == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--format" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target, message", [
         ("monomial:inf", "monomial parameter inf is not finite"),

@@ -25,8 +25,9 @@ from chebconvex import (CERTIFIED, VIOLATED, BasisFunction, CallableSource,
                         verify_definition)
 from chebconvex.convexity import require_positive, sign_walk
 from chebconvex import convexity, determinants, systems
-from chebconvex.determinants import TAU_FACTOR, Windows, det_and_scale, sign_of, window_sweep
-from chebconvex.divdiff import _zero_tested
+from chebconvex.determinants import (TAU_FACTOR, Windows, det_and_scale, sign_of,
+                                     solve_with_det, window_sweep)
+from chebconvex.divdiff import degenerated, knot_map
 from chebconvex.sampling import ordered_index_tuples
 from chebconvex.systems import classify_on_grid
 
@@ -1292,32 +1293,90 @@ def reference_zero_tested(det, values, bounds, rows):
     return None
 
 
+def reference_map_zero_test(system, knots, xs, rows):
+    """The error that knot_map's two zero tests raise at the sorted points
+    ``xs`` with the basis rows ``rows``, from reference_zero_tested on the
+    values the map forms, each point at its own scale: the row max-norms
+    over the knots (for the truncated test, the first n-1 functions at
+    every knot but the last), widened by the point's entries. None when no
+    point fails, or when forming a value raises first."""
+    n = system.n
+    krows = system.evaluate_rows(knots)
+    heads = [*zip(*krows[:n - 1])]
+    truncated = system.truncate(n - 1)
+    q, det = solve_with_det(heads, krows[n - 1])
+    lagrange, _ = solve_with_det(heads, [0.0] * (n - 2) + [1.0])
+    q, lagrange = (OmegaCombination(truncated, tuple(c)) for c in (q, lagrange))
+    kmax = [max(map(abs, row)) for row in krows]
+    hmax = [max(map(abs, row[:-1]), default=0.0) for row in krows[:n - 1]]
+    left = [row[:sum(x < knots[-1] for x in xs)] for row in rows]
+    try:
+        full = [r - v for r, v in zip(rows[n - 1], q.at_rows(rows, xs))]
+        i = reference_zero_tested(det.value, full, kmax, rows)
+        if i is not None:
+            return str(degenerated("full", sorted(knots + (xs[i],))))
+        i = reference_zero_tested(det.value, lagrange.at_rows(left, xs), hmax, left)
+    except DomainError:
+        return None
+    return None if i is None else str(degenerated("truncated", sorted(knots[:-1] + (xs[i],))))
+
+
+def map_zero_test(system, knots, xs, rows):
+    """The error of knot_map's zero tests at those points and rows, or None."""
+    try:
+        knot_map(system, knots, F_CUBE)(xs, [0.0] * len(xs), rows)
+    except NearSingularError as exc:
+        return str(exc)
+    except DomainError:
+        pass
+    return None
+
+
 class TestZeroTestOverPoints:
-    """Theorem 2's zero test over all the points at once finds the point
-    that sign_of finds one point at a time, NaN included."""
+    """Theorem 2's zero tests over all the points at once, at one bound,
+    find the point that sign_of finds one point at a time, NaN included."""
 
     ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(
         [0.0, -0.0, 1e-300, -3e-14, 1e-15, math.nan, math.inf, 5e-324]), st.floats())
 
     @settings(max_examples=400, deadline=None)
-    @given(st.floats(-1e3, 1e3), st.integers(1, 12), st.integers(1, 3), st.data())
-    def test_agrees_with_sign_of_point_by_point(self, det, m, k, data):
-        values = data.draw(st.lists(self.ENTRIES, min_size=m, max_size=m))
+    @given(st.integers(2, 4), st.sampled_from([0.01, 1.0, 50.0]), st.integers(1, 12),
+           st.data())
+    def test_agrees_with_sign_of_point_by_point(self, n, unit, m, data):
+        system = polynomial_system(n)
+        knots = tuple(unit * k for k in sorted(data.draw(
+            st.lists(st.integers(-20, 20), min_size=n - 1, max_size=n - 1, unique=True))))
+        xs = sorted(data.draw(st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from(knots)),
+                                       min_size=m, max_size=m)))
         rows = data.draw(st.lists(st.lists(self.ENTRIES, min_size=m, max_size=m),
-                                  min_size=k, max_size=k + 1))
-        bounds = data.draw(st.lists(st.floats(0.0, 1e3), min_size=k, max_size=k))
-        assert _zero_tested(det, values, bounds, rows) == \
-            reference_zero_tested(det, values, bounds, rows)
+                                  min_size=n, max_size=n))
+        assert map_zero_test(system, knots, xs, rows) == \
+            reference_map_zero_test(system, knots, xs, rows)
+
+    #: (1, x) with the knot 0: the determinant at the knot is 1 and q is 0,
+    #: so the full test's value at a point is its x entry.
+    LINE, KNOT = polynomial_system(2), (0.0,)
 
     def test_nan_first_in_a_row_does_not_hide_a_larger_entry(self):
-        # The NaN entry gives its point a NaN scale, which passes; the
-        # point of scale 1e10 is zero.
-        rows = [[math.nan, 1e10]]
-        assert _zero_tested(1.0, [1.0, 1e-7], [1.0], rows) == 1
-        assert reference_zero_tested(1.0, [1.0, 1e-7], [1.0], rows) == 1
+        # The NaN value passes; the value 1e-7 at the point of scale
+        # 1e15 * 1e-7 is zero.
+        rows = [[1.0, 1e15], [math.nan, 1e-7]]
+        want = "full-system collocation determinant degenerated at (0.0, 0.75)"
+        assert map_zero_test(self.LINE, self.KNOT, [0.5, 0.75], rows) == want
+        assert reference_map_zero_test(self.LINE, self.KNOT, [0.5, 0.75], rows) == want
+
+    @pytest.mark.parametrize("last", [math.inf, 1e300], ids=["inf-entry", "overflow"])
+    def test_infinite_bound_leaves_each_point_its_own_scale(self, last):
+        # B is inf, from an entry or from a product that overflows: the
+        # value 1 at a point of scale 1 passes, and the value 1e-7 at the
+        # point of scale 1e15 * 1e-7 is zero.
+        rows = [[1.0, 1e15, 1e300], [1.0, 1e-7, last]]
+        want = "full-system collocation determinant degenerated at (0.0, 0.75)"
+        assert map_zero_test(self.LINE, self.KNOT, [0.5, 0.75, 0.8], rows) == want
+        assert reference_map_zero_test(self.LINE, self.KNOT, [0.5, 0.75, 0.8], rows) == want
 
     def test_empty(self):
-        assert _zero_tested(1.0, [], [1.0, 1.0], [[], []]) is None
+        assert knot_map(self.LINE, self.KNOT, F_CUBE)([], [], [[], []]) == []
 
 
 @contextlib.contextmanager

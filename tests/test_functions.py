@@ -304,7 +304,7 @@ def reference_table_eval(f, x):
     the snapping window of x, the left one tested first, else the line
     between the neighbouring rows."""
     i = bisect.bisect_left(f.xs, x)
-    snap = TABLE_SNAP_FACTOR * (f.xs[-1] - f.xs[0] if len(f.xs) > 1 else max(abs(f.xs[0]), 1.0))
+    snap = snap_window(f.xs)
     for j in (i - 1, i):
         if 0 <= j < len(f.xs) and abs(f.xs[j] - x) <= snap:
             return f.ys[j]
@@ -316,8 +316,20 @@ def reference_table_eval(f, x):
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-TABLES = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=30, unique=True).flatmap(
-    lambda xs: st.tuples(st.just(sorted(xs)),
+def snap_window(xs):
+    """The snapping window of a table with the sorted abscissae ``xs``."""
+    return TABLE_SNAP_FACTOR * (xs[-1] - xs[0] if len(xs) > 1 else max(abs(xs[0]), 1.0))
+
+
+def readable_rows(xs):
+    """Whether every abscissa of the sorted ``xs`` lies more than the
+    snapping window right of the one before it, as a table's must."""
+    return all(b - a > snap_window(xs) for a, b in zip(xs, xs[1:]))
+
+
+TABLES = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=30, unique=True).map(
+    sorted).filter(readable_rows).flatmap(
+    lambda xs: st.tuples(st.just(xs),
                          st.lists(st.floats(allow_nan=False), min_size=len(xs), max_size=len(xs)),
                          st.sampled_from(["none", "linear"])))
 
@@ -347,20 +359,45 @@ class TestTableValues:
         f = TableSource(xs, ys, interpolation)
         self.check(f, ([xs[0]] if start_on_a_row else []) + points)
 
-    @pytest.mark.parametrize("interpolation", ["none", "linear"])
-    def test_adjacent_abscissae_within_the_snap(self, interpolation):
-        # The span is 2, so rows closer than 2e-12 snap to the one on the left.
-        f = TableSource([0.0, 1e-13, 1.0, 1.0 + 1e-12, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0],
-                        interpolation)
-        xs = [0.0, 1e-13, 1.0, 1.0 + 1e-12, 2.0, 1.0 + 5e-13]
-        assert f.values(xs) == [1.0, 1.0, 3.0, 3.0, 5.0, 3.0]
-        self.check(f, xs)
-        self.check(f, xs[::-1])
+    def test_rows_just_past_the_snap(self):
+        # The span is 2, so the window is 2e-12: rows 4e-12 apart are both read.
+        xs = [0.0, 4e-12, 1.0, 1.0 + 4e-12, 2.0]
+        f = TableSource(xs, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert f.values(xs) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        self.check(f, xs + [1e-12, 1.0 + 3e-12, 1.0 - 1e-12])
 
-    def test_span_past_the_largest_float(self):
-        # The snapping window is infinite: every point snaps to a row.
-        f = TableSource([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0])
-        self.check(f, [0.0, 1e308, -1e308, 5.0, -math.inf, math.inf])
+
+class TestTableRows:
+    """Every row of a table can be read: a row within the snapping window
+    of the one to its left, which a query there would snap to, is refused
+    with the pair, as are abscissae out of order."""
+
+    @pytest.mark.parametrize("xs, a, b", [
+        ([0.0, 1e-13, 1.0], 0.0, 1e-13),
+        ([0.0, 1.0, 1.0 + 2e-12, 2.0], 1.0, 1.0 + 2e-12),
+        ([0.0, 2.0, 1.0], 2.0, 1.0),
+        ([1.0, 0.0], 1.0, 0.0),
+        ([0.0, 1.0, 1.0], 1.0, 1.0),
+        # A span past the largest float has an infinite window.
+        ([-1e308, 0.0, 1e308], -1e308, 0.0),
+    ], ids=["within-the-snap", "within-the-snap-mid-table", "out-of-order", "decreasing",
+            "duplicate", "span-past-the-largest-float"])
+    def test_unreadable_row_is_refused(self, xs, a, b):
+        with pytest.raises(ArgumentError, match=f"^table abscissae {re.escape(repr(a))} "
+                           f"and {re.escape(repr(b))} must increase by more than"):
+            TableSource(xs, [5.0] * len(xs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=8, unique=True))
+    def test_each_row_reads_its_own_ordinate(self, xs):
+        xs = sorted(xs)
+        ys = [float(i) for i in range(len(xs))]
+        if not readable_rows(xs):
+            with pytest.raises(ArgumentError, match="must increase by more than"):
+                TableSource(xs, ys)
+            return
+        f = TableSource(xs, ys)
+        assert [f(x) for x in xs] == f.values(xs) == ys
 
 
 class TestParseFunction:

@@ -80,3 +80,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", check], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_only_determinants_names_the_zero_test_factor():
+    # The scale proxy and tau belong to determinants: the scans and the map
+    # at fixed knots decide their zero tests through its ScaleBound.
+    naming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if "TAU_FACTOR" in names | {name for name, _ in imported_names(tree)}:
+            naming.append(path.name)
+    assert naming == ["determinants.py"]
